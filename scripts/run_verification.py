@@ -24,12 +24,11 @@ from fibint import cli, verifier  # noqa: E402
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--filter", default="*")
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--json", default=None, help="also write the full JSON report here")
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    report = verifier.run(args.filter, threads=args.threads)
+    report = verifier.run(args.filter)
     dt = time.perf_counter() - t0
 
     groups: dict[str, list] = collections.defaultdict(list)

@@ -3,8 +3,8 @@ verifications, emit machine-readable reports.
 
 Exit codes: 0 all verified instances passed, 1 any failure,
 2 usage/configuration error.  JSON/CSV payloads are deterministic
-(timestamps only in metadata, floats at 17 significant digits).
-FIBINT_THREADS caps verifier parallelism.
+(timestamps only in metadata, floats at 17 significant digits; JSON
+writes null for a non-finite float, e.g. the lhs of a failed instance).
 """
 
 from __future__ import annotations
@@ -12,17 +12,20 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from datetime import datetime, timezone
 
-from . import registry, verifier
-
-TOL_MIN = 1e-13
-TOL_MAX = 1e-3
+from . import quad, registry, verifier
 
 
 def _fmt(x: float) -> str:
     return format(x, ".17g")
+
+
+def _json_num(x: float) -> str:
+    """_fmt for JSON, which has no nan or inf: those become null."""
+    return _fmt(x) if math.isfinite(x) else "null"
 
 
 def _json_escape(s: str) -> str:
@@ -52,8 +55,8 @@ def _report_json(report: verifier.Report, tol, pattern: str) -> str:
         rows.append(
             "{"
             + f'"id": "{r.case_id}", "params": {{{params}}}, '
-            + f'"lhs": {_fmt(r.lhs)}, "rhs": {_fmt(r.rhs)}, "abs_err": {_fmt(r.abs_err)}, '
-            + f'"tol": {_fmt(r.tol)}, "passed": {"true" if r.passed else "false"}, '
+            + f'"lhs": {_json_num(r.lhs)}, "rhs": {_json_num(r.rhs)}, "abs_err": {_json_num(r.abs_err)}, '
+            + f'"tol": {_json_num(r.tol)}, "passed": {"true" if r.passed else "false"}, '
             + f'"note": "{_json_escape(r.note)}"'
             + "}"
         )
@@ -242,8 +245,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         # verify
-        if args.tol is not None and not (TOL_MIN <= args.tol <= TOL_MAX):
-            print(f"error: --tol must lie in [{TOL_MIN}, {TOL_MAX}]", file=sys.stderr)
+        if args.tol is not None and not (quad.TOL_MIN <= args.tol <= quad.TOL_MAX):
+            print(f"error: --tol must lie in [{quad.TOL_MIN}, {quad.TOL_MAX}]", file=sys.stderr)
             return 2
         overrides = _parse_grid(args.grid) or None
         report = verifier.run(args.filter, grid_override=overrides, tol_override=args.tol)

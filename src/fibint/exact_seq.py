@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 MAX_INDEX = 10_000
 MAX_GOLDEN_POWER = 40
@@ -22,6 +23,7 @@ MAX_GOLDEN_POWER = 40
 SQRT5 = math.sqrt(5.0)
 
 
+@lru_cache(maxsize=256, typed=True)
 def _fib_pair(m: int) -> tuple[int, int]:
     """(F_m, F_{m+1}) for m >= 0 by fast doubling, O(log m) multiplies."""
     a, b = 0, 1
@@ -71,6 +73,7 @@ class GoldenPair:
     beta_pow: float
 
 
+@lru_cache(maxsize=None, typed=True)  # errors are not cached: only |r| <= 40 is kept
 def golden_powers(r: int) -> GoldenPair:
     """(alpha^r, beta^r) assembled from exact F_r, L_r; |r| <= 40.
 

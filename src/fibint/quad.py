@@ -11,6 +11,12 @@ b - c*delta stay meaningful down to delta ~ 1e-28; a node whose mapped
 abscissa would round onto an endpoint is dropped outright, keeping the
 open-rule guarantee unconditional.
 
+Each map (finite interval, half line) is one plain loop over the cached
+per-level (delta, weight) node tables: it evaluates the integrand at the
+two images of each node, Kahan-sums w*f and sums w*|f| (the rounding
+floor) inline, and yields both sums at the end of every level.  One
+driver turns those sums into level estimates and holds the stopping rule.
+
 Convergence is declared when successive level estimates agree within the
 requested tolerance (the last halving difference is the error estimate,
 a deliberately conservative bound for DE rules).  If the estimate stalls,
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 _PI_OVER_2 = math.pi / 2.0
 _EPS = math.ulp(1.0)
@@ -124,7 +130,7 @@ def _level_nodes(level: int) -> list[tuple[float, float]]:
 
 
 # --------------------------------------------------------------------------
-# DE driver over an abstract symmetric mapping
+# DE driver: the stopping rule over per-level node sums
 # --------------------------------------------------------------------------
 
 
@@ -132,56 +138,23 @@ class _NonFiniteIntegrand(ArithmeticError):
     pass
 
 
-def _de_run(
-    center: Callable[[], float],
-    pair: Callable[[float], tuple[float, float]],
-    scale: float,
-    tol: float,
-    max_level: int = MAX_LEVEL,
-) -> QuadResult:
-    """Level-doubling tanh-sinh driver.
+_NON_FINITE = "integrand returned a non-finite value"
 
-    center() evaluates the integrand at the midpoint image; pair(delta)
-    returns (sum, abs_sum) of the integrand at the two symmetric images
-    of a node at endpoint distance delta.  scale is the overall Jacobian
-    half-width.  Kahan compensation keeps the node sum usable when the
-    integral is many orders larger than the tolerance.
+
+def _de_drive(levels: Iterator[tuple[float, float]], scale: float, tol: float) -> QuadResult:
+    """Level-doubling tanh-sinh stopping rule.
+
+    levels yields, after each refinement level, the compensated node sum
+    of w*f and the rounding magnitude sum of w*|f| over all nodes so far;
+    scale is the overall Jacobian half-width.  From level 3 on, the last
+    halving difference is the error estimate; the one before it must also
+    be small, so a lucky agreement of two coarse levels is not trusted.
     """
-    s = 0.0  # compensated sum of w*f
-    comp = 0.0
-    mag = 0.0  # sum of w*|f| for the rounding floor
-    evals = 0
-
-    def add(x: float) -> None:
-        nonlocal s, comp
-        y = x - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-
-    try:
-        fc = center()
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise _NonFiniteIntegrand(str(exc)) from exc
-    evals += 1
-    if not math.isfinite(fc):
-        raise _NonFiniteIntegrand("integrand returned a non-finite value")
-    add(_W0 * fc)
-    mag += _W0 * abs(fc)
-
+    evals = 1  # the centre node
     value = prev = 0.0
     diff = prev_diff = math.inf
-    for level in range(max_level + 1):
-        for delta, w in _level_nodes(level):
-            try:
-                fs, fm = pair(delta)
-            except (ZeroDivisionError, OverflowError, ValueError) as exc:
-                raise _NonFiniteIntegrand(str(exc)) from exc
-            evals += 2
-            if not math.isfinite(fs):
-                raise _NonFiniteIntegrand("integrand returned a non-finite value")
-            add(w * fs)
-            mag += w * fm
+    for level, (s, mag) in enumerate(levels):
+        evals += 2 * len(_level_nodes(level))
         h = 1.0 / (1 << level)
         value = scale * h * s
         if level >= 1:
@@ -192,7 +165,6 @@ def _de_run(
             if diff <= max(tol, floor) and prev_diff <= max(1e3 * tol, 1e6 * floor):
                 err = max(diff, floor)
                 return QuadResult(value, err, evals, err <= tol)
-    floor = 8.0 * _EPS * scale * (1.0 / (1 << max_level)) * mag
     return QuadResult(value, max(diff, floor), evals, False)
 
 
@@ -201,28 +173,44 @@ def _de_run(
 # --------------------------------------------------------------------------
 
 
-def _de_finite(fe: Callable[[float], float], a: float, b: float, tol: float) -> QuadResult:
+def _finite_levels(fe: Callable[[float], float], a: float, b: float) -> Iterator[tuple[float, float]]:
+    """Node sums of the finite map x = a + c*delta, b - c*delta, per level.
+
+    Kahan compensation keeps the sum usable when the integral is many
+    orders larger than the tolerance.
+    """
     c = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-
-    def center() -> float:
-        return fe(mid)
-
-    def pair(delta: float) -> tuple[float, float]:
-        d = c * delta
-        xlo = a + d
-        xhi = b - d
-        flo = fe(xlo) if xlo > a else 0.0  # drop nodes that round onto an endpoint
-        fhi = fe(xhi) if xhi < b else 0.0
-        return flo + fhi, abs(flo) + abs(fhi)
-
-    return _de_run(center, pair, c, tol)
+    try:
+        fc = fe(0.5 * (a + b))
+        if not math.isfinite(fc):
+            raise _NonFiniteIntegrand(_NON_FINITE)
+        s = 0.0 + _W0 * fc  # a Kahan step from zero: turns -0.0 into 0.0
+        comp = 0.0
+        mag = _W0 * abs(fc)
+        for level in range(MAX_LEVEL + 1):
+            for delta, w in _level_nodes(level):
+                d = c * delta
+                xlo = a + d
+                xhi = b - d
+                flo = fe(xlo) if xlo > a else 0.0  # drop nodes that round onto an endpoint
+                fhi = fe(xhi) if xhi < b else 0.0
+                fs = flo + fhi
+                if not math.isfinite(fs):
+                    raise _NonFiniteIntegrand(_NON_FINITE)
+                y = w * fs - comp
+                t = s + y
+                comp = (t - s) - y
+                s = t
+                mag += w * (abs(flo) + abs(fhi))
+            yield s, mag
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise _NonFiniteIntegrand(str(exc)) from exc
 
 
 def _finite_adaptive(
     fe: Callable[[float], float], a: float, b: float, tol: float, depth: int
 ) -> QuadResult:
-    res = _de_finite(fe, a, b, tol)
+    res = _de_drive(_finite_levels(fe, a, b), 0.5 * (b - a), tol)
     if res.converged or depth >= MAX_SPLIT_DEPTH:
         return res
     mid = 0.5 * (a + b)
@@ -266,21 +254,35 @@ def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> 
 # --------------------------------------------------------------------------
 
 
-def _de_half_line(fe: Callable[[float], float], tol: float) -> QuadResult:
-    # x = s/(1-s) on s in (0,1); both s and 1-s are kept as exact deltas
-    def center() -> float:
-        return fe(1.0) * 4.0  # s=1/2: x=1, jacobian 1/(1-s)^2 = 4
+def _half_line_levels(fe: Callable[[float], float]) -> Iterator[tuple[float, float]]:
+    """Node sums of x = s/(1-s) on s in (0,1), per level, as _finite_levels.
 
-    def pair(delta: float) -> tuple[float, float]:
-        d = 0.5 * delta
-        # s = d (near 0): x = d/(1-d), jacobian 1/(1-d)^2
-        om = 1.0 - d
-        flo = fe(d / om) / (om * om)
-        # s = 1-d: x = (1-d)/d, jacobian 1/d^2
-        fhi = fe(om / d) / (d * d)
-        return flo + fhi, abs(flo) + abs(fhi)
-
-    return _de_run(center, pair, 0.5, tol)
+    Both s and 1-s are kept as exact deltas.
+    """
+    try:
+        fc = fe(1.0) * 4.0  # s=1/2: x=1, jacobian 1/(1-s)^2 = 4
+        if not math.isfinite(fc):
+            raise _NonFiniteIntegrand(_NON_FINITE)
+        s = 0.0 + _W0 * fc
+        comp = 0.0
+        mag = _W0 * abs(fc)
+        for level in range(MAX_LEVEL + 1):
+            for delta, w in _level_nodes(level):
+                d = 0.5 * delta
+                om = 1.0 - d
+                flo = fe(d / om) / (om * om)  # s = d: x = d/(1-d), jacobian 1/(1-d)^2
+                fhi = fe(om / d) / (d * d)  # s = 1-d: x = (1-d)/d, jacobian 1/d^2
+                fs = flo + fhi
+                if not math.isfinite(fs):
+                    raise _NonFiniteIntegrand(_NON_FINITE)
+                y = w * fs - comp
+                t = s + y
+                comp = (t - s) - y
+                s = t
+                mag += w * (abs(flo) + abs(fhi))
+            yield s, mag
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise _NonFiniteIntegrand(str(exc)) from exc
 
 
 def integrate_half_line(f, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
@@ -294,7 +296,7 @@ def integrate_half_line(f, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
     tol = _check_tol(tol)
     fe = f.eval
     try:
-        res = _de_half_line(fe, tol)
+        res = _de_drive(_half_line_levels(fe), 0.5, tol)
         if res.converged:
             return res
         head = _finite_adaptive(fe, 0.0, 1.0, 0.5 * tol, 0)

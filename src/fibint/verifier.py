@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import fnmatch
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -105,21 +103,6 @@ def verify_instance(inst: registry.BoundInstance) -> VerificationResult:
     )
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("FIBINT_THREADS", "")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"FIBINT_THREADS must be a positive integer, got {env!r}")
-        if value < 1:
-            raise ValueError(f"FIBINT_THREADS must be a positive integer, got {env!r}")
-        return value
-    return 1
-
-
 def match_ids(pattern: str) -> list[str]:
     ids = [c.id for c in registry.catalog() if fnmatch.fnmatchcase(c.id, pattern)]
     if not ids:
@@ -131,7 +114,6 @@ def run(
     pattern: str = "*",
     grid_override: Mapping[str, tuple[int, int]] | None = None,
     tol_override: float | None = None,
-    threads: int | None = None,
 ) -> Report:
     """Verify every instance of every catalog entry matching the glob."""
     t0 = time.perf_counter()
@@ -144,13 +126,7 @@ def run(
                     inst.case_id, inst.assignment, inst.integrand, inst.rhs, tol_override, inst.strategy
                 )
             instances.append(inst)
-    n = _thread_count(threads)
-    if n == 1:
-        results = [verify_instance(inst) for inst in instances]
-    else:
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            results = list(pool.map(verify_instance, instances))
-    results.sort(key=VerificationResult.sort_key)
+    results = sorted(map(verify_instance, instances), key=VerificationResult.sort_key)
     n_pass = sum(1 for r in results if r.passed)
     return Report(
         results=tuple(results),

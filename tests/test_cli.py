@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from fibint import cli, verifier
+from fibint import cli, registry, verifier
+from fibint.quad import Integrand
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +71,28 @@ def test_exit_code_one_on_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--filter", "*")
     assert code == 1
     assert "FAIL" in out
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_failed_report_is_strict_json(capsys, monkeypatch):
+    bad = registry.BoundInstance(
+        "SYNTH.NAN", {}, Integrand(lambda x: float("nan")), 1.0, 1e-7, registry.FINITE(0.0, 1.0)
+    )
+    good = registry.instantiate("S5.FOURG", {})
+    report = verifier.Report(
+        results=(verifier.verify_instance(good), verifier.verify_instance(bad)), n_pass=1, n_fail=1, wall_time=0.0
+    )
+    monkeypatch.setattr(cli.verifier, "run", lambda *a, **k: report)
+    code, out, _ = run_cli(capsys, "verify", "--filter", "*", "--format", "json")
+    assert code == 1
+    passed, failed = json.loads(out, parse_constant=_reject_constant)["results"]
+    assert failed["passed"] is False and failed["note"]
+    assert failed["lhs"] is None and failed["abs_err"] is None
+    assert failed["rhs"] == 1.0
+    assert passed["passed"] is True and isinstance(passed["lhs"], float)
 
 
 def test_list_csv_has_full_catalog(capsys):

@@ -56,8 +56,14 @@ def test_index_range_checked():
         fib(MAX_INDEX + 1)
     with pytest.raises(ValueError):
         lucas(-MAX_INDEX - 1)
-    with pytest.raises(TypeError):
-        fib(2.0)
+    # validation still runs once the integer index is cached: 2.0 == 2 and
+    # both hash alike, so a cache keyed by value alone could serve 2.0
+    fib(2), lucas(2), golden_powers(2)
+    for fn in (fib, lucas, golden_powers):
+        with pytest.raises(TypeError):
+            fn(2.0)
+    with pytest.raises(ValueError):
+        golden_powers(MAX_GOLDEN_POWER + 1)
 
 
 def test_decimal_string_round_trip():

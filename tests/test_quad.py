@@ -165,6 +165,61 @@ def test_bad_integrand_is_a_result_not_a_crash():
     assert not res.converged
 
 
+def _raises_on_call(n):
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        if calls == n:
+            raise ZeroDivisionError("division by zero mid-level")
+        return x * x
+
+    return f
+
+
+# One integrand per driver path with its (value.hex(), err_est.hex(), evals,
+# converged), bit for bit.  A change that moves any of them changes the
+# verifier's results and must say why.
+PINNED_PATHS = {
+    "finite": (
+        lambda: integrate_finite(lambda x: x * math.sin(x), 0.0, PI, 1e-10),
+        ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p-48", 119, True),
+    ),
+    "finite_bisection": (
+        lambda: integrate_finite(lambda x: abs(x - 1.0 / PI), 0.0, 1.0, 1e-10),
+        ("0x1.21cdb6abeea76p-2", "0x1.6fd56db485462p-48", 38981, True),
+    ),
+    "finite_singular_split": (
+        lambda: integrate_finite(Integrand(lambda x: abs(x - 0.5), (0.5,)), 0.0, 1.0, 1e-12),
+        ("0x1.ffffffffffffep-3", "0x1.ffffffffffffcp-52", 238, True),
+    ),
+    "half_line": (
+        lambda: integrate_half_line(lambda x: 1.0 / (1.0 + x * x), 1e-10),
+        ("0x1.921fb54442d18p+0", "0x1.921fb54442d18p-49", 239, True),
+    ),
+    "half_line_head_tail": (
+        lambda: integrate_half_line(lambda x: abs(x - 1.0) * math.exp(-x) if x < 700 else 0.0, 1e-9),
+        ("0x1.78b56362cef38p-1", "0x1.c0e2d58d8b3bdp-45", 358, True),
+    ),
+    "tan_halfpi": (
+        lambda: integrate_tan_halfpi(lambda t: t * t / (1.0 + 3.0 * t * t + t**4), 1e-9),
+        ("0x1.53a07391a4498p-3", "0x1.53a07391a4496p-52", 239, True),
+    ),
+    "raises_mid_level": (
+        lambda: integrate_finite(_raises_on_call(40), 0.0, 1.0, 1e-10),
+        ("nan", "inf", 0, False),
+    ),
+}
+
+
+@pytest.mark.parametrize("path", sorted(PINNED_PATHS))
+def test_driver_paths_reproduce_pinned_bits(path):
+    run, expected = PINNED_PATHS[path]
+    res = run()
+    assert (res.value.hex(), res.err_est.hex(), res.evals, res.converged) == expected
+
+
 def test_result_addition():
     a = QuadResult(1.0, 1e-12, 10, True)
     b = QuadResult(2.0, 2e-12, 20, False)
