@@ -19,6 +19,27 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from fibint import verifier  # noqa: E402
 
 
+BUCKET_LABELS = [
+    "<1e-7",
+    "[1e-7,1e-6)",
+    "[1e-6,1e-5)",
+    "[1e-5,1e-4)",
+    "[1e-4,1e-3)",
+    "[1e-3,1e-2)",
+    "[1e-2,1e-1)",
+    ">=1e-1",
+]
+
+
+def bucket_index(ratio: float) -> int:
+    """Index into BUCKET_LABELS of the decade holding an error/threshold ratio."""
+    if ratio <= 0.0:
+        return 0
+    if not ratio < math.inf:  # inf or nan: a failed row
+        return len(BUCKET_LABELS) - 1
+    return min(len(BUCKET_LABELS) - 1, max(0, math.floor(math.log10(ratio)) + 8))
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--filter", default="*")
@@ -26,15 +47,12 @@ def main() -> int:
     args = ap.parse_args()
 
     report = verifier.run(args.filter)
-    buckets = [0] * 8
+    buckets = [0] * len(BUCKET_LABELS)
     for r in report.results:
-        ratio = r.abs_err / r.tol if r.tol else math.inf
-        idx = min(7, max(0, int(math.log10(ratio)) + 8)) if ratio > 0 else 0
-        buckets[idx] += 1
-    print("error/threshold distribution (decade buckets, <=1e-8 ... >1e-1):")
-    labels = ["<=1e-8", "1e-7", "1e-6", "1e-5", "1e-4", "1e-3", "1e-2", ">=1e-1"]
-    for lab, n in zip(labels, buckets):
-        print(f"  {lab:>7s}: {n}")
+        buckets[bucket_index(r.abs_err / r.tol if r.tol else math.inf)] += 1
+    print("error/threshold distribution (decade buckets):")
+    for lab, n in zip(BUCKET_LABELS, buckets):
+        print(f"  {lab:>12s}: {n}")
 
     print(f"\ntolerance sweep over {args.sweep_family}:")
     print(f"{'tol':>8s} {'worst err':>12s} {'evals':>8s}")

@@ -88,7 +88,9 @@ def verify_instance(inst: registry.BoundInstance) -> VerificationResult:
         )
     abs_err = abs(res.value - inst.rhs)
     passed = res.converged and abs_err <= threshold
-    if not res.converged:
+    if not math.isfinite(res.value):
+        note = "integrand raised or returned a non-finite value"
+    elif not res.converged:
         note = "quadrature did not converge"
     return VerificationResult(
         case_id=inst.case_id,

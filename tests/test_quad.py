@@ -57,6 +57,48 @@ def test_battery_values_and_error_honesty():
     assert honest >= 0.95 * len(FINITE_BATTERY)
 
 
+# (integrate(tol), exact value) over every map the driver serves
+HONESTY_CASES = [
+    pytest.param(
+        lambda tol: integrate_finite(lambda x: x**3 * math.cos(x), 0.0, 2.0, tol),
+        6.0 * math.cos(2.0) - 4.0 * math.sin(2.0) + 6.0,
+        id="poly_trig",
+    ),
+    pytest.param(lambda tol: integrate_finite(math.log, 0.0, 1.0, tol), -1.0, id="log_endpoint"),
+    pytest.param(
+        lambda tol: integrate_finite(lambda x: x**-0.5, 0.0, 1.0, tol),
+        2.0,
+        id="inv_sqrt_endpoint",
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="no node lies below x ~ 5e-29 (_DELTA_MIN): the ~1.4e-14 of the integral "
+            "there is never sampled, and err_est, floored at rounding, does not include it",
+        ),
+    ),
+    pytest.param(
+        lambda tol: integrate_half_line(lambda x: 1.0 / (1.0 + x * x), tol), PI / 2.0, id="half_line_rational"
+    ),
+    pytest.param(
+        lambda tol: integrate_half_line(lambda x: math.exp(-x) if x < 745.0 else 0.0, tol), 1.0, id="half_line_exp"
+    ),
+    pytest.param(
+        lambda tol: integrate_tan_halfpi(lambda t: 1.0 / (1.0 + 5.0 * t * t) ** 2, tol),
+        PI * ALPHA / 16.0,
+        id="tan_rational",
+    ),
+]
+
+
+@pytest.mark.parametrize("run, exact", HONESTY_CASES)
+@pytest.mark.parametrize("tol", (1e-6, 1e-9, 1e-12))
+def test_error_estimate_bounds_true_error(run, exact, tol):
+    # the stop trusts a predicted error one level early; it must not claim
+    # more accuracy than it reached
+    res = run(tol)
+    assert res.converged
+    assert abs(res.value - exact) <= res.err_est + 4.0 * math.ulp(exact)
+
+
 def test_converged_implies_estimate_below_tol():
     for tol in (1e-6, 1e-9, 1e-12):
         res = integrate_finite(lambda x: math.exp(x) * math.sin(3 * x), 0.0, 2.0, tol)
@@ -188,23 +230,23 @@ PINNED_PATHS = {
     ),
     "finite_bisection": (
         lambda: integrate_finite(lambda x: abs(x - 1.0 / PI), 0.0, 1.0, 1e-10),
-        ("0x1.21cdb6abeea76p-2", "0x1.6fd56db485462p-48", 38981, True),
+        ("0x1.21cdb6abeea78p-2", "0x1.c00742c6bd469p-44", 38681, True),
     ),
     "finite_singular_split": (
         lambda: integrate_finite(Integrand(lambda x: abs(x - 0.5), (0.5,)), 0.0, 1.0, 1e-12),
-        ("0x1.ffffffffffffep-3", "0x1.ffffffffffffcp-52", 238, True),
+        ("0x1.fffffffffffffp-3", "0x1.ffffffffffffep-52", 118, True),
     ),
     "half_line": (
         lambda: integrate_half_line(lambda x: 1.0 / (1.0 + x * x), 1e-10),
-        ("0x1.921fb54442d18p+0", "0x1.921fb54442d18p-49", 239, True),
+        ("0x1.921fb54442d18p+0", "0x1.950c941595f2dp-45", 119, True),
     ),
     "half_line_head_tail": (
         lambda: integrate_half_line(lambda x: abs(x - 1.0) * math.exp(-x) if x < 700 else 0.0, 1e-9),
-        ("0x1.78b56362cef38p-1", "0x1.c0e2d58d8b3bdp-45", 358, True),
+        ("0x1.78b56362cef38p-1", "0x1.43726be5a970ap-46", 4113, True),
     ),
     "tan_halfpi": (
         lambda: integrate_tan_halfpi(lambda t: t * t / (1.0 + 3.0 * t * t + t**4), 1e-9),
-        ("0x1.53a07391a4498p-3", "0x1.53a07391a4496p-52", 239, True),
+        ("0x1.53a07391a4497p-3", "0x1.54f8f43efc9a3p-43", 119, True),
     ),
     "raises_mid_level": (
         lambda: integrate_finite(_raises_on_call(40), 0.0, 1.0, 1e-10),

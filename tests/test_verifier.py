@@ -96,7 +96,29 @@ def test_failure_is_reported_not_raised():
     )
     res = verifier.verify_instance(bad)
     assert not res.passed
-    assert res.note != ""
+    assert res.note == "integrand raised or returned a non-finite value"
+
+
+def test_nonconvergence_is_named_as_such():
+    # 1/x is finite at every node of the open rule but its integral diverges
+    bad = registry.BoundInstance(
+        "SYNTH.DIVERGENT",
+        {},
+        Integrand(lambda x: 1.0 / x),
+        1.0,
+        1e-7,
+        registry.FINITE(0.0, 1.0),
+    )
+    res = verifier.verify_instance(bad)
+    assert not res.passed
+    assert math.isfinite(res.lhs)
+    assert res.note == "quadrature did not converge"
+
+
+def test_full_catalog_passes_at_tight_tolerance():
+    rep = verifier.run("*", tol_override=1e-12)
+    assert rep.n_fail == 0
+    assert len(rep.results) == 1504
 
 
 def test_structural_lemma_from_own_quadratures():
