@@ -6,16 +6,35 @@ integers, and the special-function evaluators.  Algebraically equivalent
 but cancellation-free rewrites are preferred where the printed form would
 subtract nearly equal quantities, e.g. 1 - sqrt(5) F_r / L_r is computed
 as 2 beta^r / L_r.
+
+Most golden families come as an even and an odd branch in r.  A Branch
+holds what differs between the two as data: the parameter domain; A_r,
+the constant of the kernels A_r +- 2 cos 2x (L_r for even r, sqrt5 F_r
+for odd r); B_r, the other of the two; their squares A2 and B2; sigma =
+(-1)^r as +-1.0, so that sigma beta^r = |beta|^r and a factor 1 -+ beta^r
+reads 1.0 - sigma * b; and lsq, the sign and function of the kernel
+L_r^2 - 4 cos^2 (even r) or L_r^2 + 4 sin^2 (odd r).  Each family is
+written once, with its kernel sign and its branch as arguments, and each
+catalog module ends in a table of rows that name them.
+
+Folding signs this way keeps every result bit, because negation and
+scaling by +-1.0 or 2.0 are exact: a + s * c with s = -2.0 rounds as
+a - 2.0 * c, 1.0 - sigma * b as 1.0 -+ b, and 2.0 * (u + v) as
+2.0 * u + 2.0 * v.  Nothing else is reassociated (5 F_r^2 is never
+(sqrt5 F_r)^2, and c**2 is never c * c), and the kernels pick their
+power k at build time, so an integrand performs exactly the operations
+of its written-out form.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from ..exact_seq import fib, lucas, golden_powers
 from ..quad import Integrand
-from ..registry import FINITE, HALF_LINE, TAN_HALFPI, IdentityCase, ParamSpec, Strategy
+from ..registry import FINITE, HALF_LINE, TAN_HALFPI, IdentityCase, ParamSpec, Strategy  # noqa: F401
 from ..specfun import cl2, constants, li2_real
 
 PI = math.pi
@@ -26,10 +45,14 @@ SQRT2 = math.sqrt(2.0)
 ALPHA = (1.0 + SQRT5) / 2.0
 BETA = (1.0 - SQRT5) / 2.0
 LN_ALPHA = math.log(ALPHA)
+LA2 = LN_ALPHA * LN_ALPHA
 LN2 = math.log(2.0)
-LN3_2 = math.log(1.5)
 
 HALF_PI = PI / 2.0
+FULL = FINITE(0.0, PI)
+HALF = FINITE(0.0, HALF_PI)
+MID = (HALF_PI,)
+QUARTS = (PI / 4.0, 3.0 * PI / 4.0)
 
 li2 = li2_real
 
@@ -56,6 +79,16 @@ def bpow(r: int) -> float:
 
 def catalan() -> float:
     return constants().catalan
+
+
+def li2_odd(s: float) -> float:
+    """Li2(s) - Li2(-s)."""
+    return li2(s) - li2(-s)
+
+
+def cl_pair(t: float) -> float:
+    """Cl2(t) + Cl2(pi - t)."""
+    return cl2(t) + cl2(PI - t)
 
 
 def case(
@@ -92,52 +125,76 @@ def P(name: str, lo: int, hi: int, parity: str = "any", exclude: tuple[int, ...]
     return ParamSpec(name, lo, hi, parity, exclude)
 
 
-R_ANY = P("r", 1, 10)
-R_EVEN = P("r", 2, 10, "even")
-R_ODD = P("r", 1, 9, "odd")
 NO_PARAMS: tuple[ParamSpec, ...] = ()
 
 
-def qsel(values: tuple[float, ...]) -> Callable[[Mapping[str, int]], float]:
-    """Look up a real grid value by the 1-based index parameter k."""
+def qgrid(values: tuple[float, ...]) -> tuple[tuple[ParamSpec, ...], Callable[[Mapping[str, int]], float]]:
+    """The 1-based index parameter k over a grid of real values, and its lookup."""
 
     def pick(p: Mapping[str, int]) -> float:
         return values[p["k"] - 1]
 
-    return pick
+    return (P("k", 1, len(values)),), pick
 
 
-__all__ = [
-    "PI",
-    "PI2",
-    "PI3",
-    "SQRT5",
-    "SQRT2",
-    "ALPHA",
-    "BETA",
-    "LN_ALPHA",
-    "LN2",
-    "LN3_2",
-    "HALF_PI",
-    "TOL_FINITE",
-    "TOL_TRANSFORMED",
-    "F",
-    "L",
-    "apow",
-    "bpow",
-    "catalan",
-    "li2",
-    "cl2",
-    "case",
-    "P",
-    "R_ANY",
-    "R_EVEN",
-    "R_ODD",
-    "NO_PARAMS",
-    "qsel",
-    "FINITE",
-    "HALF_LINE",
-    "TAN_HALFPI",
-    "Integrand",
-    "math",
-]
+@dataclass(frozen=True)
+class Branch:
+    """One parity branch of a golden family (see the module docstring)."""
+
+    params: tuple[ParamSpec, ...]
+    A: Callable[[int], float]
+    B: Callable[[int], float]
+    A2: Callable[[int], float]  # A_r^2, as L_r**2 or 5.0 * F_r**2
+    B2: Callable[[int], float]
+    sigma: float
+    lsq: tuple[float, Callable[[float], float]]  # L_r^2 + s trig^2: (-4, cos) for even r, (4, sin) for odd r
+
+
+def _sqrt5_fib(r: int) -> float:
+    return F(r) * SQRT5
+
+
+def _lucas_sq(r: int) -> float:
+    return L(r) ** 2
+
+
+def _five_fib_sq(r: int) -> float:
+    return 5.0 * F(r) ** 2
+
+
+EVEN = Branch((P("r", 2, 10, "even"),), L, _sqrt5_fib, _lucas_sq, _five_fib_sq, 1.0, (-4.0, math.cos))
+ODD = Branch((P("r", 1, 9, "odd"),), _sqrt5_fib, L, _five_fib_sq, _lucas_sq, -1.0, (4.0, math.sin))
+
+
+def parity(r: int) -> Branch:
+    return EVEN if r % 2 == 0 else ODD
+
+
+# Kernels, as closures over constants fixed when an instance is built.
+
+
+def cos2x_kernel(a: float, s: float, k: int = 1) -> Callable[[float], float]:
+    """x^2 / (a + s cos 2x)^k, k = 1 or 2."""
+    if k == 1:
+        return lambda x: x * x / (a + s * math.cos(2.0 * x))
+    return lambda x: x * x / (a + s * math.cos(2.0 * x)) ** 2
+
+
+def xcos_kernel(a: float, s: float, k: int = 1) -> Callable[[float], float]:
+    """x^2 cos x / (a + s cos 2x)^k, k = 1 or 2."""
+    if k == 1:
+        return lambda x: x * x * math.cos(x) / (a + s * math.cos(2.0 * x))
+    return lambda x: x * x * math.cos(x) / (a + s * math.cos(2.0 * x)) ** 2
+
+
+def trig_sq_kernel(
+    a: float, s: float, trig: Callable[[float], float], k: int = 1, double: bool = False
+) -> Callable[[float], float]:
+    """x^2 / (a + s trig(x)^2)^k, or with trig(2x) when double; trig is math.cos or math.sin, k = 1 or 2."""
+    if double:
+        if k == 1:
+            return lambda x: x * x / (a + s * trig(2.0 * x) ** 2)
+        return lambda x: x * x / (a + s * trig(2.0 * x) ** 2) ** 2
+    if k == 1:
+        return lambda x: x * x / (a + s * trig(x) ** 2)
+    return lambda x: x * x / (a + s * trig(x) ** 2) ** 2

@@ -8,195 +8,100 @@ rationals with golden-ratio powers.
 from __future__ import annotations
 
 from ._helpers import (
-    ALPHA,
-    BETA,
-    FINITE,
-    HALF_LINE,
-    HALF_PI,
-    P,
-    PI,
-    PI2,
-    PI3,
-    TAN_HALFPI,
-    case,
-    li2,
-    math,
-    qsel,
+    ALPHA, BETA, FULL, HALF, HALF_LINE, MID, PI, PI2, PI3, TAN_HALFPI,
+    case, cos2x_kernel, li2, li2_odd, math, qgrid, trig_sq_kernel, xcos_kernel,
 )
 
 B2 = BETA * BETA  # beta^2 = 0.3819...
 MB = -BETA  # -beta = 0.6180...
 
-_E7_Q = tuple(ALPHA**r for r in range(1, 5)) + tuple(MB**r for r in range(1, 5))
-_E8_Q = (0.25, 0.5, 1.0, 2.0, 3.0, ALPHA)
-_E9_Q = (0.5, 1.0, 2.0, 3.0, 1.0 / ALPHA, ALPHA)
-_E10_Q = (0.2, 0.5, -0.4, 0.8, B2, MB)
-_E11_Q = (0.3, -0.5, 0.7, -0.8, B2, MB)
+K7, Q7 = qgrid(tuple(ALPHA**r for r in range(1, 5)) + tuple(MB**r for r in range(1, 5)))
+K8, Q8 = qgrid((0.25, 0.5, 1.0, 2.0, 3.0, ALPHA))
+K9, Q9 = qgrid((0.5, 1.0, 2.0, 3.0, 1.0 / ALPHA, ALPHA))
+K10, Q10 = qgrid((0.2, 0.5, -0.4, 0.8, B2, MB))
+K11, Q11 = qgrid((0.3, -0.5, 0.7, -0.8, B2, MB))
 # closed forms select the |q| < 1 root of the Q(q) maps (Q is q <-> 1/q invariant)
-_E12_Q = (-0.7, -0.5, 0.3, 0.6, B2, MB)
-_E13_Q = (-0.85, -0.8, -0.3, 0.4, 0.7, B2)
-_E14_Q = (0.1, 0.3, 0.5, 0.7, B2, MB)
+K12, Q12 = qgrid((-0.7, -0.5, 0.3, 0.6, B2, MB))
+K13, Q13 = qgrid((-0.85, -0.8, -0.3, 0.4, 0.7, B2))
+K14, Q14 = qgrid((0.1, 0.3, 0.5, 0.7, B2, MB))
+
+
+def _dup_q(q):
+    """Q = 2q/(1+q^2)."""
+    return 2.0 * q / (1.0 + q * q)
+
+
+def _e7(p):
+    c = Q7(p) ** 2
+    return lambda t: li2(-c * t * t)
+
+
+def _e8(p):
+    q = Q8(p)
+    return lambda x: math.atan(q * x) / (1.0 + x * x)
+
+
+def _e8_rhs(p):
+    q = Q8(p)
+    w = (1.0 - q) / (1.0 + q)
+    return PI2 / 8.0 - 0.5 * li2(w) + 0.5 * li2(-w)
+
+
+def _e9(p):
+    q = Q9(p)
+    return lambda x: math.atan(q / math.sin(x))
+
+
+def _e9_rhs(p):
+    q = Q9(p)
+    s = math.hypot(1.0, q)
+    return PI2 / 4.0 - li2(s - q) + li2(q - s)
+
+
+def _e10(p):
+    q = Q10(p)
+    c = 2.0 * q / (1.0 - q * q)
+    return lambda x: x * math.atan(c * math.sin(x))
+
+
+def _e11_rhs(p):
+    q = Q11(p)
+    return (1.0 + q * q) / (1.0 - q * q) * (PI3 / 24.0 + 0.5 * PI * li2(-q))
+
+
+def _e12_rhs(p):
+    q = Q12(p)
+    return (1.0 + q) / (1.0 - q) * (PI3 / 3.0 + PI * li2(q))
+
+
+def _e13_rhs(p):
+    q = Q13(p)
+    return (1.0 + q * q) / (1.0 - q * q) * (PI3 / 3.0 + PI * li2(q))
+
+
+def _e14_rhs(p):
+    q = Q14(p)
+    rq = math.sqrt(q)
+    return -PI * (1.0 + q * q) / (1.0 - q) * li2_odd(rq) / rq
 
 
 def cases():
-    out = []
-
-    # E7: integral of Li2(-q^2 tan^2 x) over (0, pi/2) equals 2 pi Li2(-q)
-    q7 = qsel(_E7_Q)
-
-    def e7_lhs(p):
-        c = q7(p) ** 2
-        return lambda t: li2(-c * t * t)
-
-    out.append(
-        case(
-            "LEWIN.E7",
-            "eq. (nx3w40i)",
-            TAN_HALFPI,
-            (P("k", 1, len(_E7_Q)),),
-            e7_lhs,
-            lambda p: 2.0 * PI * li2(-q7(p)),
-        )
-    )
-
-    # E8: arctan(q x)/(1+x^2) over the half line
-    q8 = qsel(_E8_Q)
-
-    def e8_lhs(p):
-        q = q8(p)
-        return lambda x: math.atan(q * x) / (1.0 + x * x)
-
-    def e8_rhs(p):
-        q = q8(p)
-        w = (1.0 - q) / (1.0 + q)
-        return PI2 / 8.0 - 0.5 * li2(w) + 0.5 * li2(-w)
-
-    out.append(
-        case("LEWIN.E8", "eq. (yjqd44q)", HALF_LINE, (P("k", 1, len(_E8_Q)),), e8_lhs, e8_rhs)
-    )
-
-    # E9: arctan(Q csc x) on (0, pi/2)
-    q9 = qsel(_E9_Q)
-
-    def e9_lhs(p):
-        q = q9(p)
-        return lambda x: math.atan(q / math.sin(x))
-
-    def e9_rhs(p):
-        q = q9(p)
-        s = math.hypot(1.0, q)
-        return PI2 / 4.0 - li2(s - q) + li2(q - s)
-
-    out.append(
-        case("LEWIN.E9", "eq. (qk18ai6)", FINITE(0.0, HALF_PI), (P("k", 1, len(_E9_Q)),), e9_lhs, e9_rhs)
-    )
-
-    # E10: x arctan(2q/(1-q^2) sin x) on (0, pi)
-    q10 = qsel(_E10_Q)
-
-    def e10_lhs(p):
-        q = q10(p)
-        c = 2.0 * q / (1.0 - q * q)
-        return lambda x: x * math.atan(c * math.sin(x))
-
-    out.append(
-        case(
-            "LEWIN.E10",
-            "eq. (sjcljni)",
-            FINITE(0.0, PI),
-            (P("k", 1, len(_E10_Q)),),
-            e10_lhs,
-            lambda p: PI * li2(q10(p)) - PI * li2(-q10(p)),
-        )
-    )
-
-    # E11: x^2/(1 - Q cos 2x) on (0, pi/2), Q = 2q/(1+q^2)
-    q11 = qsel(_E11_Q)
-
-    def e11_lhs(p):
-        q = q11(p)
-        c = 2.0 * q / (1.0 + q * q)
-        return lambda x: x * x / (1.0 - c * math.cos(2.0 * x))
-
-    def e11_rhs(p):
-        q = q11(p)
-        return (1.0 + q * q) / (1.0 - q * q) * (PI3 / 24.0 + 0.5 * PI * li2(-q))
-
-    out.append(
-        case("LEWIN.E11", "eq. (11)", FINITE(0.0, HALF_PI), (P("k", 1, len(_E11_Q)),), e11_lhs, e11_rhs)
-    )
-
-    # E12: x^2/(1 - Q cos^2 x) on (0, pi), Q = 4q/(1+q)^2
-    q12 = qsel(_E12_Q)
-
-    def e12_lhs(p):
-        q = q12(p)
-        c = 4.0 * q / (1.0 + q) ** 2
-        return lambda x: x * x / (1.0 - c * math.cos(x) ** 2)
-
-    def e12_rhs(p):
-        q = q12(p)
-        return (1.0 + q) / (1.0 - q) * (PI3 / 3.0 + PI * li2(q))
-
-    out.append(
-        case(
-            "LEWIN.E12",
-            "eq. (n71rwsq)",
-            FINITE(0.0, PI),
-            (P("k", 1, len(_E12_Q)),),
-            e12_lhs,
-            e12_rhs,
-            splits=(HALF_PI,),
-        )
-    )
-
-    # E13: x^2/(1 - Q cos 2x) on (0, pi), Q = 2q/(1+q^2)
-    q13 = qsel(_E13_Q)
-
-    def e13_lhs(p):
-        q = q13(p)
-        c = 2.0 * q / (1.0 + q * q)
-        return lambda x: x * x / (1.0 - c * math.cos(2.0 * x))
-
-    def e13_rhs(p):
-        q = q13(p)
-        return (1.0 + q * q) / (1.0 - q * q) * (PI3 / 3.0 + PI * li2(q))
-
-    out.append(
-        case(
-            "LEWIN.E13",
-            "eq. (lh0gp48)",
-            FINITE(0.0, PI),
-            (P("k", 1, len(_E13_Q)),),
-            e13_lhs,
-            e13_rhs,
-            splits=(HALF_PI,),
-        )
-    )
-
-    # E14: x^2 cos x/(1 - Q cos 2x) on (0, pi), Q = 2q/(1+q^2), 0 < q < 1
-    q14 = qsel(_E14_Q)
-
-    def e14_lhs(p):
-        q = q14(p)
-        c = 2.0 * q / (1.0 + q * q)
-        return lambda x: x * x * math.cos(x) / (1.0 - c * math.cos(2.0 * x))
-
-    def e14_rhs(p):
-        q = q14(p)
-        rq = math.sqrt(q)
-        return -PI * (1.0 + q * q) / (1.0 - q) * (li2(rq) - li2(-rq)) / rq
-
-    out.append(
-        case(
-            "LEWIN.E14",
-            "eq. (b1e7nal)",
-            FINITE(0.0, PI),
-            (P("k", 1, len(_E14_Q)),),
-            e14_lhs,
-            e14_rhs,
-            splits=(HALF_PI,),
-        )
-    )
-
-    return out
+    return [
+        # E7: integral of Li2(-q^2 tan^2 x) over (0, pi/2) equals 2 pi Li2(-q)
+        case("LEWIN.E7", "eq. (nx3w40i)", TAN_HALFPI, K7, _e7, lambda p: 2.0 * PI * li2(-Q7(p))),
+        # E8: arctan(q x)/(1+x^2) over the half line
+        case("LEWIN.E8", "eq. (yjqd44q)", HALF_LINE, K8, _e8, _e8_rhs),
+        # E9: arctan(Q csc x) on (0, pi/2)
+        case("LEWIN.E9", "eq. (qk18ai6)", HALF, K9, _e9, _e9_rhs),
+        # E10: x arctan(2q/(1-q^2) sin x) on (0, pi)
+        case("LEWIN.E10", "eq. (sjcljni)", FULL, K10, _e10, lambda p: PI * li2(Q10(p)) - PI * li2(-Q10(p))),
+        # E11: x^2/(1 - Q cos 2x) on (0, pi/2), Q = 2q/(1+q^2)
+        case("LEWIN.E11", "eq. (11)", HALF, K11, lambda p: cos2x_kernel(1.0, -_dup_q(Q11(p))), _e11_rhs),
+        # E12: x^2/(1 - Q cos^2 x) on (0, pi), Q = 4q/(1+q)^2
+        case("LEWIN.E12", "eq. (n71rwsq)", FULL, K12,
+             lambda p: trig_sq_kernel(1.0, -(4.0 * Q12(p) / (1.0 + Q12(p)) ** 2), math.cos), _e12_rhs, splits=MID),
+        # E13: x^2/(1 - Q cos 2x) on (0, pi), Q = 2q/(1+q^2)
+        case("LEWIN.E13", "eq. (lh0gp48)", FULL, K13, lambda p: cos2x_kernel(1.0, -_dup_q(Q13(p))), _e13_rhs, splits=MID),
+        # E14: x^2 cos x/(1 - Q cos 2x) on (0, pi), Q = 2q/(1+q^2), 0 < q < 1
+        case("LEWIN.E14", "eq. (b1e7nal)", FULL, K14, lambda p: xcos_kernel(1.0, -_dup_q(Q14(p))), _e14_rhs, splits=MID),
+    ]

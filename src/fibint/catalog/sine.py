@@ -6,28 +6,12 @@ collapses to a single logarithm through neighbour-product identities.
 from __future__ import annotations
 
 from ._helpers import (
-    BETA,
-    F,
-    FINITE,
-    HALF_PI,
-    L,
-    LN_ALPHA,
-    NO_PARAMS,
-    P,
-    PI,
-    SQRT2,
-    SQRT5,
-    apow,
-    bpow,
-    case,
-    catalan,
-    cl2,
-    math,
-    qsel,
+    BETA, EVEN, HALF, LN_ALPHA, NO_PARAMS, ODD, PI, SQRT2, SQRT5,
+    F, L, P, apow, bpow, case, catalan, cl_pair, math, qgrid,
 )
 
-_CL_Q = (0.2, 0.5, 0.8, 1.0, BETA * BETA, -BETA)
-_TK_Q = (0.5, 1.0, 2.0, 2.0 / 3.0, (1.0 + SQRT5) / 2.0, 3.0)
+KC, QC = qgrid((0.2, 0.5, 0.8, 1.0, BETA * BETA, -BETA))
+KT, QT = qgrid((0.5, 1.0, 2.0, 2.0 / 3.0, (1.0 + SQRT5) / 2.0, 3.0))
 
 
 def _log_ratio_kernel(amp: float):
@@ -42,177 +26,108 @@ def _log_ratio_kernel(amp: float):
     return f
 
 
+def _cl_rhs(p):
+    q = QC(p)
+    t = math.atan(q)
+    return 2.0 * cl_pair(2.0 * t) + 4.0 * t * math.log(q)
+
+
+def _j7h(br):
+    """ln((A_r/2 + sin x)/(A_r/2 - sin x)): Clausen pair at arctan(2/B_r)."""
+
+    def rhs(p):
+        r = p["r"]
+        t = math.atan(2.0 / br.B(r))
+        return 2.0 * cl_pair(t) - 2.0 * r * t * LN_ALPHA
+
+    return br.params, lambda p: _log_ratio_kernel(br.A(p["r"]) / 2.0), rhs
+
+
+def _tk(p):
+    q2 = QT(p) ** 2
+    return lambda x: math.sin(x) / (math.sin(x) ** 2 + q2)
+
+
+def _tk_rhs(p):
+    q = QT(p)
+    s = math.hypot(1.0, q)
+    return math.log((1.0 - q + s) / (1.0 + q - s)) / s
+
+
+def _sin_kernel(a, b):
+    """sin x/(a + b sin^2 x)."""
+    return lambda x: math.sin(x) / (a + b * math.sin(x) ** 2)
+
+
+def _sin1_rhs(p):
+    r = p["r"]
+    rl = math.sqrt(L(2 * r))
+    return SQRT2 / (2.0 * L(r) * rl) * math.log((SQRT2 * bpow(r) + rl) / (SQRT2 * apow(r) - rl))
+
+
+def _sin2_rhs(p):
+    r = p["r"]
+    rl = math.sqrt(L(2 * r))
+    return math.sqrt(10.0) / (10.0 * F(r) * rl) * math.log((-SQRT2 * bpow(r) + rl) / (SQRT2 * apow(r) - rl))
+
+
+def _sin3_rhs(p):
+    r = p["r"]
+    rt = math.sqrt(F(2 * r - 1))
+    return math.log((F(r - 2) + rt) / (F(r + 1) - rt)) / (F(r) * rt)
+
+
+def _sin4_rhs(p):
+    r = p["r"]
+    rt = math.sqrt(5.0 * F(2 * r - 1))
+    return math.log((L(r - 2) + rt) / (L(r + 1) - rt)) / (L(r) * rt)
+
+
+def _sin5_rhs(p):
+    k, r = p["k"], p["r"]
+    rt = math.sqrt(F(r) * F(2 * k + r))
+    return math.log((F(k + r) - F(k) + rt) / (F(k + r) + F(k) - rt)) / (F(k + r) * rt)
+
+
+def _sin7(p):
+    b = L(p["r"]) ** 2
+    return lambda x: math.sin(x) ** 3 / (4.0 + b * math.sin(x) ** 2) ** 2
+
+
+def _sin7_rhs(p):
+    r = p["r"]
+    f2 = F(2 * r)
+    return (2.0 * r * L(2 * r) / (SQRT5 * f2) * LN_ALPHA - 1.0) / (10.0 * f2 * f2)
+
+
 def cases():
-    out = []
-    half = FINITE(0.0, HALF_PI)
-
-    # generic Clausen-valued log kernel, 0 < q <= 1
-    qcl = qsel(_CL_Q)
-
-    def cl_lhs(p):
-        q = qcl(p)
-        return _log_ratio_kernel((1.0 + q * q) / (2.0 * q))
-
-    def cl_rhs(p):
-        q = qcl(p)
-        t = math.atan(q)
-        return 2.0 * cl2(2.0 * t) + 2.0 * cl2(PI - 2.0 * t) + 4.0 * t * math.log(q)
-
-    out.append(case("S5.CL66RLS", "eq. (cl66rls)", half, (P("k", 1, len(_CL_Q)),), cl_lhs, cl_rhs))
-
-    # golden instances of the log kernel
-    def jh_e_lhs(p):
-        return _log_ratio_kernel(L(p["r"]) / 2.0)
-
-    def jh_e_rhs(p):
-        r = p["r"]
-        t = math.atan(2.0 / (F(r) * SQRT5))
-        return 2.0 * cl2(t) + 2.0 * cl2(PI - t) - 2.0 * r * t * LN_ALPHA
-
-    out.append(
-        case("S5.J7HZXMA.E", "thm. (j7hzxma), even branch", half, (P("r", 2, 10, "even"),), jh_e_lhs, jh_e_rhs)
-    )
-
-    def jh_o_lhs(p):
-        return _log_ratio_kernel(F(p["r"]) * SQRT5 / 2.0)
-
-    def jh_o_rhs(p):
-        r = p["r"]
-        t = math.atan(2.0 / L(r))
-        return 2.0 * cl2(t) + 2.0 * cl2(PI - t) - 2.0 * r * t * LN_ALPHA
-
-    out.append(
-        case("S5.J7HZXMA.O", "thm. (j7hzxma), odd branch", half, (P("r", 1, 9, "odd"),), jh_o_lhs, jh_o_rhs)
-    )
-
-    # the Catalan special value
-    out.append(
-        case(
-            "S5.FOURG",
-            "special value 4G",
-            half,
-            NO_PARAMS,
-            lambda p: _log_ratio_kernel(1.0),
-            lambda p: 4.0 * catalan(),
-        )
-    )
-
-    # sin x/(sin^2 x + Q^2)
-    qtk = qsel(_TK_Q)
-
-    def tk_lhs(p):
-        q2 = qtk(p) ** 2
-        return lambda x: math.sin(x) / (math.sin(x) ** 2 + q2)
-
-    def tk_rhs(p):
-        q = qtk(p)
-        s = math.hypot(1.0, q)
-        return math.log((1.0 - q + s) / (1.0 + q - s)) / s
-
-    out.append(case("S5.TKZY7WR", "eq. (tkzy7wr)", half, (P("k", 1, len(_TK_Q)),), tk_lhs, tk_rhs))
-
-    # golden instances of the sine kernel
-    r10 = (P("r", 1, 10),)
-
-    def sin1_lhs(p):
-        a, b = 5.0 * F(p["r"]) ** 2, L(p["r"]) ** 2
-        return lambda x: math.sin(x) / (a + b * math.sin(x) ** 2)
-
-    def sin1_rhs(p):
-        r = p["r"]
-        rl = math.sqrt(L(2 * r))
-        return SQRT2 / (2.0 * L(r) * rl) * math.log((SQRT2 * bpow(r) + rl) / (SQRT2 * apow(r) - rl))
-
-    out.append(case("S5.SIN1", "eq. (Fib_sin_id1)", half, r10, sin1_lhs, sin1_rhs))
-
-    def sin2_lhs(p):
-        a, b = L(p["r"]) ** 2, 5.0 * F(p["r"]) ** 2
-        return lambda x: math.sin(x) / (a + b * math.sin(x) ** 2)
-
-    def sin2_rhs(p):
-        r = p["r"]
-        rl = math.sqrt(L(2 * r))
-        return (
-            math.sqrt(10.0)
-            / (10.0 * F(r) * rl)
-            * math.log((-SQRT2 * bpow(r) + rl) / (SQRT2 * apow(r) - rl))
-        )
-
-    out.append(case("S5.SIN2", "eq. (Fib_sin_id2)", half, r10, sin2_lhs, sin2_rhs))
-
-    # Catalan-identity instances
-    r2_10 = (P("r", 2, 10),)
-
-    def sin3_lhs(p):
-        a, b = F(p["r"] - 1) ** 2, F(p["r"]) ** 2
-        return lambda x: math.sin(x) / (a + b * math.sin(x) ** 2)
-
-    def sin3_rhs(p):
-        r = p["r"]
-        rt = math.sqrt(F(2 * r - 1))
-        return math.log((F(r - 2) + rt) / (F(r + 1) - rt)) / (F(r) * rt)
-
-    out.append(case("S5.SIN3", "eq. (Fib_sin_id3)", half, r2_10, sin3_lhs, sin3_rhs))
-
-    def sin4_lhs(p):
-        a, b = L(p["r"] - 1) ** 2, L(p["r"]) ** 2
-        return lambda x: math.sin(x) / (a + b * math.sin(x) ** 2)
-
-    def sin4_rhs(p):
-        r = p["r"]
-        rt = math.sqrt(5.0 * F(2 * r - 1))
-        return math.log((L(r - 2) + rt) / (L(r + 1) - rt)) / (L(r) * rt)
-
-    out.append(case("S5.SIN4", "eq. (Fib_sin_id4)", half, r2_10, sin4_lhs, sin4_rhs))
-
-    # shifted-index generalization, r odd
-    def sin5_lhs(p):
-        a, b = F(p["k"]) ** 2, F(p["k"] + p["r"]) ** 2
-        return lambda x: math.sin(x) / (a + b * math.sin(x) ** 2)
-
-    def sin5_rhs(p):
-        k, r = p["k"], p["r"]
-        rt = math.sqrt(F(r) * F(2 * k + r))
-        return math.log((F(k + r) - F(k) + rt) / (F(k + r) + F(k) - rt)) / (F(k + r) * rt)
-
-    out.append(
-        case(
-            "S5.SIN5GEN",
-            "eq. (Fib_sin_id5_gen)",
-            half,
-            (P("k", 1, 4), P("r", 1, 5, "odd")),
-            sin5_lhs,
-            sin5_rhs,
-        )
-    )
-
-    # kernel 4 + L_r^2 sin^2 x, r odd
-    r_odd = (P("r", 1, 9, "odd"),)
-
-    def sin6_lhs(p):
-        b = L(p["r"]) ** 2
-        return lambda x: math.sin(x) / (4.0 + b * math.sin(x) ** 2)
-
-    out.append(
-        case(
-            "S5.SIN6",
-            "eq. (Fib_sin_id6)",
-            half,
-            r_odd,
-            sin6_lhs,
-            lambda p: p["r"] / (SQRT5 * F(2 * p["r"])) * LN_ALPHA,
-        )
-    )
-
-    def sin7_lhs(p):
-        b = L(p["r"]) ** 2
-        return lambda x: math.sin(x) ** 3 / (4.0 + b * math.sin(x) ** 2) ** 2
-
-    def sin7_rhs(p):
-        r = p["r"]
-        f2 = F(2 * r)
-        return (2.0 * r * L(2 * r) / (SQRT5 * f2) * LN_ALPHA - 1.0) / (10.0 * f2 * f2)
-
-    out.append(case("S5.SIN7", "eq. (Fib_sin_id7)", half, r_odd, sin7_lhs, sin7_rhs))
-
-    return out
+    r10, r2_10 = (P("r", 1, 10),), (P("r", 2, 10),)
+    return [
+        # generic Clausen-valued log kernel, 0 < q <= 1
+        case("S5.CL66RLS", "eq. (cl66rls)", HALF, KC, lambda p: _log_ratio_kernel((1.0 + QC(p) * QC(p)) / (2.0 * QC(p))),
+             _cl_rhs),
+        # golden instances of the log kernel
+        case("S5.J7HZXMA.E", "thm. (j7hzxma), even branch", HALF, *_j7h(EVEN)),
+        case("S5.J7HZXMA.O", "thm. (j7hzxma), odd branch", HALF, *_j7h(ODD)),
+        # the Catalan special value
+        case("S5.FOURG", "special value 4G", HALF, NO_PARAMS, lambda p: _log_ratio_kernel(1.0), lambda p: 4.0 * catalan()),
+        # sin x/(sin^2 x + Q^2)
+        case("S5.TKZY7WR", "eq. (tkzy7wr)", HALF, KT, _tk, _tk_rhs),
+        # golden instances of the sine kernel
+        case("S5.SIN1", "eq. (Fib_sin_id1)", HALF, r10, lambda p: _sin_kernel(5.0 * F(p["r"]) ** 2, L(p["r"]) ** 2),
+             _sin1_rhs),
+        case("S5.SIN2", "eq. (Fib_sin_id2)", HALF, r10, lambda p: _sin_kernel(L(p["r"]) ** 2, 5.0 * F(p["r"]) ** 2),
+             _sin2_rhs),
+        # Catalan-identity instances
+        case("S5.SIN3", "eq. (Fib_sin_id3)", HALF, r2_10, lambda p: _sin_kernel(F(p["r"] - 1) ** 2, F(p["r"]) ** 2),
+             _sin3_rhs),
+        case("S5.SIN4", "eq. (Fib_sin_id4)", HALF, r2_10, lambda p: _sin_kernel(L(p["r"] - 1) ** 2, L(p["r"]) ** 2),
+             _sin4_rhs),
+        # shifted-index generalization, r odd
+        case("S5.SIN5GEN", "eq. (Fib_sin_id5_gen)", HALF, (P("k", 1, 4), P("r", 1, 5, "odd")),
+             lambda p: _sin_kernel(F(p["k"]) ** 2, F(p["k"] + p["r"]) ** 2), _sin5_rhs),
+        # kernel 4 + L_r^2 sin^2 x, r odd
+        case("S5.SIN6", "eq. (Fib_sin_id6)", HALF, ODD.params, lambda p: _sin_kernel(4.0, L(p["r"]) ** 2),
+             lambda p: p["r"] / (SQRT5 * F(2 * p["r"])) * LN_ALPHA),
+        case("S5.SIN7", "eq. (Fib_sin_id7)", HALF, ODD.params, _sin7, _sin7_rhs),
+    ]

@@ -8,106 +8,87 @@ factor, an extra x factor, and an extra logarithm respectively.
 
 from __future__ import annotations
 
-from ._helpers import (
-    F,
-    FINITE,
-    L,
-    LN_ALPHA,
-    P,
-    PI,
-    SQRT5,
-    bpow,
-    case,
-    math,
-)
+from ._helpers import FINITE, FULL, LN_ALPHA, SQRT5, F, L, P, bpow, case, math
 
 LN_2_3 = math.log(2.0 / 3.0)
+PM1 = FINITE(-1.0, 1.0)
+
+
+def _stewart(p):
+    lk, fk = L(p["k"]), F(p["k"])
+    e = p["n"] - 1
+    return lambda x: (lk + fk * x * SQRT5) ** e
+
+
+def _bju(p):
+    lk, fk = L(p["k"]), F(p["k"])
+    e = p["n"] - 2
+    return lambda x: (lk + fk * x * SQRT5) ** e * (fk * SQRT5 + lk * x)
+
+
+def _bju_rhs(p):
+    n, k = p["n"], p["k"]
+    fk = F(k)
+    return 2.0**n / ((n - 1) * SQRT5) * (L(k * n) / fk - F(k * n) * L(k) / (n * fk * fk))
+
+
+def _xsn_rhs(p):
+    n, k = p["n"], p["k"]
+    return 2.0**n / ((n - 1) * F(k) * SQRT5) * (-bpow((n - 1) * k) + F(n * k) / (n * F(k)))
+
+
+def _xsn(p):
+    lk, fk = L(p["k"]), F(p["k"])
+    e = p["n"] - 2
+    return lambda x: (lk + fk * x * SQRT5) ** e * (1.0 - x)
+
+
+def _compl2(p):
+    lk, fk = L(p["k"]), F(p["k"])
+    e = p["n"] - 2
+    return lambda x: (lk + fk * x * SQRT5) ** e * x
+
+
+def _compl2_rhs(p):
+    n, k = p["n"], p["k"]
+    return 2.0**n / ((n - 1) * SQRT5 * F(k)) * (L((n - 1) * k) / 2.0 - F(n * k) / (n * F(k)))
+
+
+def _dilcher(p):
+    e = p["n"] - 1
+    return lambda x: (1.0 + SQRT5 / 3.0 * math.cos(x)) ** e * math.sin(x)
+
+
+def _djf(p):
+    e = p["n"] - 1
+    c = SQRT5 / 3.0
+
+    def f(x):
+        base = 1.0 + c * math.cos(x)
+        return base**e * math.log(base) * math.sin(x)
+
+    return f
+
+
+def _djf_rhs(p):
+    n = p["n"]
+    w = (2.0 / 3.0) ** n
+    return 6.0 / (n * SQRT5) * w * L(2 * n) * LN_ALPHA + (-1.0 / n + LN_2_3) * w * 3.0 / n * F(2 * n)
 
 
 def cases():
-    out = []
-
-    kn = (P("k", 1, 5), P("n", 1, 8))
-    kn2 = (P("k", 1, 5), P("n", 2, 8))
-
-    # F_{kn}/F_k = (n/2^n) * integral of (L_k + F_k x sqrt5)^(n-1)
-    def stewart_lhs(p):
-        lk, fk = L(p["k"]), F(p["k"])
-        e = p["n"] - 1
-        return lambda x: (lk + fk * x * SQRT5) ** e
-
-    def stewart_rhs(p):
-        n, k = p["n"], p["k"]
-        return (2.0**n / n) * F(k * n) / F(k)
-
-    out.append(case("S1.STEWART", "eq. (1)", FINITE(-1.0, 1.0), kn, stewart_lhs, stewart_rhs))
-
-    # F_{2n} = (n/2)(3/2)^(n-1) * integral of (1 + sqrt5/3 cos x)^(n-1) sin x
-    def dilcher_lhs(p):
-        e = p["n"] - 1
-        return lambda x: (1.0 + SQRT5 / 3.0 * math.cos(x)) ** e * math.sin(x)
-
-    def dilcher_rhs(p):
-        n = p["n"]
-        return F(2 * n) * (2.0 / n) * (2.0 / 3.0) ** (n - 1)
-
-    out.append(case("S1.DILCHER", "eq. (3)", FINITE(0.0, PI), (P("n", 1, 8),), dilcher_lhs, dilcher_rhs))
-
-    # complement with the linear factor (F_k sqrt5 + L_k x)
-    def bju_lhs(p):
-        lk, fk = L(p["k"]), F(p["k"])
-        e = p["n"] - 2
-        return lambda x: (lk + fk * x * SQRT5) ** e * (fk * SQRT5 + lk * x)
-
-    def bju_rhs(p):
-        n, k = p["n"], p["k"]
-        fk = F(k)
-        return 2.0**n / ((n - 1) * SQRT5) * (L(k * n) / fk - F(k * n) * L(k) / (n * fk * fk))
-
-    out.append(case("S2.BJU5530", "eq. (bju5530)", FINITE(-1.0, 1.0), kn2, bju_lhs, bju_rhs))
-
-    # complement with the factor (1 - x)
-    def xsn_lhs(p):
-        lk, fk = L(p["k"]), F(p["k"])
-        e = p["n"] - 2
-        return lambda x: (lk + fk * x * SQRT5) ** e * (1.0 - x)
-
-    def xsn_rhs(p):
-        n, k = p["n"], p["k"]
-        return 2.0**n / ((n - 1) * F(k) * SQRT5) * (-bpow((n - 1) * k) + F(n * k) / (n * F(k)))
-
-    out.append(case("S2.XSN0TMC", "eq. (xsn0tmc)", FINITE(-1.0, 1.0), kn2, xsn_lhs, xsn_rhs))
-
-    # complement with the bare x factor
-    def compl2_lhs(p):
-        lk, fk = L(p["k"]), F(p["k"])
-        e = p["n"] - 2
-        return lambda x: (lk + fk * x * SQRT5) ** e * x
-
-    def compl2_rhs(p):
-        n, k = p["n"], p["k"]
-        return 2.0**n / ((n - 1) * SQRT5 * F(k)) * (L((n - 1) * k) / 2.0 - F(n * k) / (n * F(k)))
-
-    out.append(
-        case("S2.COMPL2", "eq. (stewart_compl2)", FINITE(-1.0, 1.0), kn2, compl2_lhs, compl2_rhs)
-    )
-
-    # log-weighted complement of the cosine-kernel representation
-    def djf_lhs(p):
-        e = p["n"] - 1
-        c = SQRT5 / 3.0
-
-        def f(x):
-            base = 1.0 + c * math.cos(x)
-            return base**e * math.log(base) * math.sin(x)
-
-        return f
-
-    def djf_rhs(p):
-        n = p["n"]
-        w = (2.0 / 3.0) ** n
-        return 6.0 / (n * SQRT5) * w * L(2 * n) * LN_ALPHA + (-1.0 / n + LN_2_3) * w * 3.0 / n * F(2 * n)
-
-    out.append(case("S2.DJFHEP4", "eq. (djfhep4)", FINITE(0.0, PI), (P("n", 1, 8),), djf_lhs, djf_rhs))
-
-    return out
+    kn, kn2, n18 = (P("k", 1, 5), P("n", 1, 8)), (P("k", 1, 5), P("n", 2, 8)), (P("n", 1, 8),)
+    return [
+        # F_{kn}/F_k = (n/2^n) * integral of (L_k + F_k x sqrt5)^(n-1)
+        case("S1.STEWART", "eq. (1)", PM1, kn, _stewart, lambda p: (2.0 ** p["n"] / p["n"]) * F(p["k"] * p["n"]) / F(p["k"])),
+        # F_{2n} = (n/2)(3/2)^(n-1) * integral of (1 + sqrt5/3 cos x)^(n-1) sin x
+        case("S1.DILCHER", "eq. (3)", FULL, n18, _dilcher, lambda p: F(2 * p["n"]) * (2.0 / p["n"]) * (2.0 / 3.0) ** (p["n"] - 1)),
+        # complement with the linear factor (F_k sqrt5 + L_k x)
+        case("S2.BJU5530", "eq. (bju5530)", PM1, kn2, _bju, _bju_rhs),
+        # complement with the factor (1 - x)
+        case("S2.XSN0TMC", "eq. (xsn0tmc)", PM1, kn2, _xsn, _xsn_rhs),
+        # complement with the bare x factor
+        case("S2.COMPL2", "eq. (stewart_compl2)", PM1, kn2, _compl2, _compl2_rhs),
+        # log-weighted complement of the cosine-kernel representation
+        case("S2.DJFHEP4", "eq. (djfhep4)", FULL, n18, _djf, _djf_rhs),
+    ]

@@ -10,23 +10,15 @@ as (alpha^{2r} + t^2)(beta^{2r} + t^2).
 from __future__ import annotations
 
 from ._helpers import (
-    ALPHA,
-    BETA,
-    F,
-    L,
-    LN_ALPHA,
-    NO_PARAMS,
-    P,
-    PI,
-    SQRT5,
-    TAN_HALFPI,
-    apow,
-    bpow,
-    case,
-    math,
+    ALPHA, BETA, LN_ALPHA, NO_PARAMS, PI, SQRT5, TAN_HALFPI,
+    F, L, P, apow, bpow, case, math, parity,
 )
 
-_ROK_Q = (F(4) / F(3), L(3) / L(2), F(5) / L(2), L(4) / F(5), F(6) / F(4), L(5) / L(3))
+ROK_Q = (F(4) / F(3), L(3) / L(2), F(5) / L(2), L(4) / F(5), F(6) / F(4), L(5) / L(3))
+K2_NOTE = (
+    "source text labels both branches odd and carries a stray 1+ in the "
+    "squared factor; verified against pi*r*ln(alpha) for odd r, even branch as printed"
+)
 
 
 def _horner(coefs: list[float], u: float) -> float:
@@ -55,211 +47,122 @@ def _quartic_poly(n: int, r: int, seq) -> list[float]:
     return [deg.get(d, 0.0) for d in range(max(deg) + 1)]
 
 
-def cases():
-    out = []
-    r_any = (P("r", 1, 10),)
+# kernels over the quartic 1 + (l2r + t^2) t^2
+def _log_quartic(l2r):
+    return lambda t: math.log(1.0 + (l2r + t * t) * t * t)
 
-    # log of the quartic kernel
-    def m6_lhs(p):
-        l2r = L(2 * p["r"])
-        return lambda t: math.log(1.0 + (l2r + t * t) * t * t)
 
-    def m6_rhs(p):
-        r = p["r"]
-        if r % 2 == 1:
-            return PI * math.log(F(r) * SQRT5 + 2.0)
-        return PI * math.log(L(r) + 2.0)
+def _tan2(l2r):
+    return lambda t: t * t / (1.0 + (l2r + t * t) * t * t)
 
-    out.append(case("S3.M6BI7TA", "eq. (m6bi7ta)", TAN_HALFPI, r_any, m6_lhs, m6_rhs))
 
-    # log of (alpha^{2r}+t^2)^2 over the quartic kernel
-    def k2_lhs(p):
-        r = p["r"]
-        a2 = apow(2 * r)
-        l2r = L(2 * r)
+def _recip(l2r):
+    return lambda t: 1.0 / (1.0 + (l2r + t * t) * t * t)
+
+
+def _k2(p):
+    r = p["r"]
+    a2 = apow(2 * r)
+    l2r = L(2 * r)
+
+    def f(t):
+        u = t * t
+        return math.log((a2 + u) ** 2 / (1.0 + (l2r + u) * u))
+
+    return f
+
+
+def _k2_rhs(p):
+    r = p["r"]
+    if r % 2 == 1:
+        return PI * r * LN_ALPHA
+    return PI * math.log((1.0 + apow(r)) ** 2 / (L(r) + 2.0))
+
+
+def _tan2_rhs(p):
+    a = parity(p["r"]).A(p["r"])
+    return PI / 2.0 / (a * (a + 2.0))
+
+
+def _recip_rhs(p):
+    r = p["r"]
+    l2r = L(2 * r)
+    a = parity(r).A(r)
+    return PI / 2.0 / (l2r * (a + 2.0)) * (l2r + a - 2.0 / a)
+
+
+def _rok(p):
+    n = p["n"]
+    q = ROK_Q[p["k"] - 1]
+    coefs = _sum_poly(n, q * q)
+
+    def f(t):
+        u = t * t
+        return _horner(coefs, u) / (q * q + u) ** (n + 1)
+
+    return f
+
+
+def _rok_rhs(p):
+    n = p["n"]
+    q = ROK_Q[p["k"] - 1]
+    return PI / (2.0 * (n + 1)) * (1.0 / q ** (2 * n + 1) - q / (q * (q + 1.0)) ** (n + 1))
+
+
+def _pair(swap):
+    """n-fold derivative family at q^2 = a/b, (a, b) = (L_r^2, 5 F_r^2), or swapped."""
+
+    def lhs(p):
+        n, r = p["n"], p["r"]
+        a, b = L(r) ** 2, 5.0 * F(r) ** 2
+        if swap:
+            a, b = b, a
+        coefs = _sum_poly(n, a / b)
 
         def f(t):
             u = t * t
-            return math.log((a2 + u) ** 2 / (1.0 + (l2r + u) * u))
+            return _horner(coefs, u) / (a + b * u) ** (n + 1)
 
         return f
 
-    def k2_rhs(p):
+    return lhs
+
+
+def _pair_a_rhs(p):
+    n, r = p["n"], p["r"]
+    lr = L(r)
+    return PI / (2.0 * (n + 1)) / (lr**n * F(r) * SQRT5) * (1.0 / lr ** (n + 1) - 1.0 / (2.0 * apow(r)) ** (n + 1))
+
+
+def _pair_b_rhs(p):
+    n, r = p["n"], p["r"]
+    s = F(r) * SQRT5
+    return PI / (2.0 * (n + 1)) / (s**n * L(r)) * (1.0 / s ** (n + 1) - 1.0 / (2.0 * apow(r)) ** (n + 1))
+
+
+def _special_kernel(a, b):
+    return lambda t: 1.0 / (a + b * t * t) ** 2
+
+
+def _special(swap):
+    """1/(a + b t^2)^2, (a, b) = (L_r^2, 5 F_r^2), or swapped: the n = 1 pair member."""
+
+    def ab(r):
+        return (5.0 * F(r) ** 2, L(r) ** 2) if swap else (L(r) ** 2, 5.0 * F(r) ** 2)
+
+    def rhs(p):
         r = p["r"]
-        if r % 2 == 1:
-            return PI * r * LN_ALPHA
-        return PI * math.log((1.0 + apow(r)) ** 2 / (L(r) + 2.0))
+        return PI / 4.0 / (F(2 * r) * SQRT5) * (1.0 / ab(r)[0] - 1.0 / (4.0 * apow(2 * r)))
 
-    out.append(
-        case(
-            "S3.K2XKUE3",
-            "eq. (k2xkue3)",
-            TAN_HALFPI,
-            r_any,
-            k2_lhs,
-            k2_rhs,
-            note="source text labels both branches odd and carries a stray 1+ in the "
-            "squared factor; verified against pi*r*ln(alpha) for odd r, even branch as printed",
-        )
-    )
+    return lambda p: _special_kernel(*ab(p["r"])), rhs
 
-    # tan^2 over the quartic kernel
-    def tan2_lhs(p):
-        l2r = L(2 * p["r"])
-        return lambda t: t * t / (1.0 + (l2r + t * t) * t * t)
 
-    def tan2_rhs(p):
-        r = p["r"]
-        if r % 2 == 1:
-            s = F(r) * SQRT5
-            return PI / 2.0 / (s * (s + 2.0))
-        return PI / 2.0 / (L(r) * (L(r) + 2.0))
+def _quartic(seq):
+    """Combined golden-power instance with numerator coefficients from seq (L or F)."""
 
-    out.append(case("S3.TAN2", "cor. after eq. (m6bi7ta)", TAN_HALFPI, r_any, tan2_lhs, tan2_rhs))
-
-    # reciprocal of the quartic kernel
-    def recip_lhs(p):
-        l2r = L(2 * p["r"])
-        return lambda t: 1.0 / (1.0 + (l2r + t * t) * t * t)
-
-    def recip_rhs(p):
-        r = p["r"]
-        l2r = L(2 * r)
-        if r % 2 == 1:
-            s = F(r) * SQRT5
-            return PI / 2.0 / (l2r * (s + 2.0)) * (l2r + s - 2.0 / s)
-        lr = L(r)
-        return PI / 2.0 / (l2r * (lr + 2.0)) * (l2r + lr - 2.0 / lr)
-
-    out.append(case("S3.RECIP", "cor. after eq. (t2k7wzu)", TAN_HALFPI, r_any, recip_lhs, recip_rhs))
-
-    # n-fold derivative family at generic positive q
-    def rok_lhs(p):
+    def lhs(p):
         n = p["n"]
-        q = _ROK_Q[p["k"] - 1]
-        coefs = _sum_poly(n, q * q)
-
-        def f(t):
-            u = t * t
-            return _horner(coefs, u) / (q * q + u) ** (n + 1)
-
-        return f
-
-    def rok_rhs(p):
-        n = p["n"]
-        q = _ROK_Q[p["k"] - 1]
-        return PI / (2.0 * (n + 1)) * (1.0 / q ** (2 * n + 1) - q / (q * (q + 1.0)) ** (n + 1))
-
-    out.append(
-        case(
-            "S3.ROKBVU0",
-            "eq. (rokbvu0)",
-            TAN_HALFPI,
-            (P("n", 0, 4), P("k", 1, len(_ROK_Q))),
-            rok_lhs,
-            rok_rhs,
-        )
-    )
-
-    # the same family at q = L_r/(F_r sqrt5) and its reciprocal
-    nr = (P("n", 0, 3), P("r", 1, 8))
-
-    def pair_a_lhs(p):
-        n, r = p["n"], p["r"]
-        l2, f2 = L(r) ** 2, 5.0 * F(r) ** 2
-        coefs = _sum_poly(n, l2 / f2)
-
-        def f(t):
-            u = t * t
-            return _horner(coefs, u) / (l2 + f2 * u) ** (n + 1)
-
-        return f
-
-    def pair_a_rhs(p):
-        n, r = p["n"], p["r"]
-        lr = L(r)
-        return (
-            PI
-            / (2.0 * (n + 1))
-            / (lr**n * F(r) * SQRT5)
-            * (1.0 / lr ** (n + 1) - 1.0 / (2.0 * apow(r)) ** (n + 1))
-        )
-
-    out.append(case("S3.LFPAIR.A", "theorem after eq. (rokbvu0), first member", TAN_HALFPI, nr, pair_a_lhs, pair_a_rhs))
-
-    def pair_b_lhs(p):
-        n, r = p["n"], p["r"]
-        l2, f2 = L(r) ** 2, 5.0 * F(r) ** 2
-        coefs = _sum_poly(n, f2 / l2)
-
-        def f(t):
-            u = t * t
-            return _horner(coefs, u) / (f2 + l2 * u) ** (n + 1)
-
-        return f
-
-    def pair_b_rhs(p):
-        n, r = p["n"], p["r"]
-        s = F(r) * SQRT5
-        return (
-            PI
-            / (2.0 * (n + 1))
-            / (s**n * L(r))
-            * (1.0 / s ** (n + 1) - 1.0 / (2.0 * apow(r)) ** (n + 1))
-        )
-
-    out.append(case("S3.LFPAIR.B", "theorem after eq. (rokbvu0), second member", TAN_HALFPI, nr, pair_b_lhs, pair_b_rhs))
-
-    # squared special cases of the pair
-    r8 = (P("r", 1, 8),)
-
-    def sp1_lhs(p):
-        l2, f2 = L(p["r"]) ** 2, 5.0 * F(p["r"]) ** 2
-        return lambda t: 1.0 / (l2 + f2 * t * t) ** 2
-
-    def sp1_rhs(p):
-        r = p["r"]
-        return PI / 4.0 / (F(2 * r) * SQRT5) * (1.0 / L(r) ** 2 - 1.0 / (4.0 * apow(2 * r)))
-
-    out.append(case("S3.SPECIAL1", "n=1 special case, first member", TAN_HALFPI, r8, sp1_lhs, sp1_rhs))
-
-    def sp2_lhs(p):
-        l2, f2 = L(p["r"]) ** 2, 5.0 * F(p["r"]) ** 2
-        return lambda t: 1.0 / (f2 + l2 * t * t) ** 2
-
-    def sp2_rhs(p):
-        r = p["r"]
-        return PI / 4.0 / (F(2 * r) * SQRT5) * (1.0 / (5.0 * F(r) ** 2) - 1.0 / (4.0 * apow(2 * r)))
-
-    out.append(case("S3.SPECIAL2", "n=1 special case, second member", TAN_HALFPI, r8, sp2_lhs, sp2_rhs))
-
-    out.append(
-        case(
-            "S3.SPECIAL1.PART",
-            "special value pi*alpha/16",
-            TAN_HALFPI,
-            NO_PARAMS,
-            lambda p: lambda t: 1.0 / (1.0 + 5.0 * t * t) ** 2,
-            lambda p: PI * ALPHA / 16.0,
-        )
-    )
-    out.append(
-        case(
-            "S3.SPECIAL2.PART",
-            "special value (pi/400)(2+7/alpha^2)",
-            TAN_HALFPI,
-            NO_PARAMS,
-            lambda p: lambda t: 1.0 / (5.0 + t * t) ** 2,
-            lambda p: PI / 400.0 * (2.0 + 7.0 / ALPHA**2),
-        )
-    )
-
-    # combined golden-power instances with Lucas/Fibonacci numerators
-    nrq = (P("n", 0, 3), P("r", -3, 6))
-
-    def quartic_l_lhs(p):
-        n = p["n"]
-        coefs = _quartic_poly(n, p["r"], L)
+        coefs = _quartic_poly(n, p["r"], seq)
 
         def f(t):
             u = t * t
@@ -269,46 +172,52 @@ def cases():
 
         return f
 
-    def quartic_l_rhs(p):
-        n, r = p["n"], p["r"]
-        return (
-            PI
-            / (2.0 * (n + 1))
-            * (F(2 * n + r + 1) * SQRT5 - apow(r - 1) + (-1.0) ** (n + 1) * bpow(3 * n + r + 2))
-        )
+    return lhs
 
-    out.append(case("S3.QUARTIC.L", "quartic theorem, Lucas member", TAN_HALFPI, nrq, quartic_l_lhs, quartic_l_rhs))
 
-    def quartic_f_lhs(p):
-        n = p["n"]
-        coefs = _quartic_poly(n, p["r"], F)
+def _quartic_l_rhs(p):
+    n, r = p["n"], p["r"]
+    return PI / (2.0 * (n + 1)) * (F(2 * n + r + 1) * SQRT5 - apow(r - 1) + (-1.0) ** (n + 1) * bpow(3 * n + r + 2))
 
-        def f(t):
-            u = t * t
-            if u > 1e30:
-                return 0.0
-            return _horner(coefs, u) / (1.0 + (3.0 + u) * u) ** (n + 1)
 
-        return f
+def _quartic_f_rhs(p):
+    n, r = p["n"], p["r"]
+    return PI / (2.0 * SQRT5 * (n + 1)) * (L(2 * n + r + 1) - apow(r - 1) + (-1.0) ** n * bpow(3 * n + r + 2))
 
-    def quartic_f_rhs(p):
-        n, r = p["n"], p["r"]
-        return (
-            PI
-            / (2.0 * SQRT5 * (n + 1))
-            * (L(2 * n + r + 1) - apow(r - 1) + (-1.0) ** n * bpow(3 * n + r + 2))
-        )
 
-    out.append(case("S3.QUARTIC.F", "quartic theorem, Fibonacci member", TAN_HALFPI, nrq, quartic_f_lhs, quartic_f_rhs))
-
-    quartic_parts = (
-        ("S3.QUARTIC.PART1", "special value -pi*beta^3/2", lambda t: (1.0 - t * t) / (1.0 + (3.0 + t * t) * t * t), -PI * BETA**3 / 2.0),
-        ("S3.QUARTIC.PART2", "special value pi*beta^2/sqrt5", lambda t: 1.0 / (1.0 + (3.0 + t * t) * t * t), PI * BETA**2 / SQRT5),
-        ("S3.QUARTIC.PART3", "special value -pi*beta^3/(2 sqrt5)", lambda t: t * t / (1.0 + (3.0 + t * t) * t * t), -PI * BETA**3 / (2.0 * SQRT5)),
-    )
-    for cid, anchor, fn, value in quartic_parts:
-        out.append(
-            case(cid, anchor, TAN_HALFPI, NO_PARAMS, lambda p, _fn=fn: _fn, lambda p, _v=value: _v)
-        )
-
-    return out
+def cases():
+    r_any, r8 = (P("r", 1, 10),), (P("r", 1, 8),)
+    nr, nrq = (P("n", 0, 3), P("r", 1, 8)), (P("n", 0, 3), P("r", -3, 6))
+    return [
+        # log of the quartic kernel
+        case("S3.M6BI7TA", "eq. (m6bi7ta)", TAN_HALFPI, r_any,
+             lambda p: _log_quartic(L(2 * p["r"])),
+             lambda p: PI * math.log(parity(p["r"]).A(p["r"]) + 2.0)),
+        # log of (alpha^{2r}+t^2)^2 over the quartic kernel
+        case("S3.K2XKUE3", "eq. (k2xkue3)", TAN_HALFPI, r_any, _k2, _k2_rhs, note=K2_NOTE),
+        # tan^2 over the quartic kernel
+        case("S3.TAN2", "cor. after eq. (m6bi7ta)", TAN_HALFPI, r_any, lambda p: _tan2(L(2 * p["r"])), _tan2_rhs),
+        # reciprocal of the quartic kernel
+        case("S3.RECIP", "cor. after eq. (t2k7wzu)", TAN_HALFPI, r_any, lambda p: _recip(L(2 * p["r"])), _recip_rhs),
+        # n-fold derivative family at generic positive q
+        case("S3.ROKBVU0", "eq. (rokbvu0)", TAN_HALFPI, (P("n", 0, 4), P("k", 1, len(ROK_Q))), _rok, _rok_rhs),
+        # the same family at q = L_r/(F_r sqrt5) and its reciprocal
+        case("S3.LFPAIR.A", "theorem after eq. (rokbvu0), first member", TAN_HALFPI, nr, _pair(False), _pair_a_rhs),
+        case("S3.LFPAIR.B", "theorem after eq. (rokbvu0), second member", TAN_HALFPI, nr, _pair(True), _pair_b_rhs),
+        # squared special cases of the pair
+        case("S3.SPECIAL1", "n=1 special case, first member", TAN_HALFPI, r8, *_special(False)),
+        case("S3.SPECIAL2", "n=1 special case, second member", TAN_HALFPI, r8, *_special(True)),
+        case("S3.SPECIAL1.PART", "special value pi*alpha/16", TAN_HALFPI, NO_PARAMS,
+             lambda p: _special_kernel(1.0, 5.0), lambda p: PI * ALPHA / 16.0),
+        case("S3.SPECIAL2.PART", "special value (pi/400)(2+7/alpha^2)", TAN_HALFPI, NO_PARAMS,
+             lambda p: lambda t: 1.0 / (5.0 + t * t) ** 2, lambda p: PI / 400.0 * (2.0 + 7.0 / ALPHA**2)),
+        # combined golden-power instances with Lucas/Fibonacci numerators
+        case("S3.QUARTIC.L", "quartic theorem, Lucas member", TAN_HALFPI, nrq, _quartic(L), _quartic_l_rhs),
+        case("S3.QUARTIC.F", "quartic theorem, Fibonacci member", TAN_HALFPI, nrq, _quartic(F), _quartic_f_rhs),
+        case("S3.QUARTIC.PART1", "special value -pi*beta^3/2", TAN_HALFPI, NO_PARAMS,
+             lambda p: lambda t: (1.0 - t * t) / (1.0 + (3.0 + t * t) * t * t), lambda p: -PI * BETA**3 / 2.0),
+        case("S3.QUARTIC.PART2", "special value pi*beta^2/sqrt5", TAN_HALFPI, NO_PARAMS,
+             lambda p: _recip(3.0), lambda p: PI * BETA**2 / SQRT5),
+        case("S3.QUARTIC.PART3", "special value -pi*beta^3/(2 sqrt5)", TAN_HALFPI, NO_PARAMS,
+             lambda p: _tan2(3.0), lambda p: -PI * BETA**3 / (2.0 * SQRT5)),
+    ]

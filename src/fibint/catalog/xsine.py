@@ -9,375 +9,169 @@ by quadrature.
 
 from __future__ import annotations
 
-from ._helpers import (
-    BETA,
-    F,
-    FINITE,
-    HALF_PI,
-    Integrand,
-    L,
-    LN_ALPHA,
-    NO_PARAMS,
-    P,
-    PI,
-    SQRT2,
-    SQRT5,
-    apow,
-    bpow,
-    case,
-    math,
-    qsel,
-)
 from ..quad import integrate_finite
+from ._helpers import (
+    BETA, EVEN, FULL, HALF, LN_ALPHA, MID, NO_PARAMS, ODD, PI, SQRT2, SQRT5,
+    F, Integrand, L, P, apow, bpow, case, math, qgrid,
+)
 
-_U6_Q = (0.3, -0.4, 0.6, -0.7, BETA * BETA, -BETA)
-_GJ_Q = (1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, (1.0 + SQRT5) / 2.0)
-_PG_Q = (0.3, 0.5, 0.8, BETA * BETA, -BETA)
-_QU_Q = (0.3, 0.5, 0.7, BETA * BETA, -BETA)
-_FM_Q = (0.5, 1.0, 2.0)
+RDJ_NOTE = (
+    "source text prints sin^2 in the kernel; the logarithmic closed form "
+    "belongs to the cos^2 kernel (the sin^2 kernel carries the arctan form)"
+)
 
-FULL = FINITE(0.0, PI)
+
+def _xsin(a, s, trig, k=1):
+    """x sin x/(a + s trig(x)^2)^k, trig = math.cos or math.sin, k = 1 or 2."""
+    if k == 1:
+        return lambda x: x * math.sin(x) / (a + s * trig(x) ** 2)
+    return lambda x: x * math.sin(x) / (a + s * trig(x) ** 2) ** 2
+
+
+def _four_cubed(r, fib):
+    """4 A^3 with A = sqrt5 F_r (fib) or L_r, as the closed forms print it."""
+    return 20.0 * SQRT5 * F(r) ** 3 if fib else 4.0 * L(r) ** 3
+
+
+def _log_rows(br, k):
+    """x sin x/(L_r^2 - 4 cos^2 x)^k for even r, x sin x/(L_r^2 + 4 sin^2 x)^k for odd r."""
+
+    def rhs(p):
+        r = p["r"]
+        a, b = br.A(r), br.B(r)
+        lg = math.log(b / (a - 2.0) if br is EVEN else (a + 2.0) / b)
+        if k == 1:
+            return PI / (2.0 * a) * lg
+        return PI / _four_cubed(r, br is ODD) * lg + PI / (10.0 * F(2 * r) ** 2)
+
+    return br.params, lambda p: _xsin(L(p["r"]) ** 2, *br.lsq, k), rhs
+
+
+def _atan_rows(br, k):
+    """x sin x/(A_r^2 - 4 sin^2 x)^k: arctan(2/B_r)."""
+
+    def rhs(p):
+        r = p["r"]
+        b = br.B(r)
+        if k == 1:
+            return PI / 2.0 / b * math.atan(2.0 / b)
+        return PI / _four_cubed(r, br is EVEN) * math.atan(2.0 / b) + PI / (10.0 * F(2 * r) ** 2)
+
+    return br.params, lambda p: _xsin(br.A2(p["r"]), -4.0, math.sin, k), rhs
+
+
+def _u6_rhs(q):
+    return PI / 2.0 * (1.0 - q * q) ** 2 / (q * (1.0 + q * q)) * math.log(abs((1.0 + q) / (1.0 - q)))
+
+
+def _cube(p):
+    b = 5.0 * F(2 * p["r"]) ** 2
+    return lambda x: x * math.sin(x) ** 3 / (4.0 + b * math.sin(x) ** 2) ** 2
+
+
+def _cube_rhs(p):
+    r = p["r"]
+    f4 = F(4 * r)
+    return -PI / (10.0 * f4 * f4) + 2.0 * PI * SQRT5 / 25.0 * L(4 * r) / f4**3 * r * LN_ALPHA
+
+
+def _gj_rhs(q):
+    s = math.hypot(1.0, q)
+    return PI / (q * s) * math.log(q + s)
+
+
+def _sc3_rhs(p):
+    r = p["r"]
+    rl = math.sqrt(L(2 * r))
+    return PI * SQRT2 / (2.0 * L(r) * rl) * math.log((bpow(r) * SQRT2 + rl) / (apow(r) * SQRT2 - rl))
+
+
+def _qo3_rhs(p):
+    r = p["r"]
+    rl = math.sqrt(L(2 * r))
+    return PI * math.sqrt(10.0) / (10.0 * F(r) * rl) * math.log((-bpow(r) * SQRT2 + rl) / (apow(r) * SQRT2 - rl))
+
+
+def _pg_rhs(q):
+    s = math.sqrt(1.0 - q * q)
+    return PI / (q * s) * math.atan(q / s)
+
+
+def _quartic(c, cube):
+    """x sin x/(1 - c sin^4 x), or x sin^3 x/(...) when cube."""
+    if cube:
+        return lambda x: x * math.sin(x) ** 3 / (1.0 - c * math.sin(x) ** 4)
+    return lambda x: x * math.sin(x) / (1.0 - c * math.sin(x) ** 4)
+
+
+def _quartic_rhs(q, cube):
+    sm = math.sqrt(1.0 - q * q)
+    sp = math.hypot(1.0, q)
+    if cube:
+        q3 = q**3
+        return PI / (2.0 * q3 * sm) * math.atan(q / sm) - PI / (2.0 * q3 * sp) * math.log(q + sp)
+    return PI / (2.0 * q * sm) * math.atan(q / sm) + PI / (2.0 * q * sp) * math.log(q + sp)
+
+
+def _fm_kernel(p):
+    q2 = (0.5, 1.0, 2.0)[p["k"] - 1] ** 2
+    m = p["m"]
+
+    def g(x):
+        s = math.sin(x)
+        return s ** (2 * m - 1) / (1.0 + q2 * s * s) ** m
+
+    return g
+
+
+def _fm_rhs(p):
+    g = _fm_kernel(p)
+    return integrate_finite(Integrand(lambda x: x * g(x)), 0.0, PI, 1e-12).value / PI
 
 
 def cases():
-    out = []
-
-    # generic log form at parameter q, q^2 < 1
-    qu6 = qsel(_U6_Q)
-
-    def u6_lhs(p):
-        q = qu6(p)
-        c = (2.0 * q / (1.0 - q * q)) ** 2
-        return lambda x: x * math.sin(x) / (1.0 + c * math.sin(x) ** 2)
-
-    def u6_rhs(p):
-        q = qu6(p)
-        return (
-            PI
-            / 2.0
-            * (1.0 - q * q) ** 2
-            / (q * (1.0 + q * q))
-            * math.log(abs((1.0 + q) / (1.0 - q)))
-        )
-
-    out.append(case("S6.U6JQLAY", "eq. (u6jqlay)", FULL, (P("k", 1, len(_U6_Q)),), u6_lhs, u6_rhs))
-
-    # golden instances, r odd: kernel L_r^2 + 4 sin^2 x
-    def cpw_lhs(p):
-        a = L(p["r"]) ** 2
-        return lambda x: x * math.sin(x) / (a + 4.0 * math.sin(x) ** 2)
-
-    def cpw_rhs(p):
-        r = p["r"]
-        return PI / (2.0 * F(r) * SQRT5) * math.log((F(r) * SQRT5 + 2.0) / L(r))
-
-    out.append(case("S6.CPWMQ60", "eq. (cpwmq60)", FULL, (P("r", 1, 9, "odd"),), cpw_lhs, cpw_rhs))
-
-    # r even: kernel L_r^2 - 4 cos^2 x (equivalently 5F_r^2 + 4 sin^2 x)
-    def rdj_lhs(p):
-        a = L(p["r"]) ** 2
-        return lambda x: x * math.sin(x) / (a - 4.0 * math.cos(x) ** 2)
-
-    def rdj_rhs(p):
-        r = p["r"]
-        return PI / (2.0 * L(r)) * math.log(F(r) * SQRT5 / (L(r) - 2.0))
-
-    out.append(
-        case(
-            "S6.RDJRA1D",
-            "eq. (rdjra1d)",
-            FULL,
-            (P("r", 2, 10, "even"),),
-            rdj_lhs,
-            rdj_rhs,
-            note="source text prints sin^2 in the kernel; the logarithmic closed form "
-            "belongs to the cos^2 kernel (the sin^2 kernel carries the arctan form)",
-        )
-    )
-
-    # squared kernels
-    def sqa_lhs(p):
-        a = L(p["r"]) ** 2
-        return lambda x: x * math.sin(x) / (a + 4.0 * math.sin(x) ** 2) ** 2
-
-    def sqa_rhs(p):
-        r = p["r"]
-        return PI / (20.0 * SQRT5 * F(r) ** 3) * math.log((F(r) * SQRT5 + 2.0) / L(r)) + PI / (
-            10.0 * F(2 * r) ** 2
-        )
-
-    out.append(case("S6.SQ.A", "squared cor. of eq. (cpwmq60)", FULL, (P("r", 1, 9, "odd"),), sqa_lhs, sqa_rhs))
-
-    def sqb_lhs(p):
-        a = L(p["r"]) ** 2
-        return lambda x: x * math.sin(x) / (a - 4.0 * math.cos(x) ** 2) ** 2
-
-    def sqb_rhs(p):
-        r = p["r"]
-        return PI / (4.0 * L(r) ** 3) * math.log(F(r) * SQRT5 / (L(r) - 2.0)) + PI / (
-            10.0 * F(2 * r) ** 2
-        )
-
-    out.append(case("S6.SQ.B", "squared cor. of eq. (rdjra1d)", FULL, (P("r", 2, 10, "even"),), sqb_lhs, sqb_rhs))
-
-    # kernel 4 + 5 F_{2r}^2 sin^2 x
-    r16 = (P("r", 1, 6),)
-
-    def rlj_lhs(p):
-        b = 5.0 * F(2 * p["r"]) ** 2
-        return lambda x: x * math.sin(x) / (4.0 + b * math.sin(x) ** 2)
-
-    out.append(
-        case(
-            "S6.RLJJ8TO",
-            "eq. (rljj8to)",
-            FULL,
-            r16,
-            rlj_lhs,
-            lambda p: 2.0 * PI * p["r"] * SQRT5 / (5.0 * F(4 * p["r"])) * LN_ALPHA,
-        )
-    )
-
-    def cube_lhs(p):
-        b = 5.0 * F(2 * p["r"]) ** 2
-        return lambda x: x * math.sin(x) ** 3 / (4.0 + b * math.sin(x) ** 2) ** 2
-
-    def cube_rhs(p):
-        r = p["r"]
-        f4 = F(4 * r)
-        return -PI / (10.0 * f4 * f4) + 2.0 * PI * SQRT5 / 25.0 * L(4 * r) / f4**3 * r * LN_ALPHA
-
-    out.append(case("S6.SIN3CUBE", "cor. of eq. (rljj8to)", FULL, r16, cube_lhs, cube_rhs))
-
-    # generic log and arctan forms in Q
-    qgj = qsel(_GJ_Q)
-
-    def gj_lhs(p):
-        c = qgj(p) ** 2
-        return lambda x: x * math.sin(x) / (1.0 + c * math.sin(x) ** 2)
-
-    def gj_rhs(p):
-        q = qgj(p)
-        s = math.hypot(1.0, q)
-        return PI / (q * s) * math.log(q + s)
-
-    out.append(case("S6.GJNEYFK", "eq. (gjneyfk)", FULL, (P("k", 1, len(_GJ_Q)),), gj_lhs, gj_rhs))
-
-    # golden instances with cos^2 kernels
-    r18 = (P("r", 1, 8),)
-
-    def sc3_lhs(p):
-        a, b = 2.0 * L(2 * p["r"]), L(p["r"]) ** 2
-        return lambda x: x * math.sin(x) / (a - b * math.cos(x) ** 2)
-
-    def sc3_rhs(p):
-        r = p["r"]
-        rl = math.sqrt(L(2 * r))
-        return (
-            PI
-            * SQRT2
-            / (2.0 * L(r) * rl)
-            * math.log((bpow(r) * SQRT2 + rl) / (apow(r) * SQRT2 - rl))
-        )
-
-    out.append(case("S6.SC3T62N", "eq. (sc3t62n)", FULL, r18, sc3_lhs, sc3_rhs))
-
-    def qo3_lhs(p):
-        a, b = 2.0 * L(2 * p["r"]), 5.0 * F(p["r"]) ** 2
-        return lambda x: x * math.sin(x) / (a - b * math.cos(x) ** 2)
-
-    def qo3_rhs(p):
-        r = p["r"]
-        rl = math.sqrt(L(2 * r))
-        return (
-            PI
-            * math.sqrt(10.0)
-            / (10.0 * F(r) * rl)
-            * math.log((-bpow(r) * SQRT2 + rl) / (apow(r) * SQRT2 - rl))
-        )
-
-    out.append(case("S6.QO33H5M", "eq. (qo33h5m)", FULL, r18, qo3_lhs, qo3_rhs))
-
-    # arctan form, Q^2 < 1
-    qpg = qsel(_PG_Q)
-
-    def pg_lhs(p):
-        c = qpg(p) ** 2
-        return lambda x: x * math.sin(x) / (1.0 - c * math.sin(x) ** 2)
-
-    def pg_rhs(p):
-        q = qpg(p)
-        s = math.sqrt(1.0 - q * q)
-        return PI / (q * s) * math.atan(q / s)
-
-    out.append(
-        case(
-            "S6.PGLRQHP",
-            "eq. (pglrqhp)",
-            FULL,
-            (P("k", 1, len(_PG_Q)),),
-            pg_lhs,
-            pg_rhs,
-            splits=(HALF_PI,),
-        )
-    )
-
-    # golden arctan instances
-    def fmk_e_lhs(p):
-        a = L(p["r"]) ** 2
-        return lambda x: x * math.sin(x) / (a - 4.0 * math.sin(x) ** 2)
-
-    def fmk_e_rhs(p):
-        r = p["r"]
-        s = F(r) * SQRT5
-        return PI / 2.0 / s * math.atan(2.0 / s)
-
-    out.append(
-        case(
-            "S6.FMK6KRX.E",
-            "thm. (fmk6krx), even branch",
-            FULL,
-            (P("r", 2, 10, "even"),),
-            fmk_e_lhs,
-            fmk_e_rhs,
-            splits=(HALF_PI,),
-        )
-    )
-
-    def fmk_o_lhs(p):
-        a = 5.0 * F(p["r"]) ** 2
-        return lambda x: x * math.sin(x) / (a - 4.0 * math.sin(x) ** 2)
-
-    def fmk_o_rhs(p):
-        r = p["r"]
-        return PI / 2.0 / L(r) * math.atan(2.0 / L(r))
-
-    out.append(
-        case(
-            "S6.FMK6KRX.O",
-            "thm. (fmk6krx), odd branch",
-            FULL,
-            (P("r", 1, 9, "odd"),),
-            fmk_o_lhs,
-            fmk_o_rhs,
-            splits=(HALF_PI,),
-        )
-    )
-
-    out.append(
-        case(
-            "S6.FMK6KRX.PART",
-            "special value (pi/2) arctan 2",
-            FULL,
-            NO_PARAMS,
-            lambda p: lambda x: x * math.sin(x) / (5.0 - 4.0 * math.sin(x) ** 2),
-            lambda p: PI / 2.0 * math.atan(2.0),
-            splits=(HALF_PI,),
-        )
-    )
-
-    def fsq_e_lhs(p):
-        a = L(p["r"]) ** 2
-        return lambda x: x * math.sin(x) / (a - 4.0 * math.sin(x) ** 2) ** 2
-
-    def fsq_e_rhs(p):
-        r = p["r"]
-        s = F(r) * SQRT5
-        return PI / (20.0 * SQRT5 * F(r) ** 3) * math.atan(2.0 / s) + PI / (10.0 * F(2 * r) ** 2)
-
-    out.append(
-        case(
-            "S6.FMK6SQ.E",
-            "squared cor. of thm. (fmk6krx), even",
-            FULL,
-            (P("r", 2, 10, "even"),),
-            fsq_e_lhs,
-            fsq_e_rhs,
-            splits=(HALF_PI,),
-        )
-    )
-
-    def fsq_o_lhs(p):
-        a = 5.0 * F(p["r"]) ** 2
-        return lambda x: x * math.sin(x) / (a - 4.0 * math.sin(x) ** 2) ** 2
-
-    def fsq_o_rhs(p):
-        r = p["r"]
-        return PI / (4.0 * L(r) ** 3) * math.atan(2.0 / L(r)) + PI / (10.0 * F(2 * r) ** 2)
-
-    out.append(
-        case(
-            "S6.FMK6SQ.O",
-            "squared cor. of thm. (fmk6krx), odd",
-            FULL,
-            (P("r", 1, 9, "odd"),),
-            fsq_o_lhs,
-            fsq_o_rhs,
-            splits=(HALF_PI,),
-        )
-    )
-
-    # quartic sine kernels, Q^2 < 1
-    qqu = qsel(_QU_Q)
-
-    def qa_lhs(p):
-        c = qqu(p) ** 4
-        return lambda x: x * math.sin(x) / (1.0 - c * math.sin(x) ** 4)
-
-    def qa_rhs(p):
-        q = qqu(p)
-        sm = math.sqrt(1.0 - q * q)
-        sp = math.hypot(1.0, q)
-        return PI / (2.0 * q * sm) * math.atan(q / sm) + PI / (2.0 * q * sp) * math.log(q + sp)
-
-    out.append(
-        case("S6.QUARTIC.A", "remark pair, first", FULL, (P("k", 1, len(_QU_Q)),), qa_lhs, qa_rhs, splits=(HALF_PI,))
-    )
-
-    def qb_lhs(p):
-        c = qqu(p) ** 4
-        return lambda x: x * math.sin(x) ** 3 / (1.0 - c * math.sin(x) ** 4)
-
-    def qb_rhs(p):
-        q = qqu(p)
-        sm = math.sqrt(1.0 - q * q)
-        sp = math.hypot(1.0, q)
-        q3 = q**3
-        return PI / (2.0 * q3 * sm) * math.atan(q / sm) - PI / (2.0 * q3 * sp) * math.log(q + sp)
-
-    out.append(
-        case("S6.QUARTIC.B", "remark pair, second", FULL, (P("k", 1, len(_QU_Q)),), qb_lhs, qb_rhs, splits=(HALF_PI,))
-    )
-
-    # half-interval equals full-interval/pi, including the power form
-    def fm_kernel(p):
-        q2 = _FM_Q[p["k"] - 1] ** 2
-        m = p["m"]
-
-        def g(x):
-            s = math.sin(x)
-            return s ** (2 * m - 1) / (1.0 + q2 * s * s) ** m
-
-        return g
-
-    def fm_lhs(p):
-        return fm_kernel(p)
-
-    def fm_rhs(p):
-        g = fm_kernel(p)
-        res = integrate_finite(Integrand(lambda x: x * g(x)), 0.0, PI, 1e-12)
-        return res.value / PI
-
-    out.append(
-        case(
-            "S6.FM2DODR",
-            "eq. (fm2dodr) and its power form",
-            FINITE(0.0, HALF_PI),
-            (P("m", 1, 3), P("k", 1, len(_FM_Q))),
-            fm_lhs,
-            fm_rhs,
-            tol=1e-9,
-        )
-    )
-
-    return out
+    k6, q6 = qgrid((0.3, -0.4, 0.6, -0.7, BETA * BETA, -BETA))
+    kg, qg = qgrid((1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, (1.0 + SQRT5) / 2.0))
+    kp, qp = qgrid((0.3, 0.5, 0.8, BETA * BETA, -BETA))
+    kq, qq = qgrid((0.3, 0.5, 0.7, BETA * BETA, -BETA))
+    r16, r18 = (P("r", 1, 6),), (P("r", 1, 8),)
+    return [
+        # generic log form at parameter q, q^2 < 1
+        case("S6.U6JQLAY", "eq. (u6jqlay)", FULL, k6,
+             lambda p: _xsin(1.0, (2.0 * q6(p) / (1.0 - q6(p) * q6(p))) ** 2, math.sin), lambda p: _u6_rhs(q6(p))),
+        # golden instances: r odd, kernel L_r^2 + 4 sin^2 x; r even, kernel L_r^2 - 4 cos^2 x
+        case("S6.CPWMQ60", "eq. (cpwmq60)", FULL, *_log_rows(ODD, 1)),
+        case("S6.RDJRA1D", "eq. (rdjra1d)", FULL, *_log_rows(EVEN, 1), note=RDJ_NOTE),
+        # squared kernels
+        case("S6.SQ.A", "squared cor. of eq. (cpwmq60)", FULL, *_log_rows(ODD, 2)),
+        case("S6.SQ.B", "squared cor. of eq. (rdjra1d)", FULL, *_log_rows(EVEN, 2)),
+        # kernel 4 + 5 F_{2r}^2 sin^2 x
+        case("S6.RLJJ8TO", "eq. (rljj8to)", FULL, r16, lambda p: _xsin(4.0, 5.0 * F(2 * p["r"]) ** 2, math.sin),
+             lambda p: 2.0 * PI * p["r"] * SQRT5 / (5.0 * F(4 * p["r"])) * LN_ALPHA),
+        case("S6.SIN3CUBE", "cor. of eq. (rljj8to)", FULL, r16, _cube, _cube_rhs),
+        # generic log and arctan forms in Q
+        case("S6.GJNEYFK", "eq. (gjneyfk)", FULL, kg, lambda p: _xsin(1.0, qg(p) ** 2, math.sin), lambda p: _gj_rhs(qg(p))),
+        # golden instances with cos^2 kernels
+        case("S6.SC3T62N", "eq. (sc3t62n)", FULL, r18,
+             lambda p: _xsin(2.0 * L(2 * p["r"]), -L(p["r"]) ** 2, math.cos), _sc3_rhs),
+        case("S6.QO33H5M", "eq. (qo33h5m)", FULL, r18,
+             lambda p: _xsin(2.0 * L(2 * p["r"]), -5.0 * F(p["r"]) ** 2, math.cos), _qo3_rhs),
+        # arctan form, Q^2 < 1
+        case("S6.PGLRQHP", "eq. (pglrqhp)", FULL, kp, lambda p: _xsin(1.0, -qp(p) ** 2, math.sin),
+             lambda p: _pg_rhs(qp(p)), splits=MID),
+        # golden arctan instances
+        case("S6.FMK6KRX.E", "thm. (fmk6krx), even branch", FULL, *_atan_rows(EVEN, 1), splits=MID),
+        case("S6.FMK6KRX.O", "thm. (fmk6krx), odd branch", FULL, *_atan_rows(ODD, 1), splits=MID),
+        case("S6.FMK6KRX.PART", "special value (pi/2) arctan 2", FULL, NO_PARAMS,
+             lambda p: _xsin(5.0, -4.0, math.sin), lambda p: PI / 2.0 * math.atan(2.0), splits=MID),
+        case("S6.FMK6SQ.E", "squared cor. of thm. (fmk6krx), even", FULL, *_atan_rows(EVEN, 2), splits=MID),
+        case("S6.FMK6SQ.O", "squared cor. of thm. (fmk6krx), odd", FULL, *_atan_rows(ODD, 2), splits=MID),
+        # quartic sine kernels, Q^2 < 1
+        case("S6.QUARTIC.A", "remark pair, first", FULL, kq, lambda p: _quartic(qq(p) ** 4, False),
+             lambda p: _quartic_rhs(qq(p), False), splits=MID),
+        case("S6.QUARTIC.B", "remark pair, second", FULL, kq, lambda p: _quartic(qq(p) ** 4, True),
+             lambda p: _quartic_rhs(qq(p), True), splits=MID),
+        # half-interval equals full-interval/pi, including the power form
+        case("S6.FM2DODR", "eq. (fm2dodr) and its power form", HALF, (P("m", 1, 3), P("k", 1, 3)), _fm_kernel, _fm_rhs,
+             tol=1e-9),
+    ]

@@ -10,582 +10,315 @@ so the quadrature pre-splits there (pi/2 for cos(2x)-type, pi/4 and
 from __future__ import annotations
 
 from ._helpers import (
-    BETA,
-    F,
-    FINITE,
-    HALF_PI,
-    L,
-    LN_ALPHA,
-    NO_PARAMS,
-    P,
-    PI,
-    PI3,
-    SQRT5,
-    bpow,
-    case,
-    cl2,
-    li2,
-    math,
-    qsel,
+    BETA, EVEN, FULL, LA2, LN_ALPHA, MID, NO_PARAMS, ODD, PI, PI3, QUARTS, SQRT5,
+    F, L, P, bpow, case, cl2, cl_pair, cos2x_kernel, li2, li2_odd, math, parity, qgrid, trig_sq_kernel,
 )
 
-FULL = FINITE(0.0, PI)
-R_EVEN = (P("r", 2, 10, "even"),)
-R_ODD = (P("r", 1, 9, "odd"),)
 R_ANY = (P("r", 1, 10),)
-MID = (HALF_PI,)
-QUARTS = (PI / 4.0, 3.0 * PI / 4.0)
-
-_Q_ARIA = (0.25, 0.5, 0.75, BETA * BETA, -BETA)
-_Q_XIT = (0.2, 0.4, 0.6, BETA * BETA, -BETA)
-
-LA2 = LN_ALPHA * LN_ALPHA
 
 
 def _core3(arg: float) -> float:
     return PI3 / 3.0 + PI * li2(arg)
 
 
-def _li2_odd(b: float) -> float:
-    """Li2(b) - Li2(-b)."""
-    return li2(b) - li2(-b)
+def _cos2x_rows(br, sg, k):
+    """x^2/(A_r + 2 sg cos 2x)^k, sg = +-1.0: pi^3/3 + pi Li2(-sg sigma beta^r) over B_r, or its derivative."""
+
+    def rhs(p):
+        r = p["r"]
+        e = -sg * br.sigma * bpow(r)
+        if k == 1:
+            return _core3(e) / br.B(r)
+        b3 = 5.0 * F(r) ** 3 * SQRT5 if br is EVEN else L(r) ** 3
+        return -PI / br.B2(r) * math.log1p(-e) + br.A(r) / b3 * _core3(e)
+
+    return br.params, lambda p: cos2x_kernel(br.A(p["r"]), 2.0 * sg, k), rhs
+
+
+def _c2x(a, s, k):
+    """x^2 cos 2x/(a + s cos^2 2x)^k, k = 1 or 2."""
+    if k == 1:
+
+        def f(x):
+            c = math.cos(2.0 * x)
+            return x * x * c / (a + s * c * c)
+
+        return f
+
+    def f(x):
+        c = math.cos(2.0 * x)
+        return x * x * c / (a + s * c * c) ** 2
+
+    return f
+
+
+def _paired(a):
+    """x^2 (a + 4 cos^2 2x)/(a - 4 cos^2 2x)^2."""
+
+    def f(x):
+        c2 = math.cos(2.0 * x) ** 2
+        return x * x * (a + 4.0 * c2) / (a - 4.0 * c2) ** 2
+
+    return f
+
+
+def _golden5_part(k):
+    """x^2 cos 2x/(5 - 4 cos^2 2x)^k, written with the power as printed."""
+    if k == 1:
+        return lambda x: x * x * math.cos(2.0 * x) / (5.0 - 4.0 * math.cos(2.0 * x) ** 2)
+    return lambda x: x * x * math.cos(2.0 * x) / (5.0 - 4.0 * math.cos(2.0 * x) ** 2) ** 2
+
+
+def _dup(p, k):
+    """x^2/(L_r^2 - 4 cos^2 2x)^k for even r, x^2/(L_r^2 + 4 sin^2 2x)^k for odd r."""
+    r = p["r"]
+    return trig_sq_kernel(L(r) ** 2, *parity(r).lsq, k, True)
+
+
+def _plus_cos_sq(p, k):
+    """x^2/(B_r^2 + 4 cos^2 2x)^k."""
+    r = p["r"]
+    return trig_sq_kernel(parity(r).B2(r), 4.0, math.cos, k, True)
+
+
+def _dup_rhs(sign, k):
+    """Closed form at Li2(sign beta^{2r}) of the duplication kernels."""
+
+    def rhs(p):
+        r = p["r"]
+        e = sign * bpow(2 * r)
+        if k == 1:
+            return (PI3 / 3.0 + 0.25 * PI * li2(e)) / (F(2 * r) * SQRT5)
+        f2 = F(2 * r)
+        return L(2 * r) / (5.0 * f2**3 * SQRT5) * (PI3 / 3.0 + 0.25 * PI * li2(e)) - PI / (20.0 * f2 * f2) * math.log1p(-e)
+
+    return rhs
+
+
+def _ise(p, k):
+    """x^2 cos 2x/(5F_r^2 + 4 sin^2 2x)^k for even r, x^2 cos 2x/(5F_r^2 - 4 cos^2 2x)^k for odd r."""
+    r = p["r"]
+    a = 5.0 * F(r) ** 2
+    if r % 2 == 1:
+        return _c2x(a, -4.0, k)
+    if k == 1:
+
+        def f(x):
+            s = math.sin(2.0 * x)
+            return x * x * math.cos(2.0 * x) / (a + 4.0 * s * s)
+
+        return f
+
+    def f(x):
+        s = math.sin(2.0 * x)
+        return x * x * math.cos(2.0 * x) / (a + 4.0 * s * s) ** 2
+
+    return f
+
+
+def _ise_rhs(p):
+    r = p["r"]
+    br = parity(r)
+    return br.sigma * 0.25 * PI * li2_odd(bpow(r)) / br.B(r)
+
+
+def _ezy_rhs(p):
+    r = p["r"]
+    br = parity(r)
+    b = bpow(r)
+    lead = PI / (8.0 * F(2 * r) * SQRT5) * math.log((1.0 + b) / (1.0 - b))
+    return br.sigma * (lead + PI / (8.0 * br.B2(r)) * li2_odd(b)) / br.B(r)
+
+
+def _sincos(br, num, plus):
+    """x^2 num(x)^2 over the duplication kernel of branch br, num = math.cos or math.sin."""
+    s, trig = br.lsq
+
+    def lhs(p):
+        a = L(p["r"]) ** 2
+
+        def f(x):
+            t = num(x)
+            return x * x * t * t / (a + s * trig(2.0 * x) ** 2)
+
+        return f
+
+    def rhs(p):
+        r = p["r"]
+        base = (PI3 / 6.0 + 0.125 * PI * li2(bpow(2 * r))) / (F(2 * r) * SQRT5)
+        corr = PI / (8.0 * br.B(r)) * li2_odd(bpow(r))
+        return base + corr if plus else base - corr
+
+    return br.params, lhs, rhs
+
+
+def _sincos_part(num):
+    return lambda p: lambda x: x * x * num(x) ** 2 / (1.0 + 4.0 * math.sin(2.0 * x) ** 2)
+
+
+def _clausen(br):
+    """x^2 cos 2x/(B_r^2 + 4 cos^2 2x): Clausen pair at arctan(2/B_r)."""
+
+    def rhs(p):
+        r = p["r"]
+        a, t = br.A(r), math.atan(2.0 / br.B(r))
+        return PI / (4.0 * a) * cl_pair(t) - PI * r / (4.0 * a) * t * LN_ALPHA
+
+    return br.params, lambda p: _c2x(br.B2(p["r"]), 4.0, 1), rhs
+
+
+def _frl_rhs(p):
+    r = p["r"]
+    return -PI / (10.0 * F(r) ** 2) * math.log(bpow(r) * F(r) * SQRT5) + L(r) / (
+        20.0 * F(r) ** 3 * SQRT5
+    ) * (4.0 * PI3 / 3.0 + PI * li2(bpow(2 * r)))
+
+
+def _vxz_rhs(p):
+    r = p["r"]
+    return -PI / (2.0 * L(r) ** 2) * math.log(-bpow(r) * L(r)) + F(r) * SQRT5 / (
+        4.0 * L(r) ** 3
+    ) * (4.0 * PI3 / 3.0 + PI * li2(bpow(2 * r)))
+
+
+def _s7j_rhs(p):
+    r = p["r"]
+    b = bpow(r)
+    return PI / (40.0 * F(r) ** 2 * L(r)) * math.log((1.0 + b) / (1.0 - b)) + PI / (
+        40.0 * F(r) ** 3 * SQRT5
+    ) * li2_odd(b)
+
+
+def _nt2_rhs(p):
+    r = p["r"]
+    b = bpow(r)
+    return PI / (8.0 * L(r) ** 2 * F(r) * SQRT5) * math.log((1.0 - b) / (1.0 + b)) - PI / (
+        8.0 * L(r) ** 3
+    ) * li2_odd(b)
+
+
+KA, QA = qgrid((0.25, 0.5, 0.75, BETA * BETA, -BETA))
+KX, QX = qgrid((0.2, 0.4, 0.6, BETA * BETA, -BETA))
+
+
+def _aria_c(q):
+    return 2.0 * q / (1.0 + q * q)
+
+
+def _xit_c(q):
+    return 2.0 * q / (1.0 - q * q)
+
+
+def _aria_rhs(p):
+    q = QA(p)
+    return (1.0 + q * q) / (1.0 - q * q) * (PI3 / 3.0 + 0.25 * PI * li2(q * q))
+
+
+def _ru2(p):
+    c = _aria_c(QA(p))
+    return _c2x(1.0, -c * c, 1)
+
+
+def _ru2_rhs(p):
+    q = QA(p)
+    return PI / (2.0 * _aria_c(q)) * (1.0 + q * q) / (1.0 - q * q) * li2_odd(q)
+
+
+def _xit_rhs(p):
+    q = QX(p)
+    return (1.0 - q * q) / (1.0 + q * q) * (PI3 / 3.0 + 0.25 * PI * li2(-q * q))
+
+
+def _d64(p):
+    c = _xit_c(QX(p))
+    return _c2x(1.0, c * c, 1)
+
+
+def _d64_rhs(p):
+    q = QX(p)
+    t = math.atan(q)
+    inner = t * math.log(q) + 0.5 * cl2(2.0 * t) + 0.5 * cl2(PI - 2.0 * t)
+    return PI / _xit_c(q) * (1.0 - q * q) / (1.0 + q * q) * inner
 
 
 def cases():
-    out = []
-
-    # plain cos 2x kernels: one row per sign/parity combination
-    def g_pe_lhs(p):
-        a = L(p["r"])
-        return lambda x: x * x / (a - 2.0 * math.cos(2.0 * x))
-
-    out.append(
-        case("S9.G8UGNY7.PE", "eq. (g8ugny7), even, upper sign", FULL, R_EVEN, g_pe_lhs,
-             lambda p: _core3(bpow(p["r"])) / (F(p["r"]) * SQRT5))
-    )
-
-    def g_me_lhs(p):
-        a = L(p["r"])
-        return lambda x: x * x / (a + 2.0 * math.cos(2.0 * x))
-
-    out.append(
-        case("S9.G8UGNY7.ME", "eq. (g8ugny7), even, lower sign", FULL, R_EVEN, g_me_lhs,
-             lambda p: _core3(-bpow(p["r"])) / (F(p["r"]) * SQRT5), splits=MID)
-    )
-
-    def g_po_lhs(p):
-        a = F(p["r"]) * SQRT5
-        return lambda x: x * x / (a + 2.0 * math.cos(2.0 * x))
-
-    out.append(
-        case("S9.G8UGNY7.PO", "eq. (g8ugny7), odd, upper sign", FULL, R_ODD, g_po_lhs,
-             lambda p: _core3(bpow(p["r"])) / L(p["r"]), splits=MID)
-    )
-
-    def g_mo_lhs(p):
-        a = F(p["r"]) * SQRT5
-        return lambda x: x * x / (a - 2.0 * math.cos(2.0 * x))
-
-    out.append(
-        case("S9.G8UGNY7.MO", "eq. (g8ugny7), odd, lower sign", FULL, R_ODD, g_mo_lhs,
-             lambda p: _core3(-bpow(p["r"])) / L(p["r"]))
-    )
-
-    for cid, anchor, num, den_a, den_s, value, splits in (
-        ("S9.G8UGNY7.PART1", "special value at kernel sqrt5 + 2 cos 2x", None, SQRT5, +2.0,
-         4.0 * PI3 / 15.0 + 0.5 * PI * LA2, MID),
-        ("S9.G8UGNY7.PART2", "special value at kernel sqrt5 - 2 cos 2x", None, SQRT5, -2.0,
-         13.0 * PI3 / 30.0 - PI * LA2, ()),
-        ("S9.G8UGNY7.PART3", "special value at kernel 3 - 2 cos 2x", None, 3.0, -2.0,
-         (2.0 * PI3 / 5.0 - PI * LA2) / SQRT5, ()),
-    ):
-        def part_lhs(p, _a=den_a, _s=den_s):
-            return lambda x: x * x / (_a + _s * math.cos(2.0 * x))
-
-        out.append(case(cid, anchor, FULL, NO_PARAMS, part_lhs, lambda p, _v=value: _v, splits=splits))
-
-    # squared cos 2x kernels
-    def kn_m_lhs(p):
-        a = L(p["r"])
-        return lambda x: x * x / (a - 2.0 * math.cos(2.0 * x)) ** 2
-
-    def kn_rhs(p, sign):
-        r = p["r"]
-        b = bpow(r)
-        return -PI / (5.0 * F(r) ** 2) * math.log1p(-sign * b) + L(r) / (
-            5.0 * F(r) ** 3 * SQRT5
-        ) * _core3(sign * b)
-
-    out.append(case("S9.KNIIJOY.M", "eq. (kniijoy), upper sign", FULL, R_EVEN, kn_m_lhs,
-                    lambda p: kn_rhs(p, +1.0)))
-
-    def kn_p_lhs(p):
-        a = L(p["r"])
-        return lambda x: x * x / (a + 2.0 * math.cos(2.0 * x)) ** 2
-
-    out.append(case("S9.KNIIJOY.P", "eq. (kniijoy), lower sign", FULL, R_EVEN, kn_p_lhs,
-                    lambda p: kn_rhs(p, -1.0), splits=MID))
-
-    def m64_rhs(p, sign):
-        r = p["r"]
-        b = bpow(r)
-        return -PI / L(r) ** 2 * math.log1p(-sign * b) + F(r) * SQRT5 / L(r) ** 3 * _core3(sign * b)
-
-    def m64_p_lhs(p):
-        a = F(p["r"]) * SQRT5
-        return lambda x: x * x / (a + 2.0 * math.cos(2.0 * x)) ** 2
-
-    out.append(case("S9.M64M49C.P", "eq. (m64m49c), upper sign", FULL, R_ODD, m64_p_lhs,
-                    lambda p: m64_rhs(p, +1.0), splits=MID))
-
-    def m64_m_lhs(p):
-        a = F(p["r"]) * SQRT5
-        return lambda x: x * x / (a - 2.0 * math.cos(2.0 * x)) ** 2
-
-    out.append(case("S9.M64M49C.M", "eq. (m64m49c), lower sign", FULL, R_ODD, m64_m_lhs,
-                    lambda p: m64_rhs(p, -1.0)))
-
-    for cid, anchor, den_a, den_s, value, splits in (
-        ("S9.KNIIJOY.PART1", "special value at squared kernel 3 - 2 cos 2x", 3.0, -2.0,
-         PI / 5.0 * LN_ALPHA + 6.0 * PI3 / (25.0 * SQRT5) - 3.0 * PI / (5.0 * SQRT5) * LA2, ()),
-        ("S9.KNIIJOY.PART2", "special value at squared kernel sqrt5 + 2 cos 2x", SQRT5, +2.0,
-         -PI * LN_ALPHA + 4.0 * PI3 / (3.0 * SQRT5) + PI * SQRT5 / 2.0 * LA2, MID),
-        ("S9.KNIIJOY.PART3", "special value at squared kernel sqrt5 - 2 cos 2x", SQRT5, -2.0,
-         2.0 * PI * LN_ALPHA + 13.0 * PI3 / (6.0 * SQRT5) - PI * SQRT5 * LA2, ()),
-    ):
-        def partsq_lhs(p, _a=den_a, _s=den_s):
-            return lambda x: x * x / (_a + _s * math.cos(2.0 * x)) ** 2
-
-        out.append(case(cid, anchor, FULL, NO_PARAMS, partsq_lhs, lambda p, _v=value: _v, splits=splits))
-
-    # squared cos^2(2x) kernels, paired numerators
-    def frl_lhs(p):
-        a = L(p["r"]) ** 2
-
-        def f(x):
-            c2 = math.cos(2.0 * x) ** 2
-            return x * x * (a + 4.0 * c2) / (a - 4.0 * c2) ** 2
-
-        return f
-
-    def frl_rhs(p):
-        r = p["r"]
-        return -PI / (10.0 * F(r) ** 2) * math.log(bpow(r) * F(r) * SQRT5) + L(r) / (
-            20.0 * F(r) ** 3 * SQRT5
-        ) * (4.0 * PI3 / 3.0 + PI * li2(bpow(2 * r)))
-
-    out.append(case("S9.FRLTBQE", "eq. (frltbqe)", FULL, R_EVEN, frl_lhs, frl_rhs, splits=MID))
-
-    def s7j_lhs(p):
-        a = L(p["r"]) ** 2
-
-        def f(x):
-            c = math.cos(2.0 * x)
-            return x * x * c / (a - 4.0 * c * c) ** 2
-
-        return f
-
-    def s7j_rhs(p):
-        r = p["r"]
-        b = bpow(r)
-        return PI / (40.0 * F(r) ** 2 * L(r)) * math.log((1.0 + b) / (1.0 - b)) + PI / (
-            40.0 * F(r) ** 3 * SQRT5
-        ) * _li2_odd(b)
-
-    out.append(case("S9.S7JKWMS", "eq. (s7jkwms)", FULL, R_EVEN, s7j_lhs, s7j_rhs, splits=MID))
-
-    def vxz_lhs(p):
-        a = 5.0 * F(p["r"]) ** 2
-
-        def f(x):
-            c2 = math.cos(2.0 * x) ** 2
-            return x * x * (a + 4.0 * c2) / (a - 4.0 * c2) ** 2
-
-        return f
-
-    def vxz_rhs(p):
-        r = p["r"]
-        return -PI / (2.0 * L(r) ** 2) * math.log(-bpow(r) * L(r)) + F(r) * SQRT5 / (
-            4.0 * L(r) ** 3
-        ) * (4.0 * PI3 / 3.0 + PI * li2(bpow(2 * r)))
-
-    out.append(case("S9.VXZM3GU", "eq. (vxzm3gu)", FULL, R_ODD, vxz_lhs, vxz_rhs, splits=MID))
-
-    def nt2_lhs(p):
-        a = 5.0 * F(p["r"]) ** 2
-
-        def f(x):
-            c = math.cos(2.0 * x)
-            return x * x * c / (a - 4.0 * c * c) ** 2
-
-        return f
-
-    def nt2_rhs(p):
-        r = p["r"]
-        b = bpow(r)
-        return PI / (8.0 * L(r) ** 2 * F(r) * SQRT5) * math.log((1.0 - b) / (1.0 + b)) - PI / (
-            8.0 * L(r) ** 3
-        ) * _li2_odd(b)
-
-    out.append(case("S9.NT2NOAN", "eq. (nt2noan)", FULL, R_ODD, nt2_lhs, nt2_rhs, splits=MID))
-
-    out.append(
-        case(
-            "S9.FRLT.PART1",
-            "special value at kernel (5 - 4cos^2 2x)^2, paired numerator",
-            FULL,
-            NO_PARAMS,
-            lambda p: lambda x: x * x * (5.0 + 4.0 * math.cos(2.0 * x) ** 2)
-            / (5.0 - 4.0 * math.cos(2.0 * x) ** 2) ** 2,
-            lambda p: 0.5 * PI * LN_ALPHA + 7.0 * PI3 / (4.0 * SQRT5) - PI * SQRT5 / 4.0 * LA2,
-            splits=MID,
-        )
-    )
-    out.append(
-        case(
-            "S9.FRLT.PART2",
-            "special value at kernel (5 - 4cos^2 2x)^2, cos 2x numerator",
-            FULL,
-            NO_PARAMS,
-            lambda p: lambda x: x * x * math.cos(2.0 * x)
-            / (5.0 - 4.0 * math.cos(2.0 * x) ** 2) ** 2,
-            lambda p: 3.0 * PI / (8.0 * SQRT5) * LN_ALPHA + PI3 / 48.0 - 3.0 * PI / 16.0 * LA2,
-            splits=MID,
-        )
-    )
-
-    # generic duplication pair: Q = 2q/(1+q^2)
-    qa = qsel(_Q_ARIA)
-
-    def aria_lhs(p):
-        q = qa(p)
-        c = (2.0 * q / (1.0 + q * q)) ** 2
-        return lambda x: x * x / (1.0 - c * math.cos(2.0 * x) ** 2)
-
-    def aria_rhs(p):
-        q = qa(p)
-        return (1.0 + q * q) / (1.0 - q * q) * (PI3 / 3.0 + 0.25 * PI * li2(q * q))
-
-    out.append(case("S9.ARIA0WT", "eq. (aria0wt)", FULL, (P("k", 1, len(_Q_ARIA)),), aria_lhs, aria_rhs, splits=MID))
-
-    def ru2_lhs(p):
-        q = qa(p)
-        c = 2.0 * q / (1.0 + q * q)
-
-        def f(x):
-            co = math.cos(2.0 * x)
-            return x * x * co / (1.0 - c * c * co * co)
-
-        return f
-
-    def ru2_rhs(p):
-        q = qa(p)
-        c = 2.0 * q / (1.0 + q * q)
-        return PI / (2.0 * c) * (1.0 + q * q) / (1.0 - q * q) * _li2_odd(q)
-
-    out.append(case("S9.RU2AYAB", "eq. (ru2ayab)", FULL, (P("k", 1, len(_Q_ARIA)),), ru2_lhs, ru2_rhs, splits=MID))
-
-    # golden instances of the duplication pair (parity-split kernels)
-    def jiv_lhs(p):
-        r = p["r"]
-        a = L(r) ** 2
-        if r % 2 == 0:
-            return lambda x: x * x / (a - 4.0 * math.cos(2.0 * x) ** 2)
-        return lambda x: x * x / (a + 4.0 * math.sin(2.0 * x) ** 2)
-
-    def jiv_rhs(p):
-        r = p["r"]
-        return (PI3 / 3.0 + 0.25 * PI * li2(bpow(2 * r))) / (F(2 * r) * SQRT5)
-
-    out.append(case("S9.JIVTZPL", "eq. (jivtzpl)", FULL, R_ANY, jiv_lhs, jiv_rhs, splits=MID))
-
-    def ise_lhs(p):
-        r = p["r"]
-        a = 5.0 * F(r) ** 2
-        if r % 2 == 0:
-
-            def f(x):
-                s = math.sin(2.0 * x)
-                return x * x * math.cos(2.0 * x) / (a + 4.0 * s * s)
-
-            return f
-
-        def f(x):
-            c = math.cos(2.0 * x)
-            return x * x * c / (a - 4.0 * c * c)
-
-        return f
-
-    def ise_rhs(p):
-        r = p["r"]
-        d = _li2_odd(bpow(r))
-        if r % 2 == 0:
-            return 0.25 * PI * d / (F(r) * SQRT5)
-        return -0.25 * PI * d / L(r)
-
-    out.append(case("S9.ISEKZ49", "eq. (isekz49)", FULL, R_ANY, ise_lhs, ise_rhs, splits=MID))
-
-    out.append(
-        case(
-            "S9.JIVTZPL.PART1",
-            "special value at kernel 1 + 4 sin^2 2x",
-            FULL,
-            NO_PARAMS,
-            lambda p: lambda x: x * x / (1.0 + 4.0 * math.sin(2.0 * x) ** 2),
-            lambda p: (7.0 * PI3 / 20.0 - 0.25 * PI * LA2) / SQRT5,
-            splits=MID,
-        )
-    )
-    out.append(
-        case(
-            "S9.JIVTZPL.PART2",
-            "special value at kernel 5 - 4 cos^2 2x, cos 2x numerator",
-            FULL,
-            NO_PARAMS,
-            lambda p: lambda x: x * x * math.cos(2.0 * x) / (5.0 - 4.0 * math.cos(2.0 * x) ** 2),
-            lambda p: PI3 / 24.0 - 3.0 * PI / 8.0 * LA2,
-            splits=MID,
-        )
-    )
-
-    # sin^2/cos^2 numerators from adding/subtracting the pair
-    def sincos_rhs(p, plus: bool):
-        r = p["r"]
-        base = (PI3 / 6.0 + 0.125 * PI * li2(bpow(2 * r))) / (F(2 * r) * SQRT5)
-        d = _li2_odd(bpow(r))
-        corr = PI / (8.0 * F(r) * SQRT5) * d if r % 2 == 0 else PI / (8.0 * L(r)) * d
-        return base + corr if plus else base - corr
-
-    def sc1_lhs(p):
-        a = L(p["r"]) ** 2
-
-        def f(x):
-            c = math.cos(x)
-            return x * x * c * c / (a - 4.0 * math.cos(2.0 * x) ** 2)
-
-        return f
-
-    out.append(case("S9.SINCOS.1", "cor. quadruple, even cos^2", FULL, R_EVEN, sc1_lhs,
-                    lambda p: sincos_rhs(p, True), splits=MID))
-
-    def sc2_lhs(p):
-        a = L(p["r"]) ** 2
-
-        def f(x):
-            s = math.sin(x)
-            return x * x * s * s / (a - 4.0 * math.cos(2.0 * x) ** 2)
-
-        return f
-
-    out.append(case("S9.SINCOS.2", "cor. quadruple, even sin^2", FULL, R_EVEN, sc2_lhs,
-                    lambda p: sincos_rhs(p, False), splits=MID))
-
-    def sc3_lhs(p):
-        a = L(p["r"]) ** 2
-
-        def f(x):
-            s = math.sin(x)
-            return x * x * s * s / (a + 4.0 * math.sin(2.0 * x) ** 2)
-
-        return f
-
-    out.append(case("S9.SINCOS.3", "cor. quadruple, odd sin^2", FULL, R_ODD, sc3_lhs,
-                    lambda p: sincos_rhs(p, True), splits=MID))
-
-    def sc4_lhs(p):
-        a = L(p["r"]) ** 2
-
-        def f(x):
-            c = math.cos(x)
-            return x * x * c * c / (a + 4.0 * math.sin(2.0 * x) ** 2)
-
-        return f
-
-    out.append(case("S9.SINCOS.4", "cor. quadruple, odd cos^2", FULL, R_ODD, sc4_lhs,
-                    lambda p: sincos_rhs(p, False), splits=MID))
-
-    out.append(
-        case(
-            "S9.SINCOS.PART1",
-            "special value x^2 sin^2 x/(1 + 4 sin^2 2x)",
-            FULL,
-            NO_PARAMS,
-            lambda p: lambda x: x * x * math.sin(x) ** 2 / (1.0 + 4.0 * math.sin(2.0 * x) ** 2),
-            lambda p: (-SQRT5 / 40.0 + 3.0 / 16.0) * PI * LA2 + (7.0 * SQRT5 / 200.0 - 1.0 / 48.0) * PI3,
-            splits=MID,
-        )
-    )
-    out.append(
-        case(
-            "S9.SINCOS.PART2",
-            "special value x^2 cos^2 x/(1 + 4 sin^2 2x)",
-            FULL,
-            NO_PARAMS,
-            lambda p: lambda x: x * x * math.cos(x) ** 2 / (1.0 + 4.0 * math.sin(2.0 * x) ** 2),
-            lambda p: -(SQRT5 / 40.0 + 3.0 / 16.0) * PI * LA2 + (7.0 * SQRT5 / 200.0 + 1.0 / 48.0) * PI3,
-            splits=MID,
-        )
-    )
-
-    # squared duplication kernels
-    def pxi_lhs(p):
-        r = p["r"]
-        a = L(r) ** 2
-        if r % 2 == 0:
-            return lambda x: x * x / (a - 4.0 * math.cos(2.0 * x) ** 2) ** 2
-        return lambda x: x * x / (a + 4.0 * math.sin(2.0 * x) ** 2) ** 2
-
-    def pxi_rhs(p):
-        r = p["r"]
-        f2 = F(2 * r)
-        return L(2 * r) / (5.0 * f2**3 * SQRT5) * (
-            PI3 / 3.0 + 0.25 * PI * li2(bpow(2 * r))
-        ) - PI / (20.0 * f2 * f2) * math.log1p(-bpow(2 * r))
-
-    out.append(case("S9.PXI3HD5", "eq. (pxi3hd5)", FULL, R_ANY, pxi_lhs, pxi_rhs, splits=MID))
-
-    def ezy_lhs(p):
-        r = p["r"]
-        a = 5.0 * F(r) ** 2
-        if r % 2 == 0:
-
-            def f(x):
-                s = math.sin(2.0 * x)
-                return x * x * math.cos(2.0 * x) / (a + 4.0 * s * s) ** 2
-
-            return f
-
-        def f(x):
-            c = math.cos(2.0 * x)
-            return x * x * c / (a - 4.0 * c * c) ** 2
-
-        return f
-
-    def ezy_rhs(p):
-        r = p["r"]
-        b = bpow(r)
-        lead = PI / (8.0 * F(2 * r) * SQRT5) * math.log((1.0 + b) / (1.0 - b))
-        d = _li2_odd(b)
-        if r % 2 == 0:
-            return (lead + PI / (40.0 * F(r) ** 2) * d) / (F(r) * SQRT5)
-        return -(lead + PI / (8.0 * L(r) ** 2) * d) / L(r)
-
-    out.append(case("S9.EZYW57R", "eq. (ezyw57r)", FULL, R_ANY, ezy_lhs, ezy_rhs, splits=MID))
-
-    out.append(
-        case(
-            "S9.PXI3HD5.PART1",
-            "special value at squared kernel 1 + 4 sin^2 2x",
-            FULL,
-            NO_PARAMS,
-            lambda p: lambda x: x * x / (1.0 + 4.0 * math.sin(2.0 * x) ** 2) ** 2,
-            lambda p: 21.0 / 100.0 * PI3 / SQRT5 - 3.0 * PI / (20.0 * SQRT5) * LA2 + PI / 20.0 * LN_ALPHA,
-            splits=MID,
-        )
-    )
-    out.append(
-        case(
-            "S9.PXI3HD5.PART2",
-            "special value at squared kernel 5 - 4 cos^2 2x, cos 2x numerator",
-            FULL,
-            NO_PARAMS,
-            lambda p: lambda x: x * x * math.cos(2.0 * x) / (5.0 - 4.0 * math.cos(2.0 * x) ** 2) ** 2,
-            lambda p: 3.0 * PI / (8.0 * SQRT5) * LN_ALPHA + PI3 / 48.0 - 3.0 * PI / 16.0 * LA2,
-            splits=MID,
-        )
-    )
-
-    # imaginary-parameter pair: R = 2q/(1-q^2)
-    qx = qsel(_Q_XIT)
-
-    def xit_lhs(p):
-        q = qx(p)
-        c = (2.0 * q / (1.0 - q * q)) ** 2
-        return lambda x: x * x / (1.0 + c * math.cos(2.0 * x) ** 2)
-
-    def xit_rhs(p):
-        q = qx(p)
-        return (1.0 - q * q) / (1.0 + q * q) * (PI3 / 3.0 + 0.25 * PI * li2(-q * q))
-
-    out.append(case("S9.XITQGR6", "eq. (xitqgr6)", FULL, (P("k", 1, len(_Q_XIT)),), xit_lhs, xit_rhs, splits=QUARTS))
-
-    def d64_lhs(p):
-        q = qx(p)
-        c = 2.0 * q / (1.0 - q * q)
-
-        def f(x):
-            co = math.cos(2.0 * x)
-            return x * x * co / (1.0 + c * c * co * co)
-
-        return f
-
-    def d64_rhs(p):
-        q = qx(p)
-        c = 2.0 * q / (1.0 - q * q)
-        t = math.atan(q)
-        inner = t * math.log(q) + 0.5 * cl2(2.0 * t) + 0.5 * cl2(PI - 2.0 * t)
-        return PI / c * (1.0 - q * q) / (1.0 + q * q) * inner
-
-    out.append(case("S9.D64V4ZE", "eq. (d64v4ze)", FULL, (P("k", 1, len(_Q_XIT)),), d64_lhs, d64_rhs, splits=QUARTS))
-
-    # golden instances with +cos^2(2x) kernels
-    def eun_lhs(p):
-        r = p["r"]
-        a = 5.0 * F(r) ** 2 if r % 2 == 0 else L(r) ** 2
-        return lambda x: x * x / (a + 4.0 * math.cos(2.0 * x) ** 2)
-
-    def eun_rhs(p):
-        r = p["r"]
-        return (PI3 / 3.0 + 0.25 * PI * li2(-bpow(2 * r))) / (F(2 * r) * SQRT5)
-
-    out.append(case("S9.EUNBS0S", "eq. (eunbs0s)", FULL, R_ANY, eun_lhs, eun_rhs, splits=QUARTS))
-
-    def eunsq_lhs(p):
-        r = p["r"]
-        a = 5.0 * F(r) ** 2 if r % 2 == 0 else L(r) ** 2
-        return lambda x: x * x / (a + 4.0 * math.cos(2.0 * x) ** 2) ** 2
-
-    def eunsq_rhs(p):
-        r = p["r"]
-        f2 = F(2 * r)
-        return L(2 * r) / (5.0 * f2**3 * SQRT5) * (
-            PI3 / 3.0 + 0.25 * PI * li2(-bpow(2 * r))
-        ) - PI / (20.0 * f2 * f2) * math.log1p(bpow(2 * r))
-
-    out.append(case("S9.EUNBS0S.SQ", "squared thm. of eq. (eunbs0s)", FULL, R_ANY, eunsq_lhs, eunsq_rhs, splits=QUARTS))
-
-    # Clausen-valued rows
-    def cla_e_lhs(p):
-        a = 5.0 * F(p["r"]) ** 2
-
-        def f(x):
-            c = math.cos(2.0 * x)
-            return x * x * c / (a + 4.0 * c * c)
-
-        return f
-
-    def cla_e_rhs(p):
-        r = p["r"]
-        t = math.atan(2.0 / (F(r) * SQRT5))
-        return PI / (4.0 * L(r)) * (cl2(t) + cl2(PI - t)) - PI * r / (4.0 * L(r)) * t * LN_ALPHA
-
-    out.append(case("S9.CLAUSEN.E", "final theorem, even branch", FULL, R_EVEN, cla_e_lhs, cla_e_rhs, splits=QUARTS))
-
-    def cla_o_lhs(p):
-        a = L(p["r"]) ** 2
-
-        def f(x):
-            c = math.cos(2.0 * x)
-            return x * x * c / (a + 4.0 * c * c)
-
-        return f
-
-    def cla_o_rhs(p):
-        r = p["r"]
-        s = F(r) * SQRT5
-        t = math.atan(2.0 / L(r))
-        return PI / (4.0 * s) * (cl2(t) + cl2(PI - t)) - PI * r / (4.0 * s) * t * LN_ALPHA
-
-    out.append(case("S9.CLAUSEN.O", "final theorem, odd branch", FULL, R_ODD, cla_o_lhs, cla_o_rhs, splits=QUARTS))
-
-    return out
+    sq5_value = 3.0 * PI / (8.0 * SQRT5) * LN_ALPHA + PI3 / 48.0 - 3.0 * PI / 16.0 * LA2
+    return [
+        # plain cos 2x kernels: one row per sign/parity combination
+        case("S9.G8UGNY7.PE", "eq. (g8ugny7), even, upper sign", FULL, *_cos2x_rows(EVEN, -1.0, 1)),
+        case("S9.G8UGNY7.ME", "eq. (g8ugny7), even, lower sign", FULL, *_cos2x_rows(EVEN, 1.0, 1), splits=MID),
+        case("S9.G8UGNY7.PO", "eq. (g8ugny7), odd, upper sign", FULL, *_cos2x_rows(ODD, 1.0, 1), splits=MID),
+        case("S9.G8UGNY7.MO", "eq. (g8ugny7), odd, lower sign", FULL, *_cos2x_rows(ODD, -1.0, 1)),
+        case("S9.G8UGNY7.PART1", "special value at kernel sqrt5 + 2 cos 2x", FULL, NO_PARAMS,
+             lambda p: cos2x_kernel(SQRT5, 2.0), lambda p: 4.0 * PI3 / 15.0 + 0.5 * PI * LA2, splits=MID),
+        case("S9.G8UGNY7.PART2", "special value at kernel sqrt5 - 2 cos 2x", FULL, NO_PARAMS,
+             lambda p: cos2x_kernel(SQRT5, -2.0), lambda p: 13.0 * PI3 / 30.0 - PI * LA2),
+        case("S9.G8UGNY7.PART3", "special value at kernel 3 - 2 cos 2x", FULL, NO_PARAMS,
+             lambda p: cos2x_kernel(3.0, -2.0), lambda p: (2.0 * PI3 / 5.0 - PI * LA2) / SQRT5),
+        # squared cos 2x kernels
+        case("S9.KNIIJOY.M", "eq. (kniijoy), upper sign", FULL, *_cos2x_rows(EVEN, -1.0, 2)),
+        case("S9.KNIIJOY.P", "eq. (kniijoy), lower sign", FULL, *_cos2x_rows(EVEN, 1.0, 2), splits=MID),
+        case("S9.M64M49C.P", "eq. (m64m49c), upper sign", FULL, *_cos2x_rows(ODD, 1.0, 2), splits=MID),
+        case("S9.M64M49C.M", "eq. (m64m49c), lower sign", FULL, *_cos2x_rows(ODD, -1.0, 2)),
+        case("S9.KNIIJOY.PART1", "special value at squared kernel 3 - 2 cos 2x", FULL, NO_PARAMS,
+             lambda p: cos2x_kernel(3.0, -2.0, 2),
+             lambda p: PI / 5.0 * LN_ALPHA + 6.0 * PI3 / (25.0 * SQRT5) - 3.0 * PI / (5.0 * SQRT5) * LA2),
+        case("S9.KNIIJOY.PART2", "special value at squared kernel sqrt5 + 2 cos 2x", FULL, NO_PARAMS,
+             lambda p: cos2x_kernel(SQRT5, 2.0, 2),
+             lambda p: -PI * LN_ALPHA + 4.0 * PI3 / (3.0 * SQRT5) + PI * SQRT5 / 2.0 * LA2, splits=MID),
+        case("S9.KNIIJOY.PART3", "special value at squared kernel sqrt5 - 2 cos 2x", FULL, NO_PARAMS,
+             lambda p: cos2x_kernel(SQRT5, -2.0, 2),
+             lambda p: 2.0 * PI * LN_ALPHA + 13.0 * PI3 / (6.0 * SQRT5) - PI * SQRT5 * LA2),
+        # squared cos^2(2x) kernels, paired numerators
+        case("S9.FRLTBQE", "eq. (frltbqe)", FULL, EVEN.params, lambda p: _paired(EVEN.A2(p["r"])), _frl_rhs, splits=MID),
+        case("S9.S7JKWMS", "eq. (s7jkwms)", FULL, EVEN.params, lambda p: _c2x(EVEN.A2(p["r"]), -4.0, 2), _s7j_rhs,
+             splits=MID),
+        case("S9.VXZM3GU", "eq. (vxzm3gu)", FULL, ODD.params, lambda p: _paired(ODD.A2(p["r"])), _vxz_rhs, splits=MID),
+        case("S9.NT2NOAN", "eq. (nt2noan)", FULL, ODD.params, lambda p: _c2x(ODD.A2(p["r"]), -4.0, 2), _nt2_rhs,
+             splits=MID),
+        case("S9.FRLT.PART1", "special value at kernel (5 - 4cos^2 2x)^2, paired numerator", FULL, NO_PARAMS,
+             lambda p: _paired(5.0), lambda p: 0.5 * PI * LN_ALPHA + 7.0 * PI3 / (4.0 * SQRT5) - PI * SQRT5 / 4.0 * LA2,
+             splits=MID),
+        case("S9.FRLT.PART2", "special value at kernel (5 - 4cos^2 2x)^2, cos 2x numerator", FULL, NO_PARAMS,
+             lambda p: _golden5_part(2), lambda p: sq5_value, splits=MID),
+        # generic duplication pair: Q = 2q/(1+q^2)
+        case("S9.ARIA0WT", "eq. (aria0wt)", FULL, KA, lambda p: trig_sq_kernel(1.0, -_aria_c(QA(p)) ** 2, math.cos, 1, True),
+             _aria_rhs, splits=MID),
+        case("S9.RU2AYAB", "eq. (ru2ayab)", FULL, KA, _ru2, _ru2_rhs, splits=MID),
+        # golden instances of the duplication pair (parity-split kernels)
+        case("S9.JIVTZPL", "eq. (jivtzpl)", FULL, R_ANY, lambda p: _dup(p, 1), _dup_rhs(1.0, 1), splits=MID),
+        case("S9.ISEKZ49", "eq. (isekz49)", FULL, R_ANY, lambda p: _ise(p, 1), _ise_rhs, splits=MID),
+        case("S9.JIVTZPL.PART1", "special value at kernel 1 + 4 sin^2 2x", FULL, NO_PARAMS,
+             lambda p: trig_sq_kernel(1.0, 4.0, math.sin, 1, True),
+             lambda p: (7.0 * PI3 / 20.0 - 0.25 * PI * LA2) / SQRT5, splits=MID),
+        case("S9.JIVTZPL.PART2", "special value at kernel 5 - 4 cos^2 2x, cos 2x numerator", FULL, NO_PARAMS,
+             lambda p: _golden5_part(1), lambda p: PI3 / 24.0 - 3.0 * PI / 8.0 * LA2, splits=MID),
+        # sin^2/cos^2 numerators from adding/subtracting the pair
+        case("S9.SINCOS.1", "cor. quadruple, even cos^2", FULL, *_sincos(EVEN, math.cos, True), splits=MID),
+        case("S9.SINCOS.2", "cor. quadruple, even sin^2", FULL, *_sincos(EVEN, math.sin, False), splits=MID),
+        case("S9.SINCOS.3", "cor. quadruple, odd sin^2", FULL, *_sincos(ODD, math.sin, True), splits=MID),
+        case("S9.SINCOS.4", "cor. quadruple, odd cos^2", FULL, *_sincos(ODD, math.cos, False), splits=MID),
+        case("S9.SINCOS.PART1", "special value x^2 sin^2 x/(1 + 4 sin^2 2x)", FULL, NO_PARAMS, _sincos_part(math.sin),
+             lambda p: (-SQRT5 / 40.0 + 3.0 / 16.0) * PI * LA2 + (7.0 * SQRT5 / 200.0 - 1.0 / 48.0) * PI3, splits=MID),
+        case("S9.SINCOS.PART2", "special value x^2 cos^2 x/(1 + 4 sin^2 2x)", FULL, NO_PARAMS, _sincos_part(math.cos),
+             lambda p: -(SQRT5 / 40.0 + 3.0 / 16.0) * PI * LA2 + (7.0 * SQRT5 / 200.0 + 1.0 / 48.0) * PI3, splits=MID),
+        # squared duplication kernels
+        case("S9.PXI3HD5", "eq. (pxi3hd5)", FULL, R_ANY, lambda p: _dup(p, 2), _dup_rhs(1.0, 2), splits=MID),
+        case("S9.EZYW57R", "eq. (ezyw57r)", FULL, R_ANY, lambda p: _ise(p, 2), _ezy_rhs, splits=MID),
+        case("S9.PXI3HD5.PART1", "special value at squared kernel 1 + 4 sin^2 2x", FULL, NO_PARAMS,
+             lambda p: trig_sq_kernel(1.0, 4.0, math.sin, 2, True),
+             lambda p: 21.0 / 100.0 * PI3 / SQRT5 - 3.0 * PI / (20.0 * SQRT5) * LA2 + PI / 20.0 * LN_ALPHA, splits=MID),
+        case("S9.PXI3HD5.PART2", "special value at squared kernel 5 - 4 cos^2 2x, cos 2x numerator", FULL, NO_PARAMS,
+             lambda p: _golden5_part(2), lambda p: sq5_value, splits=MID),
+        # imaginary-parameter pair: R = 2q/(1-q^2)
+        case("S9.XITQGR6", "eq. (xitqgr6)", FULL, KX, lambda p: trig_sq_kernel(1.0, _xit_c(QX(p)) ** 2, math.cos, 1, True),
+             _xit_rhs, splits=QUARTS),
+        case("S9.D64V4ZE", "eq. (d64v4ze)", FULL, KX, _d64, _d64_rhs, splits=QUARTS),
+        # golden instances with +cos^2(2x) kernels
+        case("S9.EUNBS0S", "eq. (eunbs0s)", FULL, R_ANY, lambda p: _plus_cos_sq(p, 1), _dup_rhs(-1.0, 1), splits=QUARTS),
+        case("S9.EUNBS0S.SQ", "squared thm. of eq. (eunbs0s)", FULL, R_ANY, lambda p: _plus_cos_sq(p, 2), _dup_rhs(-1.0, 2),
+             splits=QUARTS),
+        # Clausen-valued rows
+        case("S9.CLAUSEN.E", "final theorem, even branch", FULL, *_clausen(EVEN), splits=QUARTS),
+        case("S9.CLAUSEN.O", "final theorem, odd branch", FULL, *_clausen(ODD), splits=QUARTS),
+    ]

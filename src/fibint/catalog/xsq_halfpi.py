@@ -5,27 +5,10 @@ from pi^3/24 + (pi/2) Li2(argument) and its kernel-derivatives.
 from __future__ import annotations
 
 from ._helpers import (
-    F,
-    FINITE,
-    HALF_PI,
-    L,
-    LN2,
-    LN_ALPHA,
-    NO_PARAMS,
-    P,
-    PI,
-    PI3,
-    SQRT5,
-    apow,
-    bpow,
-    case,
-    li2,
-    math,
+    EVEN, HALF, LN2, LN_ALPHA, NO_PARAMS, ODD, PI, PI3, SQRT5,
+    F, L, P, apow, bpow, case, cos2x_kernel, li2, math,
 )
 
-HALF = FINITE(0.0, HALF_PI)
-R_EVEN = (P("r", 2, 10, "even"),)
-R_ODD = (P("r", 1, 9, "odd"),)
 R_EVEN8 = (P("r", 2, 8, "even"),)
 R_GE2 = (P("r", 2, 10),)
 
@@ -34,202 +17,92 @@ def _core(r: int) -> float:
     return PI3 / 24.0 + 0.5 * PI * li2(bpow(r))
 
 
+def _id_rows(br, k):
+    """x^2/(A_r + 2 sigma cos 2x)^k: (pi^3/24 + (pi/2) Li2(beta^r))/B_r, or its derivative."""
+
+    def rhs(p):
+        r = p["r"]
+        if k == 1:
+            return _core(r) / br.B(r)
+        return br.A(r) / br.B(r) ** 3 * _core(r) - 0.5 * PI * math.log1p(-bpow(r)) / br.B2(r)
+
+    return br.params, lambda p: cos2x_kernel(br.A(p["r"]), 2.0 * br.sigma, k), rhs
+
+
+def _id6(a, b):
+    """x^2 (b + a cos 2x)/(a + b cos 2x)^2."""
+
+    def f(x):
+        c = math.cos(2.0 * x)
+        return x * x * (b + a * c) / (a + b * c) ** 2
+
+    return f
+
+
+def _id6_rhs(p):
+    r = p["r"]
+    # 1 - sqrt5 F_r/L_r = 2 beta^r / L_r, cancellation-free
+    return PI / (2.0 * SQRT5 * F(2 * r)) * math.log(2.0 * bpow(r) / L(r))
+
+
+def _id7(p):
+    lr = L(p["r"])
+    return cos2x_kernel(lr * lr + 4.0, 4.0 * lr)
+
+
+def _id8(p):
+    lr = L(p["r"])
+    a = lr * lr + 4.0
+
+    def f(x):
+        c = math.cos(2.0 * x)
+        return x * x * (lr + 2.0 * c) / (a + 4.0 * lr * c) ** 2
+
+    return f
+
+
+def _id8_rhs(p):
+    lr = L(p["r"])
+    d = lr * lr - 4.0
+    core = PI3 / 24.0 + 0.5 * PI * li2(2.0 / lr)
+    return lr / d**2 * core - 0.25 * PI / (lr * d) * math.log1p(-2.0 / lr)
+
+
 def cases():
-    out = []
-
-    # kernel L_r + 2 cos 2x, r even
-    def id1_lhs(p):
-        a = L(p["r"])
-        return lambda x: x * x / (a + 2.0 * math.cos(2.0 * x))
-
-    out.append(
-        case("S7.ID1", "eq. (id1_from_eleven)", HALF, R_EVEN, id1_lhs, lambda p: _core(p["r"]) / (SQRT5 * F(p["r"])))
-    )
-
-    # kernel sqrt5 F_r - 2 cos 2x, r odd
-    def id2_lhs(p):
-        a = SQRT5 * F(p["r"])
-        return lambda x: x * x / (a - 2.0 * math.cos(2.0 * x))
-
-    out.append(case("S7.ID2", "eq. (id2_from_eleven)", HALF, R_ODD, id2_lhs, lambda p: _core(p["r"]) / L(p["r"])))
-
-    out.append(
-        case(
-            "S7.ID12.PART1",
-            "special value at kernel 3 + 2 cos 2x",
-            HALF,
-            NO_PARAMS,
-            lambda p: lambda x: x * x / (3.0 + 2.0 * math.cos(2.0 * x)),
-            lambda p: (3.0 * PI3 / 40.0 - 0.5 * PI * LN_ALPHA**2) / SQRT5,
-        )
-    )
-    out.append(
-        case(
-            "S7.ID12.PART2",
-            "special value at kernel sqrt5 - 2 cos 2x",
-            HALF,
-            NO_PARAMS,
-            lambda p: lambda x: x * x / (SQRT5 - 2.0 * math.cos(2.0 * x)),
-            lambda p: PI3 / 120.0 + 0.25 * PI * LN_ALPHA**2,
-        )
-    )
-
-    # squared kernels
-    def id3_lhs(p):
-        a = L(p["r"])
-        return lambda x: x * x / (a + 2.0 * math.cos(2.0 * x)) ** 2
-
-    def id3_rhs(p):
-        r = p["r"]
-        s = SQRT5 * F(r)
-        return L(r) / s**3 * _core(r) - 0.5 * PI * math.log1p(-bpow(r)) / (5.0 * F(r) ** 2)
-
-    out.append(case("S7.ID3", "eq. (id3_from_eleven)", HALF, R_EVEN, id3_lhs, id3_rhs))
-
-    def id4_lhs(p):
-        a = SQRT5 * F(p["r"])
-        return lambda x: x * x / (a - 2.0 * math.cos(2.0 * x)) ** 2
-
-    def id4_rhs(p):
-        r = p["r"]
-        lr = L(r)
-        return SQRT5 * F(r) / lr**3 * _core(r) - 0.5 * PI * math.log1p(-bpow(r)) / lr**2
-
-    out.append(case("S7.ID4", "eq. (id4_from_eleven)", HALF, R_ODD, id4_lhs, id4_rhs))
-
-    out.append(
-        case(
-            "S7.ID34.PART1",
-            "special value at squared kernel 3 + 2 cos 2x",
-            HALF,
-            NO_PARAMS,
-            lambda p: lambda x: x * x / (3.0 + 2.0 * math.cos(2.0 * x)) ** 2,
-            lambda p: 3.0 / (5.0 * SQRT5) * (3.0 * PI3 / 40.0 - 0.5 * PI * LN_ALPHA**2)
-            + PI / 10.0 * LN_ALPHA,
-        )
-    )
-    out.append(
-        case(
-            "S7.ID34.PART2",
-            "special value at squared kernel sqrt5 - 2 cos 2x",
-            HALF,
-            NO_PARAMS,
-            lambda p: lambda x: x * x / (SQRT5 - 2.0 * math.cos(2.0 * x)) ** 2,
-            lambda p: SQRT5 * (PI3 / 120.0 + 0.25 * PI * LN_ALPHA**2) - 0.5 * PI * LN_ALPHA,
-        )
-    )
-
-    # kernel L_{2r} + sqrt5 F_{2r} cos 2x, r even >= 2
-    def id5_lhs(p):
-        a, b = L(2 * p["r"]), SQRT5 * F(2 * p["r"])
-        return lambda x: x * x / (a + b * math.cos(2.0 * x))
-
-    out.append(
-        case(
-            "S7.ID5",
-            "eq. (id5_from_eleven)",
-            HALF,
-            R_EVEN8,
-            id5_lhs,
-            lambda p: PI3 / 48.0 + 0.25 * PI * li2(SQRT5 * F(p["r"]) / L(p["r"])),
-        )
-    )
-    out.append(
-        case(
-            "S7.ID5.PART",
-            "special value at kernel 7 + 3 sqrt5 cos 2x",
-            HALF,
-            NO_PARAMS,
-            lambda p: lambda x: x * x / (7.0 + 3.0 * SQRT5 * math.cos(2.0 * x)),
-            lambda p: PI3 / 48.0 + 0.25 * PI * li2(SQRT5 / 3.0),
-        )
-    )
-
-    def id6_lhs(p):
-        a, b = L(2 * p["r"]), SQRT5 * F(2 * p["r"])
-
-        def f(x):
-            c = math.cos(2.0 * x)
-            return x * x * (b + a * c) / (a + b * c) ** 2
-
-        return f
-
-    def id6_rhs(p):
-        r = p["r"]
-        # 1 - sqrt5 F_r/L_r = 2 beta^r / L_r, cancellation-free
-        return PI / (2.0 * SQRT5 * F(2 * r)) * math.log(2.0 * bpow(r) / L(r))
-
-    out.append(case("S7.ID6", "eq. (id6_from_eleven)", HALF, R_EVEN8, id6_lhs, id6_rhs))
-    out.append(
-        case(
-            "S7.ID6.PART",
-            "special value ln(2/(3 alpha^2))",
-            HALF,
-            NO_PARAMS,
-            lambda p: lambda x: x
-            * x
-            * (3.0 * SQRT5 + 7.0 * math.cos(2.0 * x))
-            / (7.0 + 3.0 * SQRT5 * math.cos(2.0 * x)) ** 2,
-            lambda p: PI / (6.0 * SQRT5) * math.log(2.0 / (3.0 * apow(2))),
-        )
-    )
-
-    # kernel L_r^2 + 4 + 4 L_r cos 2x, r >= 2
-    def id7_lhs(p):
-        lr = L(p["r"])
-        a = lr * lr + 4.0
-        return lambda x: x * x / (a + 4.0 * lr * math.cos(2.0 * x))
-
-    out.append(
-        case(
-            "S7.ID7",
-            "eq. (id7_from_eleven)",
-            HALF,
-            R_GE2,
-            id7_lhs,
-            lambda p: (PI3 / 24.0 + 0.5 * PI * li2(2.0 / L(p["r"]))) / (L(p["r"]) ** 2 - 4.0),
-        )
-    )
-    out.append(
-        case(
-            "S7.ID7.PART",
-            "special value pi^3/36 - (pi/12) ln^2 2",
-            HALF,
-            NO_PARAMS,
-            lambda p: lambda x: x * x / (5.0 + 4.0 * math.cos(2.0 * x)),
-            lambda p: PI3 / 36.0 - PI / 12.0 * LN2**2,
-        )
-    )
-
-    def id8_lhs(p):
-        lr = L(p["r"])
-        a = lr * lr + 4.0
-
-        def f(x):
-            c = math.cos(2.0 * x)
-            return x * x * (lr + 2.0 * c) / (a + 4.0 * lr * c) ** 2
-
-        return f
-
-    def id8_rhs(p):
-        lr = L(p["r"])
-        d = lr * lr - 4.0
-        core = PI3 / 24.0 + 0.5 * PI * li2(2.0 / lr)
-        return lr / d**2 * core - 0.25 * PI / (lr * d) * math.log1p(-2.0 / lr)
-
-    out.append(case("S7.ID8", "eq. (id8_from_eleven)", HALF, R_GE2, id8_lhs, id8_rhs))
-    out.append(
-        case(
-            "S7.ID8.PART",
-            "special value pi^3/54 - (pi/18) ln^2 2 + (pi/24) ln 2",
-            HALF,
-            NO_PARAMS,
-            lambda p: lambda x: x
-            * x
-            * (2.0 + math.cos(2.0 * x))
-            / (5.0 + 4.0 * math.cos(2.0 * x)) ** 2,
-            lambda p: PI3 / 54.0 - PI / 18.0 * LN2**2 + PI / 24.0 * LN2,
-        )
-    )
-
-    return out
+    return [
+        # kernel L_r + 2 cos 2x, r even; kernel sqrt5 F_r - 2 cos 2x, r odd
+        case("S7.ID1", "eq. (id1_from_eleven)", HALF, *_id_rows(EVEN, 1)),
+        case("S7.ID2", "eq. (id2_from_eleven)", HALF, *_id_rows(ODD, 1)),
+        case("S7.ID12.PART1", "special value at kernel 3 + 2 cos 2x", HALF, NO_PARAMS,
+             lambda p: cos2x_kernel(3.0, 2.0), lambda p: (3.0 * PI3 / 40.0 - 0.5 * PI * LN_ALPHA**2) / SQRT5),
+        case("S7.ID12.PART2", "special value at kernel sqrt5 - 2 cos 2x", HALF, NO_PARAMS,
+             lambda p: cos2x_kernel(SQRT5, -2.0), lambda p: PI3 / 120.0 + 0.25 * PI * LN_ALPHA**2),
+        # squared kernels
+        case("S7.ID3", "eq. (id3_from_eleven)", HALF, *_id_rows(EVEN, 2)),
+        case("S7.ID4", "eq. (id4_from_eleven)", HALF, *_id_rows(ODD, 2)),
+        case("S7.ID34.PART1", "special value at squared kernel 3 + 2 cos 2x", HALF, NO_PARAMS,
+             lambda p: cos2x_kernel(3.0, 2.0, 2),
+             lambda p: 3.0 / (5.0 * SQRT5) * (3.0 * PI3 / 40.0 - 0.5 * PI * LN_ALPHA**2) + PI / 10.0 * LN_ALPHA),
+        case("S7.ID34.PART2", "special value at squared kernel sqrt5 - 2 cos 2x", HALF, NO_PARAMS,
+             lambda p: cos2x_kernel(SQRT5, -2.0, 2),
+             lambda p: SQRT5 * (PI3 / 120.0 + 0.25 * PI * LN_ALPHA**2) - 0.5 * PI * LN_ALPHA),
+        # kernel L_{2r} + sqrt5 F_{2r} cos 2x, r even >= 2
+        case("S7.ID5", "eq. (id5_from_eleven)", HALF, R_EVEN8,
+             lambda p: cos2x_kernel(L(2 * p["r"]), SQRT5 * F(2 * p["r"])),
+             lambda p: PI3 / 48.0 + 0.25 * PI * li2(SQRT5 * F(p["r"]) / L(p["r"]))),
+        case("S7.ID5.PART", "special value at kernel 7 + 3 sqrt5 cos 2x", HALF, NO_PARAMS,
+             lambda p: cos2x_kernel(7.0, 3.0 * SQRT5), lambda p: PI3 / 48.0 + 0.25 * PI * li2(SQRT5 / 3.0)),
+        case("S7.ID6", "eq. (id6_from_eleven)", HALF, R_EVEN8, lambda p: _id6(L(2 * p["r"]), SQRT5 * F(2 * p["r"])),
+             _id6_rhs),
+        case("S7.ID6.PART", "special value ln(2/(3 alpha^2))", HALF, NO_PARAMS, lambda p: _id6(7.0, 3.0 * SQRT5),
+             lambda p: PI / (6.0 * SQRT5) * math.log(2.0 / (3.0 * apow(2)))),
+        # kernel L_r^2 + 4 + 4 L_r cos 2x, r >= 2
+        case("S7.ID7", "eq. (id7_from_eleven)", HALF, R_GE2, _id7,
+             lambda p: (PI3 / 24.0 + 0.5 * PI * li2(2.0 / L(p["r"]))) / (L(p["r"]) ** 2 - 4.0)),
+        case("S7.ID7.PART", "special value pi^3/36 - (pi/12) ln^2 2", HALF, NO_PARAMS,
+             lambda p: cos2x_kernel(5.0, 4.0), lambda p: PI3 / 36.0 - PI / 12.0 * LN2**2),
+        case("S7.ID8", "eq. (id8_from_eleven)", HALF, R_GE2, _id8, _id8_rhs),
+        case("S7.ID8.PART", "special value pi^3/54 - (pi/18) ln^2 2 + (pi/24) ln 2", HALF, NO_PARAMS,
+             lambda p: lambda x: x * x * (2.0 + math.cos(2.0 * x)) / (5.0 + 4.0 * math.cos(2.0 * x)) ** 2,
+             lambda p: PI3 / 54.0 - PI / 18.0 * LN2**2 + PI / 24.0 * LN2),
+    ]

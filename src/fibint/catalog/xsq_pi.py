@@ -6,203 +6,116 @@ derivative form with the x^2 cos^2 x numerator.
 from __future__ import annotations
 
 from ._helpers import (
-    BETA,
-    F,
-    FINITE,
-    HALF_PI,
-    L,
-    LN_ALPHA,
-    NO_PARAMS,
-    P,
-    PI,
-    PI3,
-    SQRT5,
-    bpow,
-    case,
-    li2,
-    math,
-    qsel,
+    BETA, EVEN, FULL, LN_ALPHA, MID, NO_PARAMS, ODD, PI, PI3, SQRT5,
+    F, L, P, bpow, case, li2, math, parity, qgrid, trig_sq_kernel,
 )
-
-FULL = FINITE(0.0, PI)
-R_EVEN = (P("r", 2, 10, "even"),)
-R_ODD = (P("r", 1, 9, "odd"),)
-
-# the |q| < 1 root of Q = 4q/(1+q)^2, as in the kernel's source identity
-_RM_Q = (-0.7, -0.5, 0.3, 0.6, BETA * BETA, -BETA)
 
 
 def _core2(arg: float) -> float:
     return PI3 / 3.0 + PI * li2(arg)
 
 
+def _lsq(br, k):
+    """x^2/(L_r^2 - 4 cos^2 x)^k for even r, x^2/(L_r^2 + 4 sin^2 x)^k for odd r."""
+    return br.params, lambda p: trig_sq_kernel(L(p["r"]) ** 2, *br.lsq, k)
+
+
+def _ae_rhs(p):
+    r = p["r"]
+    return _core2(bpow(2 * r)) / (F(2 * r) * SQRT5)
+
+
+def _m86(r, e, lg):
+    """Squared-kernel closed form at Li2(e), with lg the logarithm of its last term."""
+    w = SQRT5 * L(2 * r) / F(2 * r) ** 3
+    return PI3 * w / 75.0 + PI * w / 25.0 * li2(e) - PI / (5.0 * F(2 * r) ** 2) * lg
+
+
+def _m86_rhs(p):
+    r = p["r"]
+    arg = bpow(r) * F(r) * SQRT5 if r % 2 == 0 else -bpow(r) * L(r)
+    return _m86(r, bpow(2 * r), math.log(arg))
+
+
+def _wbn(p, k):
+    """x^2/(L_r^2 - 4 (-1)^r cos^2 x)^k."""
+    r = p["r"]
+    return trig_sq_kernel(L(r) ** 2, -4.0 * parity(r).sigma, math.cos, k)
+
+
+def _wbn_rhs(p):
+    r = p["r"]
+    return _core2((-1.0) ** r * bpow(2 * r)) / (F(2 * r) * SQRT5)
+
+
+def _wbnsq_rhs(p):
+    r = p["r"]
+    e = (-1.0) ** r * bpow(2 * r)
+    return _m86(r, e, math.log1p(-e))
+
+
+def _ef4(p):
+    r = p["r"]
+    a = L(r) ** 2
+    s = 4.0 * (-1.0) ** r
+
+    def f(x):
+        c = math.cos(x)
+        return x * x * c * c / (a - s * c * c) ** 2
+
+    return f
+
+
+def _ef4_rhs(p):
+    r = p["r"]
+    sgn = (-1.0) ** r
+    f2 = F(2 * r)
+    pref = -PI / (10.0 * F(r) * f2 * bpow(r)) + PI * SQRT5 / 20.0 * sgn / f2
+    tail = PI3 * SQRT5 / (150.0 * f2 * F(r) ** 2) + PI * SQRT5 / (50.0 * f2 * F(r) ** 2) * li2(sgn * bpow(2 * r))
+    return pref * math.log1p(-sgn * bpow(2 * r)) + tail
+
+
+# the |q| < 1 root of Q = 4q/(1+q)^2, as in the kernel's source identity
+KR, QR = qgrid((-0.7, -0.5, 0.3, 0.6, BETA * BETA, -BETA))
+
+
+def _rm(p):
+    q = QR(p)
+    c = 4.0 * q / (1.0 + q) ** 2
+
+    def f(x):
+        cc = math.cos(x) ** 2
+        return x * x * cc / (1.0 - c * cc) ** 2
+
+    return f
+
+
+def _rm_rhs(p):
+    q = QR(p)
+    return -PI / 4.0 * (1.0 + q) ** 4 / (1.0 - q) ** 2 * math.log1p(-q) / q + 0.5 * (
+        (1.0 + q) / (1.0 - q)
+    ) ** 3 * _core2(q)
+
+
 def cases():
-    out = []
-
-    # kernel L_r^2 - 4 cos^2 x (r even) / L_r^2 + 4 sin^2 x (r odd)
-    def ae_e_lhs(p):
-        a = L(p["r"]) ** 2
-        return lambda x: x * x / (a - 4.0 * math.cos(x) ** 2)
-
-    def ae_rhs(p):
-        r = p["r"]
-        return _core2(bpow(2 * r)) / (F(2 * r) * SQRT5)
-
-    out.append(case("S8.AEKFMPM.E", "eq. (aekfmpm), even branch", FULL, R_EVEN, ae_e_lhs, ae_rhs))
-
-    def ae_o_lhs(p):
-        a = L(p["r"]) ** 2
-        return lambda x: x * x / (a + 4.0 * math.sin(x) ** 2)
-
-    out.append(case("S8.AEKFMPM.O", "eq. (aekfmpm), odd branch", FULL, R_ODD, ae_o_lhs, ae_rhs))
-
-    out.append(
-        case(
-            "S8.AEKFMPM.PART",
-            "special value at kernel 1 + 4 sin^2 x",
-            FULL,
-            NO_PARAMS,
-            lambda p: lambda x: x * x / (1.0 + 4.0 * math.sin(x) ** 2),
-            lambda p: 2.0 * PI3 / (5.0 * SQRT5) - PI * LN_ALPHA**2 / SQRT5,
-        )
-    )
-
-    # squared kernels
-    def m86_common(r: int, logarg: float) -> float:
-        w = SQRT5 * L(2 * r) / F(2 * r) ** 3
-        return PI3 * w / 75.0 + PI * w / 25.0 * li2(bpow(2 * r)) - PI / (5.0 * F(2 * r) ** 2) * math.log(logarg)
-
-    def m86_e_lhs(p):
-        a = L(p["r"]) ** 2
-        return lambda x: x * x / (a - 4.0 * math.cos(x) ** 2) ** 2
-
-    out.append(
-        case(
-            "S8.M86SKX9.E",
-            "cor. (m86skx9), even branch",
-            FULL,
-            R_EVEN,
-            m86_e_lhs,
-            lambda p: m86_common(p["r"], bpow(p["r"]) * F(p["r"]) * SQRT5),
-        )
-    )
-
-    def m86_o_lhs(p):
-        a = L(p["r"]) ** 2
-        return lambda x: x * x / (a + 4.0 * math.sin(x) ** 2) ** 2
-
-    out.append(
-        case(
-            "S8.M86SKX9.O",
-            "cor. (m86skx9), odd branch",
-            FULL,
-            R_ODD,
-            m86_o_lhs,
-            lambda p: m86_common(p["r"], -bpow(p["r"]) * L(p["r"])),
-        )
-    )
-
-    out.append(
-        case(
-            "S8.M86SKX9.PART",
-            "special value at squared kernel 1 + 4 sin^2 x",
-            FULL,
-            NO_PARAMS,
-            lambda p: lambda x: x * x / (1.0 + 4.0 * math.sin(x) ** 2) ** 2,
-            lambda p: 6.0 * PI3 * SQRT5 / 125.0 - 3.0 * PI * SQRT5 / 25.0 * LN_ALPHA**2 + PI / 5.0 * LN_ALPHA,
-        )
-    )
-
-    # sign-resolved kernel L_r^2 - 4(-1)^r cos^2 x
-    def wbn_lhs(p):
-        r = p["r"]
-        a = L(r) ** 2
-        s = 4.0 * (-1.0) ** r
-        return lambda x: x * x / (a - s * math.cos(x) ** 2)
-
-    def wbn_rhs(p):
-        r = p["r"]
-        return _core2((-1.0) ** r * bpow(2 * r)) / (F(2 * r) * SQRT5)
-
-    out.append(
-        case("S8.WBNQDEF", "eq. (wbnqdef)", FULL, (P("r", 1, 10),), wbn_lhs, wbn_rhs, splits=(HALF_PI,))
-    )
-
-    def wbnsq_lhs(p):
-        r = p["r"]
-        a = L(r) ** 2
-        s = 4.0 * (-1.0) ** r
-        return lambda x: x * x / (a - s * math.cos(x) ** 2) ** 2
-
-    def wbnsq_rhs(p):
-        r = p["r"]
-        sgn = (-1.0) ** r
-        w = SQRT5 * L(2 * r) / F(2 * r) ** 3
-        return (
-            PI3 * w / 75.0
-            + PI * w / 25.0 * li2(sgn * bpow(2 * r))
-            - PI / (5.0 * F(2 * r) ** 2) * math.log1p(-sgn * bpow(2 * r))
-        )
-
-    out.append(
-        case("S8.WBNQ.SQ", "squared cor. of eq. (wbnqdef)", FULL, (P("r", 1, 10),), wbnsq_lhs, wbnsq_rhs, splits=(HALF_PI,))
-    )
-
-    # x^2 cos^2 x numerator over the squared sign-resolved kernel
-    def ef4_lhs(p):
-        r = p["r"]
-        a = L(r) ** 2
-        s = 4.0 * (-1.0) ** r
-
-        def f(x):
-            c = math.cos(x)
-            return x * x * c * c / (a - s * c * c) ** 2
-
-        return f
-
-    def ef4_rhs(p):
-        r = p["r"]
-        sgn = (-1.0) ** r
-        f2 = F(2 * r)
-        pref = -PI / (10.0 * F(r) * f2 * bpow(r)) + PI * SQRT5 / 20.0 * sgn / f2
-        tail = PI3 * SQRT5 / (150.0 * f2 * F(r) ** 2) + PI * SQRT5 / (50.0 * f2 * F(r) ** 2) * li2(
-            sgn * bpow(2 * r)
-        )
-        return pref * math.log1p(-sgn * bpow(2 * r)) + tail
-
-    out.append(
-        case("S8.EF4NKHY", "eq. (ef4nkhy)", FULL, (P("r", 1, 8),), ef4_lhs, ef4_rhs, splits=(HALF_PI,))
-    )
-
-    # generic q-derivative remark form
-    qrm = qsel(_RM_Q)
-
-    def rm_lhs(p):
-        q = qrm(p)
-        c = 4.0 * q / (1.0 + q) ** 2
-
-        def f(x):
-            cc = math.cos(x) ** 2
-            return x * x * cc / (1.0 - c * cc) ** 2
-
-        return f
-
-    def rm_rhs(p):
-        q = qrm(p)
-        return -PI / 4.0 * (1.0 + q) ** 4 / (1.0 - q) ** 2 * math.log1p(-q) / q + 0.5 * (
-            (1.0 + q) / (1.0 - q)
-        ) ** 3 * _core2(q)
-
-    out.append(
-        case(
-            "S8.REMARK",
-            "remark after eq. (ef4nkhy)",
-            FULL,
-            (P("k", 1, len(_RM_Q)),),
-            rm_lhs,
-            rm_rhs,
-            splits=(HALF_PI,),
-        )
-    )
-
-    return out
+    r10 = (P("r", 1, 10),)
+    return [
+        # kernel L_r^2 - 4 cos^2 x (r even) / L_r^2 + 4 sin^2 x (r odd)
+        case("S8.AEKFMPM.E", "eq. (aekfmpm), even branch", FULL, *_lsq(EVEN, 1), _ae_rhs),
+        case("S8.AEKFMPM.O", "eq. (aekfmpm), odd branch", FULL, *_lsq(ODD, 1), _ae_rhs),
+        case("S8.AEKFMPM.PART", "special value at kernel 1 + 4 sin^2 x", FULL, NO_PARAMS,
+             lambda p: trig_sq_kernel(1.0, 4.0, math.sin), lambda p: 2.0 * PI3 / (5.0 * SQRT5) - PI * LN_ALPHA**2 / SQRT5),
+        # squared kernels
+        case("S8.M86SKX9.E", "cor. (m86skx9), even branch", FULL, *_lsq(EVEN, 2), _m86_rhs),
+        case("S8.M86SKX9.O", "cor. (m86skx9), odd branch", FULL, *_lsq(ODD, 2), _m86_rhs),
+        case("S8.M86SKX9.PART", "special value at squared kernel 1 + 4 sin^2 x", FULL, NO_PARAMS,
+             lambda p: trig_sq_kernel(1.0, 4.0, math.sin, 2),
+             lambda p: 6.0 * PI3 * SQRT5 / 125.0 - 3.0 * PI * SQRT5 / 25.0 * LN_ALPHA**2 + PI / 5.0 * LN_ALPHA),
+        # sign-resolved kernel L_r^2 - 4(-1)^r cos^2 x
+        case("S8.WBNQDEF", "eq. (wbnqdef)", FULL, r10, lambda p: _wbn(p, 1), _wbn_rhs, splits=MID),
+        case("S8.WBNQ.SQ", "squared cor. of eq. (wbnqdef)", FULL, r10, lambda p: _wbn(p, 2), _wbnsq_rhs, splits=MID),
+        # x^2 cos^2 x numerator over the squared sign-resolved kernel
+        case("S8.EF4NKHY", "eq. (ef4nkhy)", FULL, (P("r", 1, 8),), _ef4, _ef4_rhs, splits=MID),
+        # generic q-derivative remark form
+        case("S8.REMARK", "remark after eq. (ef4nkhy)", FULL, KR, _rm, _rm_rhs, splits=MID),
+    ]
