@@ -52,7 +52,7 @@ def main() -> int:
 
     if args.json:
         pathlib.Path(args.json).parent.mkdir(parents=True, exist_ok=True)
-        text = cli._report_json(report, None, args.filter)
+        text = cli.report_json(report, None, args.filter)
         pathlib.Path(args.json).write_text(text + "\n", encoding="utf-8")
         print(f"report written to {args.json}")
     return 0 if report.n_fail == 0 else 1

@@ -44,7 +44,8 @@ def _params_str(assignment) -> str:
     return ";".join(f"{k}={v}" for k, v in assignment)
 
 
-def _report_json(report: verifier.Report, tol, pattern: str) -> str:
+def report_json(report: verifier.Report, tol, pattern: str) -> str:
+    """The `verify --format json` document: meta (tol, filter, timestamp) and one row per result."""
     ts = datetime.now(timezone.utc).isoformat()
     buf = ["{"]
     tol_s = "null" if tol is None else _fmt(tol)
@@ -251,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides = _parse_grid(args.grid) or None
         report = verifier.run(args.filter, grid_override=overrides, tol_override=args.tol)
         if args.format == "json":
-            text = _report_json(report, args.tol, args.filter)
+            text = report_json(report, args.tol, args.filter)
         elif args.format == "csv":
             text = _report_csv(report)
         else:

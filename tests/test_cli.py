@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import fibint
 from fibint import cli, registry, verifier
 from fibint.quad import Integrand
 
@@ -156,3 +161,13 @@ def test_grid_override_applies_across_filter(capsys):
         ("S9.G8UGNY7.ME", "r=2"),
         ("S9.G8UGNY7.ME", "r=4"),
     }
+
+
+def test_cli_import_leaves_catalog_unloaded():
+    # The catalog binds exact_seq and specfun names when it is first imported;
+    # perfbench/traced.py wraps those before that import, so importing the CLI
+    # must not pull the catalog in early.
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fibint.__file__).resolve().parent.parent))
+    code = "import sys, fibint.cli; print(sorted(m for m in sys.modules if m.startswith('fibint.catalog')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -76,6 +76,17 @@ HONESTY_CASES = [
         ),
     ),
     pytest.param(
+        lambda tol: integrate_finite(lambda x: (x - 1.0) ** -0.5, 1.0, 2.0, tol),
+        2.0,
+        id="inv_sqrt_shifted_endpoint",
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="nodes whose abscissa 1 + c*delta rounds onto the endpoint are dropped, so nothing below "
+            "x - 1 ~ 1e-16 is sampled: the ~2.2e-8 left out there exceeds err_est at 1e-6 and 1e-9, and at "
+            "1e-12 the rule does not converge",
+        ),
+    ),
+    pytest.param(
         lambda tol: integrate_half_line(lambda x: 1.0 / (1.0 + x * x), tol), PI / 2.0, id="half_line_rational"
     ),
     pytest.param(
