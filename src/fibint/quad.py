@@ -11,11 +11,24 @@ b - c*delta stay meaningful down to delta ~ 1e-28; a node whose mapped
 abscissa would round onto an endpoint is dropped outright, keeping the
 open-rule guarantee unconditional.
 
-Each map (finite interval, half line) is one plain loop over the cached
-per-level (delta, weight) node tables: it evaluates the integrand at the
-two images of each node, Kahan-sums w*f and sums w*|f| (the rounding
-floor) inline, and yields both sums at the end of every level.  One
+Each map (finite interval, half line) is one loop over the cached
+per-level (delta, weight) node tables, split once at delta = 1e-6.  Body
+nodes (delta >= 1e-6) are evaluated at both images in one lean paired
+loop.  Tail nodes are walked one side at a time, outward, and a side
+stops at its first term w*|f| below rounding (eps times the running sum
+of w*|f|) that lies deeper than every term above rounding seen on that
+side; that delta becomes the side's cut, and later levels skip the nodes
+beyond it without calling the integrand (the tail truncation of Bailey,
+Jeyabalan & Li 2005).  On a finite interval, whether any body node can
+round onto an endpoint is decided once per interval; if one can, every
+node is walked, and a walk also stops at its first abscissa that rounds
+onto the endpoint.  Each loop Kahan-sums w*f and sums w*|f| (the rounding
+floor) inline, checks once per level that the sum is still finite, and
+yields both sums and its integrand calls at the end of every level.  One
 driver turns those sums into level estimates and holds the stopping rule.
+A result's evals are the integrand calls actually made, including those
+of a failed first pass and those made before an integrand raised or
+returned a non-finite value.
 
 DE rules converge quadratically: each halving of the step roughly squares
 the error, so after a level the error is about d1^2/d2, where d1 and d2
@@ -48,6 +61,7 @@ MAX_SPLIT_DEPTH = 12  # adaptive bisection depth (~2^12 base panels)
 TOL_MIN = 1e-13
 TOL_MAX = 1e-3
 _DELTA_MIN = 1e-28  # drop nodes closer to an endpoint than this
+_DELTA_TAIL = 1e-6  # nodes closer to an endpoint than this are walked per side and may be cut
 
 DEFAULT_TOL_FINITE = 1e-10
 DEFAULT_TOL_HALF_LINE = 1e-9
@@ -100,7 +114,8 @@ def _check_tol(tol: float) -> float:
 # --------------------------------------------------------------------------
 
 _W0 = _PI_OVER_2  # weight of the t = 0 node
-_node_tables: list[list[tuple[float, float]]] = []
+_Nodes = list[tuple[float, float]]
+_node_tables: list[tuple[_Nodes, _Nodes]] = []
 
 
 def _make_node(t: float) -> tuple[float, float] | None:
@@ -115,8 +130,9 @@ def _make_node(t: float) -> tuple[float, float] | None:
     return delta, w
 
 
-def _level_nodes(level: int) -> list[tuple[float, float]]:
-    """New (delta, weight) pairs introduced at this refinement level."""
+def _level_nodes(level: int) -> tuple[_Nodes, _Nodes]:
+    """New (delta, weight) pairs introduced at this refinement level, in
+    decreasing delta, split into the body (delta >= _DELTA_TAIL) and the tail."""
     while len(_node_tables) <= level:
         lvl = len(_node_tables)
         h = 1.0 / (1 << lvl)
@@ -130,7 +146,8 @@ def _level_nodes(level: int) -> list[tuple[float, float]]:
                 break
             nodes.append(node)
             k += step
-        _node_tables.append(nodes)
+        split = sum(delta >= _DELTA_TAIL for delta, _ in nodes)
+        _node_tables.append((nodes[:split], nodes[split:]))
     return _node_tables[level]
 
 
@@ -140,7 +157,11 @@ def _level_nodes(level: int) -> list[tuple[float, float]]:
 
 
 class _NonFiniteIntegrand(ArithmeticError):
-    pass
+    """The integrand raised or returned a non-finite value after evals calls."""
+
+    def __init__(self, msg: str, evals: int) -> None:
+        super().__init__(msg)
+        self.evals = evals
 
 
 _NON_FINITE = "integrand returned a non-finite value"
@@ -149,23 +170,22 @@ _SAFETY = 1e3  # factor on the quadratic estimate d1^2/d2; 1e2 understated the e
 _GUARD_TOL, _GUARD_FLOOR = 1e3, 1e6  # d1 itself must lie within these multiples of tol or floor
 
 
-def _de_drive(levels: Iterator[tuple[float, float]], scale: float, tol: float) -> QuadResult:
+def _de_drive(levels: Iterator[tuple[float, float, int]], scale: float, tol: float) -> QuadResult:
     """Level-doubling tanh-sinh stopping rule.
 
     levels yields, after each refinement level, the compensated node sum
-    of w*f and the rounding magnitude sum of w*|f| over all nodes so far;
-    scale is the overall Jacobian half-width.  From level 3 on, with d1 and
-    d2 the last two halving differences, the error estimate is
-    _SAFETY*d1^2/d2 when d1 < d2 (quadratic convergence) and d1 otherwise,
-    never below the rounding floor.  It stops when the estimate is within
-    tol and d1 itself is small too, so a lucky agreement of two coarse
-    levels is not trusted.
+    of w*f, the rounding magnitude sum of w*|f| and the number of integrand
+    calls, all over the nodes so far; scale is the overall Jacobian
+    half-width.  From level 3 on, with d1 and d2 the last two halving
+    differences, the error estimate is _SAFETY*d1^2/d2 when d1 < d2
+    (quadratic convergence) and d1 otherwise, never below the rounding
+    floor.  It stops when the estimate is within tol and d1 itself is small
+    too, so a lucky agreement of two coarse levels is not trusted.  The
+    result's evals are the integrand calls the levels made.
     """
-    evals = 1  # the centre node
     value = prev = 0.0
     diff = prev_diff = math.inf
-    for level, (s, mag) in enumerate(levels):
-        evals += 2 * len(_level_nodes(level))
+    for level, (s, mag, evals) in enumerate(levels):
         h = 1.0 / (1 << level)
         value = scale * h * s
         if level >= 1:
@@ -185,38 +205,73 @@ def _de_drive(levels: Iterator[tuple[float, float]], scale: float, tol: float) -
 # --------------------------------------------------------------------------
 
 
-def _finite_levels(fe: Callable[[float], float], a: float, b: float) -> Iterator[tuple[float, float]]:
+def _finite_levels(fe: Callable[[float], float], a: float, b: float) -> Iterator[tuple[float, float, int]]:
     """Node sums of the finite map x = a + c*delta, b - c*delta, per level.
 
     Kahan compensation keeps the sum usable when the integral is many
-    orders larger than the tolerance.
+    orders larger than the tolerance.  Body nodes are evaluated in pairs;
+    each side's tail is walked outward and cut at its first term below
+    rounding that lies deeper than every term above it, or at its first
+    abscissa that rounds onto the endpoint.  calls counts each integrand
+    call before it is made, so it is exact when one raises.
     """
     c = 0.5 * (b - a)
+    d = c * _DELTA_TAIL
+    paired = a + d > a and b - d < b  # then no body node rounds onto an endpoint
+    # per side: the cut, and the smallest delta whose term was above rounding;
+    # a term below rounding at a larger delta does not cut, since mass lies beyond it
+    tails = [(0.0, _DELTA_TAIL), (0.0, _DELTA_TAIL)]
+    walks = ((0, a, c), (1, b, -c))  # side, origin and step of each tail walk
+    calls = 1
     try:
         fc = fe(0.5 * (a + b))
-        if not math.isfinite(fc):
-            raise _NonFiniteIntegrand(_NON_FINITE)
         s = 0.0 + _W0 * fc  # a Kahan step from zero: turns -0.0 into 0.0
         comp = 0.0
         mag = _W0 * abs(fc)
         for level in range(MAX_LEVEL + 1):
-            for delta, w in _level_nodes(level):
+            body, tail = _level_nodes(level)
+            if not paired:
+                body, tail = (), body + tail
+            for delta, w in body:
                 d = c * delta
-                xlo = a + d
-                xhi = b - d
-                flo = fe(xlo) if xlo > a else 0.0  # drop nodes that round onto an endpoint
-                fhi = fe(xhi) if xhi < b else 0.0
-                fs = flo + fhi
-                if not math.isfinite(fs):
-                    raise _NonFiniteIntegrand(_NON_FINITE)
-                y = w * fs - comp
+                calls += 1
+                flo = fe(a + d)
+                calls += 1
+                fhi = fe(b - d)
+                y = w * (flo + fhi) - comp
                 t = s + y
                 comp = (t - s) - y
                 s = t
                 mag += w * (abs(flo) + abs(fhi))
-            yield s, mag
+            for i, x0, step in walks:
+                cut, deepest = tails[i]
+                for delta, w in tail:
+                    if delta < cut:
+                        break
+                    x = x0 + step * delta
+                    if x == x0:  # this node and every deeper one round onto the endpoint
+                        cut = delta
+                        break
+                    calls += 1
+                    f = fe(x)
+                    y = w * f - comp
+                    t = s + y
+                    comp = (t - s) - y
+                    s = t
+                    term = w * abs(f)
+                    mag += term
+                    if term >= _EPS * mag:
+                        if delta < deepest:
+                            deepest = delta
+                    elif delta < deepest:
+                        cut = delta
+                        break
+                tails[i] = cut, deepest
+            if not math.isfinite(s):  # a non-finite term leaves s non-finite for good
+                raise _NonFiniteIntegrand(_NON_FINITE, calls)
+            yield s, mag, calls
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise _NonFiniteIntegrand(str(exc)) from exc
+        raise _NonFiniteIntegrand(str(exc), calls) from exc
 
 
 def _finite_adaptive(
@@ -227,12 +282,17 @@ def _finite_adaptive(
         return res
     mid = 0.5 * (a + b)
     half_tol = max(0.5 * tol, TOL_MIN)
-    left = _finite_adaptive(fe, a, mid, half_tol, depth + 1)
-    right = _finite_adaptive(fe, mid, b, half_tol, depth + 1)
+    spent = res.evals
+    try:
+        left = _finite_adaptive(fe, a, mid, half_tol, depth + 1)
+        spent += left.evals
+        right = _finite_adaptive(fe, mid, b, half_tol, depth + 1)
+    except _NonFiniteIntegrand as exc:
+        exc.evals += spent
+        raise
     combined = left + right
-    total_evals = combined.evals + res.evals
     err = combined.err_est
-    return QuadResult(combined.value, err, total_evals, combined.converged and err <= tol)
+    return QuadResult(combined.value, err, spent + right.evals, combined.converged and err <= tol)
 
 
 def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> QuadResult:
@@ -250,15 +310,15 @@ def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> 
     cuts = sorted(p for p in f.singular_points if a < p < b)
     edges = [a, *cuts, b]
     n = len(edges) - 1
+    total = QuadResult(0.0, 0.0, 0, True)
     try:
         if n == 1:
             return _finite_adaptive(f.eval, a, b, tol, 0)
-        total = QuadResult(0.0, 0.0, 0, True)
         for lo, hi in zip(edges, edges[1:]):
             total = total + _finite_adaptive(f.eval, lo, hi, max(tol / n, TOL_MIN), 0)
         return total
-    except _NonFiniteIntegrand:
-        return QuadResult(math.nan, math.inf, 0, False)
+    except _NonFiniteIntegrand as exc:
+        return QuadResult(math.nan, math.inf, total.evals + exc.evals, False)
 
 
 # --------------------------------------------------------------------------
@@ -266,35 +326,62 @@ def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> 
 # --------------------------------------------------------------------------
 
 
-def _half_line_levels(fe: Callable[[float], float]) -> Iterator[tuple[float, float]]:
+def _half_line_levels(fe: Callable[[float], float]) -> Iterator[tuple[float, float, int]]:
     """Node sums of x = s/(1-s) on s in (0,1), per level, as _finite_levels.
 
-    Both s and 1-s are kept as exact deltas.
+    Both s and 1-s are kept as exact deltas, so no abscissa rounds onto an
+    endpoint.
     """
+    tails = [(0.0, _DELTA_TAIL), (0.0, _DELTA_TAIL)]  # cut and deepest at s = d and at s = 1-d
+    calls = 1
     try:
         fc = fe(1.0) * 4.0  # s=1/2: x=1, jacobian 1/(1-s)^2 = 4
-        if not math.isfinite(fc):
-            raise _NonFiniteIntegrand(_NON_FINITE)
         s = 0.0 + _W0 * fc
         comp = 0.0
         mag = _W0 * abs(fc)
         for level in range(MAX_LEVEL + 1):
-            for delta, w in _level_nodes(level):
+            body, tail = _level_nodes(level)
+            for delta, w in body:
                 d = 0.5 * delta
                 om = 1.0 - d
+                calls += 1
                 flo = fe(d / om) / (om * om)  # s = d: x = d/(1-d), jacobian 1/(1-d)^2
+                calls += 1
                 fhi = fe(om / d) / (d * d)  # s = 1-d: x = (1-d)/d, jacobian 1/d^2
-                fs = flo + fhi
-                if not math.isfinite(fs):
-                    raise _NonFiniteIntegrand(_NON_FINITE)
-                y = w * fs - comp
+                y = w * (flo + fhi) - comp
                 t = s + y
                 comp = (t - s) - y
                 s = t
                 mag += w * (abs(flo) + abs(fhi))
-            yield s, mag
+            for hi in (0, 1):
+                cut, deepest = tails[hi]
+                for delta, w in tail:
+                    if delta < cut:
+                        break
+                    p = 0.5 * delta
+                    q = 1.0 - p
+                    if hi:
+                        p, q = q, p
+                    calls += 1
+                    f = fe(p / q) / (q * q)  # x = p/q, jacobian 1/q^2, as in the body
+                    y = w * f - comp
+                    t = s + y
+                    comp = (t - s) - y
+                    s = t
+                    term = w * abs(f)
+                    mag += term
+                    if term >= _EPS * mag:
+                        if delta < deepest:
+                            deepest = delta
+                    elif delta < deepest:
+                        cut = delta
+                        break
+                tails[hi] = cut, deepest
+            if not math.isfinite(s):  # a non-finite term leaves s non-finite for good
+                raise _NonFiniteIntegrand(_NON_FINITE, calls)
+            yield s, mag, calls
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise _NonFiniteIntegrand(str(exc)) from exc
+        raise _NonFiniteIntegrand(str(exc), calls) from exc
 
 
 def integrate_half_line(f, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
@@ -307,19 +394,22 @@ def integrate_half_line(f, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
     f = _as_integrand(f)
     tol = _check_tol(tol)
     fe = f.eval
+    spent = 0
     try:
         res = _de_drive(_half_line_levels(fe), 0.5, tol)
         if res.converged:
             return res
+        spent = res.evals
         head = _finite_adaptive(fe, 0.0, 1.0, 0.5 * tol, 0)
+        spent += head.evals
 
         def tail(u: float) -> float:
             return fe(1.0 / u) / (u * u)
 
         parts = head + _finite_adaptive(tail, 0.0, 1.0, 0.5 * tol, 0)
         return replace(parts, evals=parts.evals + res.evals)
-    except _NonFiniteIntegrand:
-        return QuadResult(math.nan, math.inf, 0, False)
+    except _NonFiniteIntegrand as exc:
+        return QuadResult(math.nan, math.inf, spent + exc.evals, False)
 
 
 def integrate_tan_halfpi(g, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:

@@ -129,7 +129,7 @@ def catalog() -> list[IdentityCase]:
     """The full identity catalog, in stable declaration order."""
     global _CATALOG
     if _CATALOG is None:
-        from .catalog import build_catalog
+        from .families import build_catalog
 
         cases = build_catalog()
         seen: set[str] = set()

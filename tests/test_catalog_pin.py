@@ -1,6 +1,6 @@
 """Pin the catalog's bits: every row's shape and every instance's numbers.
 
-Two sha256 digests guard rewrites of fibint.catalog that must not change a
+Two sha256 digests guard rewrites of fibint.families that must not change a
 single result bit:
 
 * the benchmark's catalog digest (perfbench/run.py: catalog_entries()

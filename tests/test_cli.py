@@ -164,10 +164,19 @@ def test_grid_override_applies_across_filter(capsys):
 
 
 def test_cli_import_leaves_catalog_unloaded():
-    # The catalog binds exact_seq and specfun names when it is first imported;
+    # The catalog modules (fibint.families) bind exact_seq and specfun names when first imported;
     # perfbench/traced.py wraps those before that import, so importing the CLI
     # must not pull the catalog in early.
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fibint.__file__).resolve().parent.parent))
-    code = "import sys, fibint.cli; print(sorted(m for m in sys.modules if m.startswith('fibint.catalog')))"
+    code = "import sys, fibint.cli; print(sorted(m for m in sys.modules if m.startswith('fibint.families')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_package_catalog_stays_callable():
+    # fibint re-exports registry.catalog; the first catalog build imports the
+    # catalog modules, and a subpackage of the same name would replace it
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fibint.__file__).resolve().parent.parent))
+    code = "import fibint; a = fibint.catalog(); b = fibint.catalog(); print(len(a), a == b)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == [str(len(registry.catalog())), "True"]

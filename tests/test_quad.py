@@ -117,20 +117,37 @@ def test_converged_implies_estimate_below_tol():
 
 
 def test_open_rule_never_touches_endpoints():
-    seen = []
+    cases = [
+        (0.0, 1.0, lambda x: math.log(x) * math.log(1.0 - x), 1e-10, 2.0 - PI * PI / 6.0, 1e-10),
+        # abscissae near 1e12 are 1.2e-4 apart: body nodes round onto the
+        # endpoints, so every node is walked per side, and accuracy is limited
+        (1e12, 1e12 + 1.0, lambda x: math.sqrt((x - 1e12) * (1e12 + 1.0 - x)), 1e-6, PI / 8.0, 1e-5),
+    ]
+    for a, b, f, tol, exact, accuracy in cases:
+        seen = []
 
-    def probe(x):
-        seen.append(x)
-        return math.log(x) * math.log(1.0 - x)
+        def probe(x, f=f):
+            seen.append(x)
+            return f(x)
 
-    res = integrate_finite(Integrand(probe), 0.0, 1.0, 1e-10)
+        res = integrate_finite(Integrand(probe), a, b, tol)
+        assert res.converged
+        assert all(a < x < b for x in seen)
+        assert res.value == pytest.approx(exact, abs=accuracy)
+
+
+@pytest.mark.parametrize("tol", (1e-13, 1e-10))
+def test_narrow_bump_in_the_tail_is_not_cut(tol):
+    # the bump sits at delta ~ 6e-8, below the tail split; the tail nodes
+    # between it and the body return exactly 0.0, which must not cut off
+    # the bump once earlier levels have sampled it
+    def bump(x):
+        return math.exp(-(((x - 3e-8) / 1e-8) ** 2))
+
+    exact = 0.5e-8 * math.sqrt(PI) * (1.0 + math.erf(3.0))
+    res = integrate_finite(bump, 0.0, 1.0, tol)
     assert res.converged
-    assert all(0.0 < x < 1.0 for x in seen)
-    assert res.value == pytest.approx(2.0 - PI * PI / 6.0, abs=1e-10)
-
-    seen.clear()
-    res = integrate_finite(Integrand(probe), 0.0, 1.0, 1e-10)
-    assert min(seen) > 0.0 and max(seen) < 1.0
+    assert abs(res.value - exact) <= res.err_est
 
 
 def test_linearity():
@@ -231,37 +248,46 @@ def _raises_on_call(n):
     return f
 
 
+def _bisection_kink(x):
+    return abs(x - 1.0 / PI)
+
+
+def _half_line_kink(x):
+    return abs(x - 1.0) * math.exp(-x) if x < 700 else 0.0
+
+
 # One integrand per driver path with its (value.hex(), err_est.hex(), evals,
 # converged), bit for bit.  A change that moves any of them changes the
-# verifier's results and must say why.
+# verifier's results and must say why.  Each run takes a wrapper that it
+# applies to its integrand.
 PINNED_PATHS = {
     "finite": (
-        lambda: integrate_finite(lambda x: x * math.sin(x), 0.0, PI, 1e-10),
-        ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p-48", 119, True),
+        lambda wrap: integrate_finite(wrap(lambda x: x * math.sin(x)), 0.0, PI, 1e-10),
+        ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p-48", 83, True),
     ),
     "finite_bisection": (
-        lambda: integrate_finite(lambda x: abs(x - 1.0 / PI), 0.0, 1.0, 1e-10),
-        ("0x1.21cdb6abeea78p-2", "0x1.c00742c6bd469p-44", 38681, True),
+        lambda wrap: integrate_finite(wrap(_bisection_kink), 0.0, 1.0, 1e-10),
+        ("0x1.21cdb6abeea78p-2", "0x1.c00742c6bd46ap-44", 32154, True),
     ),
     "finite_singular_split": (
-        lambda: integrate_finite(Integrand(lambda x: abs(x - 0.5), (0.5,)), 0.0, 1.0, 1e-12),
-        ("0x1.fffffffffffffp-3", "0x1.ffffffffffffep-52", 118, True),
+        lambda wrap: integrate_finite(Integrand(wrap(lambda x: abs(x - 0.5)), (0.5,)), 0.0, 1.0, 1e-12),
+        ("0x1.fffffffffffffp-3", "0x1.ffffffffffffep-52", 100, True),
     ),
     "half_line": (
-        lambda: integrate_half_line(lambda x: 1.0 / (1.0 + x * x), 1e-10),
-        ("0x1.921fb54442d18p+0", "0x1.950c941595f2dp-45", 119, True),
+        lambda wrap: integrate_half_line(wrap(lambda x: 1.0 / (1.0 + x * x)), 1e-10),
+        ("0x1.921fb54442d18p+0", "0x1.950c941595f2dp-45", 107, True),
     ),
     "half_line_head_tail": (
-        lambda: integrate_half_line(lambda x: abs(x - 1.0) * math.exp(-x) if x < 700 else 0.0, 1e-9),
-        ("0x1.78b56362cef38p-1", "0x1.43726be5a970ap-46", 4113, True),
+        lambda wrap: integrate_half_line(wrap(_half_line_kink), 1e-9),
+        ("0x1.78b56362cef38p-1", "0x1.43726be5a970ap-46", 2970, True),
     ),
     "tan_halfpi": (
-        lambda: integrate_tan_halfpi(lambda t: t * t / (1.0 + 3.0 * t * t + t**4), 1e-9),
-        ("0x1.53a07391a4497p-3", "0x1.54f8f43efc9a3p-43", 119, True),
+        lambda wrap: integrate_tan_halfpi(wrap(lambda t: t * t / (1.0 + 3.0 * t * t + t**4)), 1e-9),
+        ("0x1.53a07391a4497p-3", "0x1.54f8f43efc9a3p-43", 77, True),
     ),
     "raises_mid_level": (
-        lambda: integrate_finite(_raises_on_call(40), 0.0, 1.0, 1e-10),
-        ("nan", "inf", 0, False),
+        lambda wrap: integrate_finite(wrap(_raises_on_call(40)), 0.0, 1.0, 1e-10),
+        ("nan", "inf", 40, False),
     ),
 }
 
@@ -269,8 +295,51 @@ PINNED_PATHS = {
 @pytest.mark.parametrize("path", sorted(PINNED_PATHS))
 def test_driver_paths_reproduce_pinned_bits(path):
     run, expected = PINNED_PATHS[path]
-    res = run()
+    res = run(lambda f: f)
     assert (res.value.hex(), res.err_est.hex(), res.evals, res.converged) == expected
+
+
+def _raising_after(n, f):
+    calls = 0
+
+    def g(x):
+        nonlocal calls
+        calls += 1
+        if calls == n:
+            raise OverflowError("overflow after earlier passes")
+        return f(x)
+
+    return g
+
+
+# integrands that raise after an earlier pass or part completed, in each
+# place that adds up the evals of several passes
+RAISE_LATE = {
+    "raises_in_bisection": lambda wrap: integrate_finite(wrap(_raising_after(10000, _bisection_kink)), 0.0, 1.0, 1e-10),
+    "raises_in_second_part": lambda wrap: integrate_finite(
+        Integrand(wrap(_raising_after(60, lambda x: abs(x - 0.5))), (0.5,)), 0.0, 1.0, 1e-12
+    ),
+    "raises_in_head_tail_fallback": lambda wrap: integrate_half_line(wrap(_raising_after(2820, _half_line_kink)), 1e-9),
+}
+
+
+@pytest.mark.parametrize("path", sorted(PINNED_PATHS) + sorted(RAISE_LATE))
+def test_evals_are_the_integrand_calls_made(path):
+    run = PINNED_PATHS[path][0] if path in PINNED_PATHS else RAISE_LATE[path]
+    calls = 0
+
+    def count(f):
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return f(x)
+
+        return counted
+
+    res = run(count)
+    assert res.evals == calls
+    if path in RAISE_LATE:
+        assert not res.converged and math.isnan(res.value)
 
 
 def test_result_addition():

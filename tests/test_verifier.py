@@ -86,10 +86,16 @@ def test_grid_and_tol_overrides():
 
 
 def test_failure_is_reported_not_raised():
+    seen = []
+
+    def nan(x):
+        seen.append(x)
+        return float("nan")
+
     bad = registry.BoundInstance(
         "SYNTH.BAD",
         {},
-        Integrand(lambda x: float("nan")),
+        Integrand(nan),
         1.0,
         1e-7,
         registry.FINITE(0.0, 1.0),
@@ -97,6 +103,7 @@ def test_failure_is_reported_not_raised():
     res = verifier.verify_instance(bad)
     assert not res.passed
     assert res.note == "integrand raised or returned a non-finite value"
+    assert res.quad_evals == len(seen) > 0  # the calls made before the failure count
 
 
 def test_nonconvergence_is_named_as_such():
