@@ -235,17 +235,17 @@ def test_bad_integrand_is_a_result_not_a_crash():
     assert not res.converged
 
 
-def _raises_on_call(n):
+def _raises_on_call(n, f):
     calls = 0
 
-    def f(x):
+    def g(x):
         nonlocal calls
         calls += 1
         if calls == n:
             raise ZeroDivisionError("division by zero mid-level")
-        return x * x
+        return f(x)
 
-    return f
+    return g
 
 
 def _bisection_kink(x):
@@ -286,7 +286,7 @@ PINNED_PATHS = {
         ("0x1.53a07391a4497p-3", "0x1.54f8f43efc9a3p-43", 77, True),
     ),
     "raises_mid_level": (
-        lambda wrap: integrate_finite(wrap(_raises_on_call(40)), 0.0, 1.0, 1e-10),
+        lambda wrap: integrate_finite(wrap(_raises_on_call(40, lambda x: x * x)), 0.0, 1.0, 1e-10),
         ("nan", "inf", 40, False),
     ),
 }
@@ -299,27 +299,18 @@ def test_driver_paths_reproduce_pinned_bits(path):
     assert (res.value.hex(), res.err_est.hex(), res.evals, res.converged) == expected
 
 
-def _raising_after(n, f):
-    calls = 0
-
-    def g(x):
-        nonlocal calls
-        calls += 1
-        if calls == n:
-            raise OverflowError("overflow after earlier passes")
-        return f(x)
-
-    return g
-
-
 # integrands that raise after an earlier pass or part completed, in each
 # place that adds up the evals of several passes
 RAISE_LATE = {
-    "raises_in_bisection": lambda wrap: integrate_finite(wrap(_raising_after(10000, _bisection_kink)), 0.0, 1.0, 1e-10),
-    "raises_in_second_part": lambda wrap: integrate_finite(
-        Integrand(wrap(_raising_after(60, lambda x: abs(x - 0.5))), (0.5,)), 0.0, 1.0, 1e-12
+    "raises_in_bisection": lambda wrap: integrate_finite(
+        wrap(_raises_on_call(10000, _bisection_kink)), 0.0, 1.0, 1e-10
     ),
-    "raises_in_head_tail_fallback": lambda wrap: integrate_half_line(wrap(_raising_after(2820, _half_line_kink)), 1e-9),
+    "raises_in_second_part": lambda wrap: integrate_finite(
+        Integrand(wrap(_raises_on_call(60, lambda x: abs(x - 0.5))), (0.5,)), 0.0, 1.0, 1e-12
+    ),
+    "raises_in_head_tail_fallback": lambda wrap: integrate_half_line(
+        wrap(_raises_on_call(2820, _half_line_kink)), 1e-9
+    ),
 }
 
 
