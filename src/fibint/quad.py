@@ -5,42 +5,38 @@ The core rule is tanh-sinh (double exponential): nodes x = tanh(u),
 u = (pi/2) sinh(t), on a trapezoid grid in t whose step halves per level.
 Nodes cluster doubly-exponentially at the endpoints, which makes the rule
 open (endpoints are never touched) and excellent for integrands with
-endpoint logarithms or mild endpoint peaks.  Node positions are stored as
-the distance delta to the nearest endpoint, so placements like
-b - c*delta stay meaningful down to delta ~ 1e-28; a node whose mapped
-abscissa would round onto an endpoint is dropped outright, keeping the
-open-rule guarantee unconditional.
+endpoint logarithms or mild endpoint peaks.  Nodes are placed from their
+distance delta to the nearest endpoint, so placements like b - c*delta
+stay meaningful down to delta ~ 1e-28.
 
-Each map (finite interval, half line) is one loop over the cached
-per-level (delta, weight) node tables, split once at delta = 1e-6.  Body
-nodes (delta >= 1e-6) are evaluated at both images in one lean paired
-loop.  Tail nodes are walked one side at a time, outward, and a side
-stops at its first term w*|f| below rounding (eps times the running sum
-of w*|f|) that lies deeper than every term above rounding seen on that
-side; that delta becomes the side's cut, and later levels skip the nodes
-beyond it without calling the integrand (the tail truncation of Bailey,
-Jeyabalan & Li 2005).  On a finite interval, whether any body node can
-round onto an endpoint is decided once per interval; if one can, every
-node is walked, and a walk also stops at its first abscissa that rounds
-onto the endpoint.  Each loop Kahan-sums w*f and sums w*|f| (the rounding
-floor) inline, checks once per level that the sum is still finite, and
-yields both sums and its integrand calls at the end of every level.  One
-driver turns those sums into level estimates and holds the stopping rule.
-A result's evals are the integrand calls actually made, including those
-of a failed first pass and those made before an integrand raised or
-returned a non-finite value.
+Each map has a node table of mapped abscissae and weights, with the map's
+Jacobian (for tan, also 1/(1+t^2)) folded into the weights.  It is built
+one level at a time on first use and then kept: one per finite interval
+(a, b) in a small LRU cache, one for the half line and one for tan.  Body
+nodes (delta >= 1e-6) are rows holding both images of a node.  Tail nodes
+are rows per side, walked outward; a side stops at its first term w*|f|
+below rounding (eps times the running sum of w*|f|) that lies deeper than
+every term above rounding on that side, and later levels skip the nodes
+beyond that cut without calling the integrand (the tail truncation of
+Bailey, Jeyabalan & Li 2005).  A finite tail ends before its first
+abscissa that rounds onto the endpoint, so the rule stays open; where a
+body node could round onto an endpoint, every node is a tail node.
 
+One loop runs the levels of every map and applies the stopping rule.
 DE rules converge quadratically: each halving of the step roughly squares
 the error, so after a level the error is about d1^2/d2, where d1 and d2
 are the last two halving differences (Bailey, Jeyabalan & Li 2005).  The
-driver takes 1e3*d1^2/d2 as the error estimate while the differences
+loop takes 1e3*d1^2/d2 as the error estimate while the differences
 contract, and d1 itself when they do not.  It stops once the estimate is
 within the tolerance and d1 within 1e3 times the tolerance (or 1e6 times
 the rounding floor), one level earlier than waiting for d1 itself to
 reach the tolerance.  If the estimate stalls, finite intervals fall back
-to adaptive bisection (peaks migrate toward a subinterval endpoint,
-which DE then resolves); the half-line falls back to a split at x = 1
-plus the inversion x -> 1/x on the tail.
+to adaptive bisection (peaks migrate toward a subinterval endpoint, which
+DE then resolves) until a subinterval holds fewer floats than a pass
+samples; the half-line falls back to a split at x = 1 plus the inversion
+x -> 1/x on the tail.  A result's evals are the integrand calls made,
+including those of a failed pass and those made before an integrand
+raised or returned a non-finite value.
 
 The half-line map is algebraic, x = s/(1-s) with s in (0,1), so one
 transform serves all the rational-decay integrands; integrands over
@@ -49,9 +45,10 @@ transform serves all the rational-decay integrands; integrands over
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable
 
 _PI_OVER_2 = math.pi / 2.0
 _EPS = math.ulp(1.0)
@@ -110,7 +107,8 @@ def _check_tol(tol: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# node tables: per level, pairs (delta, weight) for the positive-t half grid
+# node tables: per level, pairs (delta, weight) for the positive-t half grid,
+# and per map the rows built from them
 # --------------------------------------------------------------------------
 
 _W0 = _PI_OVER_2  # weight of the t = 0 node
@@ -151,8 +149,78 @@ def _level_nodes(level: int) -> tuple[_Nodes, _Nodes]:
     return _node_tables[level]
 
 
+class _MapTable(dict):
+    """The node rows of one map, per level, each level built on first use.
+
+    table[level] is (body, (lo, hi)).  A body row holds both images of a
+    node: (x_lo, x_hi, w) when they share a weight, else
+    (x_lo, x_hi, w_lo, w_hi).  The tails lo and hi are rows (delta, x, w)
+    at the low and the high end, outward.  center is the t = 0 node, (x, w).
+    """
+
+    def __init__(self, center: tuple[float, float], shared_weight: bool, rows: Callable[[int], tuple]) -> None:
+        super().__init__()
+        self.center = center
+        self.shared_weight = shared_weight
+        self.rows = rows
+
+    def __missing__(self, level: int) -> tuple:
+        rows = self[level] = self.rows(level)
+        return rows
+
+
+@functools.lru_cache(maxsize=16)  # a catalog run integrates over 7 intervals
+def _finite_table(a: float, b: float) -> _MapTable:
+    """Rows of the finite map x = a + c*delta, b - c*delta, c = (b - a)/2."""
+    c = 0.5 * (b - a)
+    d = c * _DELTA_TAIL
+    paired = a + d > a and b - d < b  # then no body node rounds onto an endpoint
+
+    def walk(tail: _Nodes, x0: float, step: float) -> list[tuple[float, float, float]]:
+        rows = [(delta, x0 + step * delta, w) for delta, w in tail]
+        return rows[: sum(x != x0 for _, x, _ in rows)]  # those that round onto x0 are the deepest
+
+    def rows(level: int) -> tuple:
+        body, tail = _level_nodes(level)
+        if not paired:
+            body, tail = [], body + tail
+        return [(a + c * delta, b - c * delta, w) for delta, w in body], (walk(tail, a, c), walk(tail, b, -c))
+
+    return _MapTable((0.5 * (a + b), _W0), True, rows)
+
+
+def _half_line_table(tan: bool) -> _MapTable:
+    """Rows of x = s/(1-s) on s in (0,1), weights times dx/ds = 1/(1-s)^2
+    (for tan, x = t, times dt/(1+t^2) too).  Both s and 1-s are kept as
+    exact deltas, so no abscissa rounds onto an endpoint."""
+
+    def images(delta: float, w: float) -> tuple[float, float, float, float]:
+        d = 0.5 * delta
+        om = 1.0 - d
+        xl, wl = d / om, w / (om * om)  # s = d
+        xh, wh = om / d, w / (d * d)  # s = 1-d
+        if tan:
+            wl /= 1.0 + xl * xl
+            wh /= 1.0 + xh * xh
+        return xl, xh, wl, wh
+
+    def rows(level: int) -> tuple:
+        body, tail = _level_nodes(level)
+        walks = [(delta, images(delta, w)) for delta, w in tail]
+        lo = [(delta, xl, wl) for delta, (xl, _, wl, _) in walks]
+        hi = [(delta, xh, wh) for delta, (_, xh, _, wh) in walks]
+        return [images(delta, w) for delta, w in body], (lo, hi)
+
+    # s = 1/2: x = 1, dx/ds = 4, and 1/(1+1) for tan
+    return _MapTable((1.0, (2.0 if tan else 4.0) * _W0), False, rows)
+
+
+_HALF_LINE = _half_line_table(tan=False)
+_TAN = _half_line_table(tan=True)
+
+
 # --------------------------------------------------------------------------
-# DE driver: the stopping rule over per-level node sums
+# the level loop and its stopping rule
 # --------------------------------------------------------------------------
 
 
@@ -164,93 +232,57 @@ class _NonFiniteIntegrand(ArithmeticError):
         self.evals = evals
 
 
-_NON_FINITE = "integrand returned a non-finite value"
-
 _SAFETY = 1e3  # factor on the quadratic estimate d1^2/d2; 1e2 understated the error of catalog rows
 _GUARD_TOL, _GUARD_FLOOR = 1e3, 1e6  # d1 itself must lie within these multiples of tol or floor
 
 
-def _de_drive(levels: Iterator[tuple[float, float, int]], scale: float, tol: float) -> QuadResult:
-    """Level-doubling tanh-sinh stopping rule.
-
-    levels yields, after each refinement level, the compensated node sum
-    of w*f, the rounding magnitude sum of w*|f| and the number of integrand
-    calls, all over the nodes so far; scale is the overall Jacobian
-    half-width.  From level 3 on, with d1 and d2 the last two halving
-    differences, the error estimate is _SAFETY*d1^2/d2 when d1 < d2
-    (quadratic convergence) and d1 otherwise, never below the rounding
-    floor.  It stops when the estimate is within tol and d1 itself is small
-    too, so a lucky agreement of two coarse levels is not trusted.  The
-    result's evals are the integrand calls the levels made.
-    """
-    value = prev = 0.0
-    diff = prev_diff = math.inf
-    for level, (s, mag, evals) in enumerate(levels):
-        h = 1.0 / (1 << level)
-        value = scale * h * s
-        if level >= 1:
-            prev_diff, diff = diff, abs(value - prev)
-        prev = value
-        if level >= 3:
-            floor = 8.0 * _EPS * scale * h * mag
-            est = _SAFETY * diff * diff / prev_diff if diff < prev_diff else diff
-            if est <= max(tol, floor) and diff <= max(_GUARD_TOL * tol, _GUARD_FLOOR * floor):
-                err = max(est, floor)
-                return QuadResult(value, err, evals, err <= tol)
-    return QuadResult(value, max(diff, floor), evals, False)
-
-
-# --------------------------------------------------------------------------
-# finite intervals
-# --------------------------------------------------------------------------
-
-
-def _finite_levels(fe: Callable[[float], float], a: float, b: float) -> Iterator[tuple[float, float, int]]:
-    """Node sums of the finite map x = a + c*delta, b - c*delta, per level.
-
-    Kahan compensation keeps the sum usable when the integral is many
-    orders larger than the tolerance.  Body nodes are evaluated in pairs;
-    each side's tail is walked outward and cut at its first term below
-    rounding that lies deeper than every term above it, or at its first
-    abscissa that rounds onto the endpoint.  calls counts each integrand
-    call before it is made, so it is exact when one raises.
-    """
-    c = 0.5 * (b - a)
-    d = c * _DELTA_TAIL
-    paired = a + d > a and b - d < b  # then no body node rounds onto an endpoint
+def _tanh_sinh(fe: Callable[[float], float], table: _MapTable, scale: float, tol: float) -> QuadResult:
+    """Level-doubling tanh-sinh over one map's node table, scale its overall
+    Jacobian half-width.  Kahan compensation keeps the sum usable when the
+    integral is many orders larger than the tolerance.  calls counts each
+    integrand call before it is made, so it is exact when one raises."""
+    x0, w0 = table.center
+    shared = table.shared_weight
+    eps = _EPS
     # per side: the cut, and the smallest delta whose term was above rounding;
     # a term below rounding at a larger delta does not cut, since mass lies beyond it
-    tails = [(0.0, _DELTA_TAIL), (0.0, _DELTA_TAIL)]
-    walks = ((0, a, c), (1, b, -c))  # side, origin and step of each tail walk
+    sides = ([0.0, _DELTA_TAIL], [0.0, _DELTA_TAIL])
+    value = prev = 0.0
+    diff = prev_diff = math.inf
     calls = 1
     try:
-        fc = fe(0.5 * (a + b))
-        s = 0.0 + _W0 * fc  # a Kahan step from zero: turns -0.0 into 0.0
+        fc = fe(x0)
+        s = 0.0 + w0 * fc  # a Kahan step from zero: turns -0.0 into 0.0
         comp = 0.0
-        mag = _W0 * abs(fc)
+        mag = w0 * abs(fc)
         for level in range(MAX_LEVEL + 1):
-            body, tail = _level_nodes(level)
-            if not paired:
-                body, tail = (), body + tail
-            for delta, w in body:
-                d = c * delta
-                calls += 1
-                flo = fe(a + d)
-                calls += 1
-                fhi = fe(b - d)
-                y = w * (flo + fhi) - comp
-                t = s + y
-                comp = (t - s) - y
-                s = t
-                mag += w * (abs(flo) + abs(fhi))
-            for i, x0, step in walks:
-                cut, deepest = tails[i]
-                for delta, w in tail:
+            body, tails = table[level]
+            if shared:
+                for xl, xh, w in body:
+                    calls += 1
+                    flo = fe(xl)
+                    calls += 1
+                    fhi = fe(xh)
+                    y = w * (flo + fhi) - comp
+                    t = s + y
+                    comp = (t - s) - y
+                    s = t
+                    mag += w * (abs(flo) + abs(fhi))
+            else:
+                for xl, xh, wl, wh in body:
+                    calls += 1
+                    flo = fe(xl)
+                    calls += 1
+                    fhi = fe(xh)
+                    y = wl * flo + wh * fhi - comp
+                    t = s + y
+                    comp = (t - s) - y
+                    s = t
+                    mag += wl * abs(flo) + wh * abs(fhi)
+            for side, tail in zip(sides, tails):
+                cut, deepest = side
+                for delta, x, w in tail:
                     if delta < cut:
-                        break
-                    x = x0 + step * delta
-                    if x == x0:  # this node and every deeper one round onto the endpoint
-                        cut = delta
                         break
                     calls += 1
                     f = fe(x)
@@ -260,25 +292,43 @@ def _finite_levels(fe: Callable[[float], float], a: float, b: float) -> Iterator
                     s = t
                     term = w * abs(f)
                     mag += term
-                    if term >= _EPS * mag:
+                    if term >= eps * mag:
                         if delta < deepest:
                             deepest = delta
                     elif delta < deepest:
                         cut = delta
                         break
-                tails[i] = cut, deepest
+                side[:] = cut, deepest
             if not math.isfinite(s):  # a non-finite term leaves s non-finite for good
-                raise _NonFiniteIntegrand(_NON_FINITE, calls)
-            yield s, mag, calls
+                raise _NonFiniteIntegrand("integrand returned a non-finite value", calls)
+            h = 1.0 / (1 << level)
+            value = scale * h * s
+            if level >= 1:
+                prev_diff, diff = diff, abs(value - prev)
+            prev = value
+            if level >= 3:
+                floor = 8.0 * eps * scale * h * mag
+                est = _SAFETY * diff * diff / prev_diff if diff < prev_diff else diff
+                if est <= max(tol, floor) and diff <= max(_GUARD_TOL * tol, _GUARD_FLOOR * floor):
+                    err = max(est, floor)
+                    return QuadResult(value, err, calls, err <= tol)
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise _NonFiniteIntegrand(str(exc), calls) from exc
+    return QuadResult(value, max(diff, floor), calls, False)
+
+
+# --------------------------------------------------------------------------
+# finite intervals
+# --------------------------------------------------------------------------
 
 
 def _finite_adaptive(
     fe: Callable[[float], float], a: float, b: float, tol: float, depth: int
 ) -> QuadResult:
-    res = _de_drive(_finite_levels(fe, a, b), 0.5 * (b - a), tol)
-    if res.converged or depth >= MAX_SPLIT_DEPTH:
+    res = _tanh_sinh(fe, _finite_table(a, b), 0.5 * (b - a), tol)
+    # a pass that made more calls than (a, b) holds floats sampled about all of
+    # them, so its halves cannot do better (nor can a midpoint that rounds onto an end)
+    if res.converged or depth >= MAX_SPLIT_DEPTH or b - a <= res.evals * math.ulp(max(abs(a), abs(b))):
         return res
     mid = 0.5 * (a + b)
     half_tol = max(0.5 * tol, TOL_MIN)
@@ -326,62 +376,26 @@ def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> 
 # --------------------------------------------------------------------------
 
 
-def _half_line_levels(fe: Callable[[float], float]) -> Iterator[tuple[float, float, int]]:
-    """Node sums of x = s/(1-s) on s in (0,1), per level, as _finite_levels.
-
-    Both s and 1-s are kept as exact deltas, so no abscissa rounds onto an
-    endpoint.
-    """
-    tails = [(0.0, _DELTA_TAIL), (0.0, _DELTA_TAIL)]  # cut and deepest at s = d and at s = 1-d
-    calls = 1
+def _half_line(fe: Callable[[float], float], table: _MapTable, x_fe: Callable[[float], float], tol: float) -> QuadResult:
+    """The half-line pass of fe over table, and if it stalls, the head
+    (0, 1) and the inverted tail of x_fe, the integrand in x, as finite
+    intervals."""
+    spent = 0
     try:
-        fc = fe(1.0) * 4.0  # s=1/2: x=1, jacobian 1/(1-s)^2 = 4
-        s = 0.0 + _W0 * fc
-        comp = 0.0
-        mag = _W0 * abs(fc)
-        for level in range(MAX_LEVEL + 1):
-            body, tail = _level_nodes(level)
-            for delta, w in body:
-                d = 0.5 * delta
-                om = 1.0 - d
-                calls += 1
-                flo = fe(d / om) / (om * om)  # s = d: x = d/(1-d), jacobian 1/(1-d)^2
-                calls += 1
-                fhi = fe(om / d) / (d * d)  # s = 1-d: x = (1-d)/d, jacobian 1/d^2
-                y = w * (flo + fhi) - comp
-                t = s + y
-                comp = (t - s) - y
-                s = t
-                mag += w * (abs(flo) + abs(fhi))
-            for hi in (0, 1):
-                cut, deepest = tails[hi]
-                for delta, w in tail:
-                    if delta < cut:
-                        break
-                    p = 0.5 * delta
-                    q = 1.0 - p
-                    if hi:
-                        p, q = q, p
-                    calls += 1
-                    f = fe(p / q) / (q * q)  # x = p/q, jacobian 1/q^2, as in the body
-                    y = w * f - comp
-                    t = s + y
-                    comp = (t - s) - y
-                    s = t
-                    term = w * abs(f)
-                    mag += term
-                    if term >= _EPS * mag:
-                        if delta < deepest:
-                            deepest = delta
-                    elif delta < deepest:
-                        cut = delta
-                        break
-                tails[hi] = cut, deepest
-            if not math.isfinite(s):  # a non-finite term leaves s non-finite for good
-                raise _NonFiniteIntegrand(_NON_FINITE, calls)
-            yield s, mag, calls
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise _NonFiniteIntegrand(str(exc), calls) from exc
+        res = _tanh_sinh(fe, table, 0.5, tol)
+        if res.converged:
+            return res
+        spent = res.evals
+        head = _finite_adaptive(x_fe, 0.0, 1.0, 0.5 * tol, 0)
+        spent += head.evals
+
+        def tail(u: float) -> float:
+            return x_fe(1.0 / u) / (u * u)
+
+        parts = head + _finite_adaptive(tail, 0.0, 1.0, 0.5 * tol, 0)
+        return replace(parts, evals=parts.evals + res.evals)
+    except _NonFiniteIntegrand as exc:
+        return QuadResult(math.nan, math.inf, spent + exc.evals, False)
 
 
 def integrate_half_line(f, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
@@ -391,40 +405,23 @@ def integrate_half_line(f, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
     integral to the tanh-sinh core.  If the transformed integral stalls,
     retries as [0,1] plus an inverted tail.
     """
-    f = _as_integrand(f)
-    tol = _check_tol(tol)
-    fe = f.eval
-    spent = 0
-    try:
-        res = _de_drive(_half_line_levels(fe), 0.5, tol)
-        if res.converged:
-            return res
-        spent = res.evals
-        head = _finite_adaptive(fe, 0.0, 1.0, 0.5 * tol, 0)
-        spent += head.evals
-
-        def tail(u: float) -> float:
-            return fe(1.0 / u) / (u * u)
-
-        parts = head + _finite_adaptive(tail, 0.0, 1.0, 0.5 * tol, 0)
-        return replace(parts, evals=parts.evals + res.evals)
-    except _NonFiniteIntegrand as exc:
-        return QuadResult(math.nan, math.inf, spent + exc.evals, False)
+    fe = _as_integrand(f).eval
+    return _half_line(fe, _HALF_LINE, fe, _check_tol(tol))
 
 
 def integrate_tan_halfpi(g, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
     """Integrate F(tan x) over (0, pi/2) given g(t) = F(t).
 
     Uses tan x = t, dx = dt/(1+t^2), so the caller's g never needs the
-    tangent evaluated near pi/2.
+    tangent evaluated near pi/2.  The half-line pass has 1/(1+t^2) in its
+    weights and calls g itself; only the fallback divides per call.
     """
-    g = _as_integrand(g)
-    ge = g.eval
+    ge = _as_integrand(g).eval
 
     def h(t: float) -> float:
         return ge(t) / (1.0 + t * t)
 
-    return integrate_half_line(Integrand(h), tol)
+    return _half_line(ge, _TAN, h, _check_tol(tol))
 
 
 __all__ = [

@@ -48,6 +48,24 @@ def test_report_counts_consistent():
     assert rep.wall_time >= 0.0
 
 
+@pytest.mark.parametrize(
+    "tol, calls",
+    [
+        (None, {"FINITE": 71698, "HALF_LINE": 34290, "TAN_HALFPI": 19925}),
+        (1e-12, {"FINITE": 81363, "HALF_LINE": 45650, "TAN_HALFPI": 22655}),
+    ],
+)
+def test_catalog_integrand_calls_per_strategy(tol, calls):
+    # the integrand calls of a whole-catalog run, pinned per strategy: a change
+    # to the quadrature that moves one says so and re-records it here
+    rep = verifier.run("*", tol_override=tol)
+    assert rep.n_fail == 0 and len(rep.results) == 1504
+    got = dict.fromkeys(calls, 0)
+    for r in rep.results:
+        got[registry.get_case(r.case_id).strategy.kind] += r.quad_evals
+    assert got == calls
+
+
 def test_determinism():
     a = verifier.run("S7.*")
     b = verifier.run("S7.*")
