@@ -38,6 +38,28 @@ x -> 1/x on the tail.  A result's evals are the integrand calls made,
 including those of a failed pass and those made before an integrand
 raised or returned a non-finite value.
 
+Finite intervals try a nested Fejer pass on each panel first, after the
+split at known singular points.  Fejer's second rule with n = 4, 8, ...,
+256 has the n - 1 interior Chebyshev extrema cos(k pi/n) as nodes, so it
+is open too, and the nodes of each rule are kept by the next, which only
+adds the odd k.  Its weights come from a short sine sum (Waldvogel 2006,
+"Fast construction of the Fejer and Clenshaw-Curtis quadrature rules",
+BIT 46), built one rule at a time on first use and shared by every
+interval; a node is placed from its nearer endpoint, as a + c*delta or
+b - c*delta with delta = 2 sin^2(theta/2).  On integrands analytic on
+the closed interval it converges about as fast as Gauss (Trefethen 2008,
+"Is Gauss quadrature better than Clenshaw-Curtis?", SIAM Review 50), which
+covers most finite catalog rows.  From the third rule on the pass stops
+once the difference d1 of the last two rules is within the tolerance and
+below the difference before it, with err_est max(d1, rounding floor).  It
+declines on a non-finite sum, past n = 256, or when two rules agree
+exactly, the sign that fixed nodes missed a narrow feature or aliased a
+polynomial; a declined panel goes to tanh-sinh, and its Fejer calls count
+in evals.  A panel so narrow that a body node could round onto an
+endpoint skips the pass.
+The half line, the tan map, bisection halves and the head/tail fallback
+use tanh-sinh alone.
+
 The half-line map is algebraic, x = s/(1-s) with s in (0,1), so one
 transform serves all the rational-decay integrands; integrands over
 [0, pi/2) in tan x are reduced to the half-line via t = tan x.
@@ -47,6 +69,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -83,6 +106,7 @@ class QuadResult:
     err_est: float
     evals: int
     converged: bool
+    rule: str = "tanh-sinh"  # "fejer", "tanh-sinh", or "mixed" for a sum of both
 
     def __add__(self, other: "QuadResult") -> "QuadResult":
         return QuadResult(
@@ -90,6 +114,7 @@ class QuadResult:
             self.err_est + other.err_est,
             self.evals + other.evals,
             self.converged and other.converged,
+            self.rule if self.rule == other.rule else "mixed",
         )
 
 
@@ -169,12 +194,17 @@ class _MapTable(dict):
         return rows
 
 
+def _paired(a: float, b: float) -> bool:
+    """Whether no node with delta >= _DELTA_TAIL rounds onto an endpoint of (a, b)."""
+    d = 0.5 * (b - a) * _DELTA_TAIL
+    return a + d > a and b - d < b
+
+
 @functools.lru_cache(maxsize=16)  # a catalog run integrates over 7 intervals
 def _finite_table(a: float, b: float) -> _MapTable:
     """Rows of the finite map x = a + c*delta, b - c*delta, c = (b - a)/2."""
     c = 0.5 * (b - a)
-    d = c * _DELTA_TAIL
-    paired = a + d > a and b - d < b  # then no body node rounds onto an endpoint
+    paired = _paired(a, b)
 
     def walk(tail: _Nodes, x0: float, step: float) -> list[tuple[float, float, float]]:
         rows = [(delta, x0 + step * delta, w) for delta, w in tail]
@@ -318,6 +348,94 @@ def _tanh_sinh(fe: Callable[[float], float], table: _MapTable, scale: float, tol
 
 
 # --------------------------------------------------------------------------
+# the nested Fejer first pass on finite panels
+# --------------------------------------------------------------------------
+
+FEJER_N0 = 4  # rules n = 4, 8, ..., FEJER_N_MAX, with n - 1 nodes each
+FEJER_N_MAX = 256
+_FEJER_LEVELS = (FEJER_N_MAX // FEJER_N0).bit_length()
+_fejer_rules: list[tuple[list[float], list[float], float]] = []
+_fejer_thetas: list[float] = []  # of every pair so far, in the order the levels add them
+
+
+def _fejer_level(level: int) -> tuple[list[float], list[float], float]:
+    """Fejer's second rule on [-1, 1] with n = FEJER_N0 * 2^level: the deltas
+    2 sin^2(theta/2) of the node pairs -cos(theta), cos(theta) it adds,
+    theta = k pi/n for odd k < n/2; the weights of all its pairs, in the
+    order the levels add them; and the weight of the middle node.  The
+    weight at theta is (4 sin(theta)/n) sum_{j=1}^{n/2} sin((2j-1) theta)/(2j-1)
+    (Waldvogel 2006)."""
+    while len(_fejer_rules) <= level:
+        n = FEJER_N0 << len(_fejer_rules)
+
+        def weight(theta: float) -> float:
+            return 4.0 * math.sin(theta) / n * math.fsum(math.sin(j * theta) / j for j in range(1, n, 2))
+
+        new = [k * math.pi / n for k in range(1, n // 2, 2)]
+        _fejer_thetas.extend(new)
+        deltas = [2.0 * math.sin(0.5 * theta) ** 2 for theta in new]
+        _fejer_rules.append((deltas, [weight(theta) for theta in _fejer_thetas], weight(_PI_OVER_2)))
+    return _fejer_rules[level]
+
+
+@functools.lru_cache(maxsize=64)  # 7 rules on each of a catalog run's 7 panels
+def _fejer_rows(a: float, b: float, level: int) -> list[tuple[float, float]]:
+    """The new node pairs (x_lo, x_hi) of one Fejer rule on (a, b), each
+    placed from its nearer endpoint."""
+    c = 0.5 * (b - a)
+    return [(a + c * delta, b - c * delta) for delta in _fejer_level(level)[0]]
+
+
+def _weighted_sum(weights: list[float], values) -> float:
+    """fsum of weights times values, nan when the terms are not all finite."""
+    try:
+        return math.fsum(map(operator.mul, weights, values))
+    except (OverflowError, ValueError):  # inf - inf, or finite terms whose sum overflows
+        return math.nan
+
+
+def _fejer(fe: Callable[[float], float], a: float, b: float, tol: float) -> QuadResult:
+    """Nested Fejer second-rule pass over (a, b), reusing every value when n
+    doubles.  From the third rule on it accepts once the difference d1 of
+    the last two rules is within tol and smaller than the difference d2
+    one level before.  It declines, returning converged False with the
+    calls made, on a non-finite sum, past FEJER_N_MAX, or once two rules
+    agree exactly where it cannot accept (so d2 of the next rule would be
+    0): fixed nodes can agree with each other and miss a narrow feature,
+    or alias a polynomial, between them."""
+    c = 0.5 * (b - a)
+    flo: list[float] = []  # f at the low and the high node of each pair, in the order the levels add them
+    fhi: list[float] = []
+    prev = diff = math.inf
+    calls = 1
+    try:
+        fm = fe(0.5 * (a + b))
+        for level in range(_FEJER_LEVELS):
+            _, weights, w_mid = _fejer_level(level)
+            for xl, xh in _fejer_rows(a, b, level):
+                calls += 1
+                flo.append(fe(xl))
+                calls += 1
+                fhi.append(fe(xh))
+            value = c * (w_mid * fm + _weighted_sum(weights, map(operator.add, flo, fhi)))
+            prev_diff, diff = diff, abs(value - prev)
+            prev = value
+            if not math.isfinite(value):
+                break
+            if level >= 2 and diff < prev_diff and diff <= tol:
+                mags = map(operator.add, map(abs, flo), map(abs, fhi))
+                err = max(diff, 8.0 * _EPS * c * (w_mid * abs(fm) + _weighted_sum(weights, mags)))
+                if err <= tol:
+                    return QuadResult(value, err, calls, True, "fejer")
+                break
+            if diff == 0.0:  # no later rule can contract below an exact agreement
+                break
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise _NonFiniteIntegrand(str(exc), calls) from exc
+    return QuadResult(math.nan, math.inf, calls, False, "fejer")
+
+
+# --------------------------------------------------------------------------
 # finite intervals
 # --------------------------------------------------------------------------
 
@@ -345,8 +463,26 @@ def _finite_adaptive(
     return QuadResult(combined.value, err, spent + right.evals, combined.converged and err <= tol)
 
 
+def _finite_panel(fe: Callable[[float], float], a: float, b: float, tol: float) -> QuadResult:
+    """The Fejer pass over one panel, and if it declines, tanh-sinh with
+    bisection; the declined pass's calls count in evals.  A panel whose DE
+    table is unpaired is too fine for the float grid and skips the pass."""
+    if not _paired(a, b):
+        return _finite_adaptive(fe, a, b, tol, 0)
+    first = _fejer(fe, a, b, tol)
+    if first.converged:
+        return first
+    try:
+        res = _finite_adaptive(fe, a, b, tol, 0)
+    except _NonFiniteIntegrand as exc:
+        exc.evals += first.evals
+        raise
+    return replace(res, evals=res.evals + first.evals)
+
+
 def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> QuadResult:
-    """Integrate f over (a, b) with an open tanh-sinh rule.
+    """Integrate f over (a, b) with open rules: a nested Fejer pass per
+    panel, then tanh-sinh where it declines.
 
     Known interior singular points are split off first; non-convergence
     is reported in the result, never raised.
@@ -359,16 +495,14 @@ def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> 
         raise ValueError(f"requires a < b, got a={a}, b={b}")
     cuts = sorted(p for p in f.singular_points if a < p < b)
     edges = [a, *cuts, b]
-    n = len(edges) - 1
-    total = QuadResult(0.0, 0.0, 0, True)
+    ptol = max(tol / (len(edges) - 1), TOL_MIN)
+    parts: list[QuadResult] = []
     try:
-        if n == 1:
-            return _finite_adaptive(f.eval, a, b, tol, 0)
         for lo, hi in zip(edges, edges[1:]):
-            total = total + _finite_adaptive(f.eval, lo, hi, max(tol / n, TOL_MIN), 0)
-        return total
+            parts.append(_finite_panel(f.eval, lo, hi, ptol))
     except _NonFiniteIntegrand as exc:
-        return QuadResult(math.nan, math.inf, total.evals + exc.evals, False)
+        return QuadResult(math.nan, math.inf, sum(p.evals for p in parts) + exc.evals, False)
+    return functools.reduce(operator.add, parts)
 
 
 # --------------------------------------------------------------------------

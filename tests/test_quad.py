@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibint import registry, verifier
 from fibint.quad import (
     Integrand,
     QuadResult,
@@ -140,17 +142,29 @@ def test_bisection_stops_at_the_float_grid():
     # floats near 1e12 are 1.2e-4 apart, so (a, b) holds 8191 of them and
     # halves soon hold fewer floats than one pass calls the integrand; the
     # rounded abscissae keep every pass from converging, and bisecting on
-    # to depth 12 would make 4.6M calls
+    # to depth 12 would make 4.6M calls.  The DE table of (a, b) is
+    # unpaired, so the Fejer pass is skipped: its rounded nodes could agree
+    # with each other and be accepted
     res = integrate_finite(lambda x: 1.0 + (x - 1e12), 1e12, 1e12 + 1.0, 1e-4)
     assert not res.converged
     assert res.evals <= 30000
+    assert res.rule == "tanh-sinh"
 
 
-@pytest.mark.parametrize("tol", (1e-13, 1e-10))
+# (value.hex(), err_est.hex()) of the bump, as tanh-sinh alone gives them
+BUMP_BITS = {
+    1e-13: ("0x1.30807bd629aadp-26", "0x1.66529bea3e48ap-65"),
+    1e-10: ("0x1.30807bd1d60edp-26", "0x1.67c4c4a436391p-36"),
+}
+
+
+@pytest.mark.parametrize("tol", sorted(BUMP_BITS))
 def test_narrow_bump_in_the_tail_is_not_cut(tol):
     # the bump sits at delta ~ 6e-8, below the tail split; the tail nodes
     # between it and the body return exactly 0.0, which must not cut off
-    # the bump once earlier levels have sampled it
+    # the bump once earlier levels have sampled it.  Every Fejer node
+    # misses it, so the first two rules agree exactly (both 0.0) and the
+    # pass declines after 7 calls
     def bump(x):
         return math.exp(-(((x - 3e-8) / 1e-8) ** 2))
 
@@ -158,6 +172,36 @@ def test_narrow_bump_in_the_tail_is_not_cut(tol):
     res = integrate_finite(bump, 0.0, 1.0, tol)
     assert res.converged
     assert abs(res.value - exact) <= res.err_est
+    assert (res.value.hex(), res.err_est.hex()) == BUMP_BITS[tol]
+    assert res.rule == "tanh-sinh"
+
+
+def _chebyshev_t32(x):
+    return math.cos(32.0 * math.acos(x))
+
+
+@pytest.mark.parametrize("tol", (1e-6, 1e-9, 1e-13))
+def test_chebyshev_t32_aliased_on_fejer_nodes(tol):
+    # T_32(cos(k pi/n)) = 1 at every node of the rules n = 4, 8 and 16, so
+    # they all give 2.0 where the integral is 2/(1 - 32^2); the exact
+    # agreement must send the panel to tanh-sinh
+    res = integrate_finite(_chebyshev_t32, -1.0, 1.0, tol)
+    assert res.converged
+    assert abs(res.value - (-2.0 / 1023.0)) <= res.err_est
+    assert res.rule == "tanh-sinh"
+
+
+@pytest.mark.parametrize("r", (5, 6))
+def test_fejer_err_est_bounds_the_catalog_error(r):
+    # the Fejer differences of S6.SIN3CUBE do not fall monotonically (r = 6:
+    # 3.5e-10 at n = 16, 7.3e-12 at n = 32, 4.4e-11 at n = 64), so a rule
+    # accepted on a small difference could understate its error: at n = 32
+    # it would claim 7.3e-12 against a true 4.2e-11
+    inst = registry.instantiate("S6.SIN3CUBE", {"r": r})
+    tol = verifier._quad_tol(verifier.pass_threshold(inst.tol, inst.rhs))
+    res = integrate_finite(inst.integrand, inst.strategy.a, inst.strategy.b, tol)
+    assert res.converged and res.rule == "fejer"
+    assert res.err_est >= abs(res.value - inst.rhs)
 
 
 def test_linearity():
@@ -295,15 +339,15 @@ def _half_line_kink(x):
 PINNED_PATHS = {
     "finite": (
         lambda wrap: integrate_finite(wrap(lambda x: x * math.sin(x)), 0.0, PI, 1e-10),
-        ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p-48", 83, True),
+        ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p-48", 31, True),
     ),
     "finite_bisection": (
         lambda wrap: integrate_finite(wrap(_bisection_kink), 0.0, 1.0, 1e-10),
-        ("0x1.21cdb6abeea78p-2", "0x1.c00742c6bd46ap-44", 32154, True),
+        ("0x1.21cdb6abeea78p-2", "0x1.c00742c6bd46ap-44", 32409, True),
     ),
     "finite_singular_split": (
         lambda wrap: integrate_finite(Integrand(wrap(lambda x: abs(x - 0.5)), (0.5,)), 0.0, 1.0, 1e-12),
-        ("0x1.fffffffffffffp-3", "0x1.ffffffffffffep-52", 100, True),
+        ("0x1.fffffffffffffp-3", "0x1.ffffffffffffep-52", 114, True),
     ),
     "half_line": (
         lambda wrap: integrate_half_line(wrap(lambda x: 1.0 / (1.0 + x * x)), 1e-10),
@@ -317,8 +361,10 @@ PINNED_PATHS = {
         lambda wrap: integrate_tan_halfpi(wrap(lambda t: t * t / (1.0 + 3.0 * t * t + t**4)), 1e-9),
         ("0x1.53a07391a4497p-3", "0x1.54f90d41de0dbp-43", 77, True),
     ),
+    # the Fejer rules agree exactly on a line, so the pass declines after 7
+    # calls and call 40 falls inside the tanh-sinh pass
     "raises_mid_level": (
-        lambda wrap: integrate_finite(wrap(_raises_on_call(40, lambda x: x * x)), 0.0, 1.0, 1e-10),
+        lambda wrap: integrate_finite(wrap(_raises_on_call(40, lambda x: x)), 0.0, 1.0, 1e-10),
         ("nan", "inf", 40, False),
     ),
 }
@@ -337,8 +383,14 @@ RAISE_LATE = {
     "raises_in_bisection": lambda wrap: integrate_finite(
         wrap(_raises_on_call(10000, _bisection_kink)), 0.0, 1.0, 1e-10
     ),
+    # each part makes 7 declined Fejer calls, then 50 tanh-sinh calls
     "raises_in_second_part": lambda wrap: integrate_finite(
-        Integrand(wrap(_raises_on_call(60, lambda x: abs(x - 0.5))), (0.5,)), 0.0, 1.0, 1e-12
+        Integrand(wrap(_raises_on_call(70, lambda x: abs(x - 0.5))), (0.5,)), 0.0, 1.0, 1e-12
+    ),
+    # the first part is accepted by the Fejer pass after 15 calls, so call
+    # 20 falls inside the second part's Fejer pass
+    "raises_in_fejer_pass": lambda wrap: integrate_finite(
+        Integrand(wrap(_raises_on_call(20, lambda x: x * x)), (0.5,)), 0.0, 1.0, 1e-10
     ),
     "raises_in_head_tail_fallback": lambda wrap: integrate_half_line(
         wrap(_raises_on_call(2820, _half_line_kink)), 1e-9
@@ -370,6 +422,8 @@ def test_result_addition():
     b = QuadResult(2.0, 2e-12, 20, False)
     c = a + b
     assert c.value == 3.0 and c.evals == 30 and not c.converged
+    assert c.rule == "tanh-sinh"
+    assert (a + replace(b, rule="fejer")).rule == "mixed"
 
 
 @given(st.floats(min_value=-4.0, max_value=4.0), st.floats(min_value=0.3, max_value=4.0))
