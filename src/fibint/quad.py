@@ -43,20 +43,25 @@ split at known singular points.  Fejer's second rule with n = 4, 8, ...,
 256 has the n - 1 interior Chebyshev extrema cos(k pi/n) as nodes, so it
 is open too, and the nodes of each rule are kept by the next, which only
 adds the odd k.  Its weights come from a short sine sum (Waldvogel 2006,
-"Fast construction of the Fejer and Clenshaw-Curtis quadrature rules",
-BIT 46), built one rule at a time on first use and shared by every
-interval; a node is placed from its nearer endpoint, as a + c*delta or
-b - c*delta with delta = 2 sin^2(theta/2).  On integrands analytic on
-the closed interval it converges about as fast as Gauss (Trefethen 2008,
-"Is Gauss quadrature better than Clenshaw-Curtis?", SIAM Review 50), which
-covers most finite catalog rows.  From the third rule on the pass stops
-once the difference d1 of the last two rules is within the tolerance and
-below the difference before it, with err_est max(d1, rounding floor).  It
-declines on a non-finite sum, past n = 256, or when two rules agree
-exactly, the sign that fixed nodes missed a narrow feature or aliased a
-polynomial; a declined panel goes to tanh-sinh, and its Fejer calls count
-in evals.  A panel so narrow that a body node could round onto an
-endpoint skips the pass.
+"Fast construction of the Fejer and Clenshaw-Curtis quadrature rules", BIT
+46), built one rule at a time on first use and shared by every interval; a
+node is placed from its nearer endpoint, as a + c*delta or b - c*delta
+with delta = 2 sin^2(theta/2), and kept with the interval's DE table.  On
+integrands analytic on the closed interval it converges about as fast as
+Gauss (Trefethen 2008, "Is Gauss quadrature better than Clenshaw-Curtis?",
+SIAM Review 50), which covers most finite catalog rows.  From the third
+rule on the pass stops once the difference d1 of the last two rules is
+within the tolerance and below the difference before it, with err_est
+max(d1, rounding floor), and once the polynomial through the nodes matches
+the integrand at a fixed point off every rule's grid.  Differences of
+nested rules cannot tell a polynomial from a higher one aliased onto it at
+every node so far (T_38 is T_6 on the nodes of n = 8 and 16); a sample off
+the grid exposes it, as in Chebfun's sample test, and a rule that fails it
+is not accepted.  The pass declines on a non-finite sum, past n = 256, or
+when two rules agree exactly, the sign that fixed nodes missed a narrow
+feature; a declined panel goes to tanh-sinh, and its Fejer calls count in
+evals.  A panel so narrow that a body node could round onto an endpoint
+skips the pass.
 The half line, the tan map, bisection halves and the head/tail fallback
 use tanh-sinh alone.
 
@@ -174,7 +179,19 @@ def _level_nodes(level: int) -> tuple[_Nodes, _Nodes]:
     return _node_tables[level]
 
 
-class _MapTable(dict):
+class _Levels(dict):
+    """Rows per level, each level built on first use by rows(level)."""
+
+    def __init__(self, rows: Callable[[int], object]) -> None:
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, level: int):
+        rows = self[level] = self.rows(level)
+        return rows
+
+
+class _MapTable(_Levels):
     """The node rows of one map, per level, each level built on first use.
 
     table[level] is (body, (lo, hi)).  A body row holds both images of a
@@ -184,14 +201,9 @@ class _MapTable(dict):
     """
 
     def __init__(self, center: tuple[float, float], shared_weight: bool, rows: Callable[[int], tuple]) -> None:
-        super().__init__()
+        super().__init__(rows)
         self.center = center
         self.shared_weight = shared_weight
-        self.rows = rows
-
-    def __missing__(self, level: int) -> tuple:
-        rows = self[level] = self.rows(level)
-        return rows
 
 
 def _paired(a: float, b: float) -> bool:
@@ -202,7 +214,9 @@ def _paired(a: float, b: float) -> bool:
 
 @functools.lru_cache(maxsize=16)  # a catalog run integrates over 7 intervals
 def _finite_table(a: float, b: float) -> _MapTable:
-    """Rows of the finite map x = a + c*delta, b - c*delta, c = (b - a)/2."""
+    """Rows of the finite map x = a + c*delta, b - c*delta, c = (b - a)/2,
+    and in its attribute fejer the node pairs (x_lo, x_hi) that each Fejer
+    rule adds, placed the same way."""
     c = 0.5 * (b - a)
     paired = _paired(a, b)
 
@@ -216,7 +230,12 @@ def _finite_table(a: float, b: float) -> _MapTable:
             body, tail = [], body + tail
         return [(a + c * delta, b - c * delta, w) for delta, w in body], (walk(tail, a, c), walk(tail, b, -c))
 
-    return _MapTable((0.5 * (a + b), _W0), True, rows)
+    def fejer_rows(level: int) -> list[tuple[float, float]]:
+        return [(a + c * delta, b - c * delta) for delta in _fejer_level(level)[0]]
+
+    table = _MapTable((0.5 * (a + b), _W0), True, rows)
+    table.fejer = _Levels(fejer_rows)
+    return table
 
 
 def _half_line_table(tan: bool) -> _MapTable:
@@ -354,17 +373,23 @@ def _tanh_sinh(fe: Callable[[float], float], table: _MapTable, scale: float, tol
 FEJER_N0 = 4  # rules n = 4, 8, ..., FEJER_N_MAX, with n - 1 nodes each
 FEJER_N_MAX = 256
 _FEJER_LEVELS = (FEJER_N_MAX // FEJER_N0).bit_length()
-_fejer_rules: list[tuple[list[float], list[float], float]] = []
+_SAMPLE_T = 0.6180339887498949  # in (-1, 1), off every Chebyshev grid: not cos(k pi/n) for any n
+_Rule = tuple[list[float], list[float], float, tuple[float, list[float], list[float]]]
+_fejer_rules: list[_Rule] = []
 _fejer_thetas: list[float] = []  # of every pair so far, in the order the levels add them
 
 
-def _fejer_level(level: int) -> tuple[list[float], list[float], float]:
+def _fejer_level(level: int) -> _Rule:
     """Fejer's second rule on [-1, 1] with n = FEJER_N0 * 2^level: the deltas
     2 sin^2(theta/2) of the node pairs -cos(theta), cos(theta) it adds,
     theta = k pi/n for odd k < n/2; the weights of all its pairs, in the
-    order the levels add them; and the weight of the middle node.  The
-    weight at theta is (4 sin(theta)/n) sum_{j=1}^{n/2} sin((2j-1) theta)/(2j-1)
-    (Waldvogel 2006)."""
+    order the levels add them; the weight of the middle node; and the
+    Lagrange basis of the rule's nodes at _SAMPLE_T, as (middle node, low
+    nodes, high nodes).  The weight at theta is
+    (4 sin(theta)/n) sum_{j=1}^{n/2} sin((2j-1) theta)/(2j-1) (Waldvogel
+    2006).  The basis comes from the barycentric formula, with weight
+    (-1)^k sin^2(theta) at a pair, as for the Chebyshev extrema without the
+    endpoints, and 1 in the middle."""
     while len(_fejer_rules) <= level:
         n = FEJER_N0 << len(_fejer_rules)
 
@@ -372,18 +397,19 @@ def _fejer_level(level: int) -> tuple[list[float], list[float], float]:
             return 4.0 * math.sin(theta) / n * math.fsum(math.sin(j * theta) / j for j in range(1, n, 2))
 
         new = [k * math.pi / n for k in range(1, n // 2, 2)]
+        old = len(_fejer_thetas)
         _fejer_thetas.extend(new)
+        t = _SAMPLE_T
+        lo, hi = [], []
+        for i, theta in enumerate(_fejer_thetas):
+            w = (-1.0 if i >= old else 1.0) * math.sin(theta) ** 2
+            lo.append(w / (t + math.cos(theta)))
+            hi.append(w / (t - math.cos(theta)))
+        den = 1.0 / t + math.fsum(lo) + math.fsum(hi)
+        basis = (1.0 / t / den, [q / den for q in lo], [q / den for q in hi])
         deltas = [2.0 * math.sin(0.5 * theta) ** 2 for theta in new]
-        _fejer_rules.append((deltas, [weight(theta) for theta in _fejer_thetas], weight(_PI_OVER_2)))
+        _fejer_rules.append((deltas, [weight(theta) for theta in _fejer_thetas], weight(_PI_OVER_2), basis))
     return _fejer_rules[level]
-
-
-@functools.lru_cache(maxsize=64)  # 7 rules on each of a catalog run's 7 panels
-def _fejer_rows(a: float, b: float, level: int) -> list[tuple[float, float]]:
-    """The new node pairs (x_lo, x_hi) of one Fejer rule on (a, b), each
-    placed from its nearer endpoint."""
-    c = 0.5 * (b - a)
-    return [(a + c * delta, b - c * delta) for delta in _fejer_level(level)[0]]
 
 
 def _weighted_sum(weights: list[float], values) -> float:
@@ -394,29 +420,37 @@ def _weighted_sum(weights: list[float], values) -> float:
         return math.nan
 
 
-def _fejer(fe: Callable[[float], float], a: float, b: float, tol: float) -> QuadResult:
-    """Nested Fejer second-rule pass over (a, b), reusing every value when n
-    doubles.  From the third rule on it accepts once the difference d1 of
-    the last two rules is within tol and smaller than the difference d2
-    one level before.  It declines, returning converged False with the
-    calls made, on a non-finite sum, past FEJER_N_MAX, or once two rules
-    agree exactly where it cannot accept (so d2 of the next rule would be
-    0): fixed nodes can agree with each other and miss a narrow feature,
-    or alias a polynomial, between them."""
+def _fejer(fe: Callable[[float], float], rows: _Levels, a: float, b: float, tol: float) -> QuadResult:
+    """Nested Fejer second-rule pass over (a, b), rows[level] the node pairs
+    each rule adds, reusing every value when n doubles.  From the third rule
+    on it accepts once the difference d1 of the last two rules is within tol
+    and smaller than the difference d2 one level before, and the polynomial
+    through the nodes matches f at mid + c*_SAMPLE_T to within tol/c.
+    Differences alone cannot tell a polynomial from a higher one that
+    aliases onto it at every node so far (T_38 is T_6 on the nodes of n = 8
+    and 16, also under a part that is still converging); a sample off the
+    grid exposes it, as in Chebfun's sample test, and a rule that fails it
+    is not accepted, so the pass goes on to the next.  It declines,
+    returning converged False with the calls made, on a non-finite sum,
+    past FEJER_N_MAX, or once two rules agree exactly where it cannot accept
+    (so d2 of the next rule would be 0): fixed nodes can agree with each
+    other and miss a narrow feature between them.  Every call but one that
+    raises keeps its value, so the values count the calls."""
     c = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    fm = sample = None  # f at mid, and at mid + c*_SAMPLE_T once tested
     flo: list[float] = []  # f at the low and the high node of each pair, in the order the levels add them
     fhi: list[float] = []
+    put_lo = flo.append
+    put_hi = fhi.append
     prev = diff = math.inf
-    calls = 1
     try:
-        fm = fe(0.5 * (a + b))
+        fm = fe(mid)
         for level in range(_FEJER_LEVELS):
-            _, weights, w_mid = _fejer_level(level)
-            for xl, xh in _fejer_rows(a, b, level):
-                calls += 1
-                flo.append(fe(xl))
-                calls += 1
-                fhi.append(fe(xh))
+            _, weights, w_mid, (l_mid, l_lo, l_hi) = _fejer_level(level)
+            for xl, xh in rows[level]:
+                put_lo(fe(xl))
+                put_hi(fe(xh))
             value = c * (w_mid * fm + _weighted_sum(weights, map(operator.add, flo, fhi)))
             prev_diff, diff = diff, abs(value - prev)
             prev = value
@@ -425,14 +459,18 @@ def _fejer(fe: Callable[[float], float], a: float, b: float, tol: float) -> Quad
             if level >= 2 and diff < prev_diff and diff <= tol:
                 mags = map(operator.add, map(abs, flo), map(abs, fhi))
                 err = max(diff, 8.0 * _EPS * c * (w_mid * abs(fm) + _weighted_sum(weights, mags)))
-                if err <= tol:
-                    return QuadResult(value, err, calls, True, "fejer")
-                break
+                if err > tol:
+                    break
+                if sample is None:
+                    sample = fe(mid + c * _SAMPLE_T)
+                if c * abs(sample - l_mid * fm - _weighted_sum(l_lo, flo) - _weighted_sum(l_hi, fhi)) <= tol:
+                    return QuadResult(value, err, 2 + len(flo) + len(fhi), True, "fejer")
             if diff == 0.0:  # no later rule can contract below an exact agreement
                 break
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise _NonFiniteIntegrand(str(exc), calls) from exc
-    return QuadResult(math.nan, math.inf, calls, False, "fejer")
+        made = (fm is not None) + len(flo) + len(fhi) + (sample is not None)
+        raise _NonFiniteIntegrand(str(exc), made + 1) from exc
+    return QuadResult(math.nan, math.inf, 1 + len(flo) + len(fhi) + (sample is not None), False, "fejer")
 
 
 # --------------------------------------------------------------------------
@@ -469,7 +507,7 @@ def _finite_panel(fe: Callable[[float], float], a: float, b: float, tol: float) 
     table is unpaired is too fine for the float grid and skips the pass."""
     if not _paired(a, b):
         return _finite_adaptive(fe, a, b, tol, 0)
-    first = _fejer(fe, a, b, tol)
+    first = _fejer(fe, _finite_table(a, b).fejer, a, b, tol)
     if first.converged:
         return first
     try:

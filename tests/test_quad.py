@@ -176,19 +176,32 @@ def test_narrow_bump_in_the_tail_is_not_cut(tol):
     assert res.rule == "tanh-sinh"
 
 
-def _chebyshev_t32(x):
-    return math.cos(32.0 * math.acos(x))
+# T_m is aliased onto a lower T_j at the nodes of the first rules.  T_32 is
+# T_0 on n = 4, 8 and 16, so those rules agree exactly and the pass
+# declines.  T_38 is T_6 on n = 8 and 16, T_58 and T_70 on n = 8, 16 and
+# 32, each after a first rule that differs, so the difference of two rules
+# falls to rounding and only the off-grid sample shows that the nodes miss
+# part of the polynomial
+ALIASED = {32: "tanh-sinh", 38: "fejer", 58: "fejer", 70: "fejer"}
 
 
 @pytest.mark.parametrize("tol", (1e-6, 1e-9, 1e-13))
-def test_chebyshev_t32_aliased_on_fejer_nodes(tol):
-    # T_32(cos(k pi/n)) = 1 at every node of the rules n = 4, 8 and 16, so
-    # they all give 2.0 where the integral is 2/(1 - 32^2); the exact
-    # agreement must send the panel to tanh-sinh
-    res = integrate_finite(_chebyshev_t32, -1.0, 1.0, tol)
+@pytest.mark.parametrize("m", sorted(ALIASED))
+def test_chebyshev_polynomial_aliased_on_fejer_nodes(m, tol):
+    res = integrate_finite(lambda x: math.cos(m * math.acos(x)), -1.0, 1.0, tol)
     assert res.converged
-    assert abs(res.value - (-2.0 / 1023.0)) <= res.err_est
-    assert res.rule == "tanh-sinh"
+    assert abs(res.value - (-2.0 / (m * m - 1))) <= res.err_est
+    assert res.rule == ALIASED[m]
+
+
+@pytest.mark.parametrize("m", (58, 70))
+def test_aliased_polynomial_under_a_converging_part(m):
+    # T_m adds the same T_6 to the rules n = 8, 16 and 32, so the
+    # differences are those of 1/(2 - x), which is still converging there:
+    # d1 falls within tol at n = 32 and only the off-grid sample sees T_m
+    res = integrate_finite(lambda x: 1.0 / (2.0 - x) + math.cos(m * math.acos(x)), -1.0, 1.0, 1e-9)
+    assert res.converged
+    assert abs(res.value - (math.log(3.0) - 2.0 / (m * m - 1))) <= res.err_est
 
 
 @pytest.mark.parametrize("r", (5, 6))
@@ -339,7 +352,7 @@ def _half_line_kink(x):
 PINNED_PATHS = {
     "finite": (
         lambda wrap: integrate_finite(wrap(lambda x: x * math.sin(x)), 0.0, PI, 1e-10),
-        ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p-48", 31, True),
+        ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p-48", 32, True),
     ),
     "finite_bisection": (
         lambda wrap: integrate_finite(wrap(_bisection_kink), 0.0, 1.0, 1e-10),
@@ -387,11 +400,14 @@ RAISE_LATE = {
     "raises_in_second_part": lambda wrap: integrate_finite(
         Integrand(wrap(_raises_on_call(70, lambda x: abs(x - 0.5))), (0.5,)), 0.0, 1.0, 1e-12
     ),
-    # the first part is accepted by the Fejer pass after 15 calls, so call
-    # 20 falls inside the second part's Fejer pass
+    # the first part is accepted by the Fejer pass after 15 calls and the
+    # off-grid sample, so call 20 falls inside the second part's Fejer pass
     "raises_in_fejer_pass": lambda wrap: integrate_finite(
         Integrand(wrap(_raises_on_call(20, lambda x: x * x)), (0.5,)), 0.0, 1.0, 1e-10
     ),
+    # exp passes the stop rule at n = 32 after 31 calls, so call 32 is the
+    # off-grid sample
+    "raises_in_fejer_sample": lambda wrap: integrate_finite(wrap(_raises_on_call(32, math.exp)), 0.0, 1.0, 1e-10),
     "raises_in_head_tail_fallback": lambda wrap: integrate_half_line(
         wrap(_raises_on_call(2820, _half_line_kink)), 1e-9
     ),

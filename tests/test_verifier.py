@@ -51,8 +51,8 @@ def test_report_counts_consistent():
 @pytest.mark.parametrize(
     "tol, calls",
     [
-        (None, {"FINITE": 46499, "HALF_LINE": 34290, "TAN_HALFPI": 19925}),
-        (1e-12, {"FINITE": 58042, "HALF_LINE": 45650, "TAN_HALFPI": 22655}),
+        (None, {"FINITE": 47549, "HALF_LINE": 34290, "TAN_HALFPI": 19925}),
+        (1e-12, {"FINITE": 59089, "HALF_LINE": 45650, "TAN_HALFPI": 22655}),
     ],
 )
 def test_catalog_integrand_calls_per_strategy(tol, calls):
