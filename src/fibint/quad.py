@@ -105,7 +105,7 @@ class Integrand:
     singular_points: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QuadResult:
     value: float
     err_est: float

@@ -109,7 +109,7 @@ class IdentityCase:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoundInstance:
     """A catalog row bound to one concrete assignment."""
 

@@ -27,7 +27,7 @@ class EmptyFilterError(ValueError):
     """Filter matched no catalog entry."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VerificationResult:
     case_id: str
     assignment: tuple[tuple[str, int], ...]
@@ -124,9 +124,7 @@ def run(
         for assignment in registry.default_grid(cid, grid_override):
             inst = registry.instantiate(cid, assignment)
             if tol_override is not None:
-                inst = registry.BoundInstance(
-                    inst.case_id, inst.assignment, inst.integrand, inst.rhs, tol_override, inst.strategy
-                )
+                inst.tol = tol_override
             instances.append(inst)
     results = sorted(map(verify_instance, instances), key=VerificationResult.sort_key)
     n_pass = sum(1 for r in results if r.passed)

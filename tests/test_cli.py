@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from datetime import datetime
 
 import pytest
 
@@ -100,6 +101,39 @@ def test_failed_report_is_strict_json(capsys, monkeypatch):
     assert passed["passed"] is True and isinstance(passed["lhs"], float)
 
 
+def test_report_json_byte_layout():
+    passed = verifier.VerificationResult(
+        "A.PASS", (("m", 2), ("r", 3)), 1.5, 1.5000000000000002, 2.220446049250313e-16, 1e-10, True, 42
+    )
+    failed = verifier.VerificationResult(
+        "B.FAIL", (), float("nan"), 0.25, float("inf"), 1e-7, False, 0, 'say "hi" \\ then\ttab\x01'
+    )
+    report = verifier.Report(results=(passed, failed), n_pass=1, n_fail=1, wall_time=0.0)
+    text = cli.report_json(report, 1e-12, "A.*")
+    head, _, rest = text.partition('"timestamp": "')
+    assert head == '{"meta": {"tol": 9.9999999999999998e-13, "filter": "A.*", '
+    timestamp, _, rest = rest.partition('"')
+    datetime.fromisoformat(timestamp)
+    assert rest == (
+        '}, "results": ['
+        '{"id": "A.PASS", "params": {"m": 2, "r": 3}, "lhs": 1.5, "rhs": 1.5000000000000002, '
+        '"abs_err": 2.2204460492503131e-16, "tol": 1e-10, "passed": true, "note": ""}, '
+        '{"id": "B.FAIL", "params": {}, "lhs": null, "rhs": 0.25, "abs_err": null, '
+        '"tol": 9.9999999999999995e-08, "passed": false, "note": "say \\"hi\\" \\\\ then\\u0009tab\\u0001"}'
+        "]}"
+    )
+    assert json.loads(text)["results"][1]["note"] == failed.note
+
+
+@pytest.mark.parametrize("text", ["{}", "a,b\n"])
+def test_emit_ends_with_one_newline(text, tmp_path, capsys):
+    cli._emit(text, None)
+    assert capsys.readouterr().out == text.rstrip("\n") + "\n"
+    path = tmp_path / "out.txt"
+    cli._emit(text, str(path))
+    assert path.read_bytes() == (text.rstrip("\n") + "\n").encode()
+
+
 def test_list_csv_has_full_catalog(capsys):
     code, out, _ = run_cli(capsys, "list", "--format", "csv")
     assert code == 0
@@ -138,8 +172,9 @@ def test_out_file_round_trip(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "verify", "--filter", "S5.FOURG", "--format", "json", "--out", str(path))
     assert code == 0 and out == ""
-    doc = json.loads(path.read_text())
-    assert doc["results"][0]["id"] == "S5.FOURG"
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("]}\n") and text.count("\n") == 1
+    assert json.loads(text)["results"][0]["id"] == "S5.FOURG"
 
 
 def test_results_payload_deterministic(capsys):
