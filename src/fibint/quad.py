@@ -274,11 +274,17 @@ _TAN = _half_line_table(tan=True)
 
 
 class _NonFiniteIntegrand(ArithmeticError):
-    """The integrand raised or returned a non-finite value after evals calls."""
+    """The integrand raised or returned a non-finite value after evals calls,
+    inside a pass of the given rule."""
 
-    def __init__(self, msg: str, evals: int) -> None:
+    def __init__(self, msg: str, evals: int, rule: str) -> None:
         super().__init__(msg)
         self.evals = evals
+        self.rule = rule
+
+    def after(self, parts: list[QuadResult]) -> QuadResult:
+        """The failed result of the parts finished before the raise plus the raising pass."""
+        return sum(parts, QuadResult(math.nan, math.inf, self.evals, False, self.rule))
 
 
 _SAFETY = 1e3  # factor on the quadratic estimate d1^2/d2; 1e2 understated the error of catalog rows
@@ -349,7 +355,7 @@ def _tanh_sinh(fe: Callable[[float], float], table: _MapTable, scale: float, tol
                         break
                 side[:] = cut, deepest
             if not math.isfinite(s):  # a non-finite term leaves s non-finite for good
-                raise _NonFiniteIntegrand("integrand returned a non-finite value", calls)
+                raise _NonFiniteIntegrand("integrand returned a non-finite value", calls, "tanh-sinh")
             h = 1.0 / (1 << level)
             value = scale * h * s
             if level >= 1:
@@ -362,7 +368,7 @@ def _tanh_sinh(fe: Callable[[float], float], table: _MapTable, scale: float, tol
                     err = max(est, floor)
                     return QuadResult(value, err, calls, err <= tol)
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise _NonFiniteIntegrand(str(exc), calls) from exc
+        raise _NonFiniteIntegrand(str(exc), calls, "tanh-sinh") from exc
     return QuadResult(value, max(diff, floor), calls, False)
 
 
@@ -469,7 +475,7 @@ def _fejer(fe: Callable[[float], float], rows: _Levels, a: float, b: float, tol:
                 break
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         made = (fm is not None) + len(flo) + len(fhi) + (sample is not None)
-        raise _NonFiniteIntegrand(str(exc), made + 1) from exc
+        raise _NonFiniteIntegrand(str(exc), made + 1, "fejer") from exc
     return QuadResult(math.nan, math.inf, 1 + len(flo) + len(fhi) + (sample is not None), False, "fejer")
 
 
@@ -539,7 +545,7 @@ def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> 
         for lo, hi in zip(edges, edges[1:]):
             parts.append(_finite_panel(f.eval, lo, hi, ptol))
     except _NonFiniteIntegrand as exc:
-        return QuadResult(math.nan, math.inf, sum(p.evals for p in parts) + exc.evals, False)
+        return exc.after(parts)
     return functools.reduce(operator.add, parts)
 
 
@@ -552,14 +558,14 @@ def _half_line(fe: Callable[[float], float], table: _MapTable, x_fe: Callable[[f
     """The half-line pass of fe over table, and if it stalls, the head
     (0, 1) and the inverted tail of x_fe, the integrand in x, as finite
     intervals."""
-    spent = 0
+    done: list[QuadResult] = []
     try:
         res = _tanh_sinh(fe, table, 0.5, tol)
         if res.converged:
             return res
-        spent = res.evals
+        done.append(res)
         head = _finite_adaptive(x_fe, 0.0, 1.0, 0.5 * tol, 0)
-        spent += head.evals
+        done.append(head)
 
         def tail(u: float) -> float:
             return x_fe(1.0 / u) / (u * u)
@@ -567,7 +573,7 @@ def _half_line(fe: Callable[[float], float], table: _MapTable, x_fe: Callable[[f
         parts = head + _finite_adaptive(tail, 0.0, 1.0, 0.5 * tol, 0)
         return replace(parts, evals=parts.evals + res.evals)
     except _NonFiniteIntegrand as exc:
-        return QuadResult(math.nan, math.inf, spent + exc.evals, False)
+        return exc.after(done)
 
 
 def integrate_half_line(f, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:

@@ -414,6 +414,10 @@ RAISE_LATE = {
 }
 
 
+# the paths whose every part ends in an accepting or a raising Fejer pass
+FEJER_PATHS = {"finite", "raises_in_fejer_pass", "raises_in_fejer_sample"}
+
+
 @pytest.mark.parametrize("path", sorted(PINNED_PATHS) + sorted(RAISE_LATE))
 def test_evals_are_the_integrand_calls_made(path):
     run = PINNED_PATHS[path][0] if path in PINNED_PATHS else RAISE_LATE[path]
@@ -431,6 +435,8 @@ def test_evals_are_the_integrand_calls_made(path):
     assert res.evals == calls
     if path in RAISE_LATE:
         assert not res.converged and math.isnan(res.value)
+    # a raise names the rule of the pass it ended, combined with the finished parts
+    assert res.rule == ("fejer" if path in FEJER_PATHS else "tanh-sinh")
 
 
 def test_result_addition():
