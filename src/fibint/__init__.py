@@ -4,7 +4,7 @@ from .exact_seq import GoldenPair, fib, golden_powers, lucas
 from .fib_complex import fib_fn, fib_fn_deriv, lucas_fn, lucas_fn_deriv
 from .quad import Integrand, QuadResult, integrate_finite, integrate_half_line, integrate_tan_halfpi
 from .registry import BoundInstance, IdentityCase, ParamSpec, catalog, default_grid, instantiate
-from .specfun import SpecFunConfig, cl2, constants, li2_complex, li2_real
+from .specfun import cl2, constants, li2_complex, li2_real
 from .verifier import Report, VerificationResult, lemma2_check, run, verify_instance
 
 __version__ = "0.1.0"
@@ -22,7 +22,6 @@ __all__ = [
     "li2_complex",
     "cl2",
     "constants",
-    "SpecFunConfig",
     "Integrand",
     "QuadResult",
     "integrate_finite",

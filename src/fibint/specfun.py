@@ -35,21 +35,8 @@ LN_ALPHA = math.log(ALPHA)
 PI2_6 = PI * PI / 6.0
 
 
-@dataclass(frozen=True)
-class SpecFunConfig:
-    """Stopping control for the direct series evaluators."""
-
-    series_tol: float = 1e-16
-    max_terms: int = 200
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.series_tol <= 1e-8):
-            raise ValueError("series_tol must lie in (0, 1e-8]")
-        if self.max_terms < 32:
-            raise ValueError("max_terms must be at least 32")
-
-
-DEFAULT_CONFIG = SpecFunConfig()
+_SERIES_TOL = 1e-16  # the direct series stop at their first term below this
+_MAX_TERMS = 200
 
 
 def _bernoulli(n: int) -> list[Fraction]:
@@ -93,21 +80,20 @@ def _tables() -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
     return li2, c0, cp
 
 
-def _li2_series_real(x: float, cfg: SpecFunConfig) -> float:
+def _li2_series_real(x: float) -> float:
     total = 0.0
     zk = x
-    for k in range(1, cfg.max_terms + 1):
+    for k in range(1, _MAX_TERMS + 1):
         term = zk / (k * k)
         total += term
-        if abs(term) < cfg.series_tol:
+        if abs(term) < _SERIES_TOL:
             break
         zk *= x
     return total
 
 
-def li2_real(x: float, config: SpecFunConfig | None = None) -> float:
+def li2_real(x: float) -> float:
     """Real dilogarithm Li2(x) for x <= 1."""
-    cfg = config or DEFAULT_CONFIG
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("argument must be finite")
@@ -120,30 +106,30 @@ def li2_real(x: float, config: SpecFunConfig | None = None) -> float:
     if x > 0.5:
         # reflection onto (0, 1/2)
         y = 1.0 - x
-        return PI2_6 - math.log(x) * math.log(y) - _li2_series_real(y, cfg)
+        return PI2_6 - math.log(x) * math.log(y) - _li2_series_real(y)
     if x >= -0.5:
-        return _li2_series_real(x, cfg)
+        return _li2_series_real(x)
     if x >= -1.0:
         # Landen: x/(x-1) lands in (0, 1/2)
         y = x / (x - 1.0)
-        return -_li2_series_real(y, cfg) - 0.5 * math.log1p(-x) ** 2
-    inv = li2_real(1.0 / x, cfg)
+        return -_li2_series_real(y) - 0.5 * math.log1p(-x) ** 2
+    inv = li2_real(1.0 / x)
     return -PI2_6 - 0.5 * math.log(-x) ** 2 - inv
 
 
-def _li2_series_complex(z: complex, cfg: SpecFunConfig) -> complex:
+def _li2_series_complex(z: complex) -> complex:
     total = 0.0 + 0.0j
     zk = z
-    for k in range(1, cfg.max_terms + 1):
+    for k in range(1, _MAX_TERMS + 1):
         term = zk / (k * k)
         total += term
-        if abs(term) < cfg.series_tol:
+        if abs(term) < _SERIES_TOL:
             break
         zk *= z
     return total
 
 
-def _li2_bernoulli(z: complex, cfg: SpecFunConfig) -> complex:
+def _li2_bernoulli(z: complex) -> complex:
     coefs = _tables()[0]
     u = -_clog(1.0 - z)
     total = 0.0 + 0.0j
@@ -152,7 +138,7 @@ def _li2_bernoulli(z: complex, cfg: SpecFunConfig) -> complex:
         if ck != 0.0:
             term = ck * up
             total += term
-            if k > 2 and abs(term) < cfg.series_tol:
+            if k > 2 and abs(term) < _SERIES_TOL:
                 break
         up *= u
     return total
@@ -162,9 +148,8 @@ def _clog(z: complex) -> complex:
     return complex(math.log(abs(z)), math.atan2(z.imag, z.real))
 
 
-def li2_complex(z: complex, config: SpecFunConfig | None = None) -> complex:
+def li2_complex(z: complex) -> complex:
     """Principal-branch dilogarithm on the closed unit disk |z| <= 1."""
-    cfg = config or DEFAULT_CONFIG
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("argument must be finite")
@@ -175,14 +160,14 @@ def li2_complex(z: complex, config: SpecFunConfig | None = None) -> complex:
     if z == 1:
         return complex(PI2_6, 0.0)
     if abs(z) <= 0.5:
-        return _li2_series_complex(z, cfg)
+        return _li2_series_complex(z)
     if abs(1.0 - z) <= 0.5:
         w = 1.0 - z
-        return PI2_6 - _clog(z) * _clog(w) - _li2_series_complex(w, cfg)
-    return _li2_bernoulli(z, cfg)
+        return PI2_6 - _clog(z) * _clog(w) - _li2_series_complex(w)
+    return _li2_bernoulli(z)
 
 
-def _cl2_core(t: float, cfg: SpecFunConfig) -> float:
+def _cl2_core(t: float) -> float:
     """Cl2 on [0, pi] via the expansion about 0 or about pi."""
     _, c0, cp = _tables()
     if t == 0.0 or t == PI:
@@ -194,7 +179,7 @@ def _cl2_core(t: float, cfg: SpecFunConfig) -> float:
         for cn in c0:
             term = cn * tp
             acc += term
-            if abs(term) < cfg.series_tol:
+            if abs(term) < _SERIES_TOL:
                 break
             tp *= t2
         return acc
@@ -205,15 +190,14 @@ def _cl2_core(t: float, cfg: SpecFunConfig) -> float:
     for cm in cp:
         term = cm * pp
         acc -= term
-        if abs(term) < cfg.series_tol:
+        if abs(term) < _SERIES_TOL:
             break
         pp *= p2
     return acc
 
 
-def cl2(theta: float, config: SpecFunConfig | None = None) -> float:
+def cl2(theta: float) -> float:
     """Clausen's function Cl2(theta); odd, 2*pi-periodic, Cl2(pi/2) = G."""
-    cfg = config or DEFAULT_CONFIG
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("argument must be finite")
@@ -221,8 +205,8 @@ def cl2(theta: float, config: SpecFunConfig | None = None) -> float:
     if t < 0.0:
         t += 2.0 * PI
     if t > PI:
-        return -_cl2_core(2.0 * PI - t, cfg)
-    return _cl2_core(t, cfg)
+        return -_cl2_core(2.0 * PI - t)
+    return _cl2_core(t)
 
 
 def _catalan_cvz(n: int = 30) -> float:
@@ -262,8 +246,6 @@ def constants() -> Constants:
 
 
 __all__ = [
-    "SpecFunConfig",
-    "DEFAULT_CONFIG",
     "Constants",
     "constants",
     "li2_real",

@@ -10,7 +10,6 @@ from fibint.specfun import (
     ALPHA,
     BETA,
     LN_ALPHA,
-    SpecFunConfig,
     cl2,
     constants,
     li2_complex,
@@ -182,14 +181,3 @@ def test_constants_record():
     direct = sum((-1.0) ** j / (2 * j + 1) ** 2 for j in range(200000))
     assert c.catalan == pytest.approx(direct, abs=1e-10)
     assert c.alpha == ALPHA
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SpecFunConfig(series_tol=0.0)
-    with pytest.raises(ValueError):
-        SpecFunConfig(series_tol=1e-7)
-    with pytest.raises(ValueError):
-        SpecFunConfig(max_terms=8)
-    cfg = SpecFunConfig(series_tol=1e-12, max_terms=64)
-    assert li2_real(0.4, cfg) == pytest.approx(li2_real(0.4), abs=1e-11)
