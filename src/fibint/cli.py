@@ -116,25 +116,24 @@ def _params_spec_str(case: registry.IdentityCase) -> str:
 
 
 def _list_json(cases) -> str:
-    rows = []
+    buf = ["["]
+    sep = ""
     for e in registry.catalog_entries():
         if e["id"] not in cases:
             continue
         params = ", ".join(
-            "{"
-            + f'"name": "{p["name"]}", "parity": "{p["parity"]}", "min": {p["min"]}, '
-            + f'"max": {p["max"]}, "exclusions": {p["exclusions"]}'
-            + "}"
+            f'{{"name": "{p["name"]}", "parity": "{p["parity"]}", "min": {p["min"]}, '
+            f'"max": {p["max"]}, "exclusions": {p["exclusions"]}}}'
             for p in e["params"]
         )
-        rows.append(
-            "{"
-            + f'"id": "{e["id"]}", "anchor": "{_json_escape(e["anchor"])}", '
-            + f'"params": [{params}], "strategy": "{e["strategy"]}", '
-            + f'"default_tol": {_fmt(e["default_tol"])}'
-            + "}"
+        buf.append(
+            f'{sep}{{"id": "{e["id"]}", "anchor": "{_json_escape(e["anchor"])}", '
+            f'"params": [{params}], "strategy": "{e["strategy"]}", '
+            f'"default_tol": {_fmt(e["default_tol"])}}}'
         )
-    return "[" + ", ".join(rows) + "]"
+        sep = ", "
+    buf.append("]")
+    return "".join(buf)
 
 
 def _list_csv(cases) -> str:
