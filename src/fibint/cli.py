@@ -10,6 +10,7 @@ writes null for a non-finite float, e.g. the lhs of a failed instance).
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import io
 import math
@@ -84,17 +85,60 @@ def _report_csv(report: verifier.Report) -> str:
     return buf.getvalue()
 
 
+# decades of abs_err/tol in the md report's histogram; a healthy catalog row lands below 1e-2
+BUCKET_LABELS = (
+    "<1e-7",
+    "[1e-7,1e-6)",
+    "[1e-6,1e-5)",
+    "[1e-5,1e-4)",
+    "[1e-4,1e-3)",
+    "[1e-3,1e-2)",
+    "[1e-2,1e-1)",
+    ">=1e-1",
+)
+
+
+def bucket_index(ratio: float) -> int:
+    """Index into BUCKET_LABELS of the decade holding an error/threshold ratio."""
+    if ratio <= 0.0:
+        return 0
+    if not ratio < math.inf:  # inf or nan: a failed row
+        return len(BUCKET_LABELS) - 1
+    return min(len(BUCKET_LABELS) - 1, max(0, math.floor(math.log10(ratio)) + 8))
+
+
+def _margin(r: verifier.VerificationResult) -> float:
+    return r.abs_err / r.tol if r.tol else math.inf
+
+
 def _report_md(report: verifier.Report) -> str:
+    """One row per result, then a per-family summary, the abs_err/tol histogram and the totals."""
     lines = [
-        "| id | params | lhs | rhs | abs_err | tol | passed |",
-        "|----|--------|-----|-----|---------|-----|--------|",
+        "| id | params | lhs | rhs | abs_err | tol | passed | note |",
+        "|----|--------|-----|-----|---------|-----|--------|------|",
     ]
+    families = collections.defaultdict(list)
     for r in report.results:
         mark = "pass" if r.passed else "FAIL"
         lines.append(
             f"| {r.case_id} | {_params_str(r.assignment)} | {r.lhs:.12g} | {r.rhs:.12g} "
-            f"| {r.abs_err:.3e} | {r.tol:.1e} | {mark} |"
+            f"| {r.abs_err:.3e} | {r.tol:.1e} | {mark} | {r.note} |"
         )
+        families[r.case_id.partition(".")[0]].append(r)
+    lines += [
+        "",
+        "| family | cases | failed | worst abs_err | worst abs_err/tol | evals |",
+        "|--------|-------|--------|---------------|-------------------|-------|",
+    ]
+    for fam in sorted(families):
+        rs = families[fam]
+        lines.append(
+            f"| {fam} | {len(rs)} | {sum(not r.passed for r in rs)} | {max(r.abs_err for r in rs):.3e} "
+            f"| {max(map(_margin, rs)):.3e} | {sum(r.quad_evals for r in rs)} |"
+        )
+    counts = collections.Counter(bucket_index(_margin(r)) for r in report.results)
+    lines += ["", "| abs_err/tol | instances |", "|-------------|-----------|"]
+    lines += [f"| {label} | {counts[i]} |" for i, label in enumerate(BUCKET_LABELS)]
     lines.append("")
     lines.append(
         f"{report.n_pass} passed, {report.n_fail} failed, "

@@ -21,6 +21,9 @@ MAX_INDEX = 10_000
 MAX_GOLDEN_POWER = 40
 
 SQRT5 = math.sqrt(5.0)
+ALPHA = (1.0 + SQRT5) / 2.0
+BETA = (1.0 - SQRT5) / 2.0
+LN_ALPHA = math.log(ALPHA)
 
 
 @lru_cache(maxsize=256, typed=True)

@@ -32,21 +32,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ..exact_seq import fib, lucas, golden_powers
+from ..exact_seq import ALPHA, BETA, LN_ALPHA, SQRT5, fib, lucas, golden_powers  # noqa: F401
 from ..quad import Integrand
 from ..registry import FINITE, HALF_LINE, TAN_HALFPI, IdentityCase, ParamSpec, Strategy  # noqa: F401
-from ..specfun import cl2, constants, li2_real
+from ..specfun import LN2, cl2, constants, li2_real  # noqa: F401
 
 PI = math.pi
 PI2 = PI * PI
 PI3 = PI * PI2
-SQRT5 = math.sqrt(5.0)
 SQRT2 = math.sqrt(2.0)
-ALPHA = (1.0 + SQRT5) / 2.0
-BETA = (1.0 - SQRT5) / 2.0
-LN_ALPHA = math.log(ALPHA)
 LA2 = LN_ALPHA * LN_ALPHA
-LN2 = math.log(2.0)
 
 HALF_PI = PI / 2.0
 FULL = FINITE(0.0, PI)

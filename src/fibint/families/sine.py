@@ -6,12 +6,12 @@ collapses to a single logarithm through neighbour-product identities.
 from __future__ import annotations
 
 from ._helpers import (
-    BETA, EVEN, HALF, LN_ALPHA, NO_PARAMS, ODD, PI, SQRT2, SQRT5,
+    ALPHA, BETA, EVEN, HALF, LN_ALPHA, NO_PARAMS, ODD, PI, SQRT2, SQRT5,
     F, L, P, apow, bpow, case, catalan, cl_pair, math, qgrid,
 )
 
 KC, QC = qgrid((0.2, 0.5, 0.8, 1.0, BETA * BETA, -BETA))
-KT, QT = qgrid((0.5, 1.0, 2.0, 2.0 / 3.0, (1.0 + SQRT5) / 2.0, 3.0))
+KT, QT = qgrid((0.5, 1.0, 2.0, 2.0 / 3.0, ALPHA, 3.0))
 
 
 def _log_ratio_kernel(amp: float):

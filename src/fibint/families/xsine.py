@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..quad import integrate_finite
 from ._helpers import (
-    BETA, EVEN, FULL, HALF, LN_ALPHA, MID, NO_PARAMS, ODD, PI, SQRT2, SQRT5,
+    ALPHA, BETA, EVEN, FULL, HALF, LN_ALPHA, MID, NO_PARAMS, ODD, PI, SQRT2, SQRT5,
     F, Integrand, L, P, apow, bpow, case, math, qgrid,
 )
 
@@ -131,7 +131,7 @@ def _fm_rhs(p):
 
 def cases():
     k6, q6 = qgrid((0.3, -0.4, 0.6, -0.7, BETA * BETA, -BETA))
-    kg, qg = qgrid((1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, (1.0 + SQRT5) / 2.0))
+    kg, qg = qgrid((1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, ALPHA))
     kp, qp = qgrid((0.3, 0.5, 0.8, BETA * BETA, -BETA))
     kq, qq = qgrid((0.3, 0.5, 0.7, BETA * BETA, -BETA))
     r16, r18 = (P("r", 1, 6),), (P("r", 1, 8),)

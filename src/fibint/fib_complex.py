@@ -20,13 +20,10 @@ the analogous Lucas forms.  All functions are pure and thread-safe.
 
 from __future__ import annotations
 
+import cmath
 import math
 
-from .exact_seq import SQRT5
-
-ALPHA = (1.0 + SQRT5) / 2.0
-BETA = (1.0 - SQRT5) / 2.0
-LN_ALPHA = math.log(ALPHA)
+from .exact_seq import ALPHA, BETA, LN_ALPHA, SQRT5
 
 MAX_ARG = 200.0
 
@@ -42,8 +39,7 @@ def _check_arg(x: float) -> float:
 
 def _beta_pow(x: float) -> complex:
     # principal branch: (-beta)^x = exp(-x ln alpha) since -beta = 1/alpha
-    mag = math.exp(-x * LN_ALPHA)
-    return complex(mag * math.cos(math.pi * x), mag * math.sin(math.pi * x))
+    return cmath.rect(math.exp(-x * LN_ALPHA), math.pi * x)
 
 
 def _guard(z: complex) -> complex:

@@ -22,17 +22,17 @@ record returned by constants() is read-only.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .exact_seq import ALPHA, BETA, LN_ALPHA, SQRT5
+
 PI = math.pi
-SQRT5 = math.sqrt(5.0)
-ALPHA = (1.0 + SQRT5) / 2.0
-BETA = (1.0 - SQRT5) / 2.0
-LN_ALPHA = math.log(ALPHA)
 PI2_6 = PI * PI / 6.0
+LN2 = math.log(2.0)
 
 
 _SERIES_TOL = 1e-16  # the direct series stop at their first term below this
@@ -80,15 +80,16 @@ def _tables() -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
     return li2, c0, cp
 
 
-def _li2_series_real(x: float) -> float:
+def _li2_series(z: float | complex) -> float | complex:
+    """The defining series sum z^k/k^2, for real or complex z."""
     total = 0.0
-    zk = x
+    zk = z
     for k in range(1, _MAX_TERMS + 1):
         term = zk / (k * k)
         total += term
         if abs(term) < _SERIES_TOL:
             break
-        zk *= x
+        zk *= z
     return total
 
 
@@ -106,32 +107,20 @@ def li2_real(x: float) -> float:
     if x > 0.5:
         # reflection onto (0, 1/2)
         y = 1.0 - x
-        return PI2_6 - math.log(x) * math.log(y) - _li2_series_real(y)
+        return PI2_6 - math.log(x) * math.log(y) - _li2_series(y)
     if x >= -0.5:
-        return _li2_series_real(x)
+        return _li2_series(x)
     if x >= -1.0:
         # Landen: x/(x-1) lands in (0, 1/2)
         y = x / (x - 1.0)
-        return -_li2_series_real(y) - 0.5 * math.log1p(-x) ** 2
+        return -_li2_series(y) - 0.5 * math.log1p(-x) ** 2
     inv = li2_real(1.0 / x)
     return -PI2_6 - 0.5 * math.log(-x) ** 2 - inv
 
 
-def _li2_series_complex(z: complex) -> complex:
-    total = 0.0 + 0.0j
-    zk = z
-    for k in range(1, _MAX_TERMS + 1):
-        term = zk / (k * k)
-        total += term
-        if abs(term) < _SERIES_TOL:
-            break
-        zk *= z
-    return total
-
-
 def _li2_bernoulli(z: complex) -> complex:
     coefs = _tables()[0]
-    u = -_clog(1.0 - z)
+    u = -cmath.log(1.0 - z)
     total = 0.0 + 0.0j
     up = u
     for k, ck in enumerate(coefs):
@@ -142,10 +131,6 @@ def _li2_bernoulli(z: complex) -> complex:
                 break
         up *= u
     return total
-
-
-def _clog(z: complex) -> complex:
-    return complex(math.log(abs(z)), math.atan2(z.imag, z.real))
 
 
 def li2_complex(z: complex) -> complex:
@@ -160,10 +145,10 @@ def li2_complex(z: complex) -> complex:
     if z == 1:
         return complex(PI2_6, 0.0)
     if abs(z) <= 0.5:
-        return _li2_series_complex(z)
+        return _li2_series(z)
     if abs(1.0 - z) <= 0.5:
         w = 1.0 - z
-        return PI2_6 - _clog(z) * _clog(w) - _li2_series_complex(w)
+        return PI2_6 - cmath.log(z) * cmath.log(w) - _li2_series(w)
     return _li2_bernoulli(z)
 
 
@@ -185,7 +170,7 @@ def _cl2_core(t: float) -> float:
         return acc
     p = PI - t
     p2 = p * p
-    acc = p * math.log(2.0)
+    acc = p * LN2
     pp = p * p2
     for cm in cp:
         term = cm * pp

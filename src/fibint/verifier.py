@@ -24,7 +24,7 @@ _QUAD_SAFETY = 0.25
 
 
 class EmptyFilterError(ValueError):
-    """Filter matched no catalog entry."""
+    """Filter matched no catalog entry, or its grid left no instance."""
 
 
 @dataclass(slots=True)
@@ -87,6 +87,8 @@ def verify_instance(inst: registry.BoundInstance) -> VerificationResult:
             note=f"integration error: {exc}",
         )
     abs_err = abs(res.value - inst.rhs)
+    if math.isnan(abs_err):  # inf, never nan, so that a max over rows keeps the failed one
+        abs_err = math.inf
     passed = res.converged and abs_err <= threshold
     if not math.isfinite(res.value):
         note = "integrand raised or returned a non-finite value"
@@ -126,6 +128,9 @@ def run(
             if tol_override is not None:
                 inst.tol = tol_override
             instances.append(inst)
+    if not instances:
+        grid = ", ".join(f"{k}={lo}..{hi}" for k, (lo, hi) in (grid_override or {}).items())
+        raise EmptyFilterError(f"filter {pattern!r} with grid {grid!r} leaves no instance")
     results = sorted(map(verify_instance, instances), key=VerificationResult.sort_key)
     n_pass = sum(1 for r in results if r.passed)
     return Report(

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -61,6 +62,67 @@ def test_verify_md_summary(capsys):
     assert "1 passed, 0 failed" in out
 
 
+def test_verify_grid_leaving_no_instance_exits_2(capsys):
+    # an even-r family under an odd-only window
+    code, out, err = run_cli(capsys, "verify", "--filter", "S9.G8UGNY7.PE", "--grid", "r=3..3")
+    assert code == 2 and out == ""
+    assert err == "error: filter 'S9.G8UGNY7.PE' with grid 'r=3..3' leaves no instance\n"
+
+
+def test_report_md_byte_layout():
+    passed = verifier.VerificationResult(
+        "A.PASS", (("m", 2), ("r", 3)), 1.5, 1.5000000000000002, 2.220446049250313e-16, 1e-10, True, 42
+    )
+    exact = verifier.VerificationResult("A.EXACT", (), 0.5, 0.5, 0.0, 0.0, True, 7)
+    failed = verifier.VerificationResult(
+        "B.FAIL", (("k", 1),), float("nan"), 0.25, float("inf"), 1e-7, False, 0, "integration error: boom"
+    )
+    report = verifier.Report(results=(passed, exact, failed), n_pass=2, n_fail=1, wall_time=0.0)
+    assert cli._report_md(report) == (
+        "| id | params | lhs | rhs | abs_err | tol | passed | note |\n"
+        "|----|--------|-----|-----|---------|-----|--------|------|\n"
+        "| A.PASS | m=2;r=3 | 1.5 | 1.5 | 2.220e-16 | 1.0e-10 | pass |  |\n"
+        "| A.EXACT |  | 0.5 | 0.5 | 0.000e+00 | 0.0e+00 | pass |  |\n"
+        "| B.FAIL | k=1 | nan | 0.25 | inf | 1.0e-07 | FAIL | integration error: boom |\n"
+        "\n"
+        "| family | cases | failed | worst abs_err | worst abs_err/tol | evals |\n"
+        "|--------|-------|--------|---------------|-------------------|-------|\n"
+        "| A | 2 | 0 | 2.220e-16 | inf | 49 |\n"
+        "| B | 1 | 1 | inf | inf | 0 |\n"
+        "\n"
+        "| abs_err/tol | instances |\n"
+        "|-------------|-----------|\n"
+        "| <1e-7 | 0 |\n"
+        "| [1e-7,1e-6) | 0 |\n"
+        "| [1e-6,1e-5) | 1 |\n"
+        "| [1e-5,1e-4) | 0 |\n"
+        "| [1e-4,1e-3) | 0 |\n"
+        "| [1e-3,1e-2) | 0 |\n"
+        "| [1e-2,1e-1) | 0 |\n"
+        "| >=1e-1 | 2 |\n"
+        "\n"
+        "2 passed, 1 failed, 3 total in 0.00 s"
+    )
+
+
+@pytest.mark.parametrize(
+    "ratio, label",
+    [
+        (0.05, "[1e-2,1e-1)"),
+        (0.5, ">=1e-1"),
+        (1e-8, "<1e-7"),
+        (2e-8, "<1e-7"),
+        (0.0, "<1e-7"),
+        (3e-4, "[1e-4,1e-3)"),
+        (12.0, ">=1e-1"),
+        (math.inf, ">=1e-1"),
+        (math.nan, ">=1e-1"),
+    ],
+)
+def test_bucket_index_by_decade(ratio, label):
+    assert cli.BUCKET_LABELS[cli.bucket_index(ratio)] == label
+
+
 def test_exit_code_one_on_failure(capsys, monkeypatch):
     failed = verifier.VerificationResult(
         case_id="SYNTH.FAIL",
@@ -99,6 +161,17 @@ def test_failed_report_is_strict_json(capsys, monkeypatch):
     assert failed["lhs"] is None and failed["abs_err"] is None
     assert failed["rhs"] == 1.0
     assert passed["passed"] is True and isinstance(passed["lhs"], float)
+
+
+def test_failed_row_is_its_familys_worst():
+    bad = verifier.verify_instance(
+        registry.BoundInstance("S5.NAN", {}, Integrand(lambda x: float("nan")), 1.0, 1e-7, registry.FINITE(0.0, 1.0))
+    )
+    assert bad.abs_err == math.inf and not bad.passed
+    good = verifier.verify_instance(registry.instantiate("S5.FOURG", {}))
+    for rows in ((good, bad), (bad, good)):
+        md = cli._report_md(verifier.Report(results=rows, n_pass=1, n_fail=1, wall_time=0.0))
+        assert "\n| S5 | 2 | 1 | inf | inf | " in md
 
 
 def test_report_json_byte_layout():
