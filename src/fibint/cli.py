@@ -102,7 +102,7 @@ def bucket_index(ratio: float) -> int:
     """Index into BUCKET_LABELS of the decade holding an error/threshold ratio."""
     if ratio <= 0.0:
         return 0
-    if not ratio < math.inf:  # inf or nan: a failed row
+    if not ratio < math.inf:  # inf or nan: a failed row, or one with tol == 0
         return len(BUCKET_LABELS) - 1
     return min(len(BUCKET_LABELS) - 1, max(0, math.floor(math.log10(ratio)) + 8))
 
