@@ -116,8 +116,7 @@ def case(
     )
 
 
-def P(name: str, lo: int, hi: int, parity: str = "any", exclude: tuple[int, ...] = ()) -> ParamSpec:
-    return ParamSpec(name, lo, hi, parity, exclude)
+P = ParamSpec  # the short name the catalog tables use
 
 
 NO_PARAMS: tuple[ParamSpec, ...] = ()

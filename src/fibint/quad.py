@@ -30,13 +30,13 @@ loop takes 1e3*d1^2/d2 as the error estimate while the differences
 contract, and d1 itself when they do not.  It stops once the estimate is
 within the tolerance and d1 within 1e3 times the tolerance (or 1e6 times
 the rounding floor), one level earlier than waiting for d1 itself to
-reach the tolerance.  If the estimate stalls, finite intervals fall back
-to adaptive bisection (peaks migrate toward a subinterval endpoint, which
-DE then resolves) until a subinterval holds fewer floats than a pass
-samples; the half-line falls back to a split at x = 1 plus the inversion
-x -> 1/x on the tail.  A result's evals are the integrand calls made,
-including those of a failed pass and those made before an integrand
-raised or returned a non-finite value.
+reach the tolerance.  A pass that does not stop by MAX_LEVEL is returned
+as it stands, with converged False and d1 (at least the rounding floor)
+as its err_est; nothing bisects or splits it further, so a kink or peak
+inside the interval must be declared in singular_points, where the
+interval is split before any rule runs.  A result's evals are the
+integrand calls made, including those of a failed pass and those made
+before an integrand raised or returned a non-finite value.
 
 Finite intervals try a nested Fejer pass on each panel first, after the
 split at known singular points.  Fejer's second rule with n = 4, 8, ...,
@@ -61,9 +61,7 @@ is not accepted.  The pass declines on a non-finite sum, past n = 256, or
 when two rules agree exactly, the sign that fixed nodes missed a narrow
 feature; a declined panel goes to tanh-sinh, and its Fejer calls count in
 evals.  A panel so narrow that a body node could round onto an endpoint
-skips the pass.
-The half line, the tan map, bisection halves and the head/tail fallback
-use tanh-sinh alone.
+skips the pass.  The half line and the tan map use tanh-sinh alone.
 
 The half-line map is algebraic, x = s/(1-s) with s in (0,1), so one
 transform serves all the rational-decay integrands; integrands over
@@ -75,14 +73,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 _PI_OVER_2 = math.pi / 2.0
 _EPS = math.ulp(1.0)
 
 MAX_LEVEL = 9  # trapezoid step down to 2^-9 in the t domain
-MAX_SPLIT_DEPTH = 12  # adaptive bisection depth (~2^12 base panels)
 TOL_MIN = 1e-13
 TOL_MAX = 1e-3
 _DELTA_MIN = 1e-28  # drop nodes closer to an endpoint than this
@@ -148,8 +145,6 @@ _node_tables: list[tuple[_Nodes, _Nodes]] = []
 
 def _make_node(t: float) -> tuple[float, float] | None:
     u = _PI_OVER_2 * math.sinh(t)
-    if u > 300.0:
-        return None
     emu = math.exp(-2.0 * u)
     delta = 2.0 * emu / (1.0 + emu)  # 1 - tanh(u), exact for small values
     if delta < _DELTA_MIN:
@@ -484,52 +479,32 @@ def _fejer(fe: Callable[[float], float], rows: _Levels, a: float, b: float, tol:
 # --------------------------------------------------------------------------
 
 
-def _finite_adaptive(
-    fe: Callable[[float], float], a: float, b: float, tol: float, depth: int
-) -> QuadResult:
-    res = _tanh_sinh(fe, _finite_table(a, b), 0.5 * (b - a), tol)
-    # a pass that made more calls than (a, b) holds floats sampled about all of
-    # them, so its halves cannot do better (nor can a midpoint that rounds onto an end)
-    if res.converged or depth >= MAX_SPLIT_DEPTH or b - a <= res.evals * math.ulp(max(abs(a), abs(b))):
-        return res
-    mid = 0.5 * (a + b)
-    half_tol = max(0.5 * tol, TOL_MIN)
-    spent = res.evals
-    try:
-        left = _finite_adaptive(fe, a, mid, half_tol, depth + 1)
-        spent += left.evals
-        right = _finite_adaptive(fe, mid, b, half_tol, depth + 1)
-    except _NonFiniteIntegrand as exc:
-        exc.evals += spent
-        raise
-    combined = left + right
-    err = combined.err_est
-    return QuadResult(combined.value, err, spent + right.evals, combined.converged and err <= tol)
-
-
 def _finite_panel(fe: Callable[[float], float], a: float, b: float, tol: float) -> QuadResult:
-    """The Fejer pass over one panel, and if it declines, tanh-sinh with
-    bisection; the declined pass's calls count in evals.  A panel whose DE
-    table is unpaired is too fine for the float grid and skips the pass."""
+    """The Fejer pass over one panel, and if it declines, one tanh-sinh
+    pass; the declined pass's calls count in evals.  A panel whose DE table
+    is unpaired is too fine for the float grid and skips the Fejer pass."""
+    table = _finite_table(a, b)
     if not _paired(a, b):
-        return _finite_adaptive(fe, a, b, tol, 0)
-    first = _fejer(fe, _finite_table(a, b).fejer, a, b, tol)
+        return _tanh_sinh(fe, table, 0.5 * (b - a), tol)
+    first = _fejer(fe, table.fejer, a, b, tol)
     if first.converged:
         return first
     try:
-        res = _finite_adaptive(fe, a, b, tol, 0)
+        res = _tanh_sinh(fe, table, 0.5 * (b - a), tol)
     except _NonFiniteIntegrand as exc:
         exc.evals += first.evals
         raise
-    return replace(res, evals=res.evals + first.evals)
+    res.evals += first.evals
+    return res
 
 
 def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> QuadResult:
     """Integrate f over (a, b) with open rules: a nested Fejer pass per
-    panel, then tanh-sinh where it declines.
+    panel, then one tanh-sinh pass where it declines.
 
-    Known interior singular points are split off first; non-convergence
-    is reported in the result, never raised.
+    Known interior singular points are split off first; an undeclared
+    interior kink or peak is not bisected, so its panel is reported
+    unconverged.  Non-convergence is reported in the result, never raised.
     """
     f = _as_integrand(f)
     tol = _check_tol(tol)
@@ -554,37 +529,22 @@ def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> 
 # --------------------------------------------------------------------------
 
 
-def _half_line(fe: Callable[[float], float], table: _MapTable, x_fe: Callable[[float], float], tol: float) -> QuadResult:
-    """The half-line pass of fe over table, and if it stalls, the head
-    (0, 1) and the inverted tail of x_fe, the integrand in x, as finite
-    intervals."""
-    done: list[QuadResult] = []
+def _half_line(fe: Callable[[float], float], table: _MapTable, tol: float) -> QuadResult:
+    """One tanh-sinh pass of fe over a half-line table."""
     try:
-        res = _tanh_sinh(fe, table, 0.5, tol)
-        if res.converged:
-            return res
-        done.append(res)
-        head = _finite_adaptive(x_fe, 0.0, 1.0, 0.5 * tol, 0)
-        done.append(head)
-
-        def tail(u: float) -> float:
-            return x_fe(1.0 / u) / (u * u)
-
-        parts = head + _finite_adaptive(tail, 0.0, 1.0, 0.5 * tol, 0)
-        return replace(parts, evals=parts.evals + res.evals)
+        return _tanh_sinh(fe, table, 0.5, tol)
     except _NonFiniteIntegrand as exc:
-        return exc.after(done)
+        return exc.after([])
 
 
 def integrate_half_line(f, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
     """Integrate f over (0, inf) via the algebraic map x = s/(1-s).
 
-    Requires decay at least O(x^(-1-eps)); delegates the transformed
-    integral to the tanh-sinh core.  If the transformed integral stalls,
-    retries as [0,1] plus an inverted tail.
+    Requires decay at least O(x^(-1-eps)); the transformed integral gets
+    one tanh-sinh pass, and a kink or peak inside (0, inf) that stalls it
+    is reported unconverged, not split off.
     """
-    fe = _as_integrand(f).eval
-    return _half_line(fe, _HALF_LINE, fe, _check_tol(tol))
+    return _half_line(_as_integrand(f).eval, _HALF_LINE, _check_tol(tol))
 
 
 def integrate_tan_halfpi(g, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
@@ -592,14 +552,9 @@ def integrate_tan_halfpi(g, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
 
     Uses tan x = t, dx = dt/(1+t^2), so the caller's g never needs the
     tangent evaluated near pi/2.  The half-line pass has 1/(1+t^2) in its
-    weights and calls g itself; only the fallback divides per call.
+    weights and calls g itself.
     """
-    ge = _as_integrand(g).eval
-
-    def h(t: float) -> float:
-        return ge(t) / (1.0 + t * t)
-
-    return _half_line(ge, _TAN, h, _check_tol(tol))
+    return _half_line(_as_integrand(g).eval, _TAN, _check_tol(tol))
 
 
 __all__ = [
@@ -611,7 +566,6 @@ __all__ = [
     "DEFAULT_TOL_FINITE",
     "DEFAULT_TOL_HALF_LINE",
     "MAX_LEVEL",
-    "MAX_SPLIT_DEPTH",
     "TOL_MIN",
     "TOL_MAX",
 ]

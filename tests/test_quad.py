@@ -139,12 +139,11 @@ def test_open_rule_never_touches_endpoints():
 
 
 def test_bisection_stops_at_the_float_grid():
-    # floats near 1e12 are 1.2e-4 apart, so (a, b) holds 8191 of them and
-    # halves soon hold fewer floats than one pass calls the integrand; the
-    # rounded abscissae keep every pass from converging, and bisecting on
-    # to depth 12 would make 4.6M calls.  The DE table of (a, b) is
-    # unpaired, so the Fejer pass is skipped: its rounded nodes could agree
-    # with each other and be accepted
+    # floats near 1e12 are 1.2e-4 apart, so the rounded abscissae keep the
+    # one tanh-sinh pass over (a, b) from converging, and nothing bisects it
+    # (bisecting to depth 12 once made 4.6M calls).  The DE table of (a, b)
+    # is unpaired, so the Fejer pass is skipped: its rounded nodes could
+    # agree with each other and be accepted
     res = integrate_finite(lambda x: 1.0 + (x - 1e12), 1e12, 1e12 + 1.0, 1e-4)
     assert not res.converged
     assert res.evals <= 30000
@@ -204,14 +203,31 @@ def test_aliased_polynomial_under_a_converging_part(m):
     assert abs(res.value - (math.log(3.0) - 2.0 / (m * m - 1))) <= res.err_est
 
 
-@pytest.mark.parametrize("r", (5, 6))
-def test_fejer_err_est_bounds_the_catalog_error(r):
+_SIN3CUBE_UNDERSTATED = pytest.mark.xfail(
+    strict=True,
+    reason="the pass accepts r = 6 at n = 32, where d1 = 7.3e-12 follows 3.5e-10 and precedes 4.4e-11, "
+    "so err_est 7.3e-12 understates the true 4.2e-11; `fibint verify --filter S6.SIN3CUBE --tol 3e-11` fails",
+)
+
+
+@pytest.mark.parametrize(
+    "r, quad_tol",
+    [
+        pytest.param(5, None, id="5"),
+        pytest.param(6, None, id="6"),
+        pytest.param(5, 7.5e-12, id="5-7.5e-12"),
+        pytest.param(6, 7.5e-12, id="6-7.5e-12", marks=_SIN3CUBE_UNDERSTATED),
+        pytest.param(5, 1e-11, id="5-1e-11"),
+        pytest.param(6, 1e-11, id="6-1e-11", marks=_SIN3CUBE_UNDERSTATED),
+    ],
+)
+def test_fejer_err_est_bounds_the_catalog_error(r, quad_tol):
     # the Fejer differences of S6.SIN3CUBE do not fall monotonically (r = 6:
     # 3.5e-10 at n = 16, 7.3e-12 at n = 32, 4.4e-11 at n = 64), so a rule
     # accepted on a small difference could understate its error: at n = 32
-    # it would claim 7.3e-12 against a true 4.2e-11
+    # it claims 7.3e-12 against a true 4.2e-11.  None is the catalog tolerance
     inst = registry.instantiate("S6.SIN3CUBE", {"r": r})
-    tol = verifier._quad_tol(verifier.pass_threshold(inst.tol, inst.rhs))
+    tol = quad_tol or verifier._quad_tol(verifier.pass_threshold(inst.tol, inst.rhs))
     res = integrate_finite(inst.integrand, inst.strategy.a, inst.strategy.b, tol)
     assert res.converged and res.rule == "fejer"
     assert res.err_est >= abs(res.value - inst.rhs)
@@ -241,11 +257,11 @@ def test_singular_point_presplit():
 
 
 def test_undeclared_interior_kink_reports_nonconvergence():
+    # nothing bisects the panel, so the one tanh-sinh pass ends at MAX_LEVEL
+    # without claiming the tolerance, and its err_est still covers its error
     res = integrate_finite(lambda x: abs(x - 1.0 / PI), 0.0, 1.0, 1e-13)
-    # value is still close, but the engine must not claim the tolerance
-    assert res.value == pytest.approx((1 / PI) ** 2 / 2 + (1 - 1 / PI) ** 2 / 2, abs=1e-9)
-    if not res.converged:
-        assert res.err_est > 1e-13
+    assert not res.converged
+    assert abs(res.value - ((1 / PI) ** 2 / 2 + (1 - 1 / PI) ** 2 / 2)) <= res.err_est
 
 
 def test_half_line_examples():
@@ -274,7 +290,6 @@ def test_tan_halfpi_examples():
         lambda t: 1.0 / (1.0 + 5.0 * t * t) ** 2,
         lambda t: t / (2.0 + t**3),
         lambda t: 1.0 / (1.0 + t) ** 2,
-        lambda t: abs(t - 2.0) / (1.0 + t**4),  # kink at t = 2: the head/tail fallback runs
     ],
 )
 @pytest.mark.parametrize("tol", (1e-6, 1e-9, 1e-12))
@@ -308,13 +323,13 @@ def test_parameter_validation():
 
 def test_half_line_fallback_on_interior_kink():
     # |x - 1| * exp(-x) has a kink at x = 1, which sits mid-interval after
-    # the s = x/(1+x) map; the engine must fall back to the split at x = 1
-    # (kink becomes an endpoint) and still meet the tolerance.
+    # the s = x/(1+x) map; with no split to fall back to, the one pass must
+    # report that it did not converge, with an err_est that covers its error.
     # int_0^1 (1-x)e^-x = 1/e and int_1^inf (x-1)e^-x = 1/e.
     exact = 2.0 / math.e
-    res = integrate_half_line(lambda x: abs(x - 1.0) * math.exp(-x) if x < 700 else 0.0, 1e-9)
-    assert res.converged
-    assert res.value == pytest.approx(exact, abs=1e-9)
+    res = integrate_half_line(_half_line_kink, 1e-9)
+    assert not res.converged
+    assert abs(res.value - exact) <= res.err_est
 
 
 def test_bad_integrand_is_a_result_not_a_crash():
@@ -337,7 +352,7 @@ def _raises_on_call(n, f):
     return g
 
 
-def _bisection_kink(x):
+def _undeclared_kink(x):
     return abs(x - 1.0 / PI)
 
 
@@ -348,15 +363,17 @@ def _half_line_kink(x):
 # One integrand per driver path with its (value.hex(), err_est.hex(), evals,
 # converged), bit for bit.  A change that moves any of them changes the
 # verifier's results and must say why.  Each run takes a wrapper that it
-# applies to its integrand.
+# applies to its integrand.  finite_bisection and half_line_head_tail are
+# kinks that no longer have a fallback: each ends in one unconverged pass
+# (for the finite one, after the Fejer pass declines at n = 256).
 PINNED_PATHS = {
     "finite": (
         lambda wrap: integrate_finite(wrap(lambda x: x * math.sin(x)), 0.0, PI, 1e-10),
         ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p-48", 32, True),
     ),
     "finite_bisection": (
-        lambda wrap: integrate_finite(wrap(_bisection_kink), 0.0, 1.0, 1e-10),
-        ("0x1.21cdb6abeea78p-2", "0x1.c00742c6bd46ap-44", 32409, True),
+        lambda wrap: integrate_finite(wrap(_undeclared_kink), 0.0, 1.0, 1e-10),
+        ("0x1.21cdaa026761cp-2", "0x1.aff20bba80000p-21", 3484, False),
     ),
     "finite_singular_split": (
         lambda wrap: integrate_finite(Integrand(wrap(lambda x: abs(x - 0.5)), (0.5,)), 0.0, 1.0, 1e-12),
@@ -368,7 +385,7 @@ PINNED_PATHS = {
     ),
     "half_line_head_tail": (
         lambda wrap: integrate_half_line(wrap(_half_line_kink), 1e-9),
-        ("0x1.78b56362cef38p-1", "0x1.43726be5a970ap-46", 2970, True),
+        ("0x1.78b515eda5396p-1", "0x1.d0bf744400000p-18", 2759, False),
     ),
     "tan_halfpi": (
         lambda wrap: integrate_tan_halfpi(wrap(lambda t: t * t / (1.0 + 3.0 * t * t + t**4)), 1e-9),
@@ -390,12 +407,9 @@ def test_driver_paths_reproduce_pinned_bits(path):
     assert (res.value.hex(), res.err_est.hex(), res.evals, res.converged) == expected
 
 
-# integrands that raise after an earlier pass or part completed, in each
-# place that adds up the evals of several passes
+# integrands that raise late: after an earlier pass or part completed, in
+# each place that adds up the evals of several passes, or deep in one pass
 RAISE_LATE = {
-    "raises_in_bisection": lambda wrap: integrate_finite(
-        wrap(_raises_on_call(10000, _bisection_kink)), 0.0, 1.0, 1e-10
-    ),
     # each part makes 7 declined Fejer calls, then 50 tanh-sinh calls
     "raises_in_second_part": lambda wrap: integrate_finite(
         Integrand(wrap(_raises_on_call(70, lambda x: abs(x - 0.5))), (0.5,)), 0.0, 1.0, 1e-12
@@ -408,8 +422,10 @@ RAISE_LATE = {
     # exp passes the stop rule at n = 32 after 31 calls, so call 32 is the
     # off-grid sample
     "raises_in_fejer_sample": lambda wrap: integrate_finite(wrap(_raises_on_call(32, math.exp)), 0.0, 1.0, 1e-10),
+    # the one half-line pass over the kink, which once fell back to a
+    # head/tail split, makes 2759 calls; call 2000 falls in its last level
     "raises_in_head_tail_fallback": lambda wrap: integrate_half_line(
-        wrap(_raises_on_call(2820, _half_line_kink)), 1e-9
+        wrap(_raises_on_call(2000, _half_line_kink)), 1e-9
     ),
 }
 

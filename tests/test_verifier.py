@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fibint import registry, verifier
+from fibint import quad, registry, verifier
 from fibint.quad import Integrand, integrate_finite
 from fibint.specfun import LN_ALPHA, constants
 
@@ -142,6 +142,15 @@ def test_nonconvergence_is_named_as_such():
 
 def test_full_catalog_passes_at_tight_tolerance():
     rep = verifier.run("*", tol_override=1e-12)
+    assert rep.n_fail == 0
+    assert len(rep.results) == 1504
+
+
+@pytest.mark.parametrize("tol", (quad.TOL_MIN, quad.TOL_MAX))
+def test_full_catalog_passes_at_the_ends_of_the_tol_range(tol):
+    # quadrature has no fallback for a pass that stalls, so a change that
+    # would need one fails here
+    rep = verifier.run("*", tol_override=tol)
     assert rep.n_fail == 0
     assert len(rep.results) == 1504
 
