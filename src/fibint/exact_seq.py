@@ -14,8 +14,8 @@ All functions are pure; values are plain ints/floats and freely shareable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 MAX_INDEX = 10_000
 MAX_GOLDEN_POWER = 40
@@ -68,8 +68,7 @@ def lucas(n: int) -> int:
     return -lm
 
 
-@dataclass(frozen=True)
-class GoldenPair:
+class GoldenPair(NamedTuple):
     """Matched binary64 powers (alpha^r, beta^r) of the golden-ratio roots."""
 
     alpha_pow: float

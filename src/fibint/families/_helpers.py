@@ -29,8 +29,7 @@ of its written-out form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from ..exact_seq import ALPHA, BETA, LN_ALPHA, SQRT5, fib, lucas, golden_powers  # noqa: F401
 from ..quad import Integrand
@@ -131,8 +130,7 @@ def qgrid(values: tuple[float, ...]) -> tuple[tuple[ParamSpec, ...], Callable[[M
     return (P("k", 1, len(values)),), pick
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     """One parity branch of a golden family (see the module docstring)."""
 
     params: tuple[ParamSpec, ...]

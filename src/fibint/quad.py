@@ -73,7 +73,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable
 
 _PI_OVER_2 = math.pi / 2.0
@@ -89,7 +88,6 @@ DEFAULT_TOL_FINITE = 1e-10
 DEFAULT_TOL_HALF_LINE = 1e-9
 
 
-@dataclass
 class Integrand:
     """A scalar integrand plus known trouble abscissae.
 
@@ -98,17 +96,38 @@ class Integrand:
     pre-split before the DE rule runs.
     """
 
-    eval: Callable[[float], float]
-    singular_points: tuple[float, ...] = ()
+    __slots__ = ("eval", "singular_points")
+
+    def __init__(self, eval: Callable[[float], float], singular_points: tuple[float, ...] = ()) -> None:
+        self.eval = eval
+        self.singular_points = singular_points
 
 
-@dataclass(slots=True)
 class QuadResult:
-    value: float
-    err_est: float
-    evals: int
-    converged: bool
-    rule: str = "tanh-sinh"  # "fejer", "tanh-sinh", or "mixed" for a sum of both
+    """One integral: value, error estimate, integrand calls made, whether
+    the tolerance was met, and the rule that ran ("fejer", "tanh-sinh", or
+    "mixed" for a sum of both).  Results compare field by field."""
+
+    __slots__ = ("value", "err_est", "evals", "converged", "rule")
+
+    def __init__(self, value: float, err_est: float, evals: int, converged: bool, rule: str = "tanh-sinh") -> None:
+        self.value = value
+        self.err_est = err_est
+        self.evals = evals
+        self.converged = converged
+        self.rule = rule
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not QuadResult:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"QuadResult({fields})"
 
     def __add__(self, other: "QuadResult") -> "QuadResult":
         return QuadResult(
@@ -356,8 +375,8 @@ def _tanh_sinh(fe: Callable[[float], float], table: _MapTable, scale: float, tol
             if level >= 1:
                 prev_diff, diff = diff, abs(value - prev)
             prev = value
+            floor = 8.0 * eps * scale * h * mag  # set at every level: MAX_LEVEL may end the loop before level 3
             if level >= 3:
-                floor = 8.0 * eps * scale * h * mag
                 est = _SAFETY * diff * diff / prev_diff if diff < prev_diff else diff
                 if est <= max(tol, floor) and diff <= max(_GUARD_TOL * tol, _GUARD_FLOOR * floor):
                     err = max(est, floor)

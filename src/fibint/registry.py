@@ -13,8 +13,7 @@ sequence values and converting to binary64 as late as possible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .quad import Integrand
 
@@ -29,26 +28,26 @@ class ParamError(ValueError):
     """Assignment violates a parameter specification."""
 
 
-@dataclass(frozen=True)
 class ParamSpec:
     """Validity/verification range of one integer parameter."""
 
-    name: str
-    min: int
-    max: int
-    parity: str = "any"
-    exclusions: tuple[int, ...] = ()
+    __slots__ = ("name", "min", "max", "parity", "exclusions")
 
-    def __post_init__(self) -> None:
-        if self.name not in PARAM_NAMES:
+    def __init__(self, name: str, min: int, max: int, parity: str = "any", exclusions: tuple[int, ...] = ()) -> None:
+        if name not in PARAM_NAMES:
             raise ValueError(f"parameter name must be one of {PARAM_NAMES}")
-        if self.min > self.max:
-            raise ValueError(f"{self.name}: min {self.min} > max {self.max}")
-        if self.parity not in ("any", "even", "odd"):
-            raise ValueError(f"{self.name}: bad parity {self.parity!r}")
-        for x in self.exclusions:
-            if not (self.min <= x <= self.max):
-                raise ValueError(f"{self.name}: exclusion {x} outside range")
+        if min > max:
+            raise ValueError(f"{name}: min {min} > max {max}")
+        if parity not in ("any", "even", "odd"):
+            raise ValueError(f"{name}: bad parity {parity!r}")
+        for x in exclusions:
+            if not (min <= x <= max):
+                raise ValueError(f"{name}: exclusion {x} outside range")
+        self.name = name
+        self.min = min
+        self.max = max
+        self.parity = parity
+        self.exclusions = exclusions
 
     def admits(self, value: int) -> bool:
         if not (self.min <= value <= self.max):
@@ -73,8 +72,7 @@ class ParamSpec:
         return f"{self.name}={value} violates {self.name} in {' '.join(parts)}"
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(NamedTuple):
     """How the left side is integrated."""
 
     kind: str  # FINITE | HALF_LINE | TAN_HALFPI
@@ -95,30 +93,52 @@ HALF_LINE = Strategy("HALF_LINE")
 TAN_HALFPI = Strategy("TAN_HALFPI")
 
 
-@dataclass(frozen=True)
 class IdentityCase:
     """One catalog row: integrand family, closed form, parameter domain."""
 
-    id: str
-    anchor: str
-    params: tuple[ParamSpec, ...]
-    strategy: Strategy
-    lhs_builder: Callable[[Mapping[str, int]], Integrand]
-    rhs_eval: Callable[[Mapping[str, int]], float]
-    default_tol: float
-    note: str = ""
+    __slots__ = ("id", "anchor", "params", "strategy", "lhs_builder", "rhs_eval", "default_tol", "note")
+
+    def __init__(
+        self,
+        id: str,
+        anchor: str,
+        params: tuple[ParamSpec, ...],
+        strategy: Strategy,
+        lhs_builder: Callable[[Mapping[str, int]], Integrand],
+        rhs_eval: Callable[[Mapping[str, int]], float],
+        default_tol: float,
+        note: str = "",
+    ) -> None:
+        self.id = id
+        self.anchor = anchor
+        self.params = params
+        self.strategy = strategy
+        self.lhs_builder = lhs_builder
+        self.rhs_eval = rhs_eval
+        self.default_tol = default_tol
+        self.note = note
 
 
-@dataclass(slots=True)
 class BoundInstance:
     """A catalog row bound to one concrete assignment."""
 
-    case_id: str
-    assignment: dict[str, int]
-    integrand: Integrand
-    rhs: float
-    tol: float
-    strategy: Strategy
+    __slots__ = ("case_id", "assignment", "integrand", "rhs", "tol", "strategy")
+
+    def __init__(
+        self,
+        case_id: str,
+        assignment: dict[str, int],
+        integrand: Integrand,
+        rhs: float,
+        tol: float,
+        strategy: Strategy,
+    ) -> None:
+        self.case_id = case_id
+        self.assignment = assignment
+        self.integrand = integrand
+        self.rhs = rhs
+        self.tol = tol
+        self.strategy = strategy
 
 
 _CATALOG: list[IdentityCase] | None = None

@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact_seq import ALPHA, BETA, LN_ALPHA, SQRT5
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PI = math.pi
 PI2_6 = PI * PI / 6.0
@@ -41,6 +43,8 @@ _MAX_TERMS = 200
 
 def _bernoulli(n: int) -> list[Fraction]:
     """B_0 .. B_n (B_1 = -1/2) via the defining recurrence, exact."""
+    from fractions import Fraction  # imported here: only the lazily built tables need it
+
     b = [Fraction(0)] * (n + 1)
     b[0] = Fraction(1)
     for m in range(1, n + 1):
@@ -209,8 +213,7 @@ def _catalan_cvz(n: int = 30) -> float:
     return s / d
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(NamedTuple):
     alpha: float
     beta: float
     ln_alpha: float

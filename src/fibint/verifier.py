@@ -14,8 +14,7 @@ from __future__ import annotations
 import fnmatch
 import math
 import time
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import fib_complex, quad, registry
 
@@ -27,24 +26,50 @@ class EmptyFilterError(ValueError):
     """Filter matched no catalog entry, or its grid left no instance."""
 
 
-@dataclass(slots=True)
 class VerificationResult:
-    case_id: str
-    assignment: tuple[tuple[str, int], ...]
-    lhs: float
-    rhs: float
-    abs_err: float
-    tol: float
-    passed: bool
-    quad_evals: int
-    note: str = ""
+    """The verdict on one instance.  Results compare field by field."""
+
+    __slots__ = ("case_id", "assignment", "lhs", "rhs", "abs_err", "tol", "passed", "quad_evals", "note")
+
+    def __init__(
+        self,
+        case_id: str,
+        assignment: tuple[tuple[str, int], ...],
+        lhs: float,
+        rhs: float,
+        abs_err: float,
+        tol: float,
+        passed: bool,
+        quad_evals: int,
+        note: str = "",
+    ) -> None:
+        self.case_id = case_id
+        self.assignment = assignment
+        self.lhs = lhs
+        self.rhs = rhs
+        self.abs_err = abs_err
+        self.tol = tol
+        self.passed = passed
+        self.quad_evals = quad_evals
+        self.note = note
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not VerificationResult:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"VerificationResult({fields})"
 
     def sort_key(self):
         return (self.case_id, self.assignment)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     results: tuple[VerificationResult, ...]
     n_pass: int
     n_fail: int
@@ -141,8 +166,7 @@ def run(
     )
 
 
-@dataclass(frozen=True)
-class Lemma2Residual:
+class Lemma2Residual(NamedTuple):
     j: int
     fib_resid: float
     lucas_resid: float

@@ -1,11 +1,10 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibint import registry, verifier
+from fibint import quad, registry, verifier
 from fibint.quad import (
     Integrand,
     QuadResult,
@@ -264,6 +263,21 @@ def test_undeclared_interior_kink_reports_nonconvergence():
     assert abs(res.value - ((1 / PI) ** 2 / 2 + (1 - 1 / PI) ** 2 / 2)) <= res.err_est
 
 
+def test_max_level_below_three_reports_nonconvergence(monkeypatch):
+    # the stopping rule starts at level 3; a pass that ends earlier is unconverged, with its calls counted
+    monkeypatch.setattr(quad, "MAX_LEVEL", 2)
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return 1.0 / (1.0 + x * x)
+
+    res = integrate_half_line(f, 1e-10)
+    assert not res.converged and res.evals == calls > 0
+    assert abs(res.value - PI / 2.0) <= res.err_est < math.inf
+
+
 def test_half_line_examples():
     assert integrate_half_line(lambda x: 1.0 / (1.0 + x * x), 1e-10).value == pytest.approx(
         PI / 2.0, abs=1e-10
@@ -461,7 +475,12 @@ def test_result_addition():
     c = a + b
     assert c.value == 3.0 and c.evals == 30 and not c.converged
     assert c.rule == "tanh-sinh"
-    assert (a + replace(b, rule="fejer")).rule == "mixed"
+    assert (a + QuadResult(2.0, 2e-12, 20, False, "fejer")).rule == "mixed"
+    # results compare field by field, like the records they replaced, and stay unhashable
+    assert c == QuadResult(3.0, 3e-12, 30, False) and c != QuadResult(3.0, 3e-12, 30, False, "fejer")
+    assert repr(a) == "QuadResult(value=1.0, err_est=1e-12, evals=10, converged=True, rule='tanh-sinh')"
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 @given(st.floats(min_value=-4.0, max_value=4.0), st.floats(min_value=0.3, max_value=4.0))
