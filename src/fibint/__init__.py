@@ -1,42 +1,55 @@
-"""fibint: numerical verification of Fibonacci-Lucas integral identities."""
+"""fibint: numerical verification of Fibonacci-Lucas integral identities.
 
-from .exact_seq import GoldenPair, fib, golden_powers, lucas
-from .fib_complex import fib_fn, fib_fn_deriv, lucas_fn, lucas_fn_deriv
-from .quad import Integrand, QuadResult, integrate_finite, integrate_half_line, integrate_tan_halfpi
-from .registry import BoundInstance, IdentityCase, ParamSpec, catalog, default_grid, instantiate
-from .specfun import cl2, constants, li2_complex, li2_real
-from .verifier import Report, VerificationResult, lemma2_check, run, verify_instance
+The public names are resolved on first access (PEP 562), so `import
+fibint` loads no submodule, and `fibint list` never loads the quadrature
+or the verifier.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "fib",
-    "lucas",
-    "golden_powers",
-    "GoldenPair",
-    "fib_fn",
-    "lucas_fn",
-    "fib_fn_deriv",
-    "lucas_fn_deriv",
-    "li2_real",
-    "li2_complex",
-    "cl2",
-    "constants",
-    "Integrand",
-    "QuadResult",
-    "integrate_finite",
-    "integrate_half_line",
-    "integrate_tan_halfpi",
-    "ParamSpec",
-    "IdentityCase",
-    "BoundInstance",
-    "catalog",
-    "instantiate",
-    "default_grid",
-    "run",
-    "verify_instance",
-    "lemma2_check",
-    "Report",
-    "VerificationResult",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_HOME = {
+    "fib": "exact_seq",
+    "lucas": "exact_seq",
+    "golden_powers": "exact_seq",
+    "GoldenPair": "exact_seq",
+    "fib_fn": "fib_complex",
+    "lucas_fn": "fib_complex",
+    "fib_fn_deriv": "fib_complex",
+    "lucas_fn_deriv": "fib_complex",
+    "li2_real": "specfun",
+    "cl2": "specfun",
+    "constants": "specfun",
+    "Integrand": "registry",
+    "QuadResult": "quad",
+    "integrate_finite": "quad",
+    "integrate_half_line": "quad",
+    "integrate_tan_halfpi": "quad",
+    "ParamSpec": "registry",
+    "IdentityCase": "registry",
+    "BoundInstance": "registry",
+    "catalog": "registry",
+    "instantiate": "registry",
+    "default_grid": "registry",
+    "run": "verifier",
+    "verify_instance": "verifier",
+    "lemma2_check": "verifier",
+    "Report": "verifier",
+    "VerificationResult": "verifier",
+}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

@@ -10,14 +10,16 @@ writes null for a non-finite float, e.g. the lhs of a failed instance).
 from __future__ import annotations
 
 import argparse
-import collections
-import csv
-import io
 import math
 import sys
-from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
-from . import quad, registry, verifier
+from . import registry
+
+# `list` and `show` read only the catalog: quad and the verifier are imported by
+# `verify`, and csv, io, datetime and collections by the writers that use them
+if TYPE_CHECKING:
+    from . import verifier
 
 
 def _fmt(x: float) -> str:
@@ -47,6 +49,8 @@ def _params_str(assignment) -> str:
 
 def report_json(report: verifier.Report, tol, pattern: str) -> str:
     """The `verify --format json` document: meta (tol, filter, timestamp) and one row per result."""
+    from datetime import datetime, timezone
+
     ts = datetime.now(timezone.utc).isoformat()
     tol_s = "null" if tol is None else _fmt(tol)
     # one list of pieces and one join: the document is ~300 kB for the full catalog
@@ -66,6 +70,9 @@ def report_json(report: verifier.Report, tol, pattern: str) -> str:
 
 
 def _report_csv(report: verifier.Report) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["id", "params", "lhs", "rhs", "abs_err", "tol", "passed", "note"])
@@ -113,6 +120,8 @@ def _margin(r: verifier.VerificationResult) -> float:
 
 def _report_md(report: verifier.Report) -> str:
     """One row per result, then a per-family summary, the abs_err/tol histogram and the totals."""
+    import collections
+
     lines = [
         "| id | params | lhs | rhs | abs_err | tol | passed | note |",
         "|----|--------|-----|-----|---------|-----|--------|------|",
@@ -181,6 +190,9 @@ def _list_json(cases) -> str:
 
 
 def _list_csv(cases) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["id", "anchor", "params", "strategy", "default_tol"])
@@ -267,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "list":
-            ids = set(verifier.match_ids(args.filter))
+            ids = set(registry.match_ids(args.filter))
             text = {"json": _list_json, "csv": _list_csv, "md": _list_md}[args.format](ids)
             _emit(text, args.out)
             return 0
@@ -289,6 +301,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         # verify
+        from . import quad, verifier
+
         if args.tol is not None and not (quad.TOL_MIN <= args.tol <= quad.TOL_MAX):
             print(f"error: --tol must lie in [{quad.TOL_MIN}, {quad.TOL_MAX}]", file=sys.stderr)
             return 2
@@ -302,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
             text = _report_md(report)
         _emit(text, args.out)
         return 0 if report.n_fail == 0 else 1
-    except (registry.CatalogError, registry.ParamError, verifier.EmptyFilterError, ValueError) as exc:
+    except (registry.CatalogError, registry.ParamError, registry.EmptyFilterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

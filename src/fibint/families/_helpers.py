@@ -32,8 +32,7 @@ import math
 from typing import Callable, Mapping, NamedTuple
 
 from ..exact_seq import ALPHA, BETA, LN_ALPHA, SQRT5, fib, lucas, golden_powers  # noqa: F401
-from ..quad import Integrand
-from ..registry import FINITE, HALF_LINE, TAN_HALFPI, IdentityCase, ParamSpec, Strategy  # noqa: F401
+from ..registry import FINITE, HALF_LINE, TAN_HALFPI, IdentityCase, Integrand, ParamSpec, Strategy  # noqa: F401
 from ..specfun import LN2, cl2, constants, li2_real  # noqa: F401
 
 PI = math.pi
@@ -83,6 +82,17 @@ def li2_odd(s: float) -> float:
 def cl_pair(t: float) -> float:
     """Cl2(t) + Cl2(pi - t)."""
     return cl2(t) + cl2(PI - t)
+
+
+_quad = None  # fibint.quad, imported by the first right side that needs it, not by catalog()
+
+
+def quad_rhs(f: Callable[[float], float], splits: tuple[float, ...] = ()) -> float:
+    """f integrated over (0, pi) to 1e-12: the right side of a row whose closed form is a quadrature value."""
+    global _quad
+    if _quad is None:
+        from .. import quad as _quad
+    return _quad.integrate_finite(Integrand(f, splits), 0.0, PI, 1e-12).value
 
 
 def case(

@@ -11,10 +11,9 @@ cos 3x + cos x).
 
 from __future__ import annotations
 
-from ..quad import integrate_finite
 from ._helpers import (
     EVEN, FULL, LA2, LN_ALPHA, MID, NO_PARAMS, ODD, PI, PI2, PI3, SQRT5,
-    F, Integrand, P, bpow, case, cl_pair, li2, li2_odd, math, xcos_kernel,
+    F, P, bpow, case, cl_pair, li2, li2_odd, math, quad_rhs, xcos_kernel,
 )
 
 CLSQ_NOTE = (
@@ -130,7 +129,7 @@ def _a40q_rhs_kernel(a):
 
 def _by_quadrature(kernel):
     """Right side of a structural row: 1e-12 quadrature of kernel(5 F_r^2)."""
-    return lambda p: integrate_finite(Integrand(kernel(5.0 * F(p["r"]) ** 2), MID), 0.0, PI, 1e-12).value
+    return lambda p: quad_rhs(kernel(5.0 * F(p["r"]) ** 2), MID)
 
 
 def cases():

@@ -9,10 +9,9 @@ by quadrature.
 
 from __future__ import annotations
 
-from ..quad import integrate_finite
 from ._helpers import (
     ALPHA, BETA, EVEN, FULL, HALF, LN_ALPHA, MID, NO_PARAMS, ODD, PI, SQRT2, SQRT5,
-    F, Integrand, L, P, apow, bpow, case, math, qgrid,
+    F, L, P, apow, bpow, case, math, qgrid, quad_rhs,
 )
 
 RDJ_NOTE = (
@@ -126,7 +125,7 @@ def _fm_kernel(p):
 
 def _fm_rhs(p):
     g = _fm_kernel(p)
-    return integrate_finite(Integrand(lambda x: x * g(x)), 0.0, PI, 1e-12).value / PI
+    return quad_rhs(lambda x: x * g(x)) / PI
 
 
 def cases():

@@ -75,6 +75,8 @@ import math
 import operator
 from typing import Callable
 
+from .registry import Integrand  # defined with the catalog records, so that building them loads no quadrature
+
 _PI_OVER_2 = math.pi / 2.0
 _EPS = math.ulp(1.0)
 
@@ -86,21 +88,6 @@ _DELTA_TAIL = 1e-6  # nodes closer to an endpoint than this are walked per side 
 
 DEFAULT_TOL_FINITE = 1e-10
 DEFAULT_TOL_HALF_LINE = 1e-9
-
-
-class Integrand:
-    """A scalar integrand plus known trouble abscissae.
-
-    eval must return finite values on the open integration domain;
-    singular_points marks interior peaks/kinks where the interval is
-    pre-split before the DE rule runs.
-    """
-
-    __slots__ = ("eval", "singular_points")
-
-    def __init__(self, eval: Callable[[float], float], singular_points: tuple[float, ...] = ()) -> None:
-        self.eval = eval
-        self.singular_points = singular_points
 
 
 class QuadResult:

@@ -12,16 +12,21 @@ sequence values and converting to binary64 as late as possible.
 
 from __future__ import annotations
 
+import fnmatch
 import itertools
 from typing import Callable, Mapping, NamedTuple
-
-from .quad import Integrand
 
 PARAM_NAMES = ("r", "n", "m", "k")
 
 
 class CatalogError(KeyError):
     """Unknown catalog identifier."""
+
+    __str__ = Exception.__str__  # KeyError's would print the message's repr, quotes and all
+
+
+class EmptyFilterError(ValueError):
+    """Filter matched no catalog entry, or its grid left no instance."""
 
 
 class ParamError(ValueError):
@@ -119,6 +124,21 @@ class IdentityCase:
         self.note = note
 
 
+class Integrand:
+    """A scalar integrand plus known trouble abscissae.
+
+    eval must return finite values on the open integration domain;
+    singular_points marks interior peaks/kinks where the interval is
+    pre-split before the DE rule runs.
+    """
+
+    __slots__ = ("eval", "singular_points")
+
+    def __init__(self, eval: Callable[[float], float], singular_points: tuple[float, ...] = ()) -> None:
+        self.eval = eval
+        self.singular_points = singular_points
+
+
 class BoundInstance:
     """A catalog row bound to one concrete assignment."""
 
@@ -168,6 +188,14 @@ def get_case(case_id: str) -> IdentityCase:
         return _INDEX[case_id]
     except KeyError:
         raise CatalogError(f"unknown catalog id {case_id!r}") from None
+
+
+def match_ids(pattern: str) -> list[str]:
+    """Catalog ids matching a glob, in catalog order; EmptyFilterError if none does."""
+    ids = [c.id for c in catalog() if fnmatch.fnmatchcase(c.id, pattern)]
+    if not ids:
+        raise EmptyFilterError(f"filter {pattern!r} matches no catalog entry")
+    return ids
 
 
 def _validate(case: IdentityCase, assignment: Mapping[str, int]) -> dict[str, int]:
@@ -254,6 +282,7 @@ def catalog_entries() -> list[dict]:
 
 __all__ = [
     "CatalogError",
+    "EmptyFilterError",
     "ParamError",
     "ParamSpec",
     "Strategy",
@@ -261,9 +290,11 @@ __all__ = [
     "HALF_LINE",
     "TAN_HALFPI",
     "IdentityCase",
+    "Integrand",
     "BoundInstance",
     "catalog",
     "get_case",
+    "match_ids",
     "instantiate",
     "default_grid",
     "catalog_entries",

@@ -6,10 +6,6 @@ reflection Li2(x) + Li2(1-x) = pi^2/6 - ln(x)ln(1-x) on (1/2, 1], a
 Landen step Li2(x) = -Li2(x/(x-1)) - ln^2(1-x)/2 on (-1, -1/2), and the
 inversion Li2(x) = -pi^2/6 - ln^2(-x)/2 - Li2(1/x) for x < -1.
 
-li2_complex works on the closed unit disk: direct series near 0,
-reflection near 1, and otherwise the Bernoulli-number series in
-u = -ln(1-z), which converges for |u| < 2*pi.
-
 cl2 evaluates Clausen's function Cl2(t) = sum sin(n t)/n^2 through two
 Bernoulli-type expansions, one about t = 0 (leading behaviour
 t - t*ln|t|) and one about t = pi, after odd/2pi-periodic reduction.
@@ -22,7 +18,6 @@ record returned by constants() is read-only.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
@@ -56,14 +51,10 @@ def _bernoulli(n: int) -> list[Fraction]:
 
 
 @lru_cache(maxsize=1)
-def _tables() -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    # li2:  Li2(z) = sum_k B_k u^{k+1}/(k+1)!,  u = -ln(1-z)
+def _tables() -> tuple[tuple[float, ...], tuple[float, ...]]:
     # cl2 about 0:   Cl2(t) = t - t ln t + sum_n c0_n t^{2n+1}
     # cl2 about pi:  Cl2(pi - p) = p ln 2 - sum_m cp_m p^{2m+1}
-    bern = _bernoulli(42)
-    li2 = tuple(
-        float(bern[k] / math.factorial(k + 1)) for k in range(41)
-    )
+    bern = _bernoulli(40)
     c0 = tuple(
         float(
             (-1) ** (n + 1)
@@ -81,11 +72,11 @@ def _tables() -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
         )
         for m in range(1, 21)
     )
-    return li2, c0, cp
+    return c0, cp
 
 
-def _li2_series(z: float | complex) -> float | complex:
-    """The defining series sum z^k/k^2, for real or complex z."""
+def _li2_series(z: float) -> float:
+    """The defining series sum z^k/k^2."""
     total = 0.0
     zk = z
     for k in range(1, _MAX_TERMS + 1):
@@ -122,43 +113,9 @@ def li2_real(x: float) -> float:
     return -PI2_6 - 0.5 * math.log(-x) ** 2 - inv
 
 
-def _li2_bernoulli(z: complex) -> complex:
-    coefs = _tables()[0]
-    u = -cmath.log(1.0 - z)
-    total = 0.0 + 0.0j
-    up = u
-    for k, ck in enumerate(coefs):
-        if ck != 0.0:
-            term = ck * up
-            total += term
-            if k > 2 and abs(term) < _SERIES_TOL:
-                break
-        up *= u
-    return total
-
-
-def li2_complex(z: complex) -> complex:
-    """Principal-branch dilogarithm on the closed unit disk |z| <= 1."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError("argument must be finite")
-    if abs(z) > 1.0 + 1e-12:
-        raise ValueError(f"li2_complex requires |z| <= 1, got |z| = {abs(z)}")
-    if z == 0:
-        return 0.0 + 0.0j
-    if z == 1:
-        return complex(PI2_6, 0.0)
-    if abs(z) <= 0.5:
-        return _li2_series(z)
-    if abs(1.0 - z) <= 0.5:
-        w = 1.0 - z
-        return PI2_6 - cmath.log(z) * cmath.log(w) - _li2_series(w)
-    return _li2_bernoulli(z)
-
-
 def _cl2_core(t: float) -> float:
     """Cl2 on [0, pi] via the expansion about 0 or about pi."""
-    _, c0, cp = _tables()
+    c0, cp = _tables()
     if t == 0.0 or t == PI:
         return 0.0
     if t <= 0.5 * PI:
@@ -237,6 +194,5 @@ __all__ = [
     "Constants",
     "constants",
     "li2_real",
-    "li2_complex",
     "cl2",
 ]

@@ -11,19 +11,15 @@ serialization metadata, never in results).
 
 from __future__ import annotations
 
-import fnmatch
 import math
 import time
 from typing import Mapping, NamedTuple
 
 from . import fib_complex, quad, registry
+from .registry import EmptyFilterError, match_ids  # re-exported: their home is registry, which `fibint list` uses
 
 RTOL = 1e-8
 _QUAD_SAFETY = 0.25
-
-
-class EmptyFilterError(ValueError):
-    """Filter matched no catalog entry, or its grid left no instance."""
 
 
 class VerificationResult:
@@ -130,13 +126,6 @@ def verify_instance(inst: registry.BoundInstance) -> VerificationResult:
         quad_evals=res.evals,
         note=note,
     )
-
-
-def match_ids(pattern: str) -> list[str]:
-    ids = [c.id for c in registry.catalog() if fnmatch.fnmatchcase(c.id, pattern)]
-    if not ids:
-        raise EmptyFilterError(f"filter {pattern!r} matches no catalog entry")
-    return ids
 
 
 def run(

@@ -135,7 +135,7 @@ def test_exit_code_one_on_failure(capsys, monkeypatch):
         quad_evals=1,
     )
     report = verifier.Report(results=(failed,), n_pass=0, n_fail=1, wall_time=0.0)
-    monkeypatch.setattr(cli.verifier, "run", lambda *a, **k: report)
+    monkeypatch.setattr(verifier, "run", lambda *a, **k: report)
     code, out, _ = run_cli(capsys, "verify", "--filter", "*")
     assert code == 1
     assert "FAIL" in out
@@ -153,7 +153,7 @@ def test_failed_report_is_strict_json(capsys, monkeypatch):
     report = verifier.Report(
         results=(verifier.verify_instance(good), verifier.verify_instance(bad)), n_pass=1, n_fail=1, wall_time=0.0
     )
-    monkeypatch.setattr(cli.verifier, "run", lambda *a, **k: report)
+    monkeypatch.setattr(verifier, "run", lambda *a, **k: report)
     code, out, _ = run_cli(capsys, "verify", "--filter", "*", "--format", "json")
     assert code == 1
     passed, failed = json.loads(out, parse_constant=_reject_constant)["results"]
@@ -231,6 +231,7 @@ def test_show(capsys):
     assert "HALF_LINE" in out and "m=0..4" in out
     code, _, err = run_cli(capsys, "show", "NOSUCH")
     assert code == 2
+    assert err == "error: unknown catalog id 'NOSUCH'\n"
 
 
 def test_bad_arguments_exit_2(capsys):

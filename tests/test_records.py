@@ -1,8 +1,10 @@
-"""Start-up cost of the records, and the names `perfbench/traced.py` patches.
+"""Start-up cost of the records and the package, and the names `perfbench/traced.py` patches.
 
 `fibint list` and a cold `fibint verify` should not pay for the
 `dataclasses` machinery or for `fractions`/`decimal`, which only the
-lazily built Clausen tables use.  The traced benchmark run
+lazily built Clausen tables use.  `import fibint` loads no submodule,
+and `fibint list` and `show` load neither the quadrature nor the
+verifier, nor the modules only the other writers use.  The traced benchmark run
 (`perfbench/run.py --trace 1`) replaces module functions and record
 attributes in place, so those names must stay module attributes and
 those attributes must stay assignable.
@@ -19,15 +21,22 @@ import fibint
 from fibint import cli, exact_seq, quad, registry, specfun, verifier
 
 HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
+NOT_FOR_LIST = ("fibint.quad", "fibint.verifier", "fibint.fib_complex", "csv", "datetime")
 
 
-def _loaded_after(code: str) -> list[str]:
-    """The HEAVY modules present in a fresh interpreter after running code."""
+def _modules_after(code: str) -> set[str]:
+    """The modules present in a fresh interpreter after running code."""
     src = str(pathlib.Path(fibint.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = f"{code}\nimport sys\nprint(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
+    probe = f"{code}\nimport sys\nprint(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.split()
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def _loaded_after(code: str, names: tuple[str, ...] = HEAVY) -> list[str]:
+    """The modules of names present in a fresh interpreter after running code."""
+    loaded = _modules_after(code)
+    return [m for m in names if m in loaded]
 
 
 def test_cli_import_and_catalog_build_load_no_heavy_module():
@@ -35,6 +44,34 @@ def test_cli_import_and_catalog_build_load_no_heavy_module():
     if bare:
         pytest.skip(f"a bare interpreter already loads {bare}")
     assert _loaded_after("import fibint.cli\nfibint.cli.registry.catalog()") == []
+
+
+def test_list_and_show_load_only_the_catalog():
+    code = (
+        "import os, fibint.cli\n"
+        "from fibint import cli, registry\n"
+        "registry.catalog()\n"
+        "assert cli.main(['list', '--format', 'json', '--out', os.devnull]) == 0\n"
+        "assert cli.main(['show', 'S10.QVB6JUR']) == 0"
+    )
+    loaded = _modules_after(code) - _modules_after("pass")
+    assert [m for m in NOT_FOR_LIST if m in loaded] == []
+
+
+def test_package_import_loads_no_submodule():
+    assert sorted(m for m in _modules_after("import fibint") if m.startswith("fibint.")) == []
+
+
+def test_every_public_name_resolves():
+    for name in fibint.__all__:
+        assert getattr(fibint, name) is not None, name
+    namespace: dict = {}
+    exec("from fibint import *", namespace)
+    assert set(fibint.__all__) <= set(namespace)
+    assert fibint.Integrand is registry.Integrand is quad.Integrand
+    assert verifier.match_ids is registry.match_ids and verifier.EmptyFilterError is registry.EmptyFilterError
+    with pytest.raises(AttributeError):
+        fibint.li2_complex
 
 
 @pytest.mark.parametrize(

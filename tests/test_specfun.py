@@ -12,7 +12,6 @@ from fibint.specfun import (
     LN_ALPHA,
     cl2,
     constants,
-    li2_complex,
     li2_real,
 )
 
@@ -21,15 +20,6 @@ PI = math.pi
 
 def _li2_series_oracle(x, terms=5000):
     return sum(x**k / (k * k) for k in range(1, terms + 1))
-
-
-def _li2_series_oracle_c(z, terms=5000):
-    total = 0j
-    zk = z
-    for k in range(1, terms + 1):
-        total += zk / (k * k)
-        zk *= z
-    return total
 
 
 def test_li2_special_points():
@@ -80,32 +70,6 @@ def test_li2_duplication_fixed_points():
 @settings(max_examples=120, deadline=None)
 def test_li2_duplication_property(x):
     assert 0.5 * li2_real(x * x) - li2_real(x) - li2_real(-x) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_li2_complex_series_agreement():
-    for re in (-0.6, -0.2, 0.1, 0.5):
-        for im in (-0.7, -0.1, 0.4, 0.8):
-            z = complex(re, im)
-            if abs(z) <= 0.95:
-                assert abs(li2_complex(z) - _li2_series_oracle_c(z)) < 1e-12
-
-
-def test_li2_complex_imaginary_axis():
-    # real part halves into Li2(-x^2)/4; imaginary part mixes arctan, log, Cl2
-    for x in (0.2, 0.5, 0.9, 1.0):
-        v = li2_complex(complex(0.0, x))
-        assert v.real == pytest.approx(0.25 * li2_real(-x * x), abs=1e-12)
-        t = math.atan(x)
-        expected = t * math.log(x) + 0.5 * cl2(2.0 * t) + 0.5 * cl2(PI - 2.0 * t)
-        assert v.imag == pytest.approx(expected, abs=1e-12)
-        vm = li2_complex(complex(0.0, -x))
-        assert vm.real == pytest.approx(v.real, abs=1e-12)
-        assert vm.imag == pytest.approx(-v.imag, abs=1e-12)
-
-
-def test_li2_complex_domain():
-    with pytest.raises(ValueError):
-        li2_complex(1.2 + 0.1j)
 
 
 def test_cl2_zeros_and_catalan():
