@@ -35,7 +35,7 @@ _HOME = {
     "default_grid": "registry",
     "run": "verifier",
     "verify_instance": "verifier",
-    "lemma2_check": "verifier",
+    "lemma2_check": "fib_complex",
     "Report": "verifier",
     "VerificationResult": "verifier",
 }

@@ -1,8 +1,9 @@
 """Command-line front end: list the catalog, show one entry, run
 verifications, emit machine-readable reports.
 
-Exit codes: 0 all verified instances passed, 1 any failure,
-2 usage/configuration error.  JSON/CSV payloads are deterministic
+Exit codes: 0 all verified instances passed, 1 any failure or a stdout
+closed before the output was written (`fibint list | head`), 2
+usage/configuration error.  JSON/CSV payloads are deterministic
 (timestamps only in metadata, floats at 17 significant digits; JSON
 writes null for a non-finite float, e.g. the lhs of a failed instance).
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -259,11 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> None:
-    """Write text and, unless it has one, a final newline: two writes, not a copy of text."""
+    """Write text and, unless it has one, a final newline: two writes, not a copy of text.
+    Stdout is flushed, so that a closed pipe raises here and not at exit."""
     end = "" if text.endswith("\n") else "\n"
     if out is None:
         sys.stdout.write(text)
         sys.stdout.write(end)
+        sys.stdout.flush()
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -297,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
             ]
             if case.note:
                 lines.append(f"note:        {case.note}")
-            print("\n".join(lines))
+            _emit("\n".join(lines), None)
             return 0
 
         # verify
@@ -319,6 +323,11 @@ def main(argv: list[str] | None = None) -> int:
     except (registry.CatalogError, registry.ParamError, registry.EmptyFilterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early; point fd 1 at devnull so that the
+        # flush at interpreter exit stays quiet (as the `signal` docs advise)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

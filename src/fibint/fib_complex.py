@@ -15,13 +15,16 @@ to pi * beta^x:
 
 with b(x) the principal-branch beta^x.  At integer j this gives
 Re f'(j) = L_j ln(alpha)/sqrt(5), Im f'(j) = -pi beta^j / sqrt(5), and
-the analogous Lucas forms.  All functions are pure and thread-safe.
+the analogous Lucas forms.  lemma2_check checks these closed forms
+against central differences at integer j, the paper's fundamental lemma.
+All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from typing import NamedTuple
 
 from .exact_seq import ALPHA, BETA, LN_ALPHA, SQRT5
 
@@ -90,6 +93,29 @@ def deriv_residual(x: float, h: float = 1e-5) -> tuple[float, float]:
     return rf, rl
 
 
+class Lemma2Residual(NamedTuple):
+    j: int
+    fib_resid: float
+    lucas_resid: float
+
+
+def lemma2_check(j_lo: int, j_hi: int, h: float = 1e-5) -> list[Lemma2Residual]:
+    """Central-difference residuals of the closed-form derivatives.
+
+    For each integer j, |FD(f)(j) - f'(j)| and |FD(l)(j) - l'(j)| in
+    complex modulus; second-order in h.
+    """
+    if not (1e-7 <= h <= 1e-3):
+        raise ValueError(f"h must lie in [1e-7, 1e-3], got {h}")
+    if j_lo > j_hi:
+        raise ValueError("empty index interval")
+    out = []
+    for j in range(j_lo, j_hi + 1):
+        rf, rl = deriv_residual(float(j), h)
+        out.append(Lemma2Residual(j, rf, rl))
+    return out
+
+
 __all__ = [
     "ALPHA",
     "BETA",
@@ -101,4 +127,6 @@ __all__ = [
     "lucas_fn_deriv",
     "central_difference",
     "deriv_residual",
+    "Lemma2Residual",
+    "lemma2_check",
 ]

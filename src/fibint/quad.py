@@ -12,15 +12,18 @@ stay meaningful down to delta ~ 1e-28.
 Each map has a node table of mapped abscissae and weights, with the map's
 Jacobian (for tan, also 1/(1+t^2)) folded into the weights.  It is built
 one level at a time on first use and then kept: one per finite interval
-(a, b) in a small LRU cache, one for the half line and one for tan.  Body
-nodes (delta >= 1e-6) are rows holding both images of a node.  Tail nodes
-are rows per side, walked outward; a side stops at its first term w*|f|
-below rounding (eps times the running sum of w*|f|) that lies deeper than
-every term above rounding on that side, and later levels skip the nodes
-beyond that cut without calling the integrand (the tail truncation of
-Bailey, Jeyabalan & Li 2005).  A finite tail ends before its first
-abscissa that rounds onto the endpoint, so the rule stays open; where a
-body node could round onto an endpoint, every node is a tail node.
+(a, b) in a small LRU cache, one for the half line and one for tan.  The
+(delta, weight) pairs behind them and the Fejer rules below are kept the
+same way: every lazily built table is a _Levels, a dict that builds a
+missing level when it is first read.  Body nodes (delta >= 1e-6) are rows
+holding both images of a node.  Tail nodes are rows per side, walked
+outward; a side stops at its first term w*|f| below rounding (eps times
+the running sum of w*|f|) that lies deeper than every term above rounding
+on that side, and later levels skip the nodes beyond that cut without
+calling the integrand (the tail truncation of Bailey, Jeyabalan & Li
+2005).  A finite tail ends before its first abscissa that rounds onto the
+endpoint, so the rule stays open; where a body node could round onto an
+endpoint, every node is a tail node.
 
 One loop runs the levels of every map and applies the stopping rule.
 DE rules converge quadratically: each halving of the step roughly squares
@@ -34,9 +37,7 @@ reach the tolerance.  A pass that does not stop by MAX_LEVEL is returned
 as it stands, with converged False and d1 (at least the rounding floor)
 as its err_est; nothing bisects or splits it further, so a kink or peak
 inside the interval must be declared in singular_points, where the
-interval is split before any rule runs.  A result's evals are the
-integrand calls made, including those of a failed pass and those made
-before an integrand raised or returned a non-finite value.
+interval is split before any rule runs.
 
 Finite intervals try a nested Fejer pass on each panel first, after the
 split at known singular points.  Fejer's second rule with n = 4, 8, ...,
@@ -62,6 +63,14 @@ when two rules agree exactly, the sign that fixed nodes missed a narrow
 feature; a declined panel goes to tanh-sinh, and its Fejer calls count in
 evals.  A panel so narrow that a body node could round onto an endpoint
 skips the pass.  The half line and the tan map use tanh-sinh alone.
+
+A failed integrand is a result, never an exception.  A pass whose
+integrand raises ZeroDivisionError, OverflowError or ValueError, or a
+tanh-sinh pass whose sum turns non-finite, returns value nan, err_est
+inf, the calls made and converged False; integrate_finite stops at the
+first panel that fails and adds up the panels it ran.  Other exceptions
+propagate.  A result's evals are the integrand calls made, including
+those of a declined or failed pass.
 
 The half-line map is algebraic, x = s/(1-s) with s in (0,1), so one
 transform serves all the rational-decay integrands; integrands over
@@ -144,9 +153,21 @@ def _check_tol(tol: float) -> float:
 # and per map the rows built from them
 # --------------------------------------------------------------------------
 
+
+class _Levels(dict):
+    """Values per level, each level built on first use by build(level)."""
+
+    def __init__(self, build: Callable[[int], object]) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, level: int):
+        value = self[level] = self.build(level)
+        return value
+
+
 _W0 = _PI_OVER_2  # weight of the t = 0 node
 _Nodes = list[tuple[float, float]]
-_node_tables: list[tuple[_Nodes, _Nodes]] = []
 
 
 def _make_node(t: float) -> tuple[float, float] | None:
@@ -162,34 +183,21 @@ def _make_node(t: float) -> tuple[float, float] | None:
 def _level_nodes(level: int) -> tuple[_Nodes, _Nodes]:
     """New (delta, weight) pairs introduced at this refinement level, in
     decreasing delta, split into the body (delta >= _DELTA_TAIL) and the tail."""
-    while len(_node_tables) <= level:
-        lvl = len(_node_tables)
-        h = 1.0 / (1 << lvl)
-        nodes: list[tuple[float, float]] = []
-        k = 1
-        step = 1 if lvl == 0 else 2
-        while True:
-            t = k * h
-            node = _make_node(t)
-            if node is None:
-                break
-            nodes.append(node)
-            k += step
-        split = sum(delta >= _DELTA_TAIL for delta, _ in nodes)
-        _node_tables.append((nodes[:split], nodes[split:]))
-    return _node_tables[level]
+    h = 1.0 / (1 << level)
+    nodes: list[tuple[float, float]] = []
+    k = 1
+    step = 1 if level == 0 else 2
+    while True:
+        node = _make_node(k * h)
+        if node is None:
+            break
+        nodes.append(node)
+        k += step
+    split = sum(delta >= _DELTA_TAIL for delta, _ in nodes)
+    return nodes[:split], nodes[split:]
 
 
-class _Levels(dict):
-    """Rows per level, each level built on first use by rows(level)."""
-
-    def __init__(self, rows: Callable[[int], object]) -> None:
-        super().__init__()
-        self.rows = rows
-
-    def __missing__(self, level: int):
-        rows = self[level] = self.rows(level)
-        return rows
+_NODES = _Levels(_level_nodes)
 
 
 class _MapTable(_Levels):
@@ -207,35 +215,31 @@ class _MapTable(_Levels):
         self.shared_weight = shared_weight
 
 
-def _paired(a: float, b: float) -> bool:
-    """Whether no node with delta >= _DELTA_TAIL rounds onto an endpoint of (a, b)."""
-    d = 0.5 * (b - a) * _DELTA_TAIL
-    return a + d > a and b - d < b
-
-
 @functools.lru_cache(maxsize=16)  # a catalog run integrates over 7 intervals
 def _finite_table(a: float, b: float) -> _MapTable:
     """Rows of the finite map x = a + c*delta, b - c*delta, c = (b - a)/2,
     and in its attribute fejer the node pairs (x_lo, x_hi) that each Fejer
-    rule adds, placed the same way."""
+    rule adds, placed the same way.  The table is paired unless a node with
+    delta >= _DELTA_TAIL rounds onto an endpoint; then every node is a tail
+    node, and fejer is None."""
     c = 0.5 * (b - a)
-    paired = _paired(a, b)
+    paired = a + c * _DELTA_TAIL > a and b - c * _DELTA_TAIL < b
 
     def walk(tail: _Nodes, x0: float, step: float) -> list[tuple[float, float, float]]:
         rows = [(delta, x0 + step * delta, w) for delta, w in tail]
         return rows[: sum(x != x0 for _, x, _ in rows)]  # those that round onto x0 are the deepest
 
     def rows(level: int) -> tuple:
-        body, tail = _level_nodes(level)
+        body, tail = _NODES[level]
         if not paired:
             body, tail = [], body + tail
         return [(a + c * delta, b - c * delta, w) for delta, w in body], (walk(tail, a, c), walk(tail, b, -c))
 
     def fejer_rows(level: int) -> list[tuple[float, float]]:
-        return [(a + c * delta, b - c * delta) for delta in _fejer_level(level)[0]]
+        return [(a + c * delta, b - c * delta) for delta in _FEJER[level][0]]
 
     table = _MapTable((0.5 * (a + b), _W0), True, rows)
-    table.fejer = _Levels(fejer_rows)
+    table.fejer = _Levels(fejer_rows) if paired else None
     return table
 
 
@@ -255,7 +259,7 @@ def _half_line_table(tan: bool) -> _MapTable:
         return xl, xh, wl, wh
 
     def rows(level: int) -> tuple:
-        body, tail = _level_nodes(level)
+        body, tail = _NODES[level]
         walks = [(delta, images(delta, w)) for delta, w in tail]
         lo = [(delta, xl, wl) for delta, (xl, _, wl, _) in walks]
         hi = [(delta, xh, wh) for delta, (_, xh, _, wh) in walks]
@@ -274,20 +278,6 @@ _TAN = _half_line_table(tan=True)
 # --------------------------------------------------------------------------
 
 
-class _NonFiniteIntegrand(ArithmeticError):
-    """The integrand raised or returned a non-finite value after evals calls,
-    inside a pass of the given rule."""
-
-    def __init__(self, msg: str, evals: int, rule: str) -> None:
-        super().__init__(msg)
-        self.evals = evals
-        self.rule = rule
-
-    def after(self, parts: list[QuadResult]) -> QuadResult:
-        """The failed result of the parts finished before the raise plus the raising pass."""
-        return sum(parts, QuadResult(math.nan, math.inf, self.evals, False, self.rule))
-
-
 _SAFETY = 1e3  # factor on the quadratic estimate d1^2/d2; 1e2 understated the error of catalog rows
 _GUARD_TOL, _GUARD_FLOOR = 1e3, 1e6  # d1 itself must lie within these multiples of tol or floor
 
@@ -295,8 +285,10 @@ _GUARD_TOL, _GUARD_FLOOR = 1e3, 1e6  # d1 itself must lie within these multiples
 def _tanh_sinh(fe: Callable[[float], float], table: _MapTable, scale: float, tol: float) -> QuadResult:
     """Level-doubling tanh-sinh over one map's node table, scale its overall
     Jacobian half-width.  Kahan compensation keeps the sum usable when the
-    integral is many orders larger than the tolerance.  calls counts each
-    integrand call before it is made, so it is exact when one raises."""
+    integral is many orders larger than the tolerance.  An integrand that
+    raises an arithmetic error or makes the sum non-finite ends the pass with
+    the failed result (nan, inf, calls made).  calls counts each integrand
+    call before it is made, so it is exact when one raises."""
     x0, w0 = table.center
     shared = table.shared_weight
     eps = _EPS
@@ -356,7 +348,7 @@ def _tanh_sinh(fe: Callable[[float], float], table: _MapTable, scale: float, tol
                         break
                 side[:] = cut, deepest
             if not math.isfinite(s):  # a non-finite term leaves s non-finite for good
-                raise _NonFiniteIntegrand("integrand returned a non-finite value", calls, "tanh-sinh")
+                return QuadResult(math.nan, math.inf, calls, False)
             h = 1.0 / (1 << level)
             value = scale * h * s
             if level >= 1:
@@ -368,8 +360,8 @@ def _tanh_sinh(fe: Callable[[float], float], table: _MapTable, scale: float, tol
                 if est <= max(tol, floor) and diff <= max(_GUARD_TOL * tol, _GUARD_FLOOR * floor):
                     err = max(est, floor)
                     return QuadResult(value, err, calls, err <= tol)
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise _NonFiniteIntegrand(str(exc), calls, "tanh-sinh") from exc
+    except (ZeroDivisionError, OverflowError, ValueError):
+        return QuadResult(math.nan, math.inf, calls, False)
     return QuadResult(value, max(diff, floor), calls, False)
 
 
@@ -382,8 +374,6 @@ FEJER_N_MAX = 256
 _FEJER_LEVELS = (FEJER_N_MAX // FEJER_N0).bit_length()
 _SAMPLE_T = 0.6180339887498949  # in (-1, 1), off every Chebyshev grid: not cos(k pi/n) for any n
 _Rule = tuple[list[float], list[float], float, tuple[float, list[float], list[float]]]
-_fejer_rules: list[_Rule] = []
-_fejer_thetas: list[float] = []  # of every pair so far, in the order the levels add them
 
 
 def _fejer_level(level: int) -> _Rule:
@@ -397,26 +387,26 @@ def _fejer_level(level: int) -> _Rule:
     2006).  The basis comes from the barycentric formula, with weight
     (-1)^k sin^2(theta) at a pair, as for the Chebyshev extrema without the
     endpoints, and 1 in the middle."""
-    while len(_fejer_rules) <= level:
-        n = FEJER_N0 << len(_fejer_rules)
+    n = FEJER_N0 << level
 
-        def weight(theta: float) -> float:
-            return 4.0 * math.sin(theta) / n * math.fsum(math.sin(j * theta) / j for j in range(1, n, 2))
+    def weight(theta: float) -> float:
+        return 4.0 * math.sin(theta) / n * math.fsum(math.sin(j * theta) / j for j in range(1, n, 2))
 
-        new = [k * math.pi / n for k in range(1, n // 2, 2)]
-        old = len(_fejer_thetas)
-        _fejer_thetas.extend(new)
-        t = _SAMPLE_T
-        lo, hi = [], []
-        for i, theta in enumerate(_fejer_thetas):
-            w = (-1.0 if i >= old else 1.0) * math.sin(theta) ** 2
-            lo.append(w / (t + math.cos(theta)))
-            hi.append(w / (t - math.cos(theta)))
-        den = 1.0 / t + math.fsum(lo) + math.fsum(hi)
-        basis = (1.0 / t / den, [q / den for q in lo], [q / den for q in hi])
-        deltas = [2.0 * math.sin(0.5 * theta) ** 2 for theta in new]
-        _fejer_rules.append((deltas, [weight(theta) for theta in _fejer_thetas], weight(_PI_OVER_2), basis))
-    return _fejer_rules[level]
+    thetas = [k * math.pi / m for m in (FEJER_N0 << i for i in range(level + 1)) for k in range(1, m // 2, 2)]
+    old = len(thetas) - n // 4  # the pairs of the earlier rules; this one adds n/4
+    t = _SAMPLE_T
+    lo, hi = [], []
+    for i, theta in enumerate(thetas):
+        w = (-1.0 if i >= old else 1.0) * math.sin(theta) ** 2
+        lo.append(w / (t + math.cos(theta)))
+        hi.append(w / (t - math.cos(theta)))
+    den = 1.0 / t + math.fsum(lo) + math.fsum(hi)
+    basis = (1.0 / t / den, [q / den for q in lo], [q / den for q in hi])
+    deltas = [2.0 * math.sin(0.5 * theta) ** 2 for theta in thetas[old:]]
+    return deltas, [weight(theta) for theta in thetas], weight(_PI_OVER_2), basis
+
+
+_FEJER = _Levels(_fejer_level)
 
 
 def _weighted_sum(weights: list[float], values) -> float:
@@ -427,7 +417,7 @@ def _weighted_sum(weights: list[float], values) -> float:
         return math.nan
 
 
-def _fejer(fe: Callable[[float], float], rows: _Levels, a: float, b: float, tol: float) -> QuadResult:
+def _fejer(fe: Callable[[float], float], rows: _Levels, a: float, b: float, tol: float) -> QuadResult | int:
     """Nested Fejer second-rule pass over (a, b), rows[level] the node pairs
     each rule adds, reusing every value when n doubles.  From the third rule
     on it accepts once the difference d1 of the last two rules is within tol
@@ -438,11 +428,13 @@ def _fejer(fe: Callable[[float], float], rows: _Levels, a: float, b: float, tol:
     and 16, also under a part that is still converging); a sample off the
     grid exposes it, as in Chebfun's sample test, and a rule that fails it
     is not accepted, so the pass goes on to the next.  It declines,
-    returning converged False with the calls made, on a non-finite sum,
-    past FEJER_N_MAX, or once two rules agree exactly where it cannot accept
-    (so d2 of the next rule would be 0): fixed nodes can agree with each
-    other and miss a narrow feature between them.  Every call but one that
-    raises keeps its value, so the values count the calls."""
+    returning only the number of calls made, on a non-finite sum, past
+    FEJER_N_MAX, or once two rules agree exactly where it cannot accept (so
+    d2 of the next rule would be 0): fixed nodes can agree with each other
+    and miss a narrow feature between them.  An integrand that raises an
+    arithmetic error ends the pass with the failed result (nan, inf, calls
+    made).  Every call but one that raises keeps its value, so the values
+    count the calls."""
     c = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fm = sample = None  # f at mid, and at mid + c*_SAMPLE_T once tested
@@ -454,7 +446,7 @@ def _fejer(fe: Callable[[float], float], rows: _Levels, a: float, b: float, tol:
     try:
         fm = fe(mid)
         for level in range(_FEJER_LEVELS):
-            _, weights, w_mid, (l_mid, l_lo, l_hi) = _fejer_level(level)
+            _, weights, w_mid, (l_mid, l_lo, l_hi) = _FEJER[level]
             for xl, xh in rows[level]:
                 put_lo(fe(xl))
                 put_hi(fe(xh))
@@ -474,10 +466,10 @@ def _fejer(fe: Callable[[float], float], rows: _Levels, a: float, b: float, tol:
                     return QuadResult(value, err, 2 + len(flo) + len(fhi), True, "fejer")
             if diff == 0.0:  # no later rule can contract below an exact agreement
                 break
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+    except (ZeroDivisionError, OverflowError, ValueError):
         made = (fm is not None) + len(flo) + len(fhi) + (sample is not None)
-        raise _NonFiniteIntegrand(str(exc), made + 1, "fejer") from exc
-    return QuadResult(math.nan, math.inf, 1 + len(flo) + len(fhi) + (sample is not None), False, "fejer")
+        return QuadResult(math.nan, math.inf, made + 1, False, "fejer")
+    return 1 + len(flo) + len(fhi) + (sample is not None)
 
 
 # --------------------------------------------------------------------------
@@ -490,17 +482,14 @@ def _finite_panel(fe: Callable[[float], float], a: float, b: float, tol: float) 
     pass; the declined pass's calls count in evals.  A panel whose DE table
     is unpaired is too fine for the float grid and skips the Fejer pass."""
     table = _finite_table(a, b)
-    if not _paired(a, b):
-        return _tanh_sinh(fe, table, 0.5 * (b - a), tol)
-    first = _fejer(fe, table.fejer, a, b, tol)
-    if first.converged:
-        return first
-    try:
-        res = _tanh_sinh(fe, table, 0.5 * (b - a), tol)
-    except _NonFiniteIntegrand as exc:
-        exc.evals += first.evals
-        raise
-    res.evals += first.evals
+    declined = 0
+    if table.fejer is not None:
+        first = _fejer(fe, table.fejer, a, b, tol)
+        if isinstance(first, QuadResult):
+            return first
+        declined = first
+    res = _tanh_sinh(fe, table, 0.5 * (b - a), tol)
+    res.evals += declined
     return res
 
 
@@ -510,7 +499,9 @@ def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> 
 
     Known interior singular points are split off first; an undeclared
     interior kink or peak is not bisected, so its panel is reported
-    unconverged.  Non-convergence is reported in the result, never raised.
+    unconverged.  Non-convergence is reported in the result, never raised;
+    so is an integrand that fails on a panel, which ends the integration
+    with a nan value and the calls made so far.
     """
     f = _as_integrand(f)
     tol = _check_tol(tol)
@@ -522,25 +513,16 @@ def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> 
     edges = [a, *cuts, b]
     ptol = max(tol / (len(edges) - 1), TOL_MIN)
     parts: list[QuadResult] = []
-    try:
-        for lo, hi in zip(edges, edges[1:]):
-            parts.append(_finite_panel(f.eval, lo, hi, ptol))
-    except _NonFiniteIntegrand as exc:
-        return exc.after(parts)
+    for lo, hi in zip(edges, edges[1:]):
+        parts.append(_finite_panel(f.eval, lo, hi, ptol))
+        if math.isnan(parts[-1].value):
+            break
     return functools.reduce(operator.add, parts)
 
 
 # --------------------------------------------------------------------------
 # half line and tan substitution
 # --------------------------------------------------------------------------
-
-
-def _half_line(fe: Callable[[float], float], table: _MapTable, tol: float) -> QuadResult:
-    """One tanh-sinh pass of fe over a half-line table."""
-    try:
-        return _tanh_sinh(fe, table, 0.5, tol)
-    except _NonFiniteIntegrand as exc:
-        return exc.after([])
 
 
 def integrate_half_line(f, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
@@ -550,7 +532,7 @@ def integrate_half_line(f, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
     one tanh-sinh pass, and a kink or peak inside (0, inf) that stalls it
     is reported unconverged, not split off.
     """
-    return _half_line(_as_integrand(f).eval, _HALF_LINE, _check_tol(tol))
+    return _tanh_sinh(_as_integrand(f).eval, _HALF_LINE, 0.5, _check_tol(tol))
 
 
 def integrate_tan_halfpi(g, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
@@ -560,7 +542,7 @@ def integrate_tan_halfpi(g, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
     tangent evaluated near pi/2.  The half-line pass has 1/(1+t^2) in its
     weights and calls g itself.
     """
-    return _half_line(_as_integrand(g).eval, _TAN, _check_tol(tol))
+    return _tanh_sinh(_as_integrand(g).eval, _TAN, 0.5, _check_tol(tol))
 
 
 __all__ = [

@@ -54,25 +54,10 @@ def _bernoulli(n: int) -> list[Fraction]:
 def _tables() -> tuple[tuple[float, ...], tuple[float, ...]]:
     # cl2 about 0:   Cl2(t) = t - t ln t + sum_n c0_n t^{2n+1}
     # cl2 about pi:  Cl2(pi - p) = p ln 2 - sum_m cp_m p^{2m+1}
+    # cp_m = (4^m - 1) c0_m, taken on the exact rationals before rounding
     bern = _bernoulli(40)
-    c0 = tuple(
-        float(
-            (-1) ** (n + 1)
-            * bern[2 * n]
-            / (2 * math.factorial(2 * n) * n * (2 * n + 1))
-        )
-        for n in range(1, 21)
-    )
-    cp = tuple(
-        float(
-            (-1) ** (m + 1)
-            * (4**m - 1)
-            * bern[2 * m]
-            / (2 * math.factorial(2 * m) * m * (2 * m + 1))
-        )
-        for m in range(1, 21)
-    )
-    return c0, cp
+    about0 = [(-1) ** (n + 1) * bern[2 * n] / (2 * math.factorial(2 * n) * n * (2 * n + 1)) for n in range(1, 21)]
+    return tuple(map(float, about0)), tuple(float((4**m - 1) * c) for m, c in enumerate(about0, 1))
 
 
 def _li2_series(z: float) -> float:

@@ -1,6 +1,5 @@
 """Runs bound instances through quadrature and compares against closed
-forms; also hosts the finite-difference oracle for the complex
-Fibonacci/Lucas derivatives.
+forms.
 
 Pass criterion:  abs_err <= max(case tolerance, RTOL * |rhs|) with
 RTOL = 1e-8, and the quadrature must have converged.  Failures never
@@ -15,7 +14,7 @@ import math
 import time
 from typing import Mapping, NamedTuple
 
-from . import fib_complex, quad, registry
+from . import quad, registry
 from .registry import EmptyFilterError, match_ids  # re-exported: their home is registry, which `fibint list` uses
 
 RTOL = 1e-8
@@ -96,25 +95,17 @@ def verify_instance(inst: registry.BoundInstance) -> VerificationResult:
         else:
             raise RuntimeError(f"unknown strategy {strat.kind}")
     except Exception as exc:  # a failed instance is a result, not a crash
-        return VerificationResult(
-            case_id=inst.case_id,
-            assignment=tuple(sorted(inst.assignment.items())),
-            lhs=math.nan,
-            rhs=inst.rhs,
-            abs_err=math.inf,
-            tol=threshold,
-            passed=False,
-            quad_evals=0,
-            note=f"integration error: {exc}",
-        )
+        res = quad.QuadResult(math.nan, math.inf, 0, False)
+        note = f"integration error: {exc}"
+    else:
+        if not math.isfinite(res.value):
+            note = "integrand raised or returned a non-finite value"
+        elif not res.converged:
+            note = "quadrature did not converge"
     abs_err = abs(res.value - inst.rhs)
     if math.isnan(abs_err):  # inf, never nan, so that a max over rows keeps the failed one
         abs_err = math.inf
     passed = res.converged and abs_err <= threshold
-    if not math.isfinite(res.value):
-        note = "integrand raised or returned a non-finite value"
-    elif not res.converged:
-        note = "quadrature did not converge"
     return VerificationResult(
         case_id=inst.case_id,
         assignment=tuple(sorted(inst.assignment.items())),
@@ -155,29 +146,6 @@ def run(
     )
 
 
-class Lemma2Residual(NamedTuple):
-    j: int
-    fib_resid: float
-    lucas_resid: float
-
-
-def lemma2_check(j_lo: int, j_hi: int, h: float = 1e-5) -> list[Lemma2Residual]:
-    """Central-difference residuals of the closed-form derivatives.
-
-    For each integer j, |FD(f)(j) - f'(j)| and |FD(l)(j) - l'(j)| in
-    complex modulus; second-order in h.
-    """
-    if not (1e-7 <= h <= 1e-3):
-        raise ValueError(f"h must lie in [1e-7, 1e-3], got {h}")
-    if j_lo > j_hi:
-        raise ValueError("empty index interval")
-    out = []
-    for j in range(j_lo, j_hi + 1):
-        rf, rl = fib_complex.deriv_residual(float(j), h)
-        out.append(Lemma2Residual(j, rf, rl))
-    return out
-
-
 __all__ = [
     "RTOL",
     "EmptyFilterError",
@@ -187,6 +155,4 @@ __all__ = [
     "verify_instance",
     "match_ids",
     "run",
-    "Lemma2Residual",
-    "lemma2_check",
 ]

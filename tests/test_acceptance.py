@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from fibint import verifier
+from fibint import fib_complex, verifier
 from fibint.exact_seq import fib, golden_powers, lucas
 from fibint.quad import Integrand, integrate_finite, integrate_tan_halfpi
 from fibint.specfun import LN_ALPHA, cl2, constants, li2_real
@@ -151,11 +151,11 @@ def test_criterion_6_special_function_suite():
 
 
 def test_criterion_7_derivative_oracle():
-    res = verifier.lemma2_check(0, 10, 1e-5)
+    res = fib_complex.lemma2_check(0, 10, 1e-5)
     worst = max(max(r.fib_resid, r.lucas_resid) for r in res)
     ok = worst <= 1e-6
-    coarse = verifier.lemma2_check(0, 10, 1e-4)
-    fine = verifier.lemma2_check(0, 10, 5e-5)
+    coarse = fib_complex.lemma2_check(0, 10, 1e-4)
+    fine = fib_complex.lemma2_check(0, 10, 5e-5)
     ratios = [
         c.fib_resid / f.fib_resid
         for c, f in zip(coarse, fine)

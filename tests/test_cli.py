@@ -289,3 +289,19 @@ def test_package_catalog_stays_callable():
     code = "import fibint; a = fibint.catalog(); b = fibint.catalog(); print(len(a), a == b)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.split() == [str(len(registry.catalog())), "True"]
+
+
+@pytest.mark.parametrize("argv", [["list", "--format", "md"], ["show", "S10.QVB6JUR"]], ids=["list", "show"])
+def test_closed_stdout_exits_one_quietly(argv):
+    # `fibint list | head -c 600`: the reader goes away before the output is
+    # written; the command ends with exit code 1 and no traceback
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fibint.__file__).resolve().parent.parent))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibint.cli", *argv], env=env, stdout=write_end, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -18,7 +18,7 @@ import sys
 import pytest
 
 import fibint
-from fibint import cli, exact_seq, quad, registry, specfun, verifier
+from fibint import cli, exact_seq, fib_complex, quad, registry, specfun, verifier
 
 HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
 NOT_FOR_LIST = ("fibint.quad", "fibint.verifier", "fibint.fib_complex", "csv", "datetime")
@@ -58,6 +58,15 @@ def test_list_and_show_load_only_the_catalog():
     assert [m for m in NOT_FOR_LIST if m in loaded] == []
 
 
+def test_verify_leaves_fib_complex_unloaded():
+    # no command reaches the complex Fibonacci functions or their lemma check
+    code = (
+        "import os\n"
+        "from fibint import cli\n"
+        "assert cli.main(['verify', '--filter', 'S5.FOURG', '--format', 'json', '--out', os.devnull]) == 0"
+    )
+    assert "fibint.fib_complex" not in _modules_after(code)
+
 def test_package_import_loads_no_submodule():
     assert sorted(m for m in _modules_after("import fibint") if m.startswith("fibint.")) == []
 
@@ -70,6 +79,7 @@ def test_every_public_name_resolves():
     assert set(fibint.__all__) <= set(namespace)
     assert fibint.Integrand is registry.Integrand is quad.Integrand
     assert verifier.match_ids is registry.match_ids and verifier.EmptyFilterError is registry.EmptyFilterError
+    assert fibint.lemma2_check is fib_complex.lemma2_check
     with pytest.raises(AttributeError):
         fibint.li2_complex
 

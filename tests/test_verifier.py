@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fibint import quad, registry, verifier
+from fibint import fib_complex, quad, registry, verifier
 from fibint.quad import Integrand, integrate_finite
 from fibint.specfun import LN_ALPHA, constants
 
@@ -140,6 +140,52 @@ def test_nonconvergence_is_named_as_such():
     assert res.note == "quadrature did not converge"
 
 
+
+def _kink(x):
+    return abs(x - 1.0 / PI)
+
+
+def _kink_instance(f):
+    """f over (0, 1) against the integral of the undeclared kink |x - 1/pi|."""
+    c = 1.0 / PI
+    return registry.BoundInstance(
+        "SYNTH.KINK", {}, Integrand(f), 0.5 * (c * c + (1.0 - c) ** 2), 1e-7, registry.FINITE(0.0, 1.0)
+    )
+
+
+def test_non_arithmetic_raise_is_an_integration_error():
+    def f(x):
+        raise TypeError("unsupported operand")
+
+    res = verifier.verify_instance(_kink_instance(f))
+    assert not res.passed
+    assert res.note == "integration error: unsupported operand"
+    assert math.isnan(res.lhs) and res.abs_err == math.inf and res.quad_evals == 0
+
+
+def test_arithmetic_raise_counts_the_calls_made():
+    # the Fejer pass declines the kink after 255 calls, so call 300 falls in the tanh-sinh pass
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        if calls == 300:
+            raise ZeroDivisionError("float division by zero")
+        return _kink(x)
+
+    res = verifier.verify_instance(_kink_instance(f))
+    assert not res.passed
+    assert res.note == "integrand raised or returned a non-finite value"
+    assert math.isnan(res.lhs) and res.abs_err == math.inf and res.quad_evals == calls == 300
+
+
+def test_undeclared_kink_does_not_converge():
+    res = verifier.verify_instance(_kink_instance(_kink))
+    assert not res.passed
+    assert res.note == "quadrature did not converge"
+    assert math.isfinite(res.lhs) and res.quad_evals > 255
+
 def test_full_catalog_passes_at_tight_tolerance():
     rep = verifier.run("*", tol_override=1e-12)
     assert rep.n_fail == 0
@@ -186,15 +232,15 @@ def test_half_full_interval_relation():
 
 
 def test_lemma2_check():
-    res = verifier.lemma2_check(0, 10, 1e-5)
+    res = fib_complex.lemma2_check(0, 10, 1e-5)
     assert len(res) == 11
     assert all(r.fib_resid <= 1e-6 and r.lucas_resid <= 1e-6 for r in res)
-    coarse = verifier.lemma2_check(0, 10, 1e-4)
-    fine = verifier.lemma2_check(0, 10, 5e-5)
+    coarse = fib_complex.lemma2_check(0, 10, 1e-4)
+    fine = fib_complex.lemma2_check(0, 10, 5e-5)
     for c, f in zip(coarse, fine):
         if c.fib_resid > 1e-12:
             assert f.fib_resid == pytest.approx(c.fib_resid / 4.0, rel=0.2)
     with pytest.raises(ValueError):
-        verifier.lemma2_check(0, 5, 1e-8)
+        fib_complex.lemma2_check(0, 5, 1e-8)
     with pytest.raises(ValueError):
-        verifier.lemma2_check(5, 0)
+        fib_complex.lemma2_check(5, 0)
