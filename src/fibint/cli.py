@@ -3,7 +3,8 @@ verifications, emit machine-readable reports.
 
 Exit codes: 0 all verified instances passed, 1 any failure or a stdout
 closed before the output was written (`fibint list | head`), 2
-usage/configuration error.  JSON/CSV payloads are deterministic
+usage/configuration error or an output that cannot be written
+(`--out no-such-dir/r.json`).  JSON/CSV payloads are deterministic
 (timestamps only in metadata, floats at 17 significant digits; JSON
 writes null for a non-finite float, e.g. the lhs of a failed instance).
 """
@@ -58,13 +59,21 @@ def report_json(report: verifier.Report, tol, pattern: str) -> str:
     # one list of pieces and one join: the document is ~300 kB for the full catalog
     buf = [f'{{"meta": {{"tol": {tol_s}, "filter": "{_json_escape(pattern)}", "timestamp": "{ts}"}}, "results": [']
     sep = ""
+    isfinite = math.isfinite
     for r in report.results:
-        params = ", ".join(f'"{k}": {v}' for k, v in r.assignment)
+        lhs, rhs, err, thr = r.lhs, r.rhs, r.abs_err, r.tol
+        params = ", ".join([f'"{k}": {v}' for k, v in r.assignment])
+        if isfinite(lhs + rhs + err + thr):  # so all four are; an overflow takes the other branch, same bytes
+            nums = f'"lhs": {lhs:.17g}, "rhs": {rhs:.17g}, "abs_err": {err:.17g}, "tol": {thr:.17g}'
+        else:
+            nums = (
+                f'"lhs": {_json_num(lhs)}, "rhs": {_json_num(rhs)}, '
+                f'"abs_err": {_json_num(err)}, "tol": {_json_num(thr)}'
+            )
+        note = _json_escape(r.note) if r.note else ""
         buf.append(
-            f'{sep}{{"id": "{r.case_id}", "params": {{{params}}}, '
-            f'"lhs": {_json_num(r.lhs)}, "rhs": {_json_num(r.rhs)}, "abs_err": {_json_num(r.abs_err)}, '
-            f'"tol": {_json_num(r.tol)}, "passed": {"true" if r.passed else "false"}, '
-            f'"note": "{_json_escape(r.note)}"}}'
+            f'{sep}{{"id": "{r.case_id}", "params": {{{params}}}, {nums}, '
+            f'"passed": {"true" if r.passed else "false"}, "note": "{note}"}}'
         )
         sep = ", "
     buf.append("]}")
@@ -328,6 +337,10 @@ def main(argv: list[str] | None = None) -> int:
         # flush at interpreter exit stays quiet (as the `signal` docs advise)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:  # e.g. --out in a missing directory, or naming a directory
+        target = getattr(args, "out", None) or "stdout"  # `show` has no --out
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

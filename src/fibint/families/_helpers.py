@@ -21,14 +21,22 @@ Folding signs this way keeps every result bit, because negation and
 scaling by +-1.0 or 2.0 are exact: a + s * c with s = -2.0 rounds as
 a - 2.0 * c, 1.0 - sigma * b as 1.0 -+ b, and 2.0 * (u + v) as
 2.0 * u + 2.0 * v.  Nothing else is reassociated (5 F_r^2 is never
-(sqrt5 F_r)^2, and c**2 is never c * c), and the kernels pick their
-power k at build time, so an integrand performs exactly the operations
-of its written-out form.
+(sqrt5 F_r)^2, and c**2 is never c * c), so an integrand performs
+exactly the operations of its written-out form.
+
+An integrand's call does only its x-dependent float work, and each piece
+of it once: a sin x or cos 2x that the formula names twice is computed
+once, which is bit-exact because libm is deterministic.  Integer
+exponents, the kernel power k, the coefficient order of a polynomial
+numerator and constant subexpressions (q * q, sqrt5 / 3) are bound when
+the integrand is built.  Only subexpressions that Python evaluates as a
+unit are bound, so no operation moves.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
 from ..exact_seq import ALPHA, BETA, LN_ALPHA, SQRT5, fib, lucas, golden_powers  # noqa: F401
@@ -54,10 +62,14 @@ TOL_FINITE = 1e-7
 TOL_TRANSFORMED = 5e-7
 
 
+# a pass asks for ~60 distinct indices thousands of times, mostly from right sides;
+# typed, so F(2.0) misses F(2) and raises, and errors are not cached
+@lru_cache(maxsize=None, typed=True)
 def F(n: int) -> float:
     return float(fib(n))
 
 
+@lru_cache(maxsize=None, typed=True)
 def L(n: int) -> float:
     return float(lucas(n))
 

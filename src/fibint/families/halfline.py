@@ -30,20 +30,21 @@ def _pair(base_id, anchor, params, ab_of, rhs, note=""):
     def lhs_a(p):
         a, b = ab_of(p)
         m = p["m"]
+        k, e = 2 * m + 1, m + 1
 
         def f(x):
             x2 = x * x
-            return x ** (2 * m + 1) / ((1.0 + x2) * (a + b * x2) ** (m + 1))
+            return x ** k / ((1.0 + x2) * (a + b * x2) ** e)
 
         return f
 
     def lhs_b(p):
         a, b = ab_of(p)
-        m = p["m"]
+        e = p["m"] + 1
 
         def f(x):
             x2 = x * x
-            return x / ((1.0 + x2) * (b + a * x2) ** (m + 1))
+            return x / ((1.0 + x2) * (b + a * x2) ** e)
 
         return f
 

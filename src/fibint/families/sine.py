@@ -45,7 +45,12 @@ def _j7h(br):
 
 def _tk(p):
     q2 = QT(p) ** 2
-    return lambda x: math.sin(x) / (math.sin(x) ** 2 + q2)
+
+    def f(x):
+        s = math.sin(x)
+        return s / (s ** 2 + q2)
+
+    return f
 
 
 def _tk_rhs(p):
@@ -56,7 +61,12 @@ def _tk_rhs(p):
 
 def _sin_kernel(a, b):
     """sin x/(a + b sin^2 x)."""
-    return lambda x: math.sin(x) / (a + b * math.sin(x) ** 2)
+
+    def f(x):
+        s = math.sin(x)
+        return s / (a + b * s ** 2)
+
+    return f
 
 
 def _sin1_rhs(p):
@@ -91,7 +101,12 @@ def _sin5_rhs(p):
 
 def _sin7(p):
     b = L(p["r"]) ** 2
-    return lambda x: math.sin(x) ** 3 / (4.0 + b * math.sin(x) ** 2) ** 2
+
+    def f(x):
+        s = math.sin(x)
+        return s ** 3 / (4.0 + b * s ** 2) ** 2
+
+    return f
 
 
 def _sin7_rhs(p):

@@ -56,7 +56,8 @@ def _compl2_rhs(p):
 
 def _dilcher(p):
     e = p["n"] - 1
-    return lambda x: (1.0 + SQRT5 / 3.0 * math.cos(x)) ** e * math.sin(x)
+    c = SQRT5 / 3.0
+    return lambda x: (1.0 + c * math.cos(x)) ** e * math.sin(x)
 
 
 def _djf(p):

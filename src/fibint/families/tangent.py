@@ -21,13 +21,6 @@ K2_NOTE = (
 )
 
 
-def _horner(coefs: list[float], u: float) -> float:
-    acc = 0.0
-    for c in reversed(coefs):
-        acc = acc * u + c
-    return acc
-
-
 def _sum_poly(n: int, qsq: float) -> list[float]:
     # sum over even binomial slots: C(n,2k) (-1)^k/(2k+1) (u/qsq)^k
     return [
@@ -94,11 +87,16 @@ def _recip_rhs(p):
 def _rok(p):
     n = p["n"]
     q = ROK_Q[p["k"] - 1]
-    coefs = _sum_poly(n, q * q)
+    qq = q * q
+    rc = tuple(reversed(_sum_poly(n, qq)))
+    e = n + 1
 
     def f(t):
         u = t * t
-        return _horner(coefs, u) / (q * q + u) ** (n + 1)
+        acc = 0.0
+        for c in rc:
+            acc = acc * u + c
+        return acc / (qq + u) ** e
 
     return f
 
@@ -117,11 +115,15 @@ def _pair(swap):
         a, b = L(r) ** 2, 5.0 * F(r) ** 2
         if swap:
             a, b = b, a
-        coefs = _sum_poly(n, a / b)
+        rc = tuple(reversed(_sum_poly(n, a / b)))
+        e = n + 1
 
         def f(t):
             u = t * t
-            return _horner(coefs, u) / (a + b * u) ** (n + 1)
+            acc = 0.0
+            for c in rc:
+                acc = acc * u + c
+            return acc / (a + b * u) ** e
 
         return f
 
@@ -162,13 +164,17 @@ def _quartic(seq):
 
     def lhs(p):
         n = p["n"]
-        coefs = _quartic_poly(n, p["r"], seq)
+        rc = tuple(reversed(_quartic_poly(n, p["r"], seq)))
+        e = n + 1
 
         def f(t):
             u = t * t
             if u > 1e30:  # tail below 1e-60; avoids float-pow overflow in the kernel
                 return 0.0
-            return _horner(coefs, u) / (1.0 + (3.0 + u) * u) ** (n + 1)
+            acc = 0.0
+            for c in rc:
+                acc = acc * u + c
+            return acc / (1.0 + (3.0 + u) * u) ** e
 
         return f
 

@@ -65,7 +65,12 @@ def _u6_rhs(q):
 
 def _cube(p):
     b = 5.0 * F(2 * p["r"]) ** 2
-    return lambda x: x * math.sin(x) ** 3 / (4.0 + b * math.sin(x) ** 2) ** 2
+
+    def f(x):
+        s = math.sin(x)
+        return x * s ** 3 / (4.0 + b * s ** 2) ** 2
+
+    return f
 
 
 def _cube_rhs(p):
@@ -98,9 +103,16 @@ def _pg_rhs(q):
 
 def _quartic(c, cube):
     """x sin x/(1 - c sin^4 x), or x sin^3 x/(...) when cube."""
-    if cube:
-        return lambda x: x * math.sin(x) ** 3 / (1.0 - c * math.sin(x) ** 4)
-    return lambda x: x * math.sin(x) / (1.0 - c * math.sin(x) ** 4)
+
+    def f(x):
+        s = math.sin(x)
+        return x * s / (1.0 - c * s ** 4)
+
+    def f3(x):
+        s = math.sin(x)
+        return x * s ** 3 / (1.0 - c * s ** 4)
+
+    return f3 if cube else f
 
 
 def _quartic_rhs(q, cube):
@@ -115,10 +127,11 @@ def _quartic_rhs(q, cube):
 def _fm_kernel(p):
     q2 = (0.5, 1.0, 2.0)[p["k"] - 1] ** 2
     m = p["m"]
+    k = 2 * m - 1
 
     def g(x):
         s = math.sin(x)
-        return s ** (2 * m - 1) / (1.0 + q2 * s * s) ** m
+        return s ** k / (1.0 + q2 * s * s) ** m
 
     return g
 

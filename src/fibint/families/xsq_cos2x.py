@@ -64,9 +64,16 @@ def _paired(a):
 
 def _golden5_part(k):
     """x^2 cos 2x/(5 - 4 cos^2 2x)^k, written with the power as printed."""
-    if k == 1:
-        return lambda x: x * x * math.cos(2.0 * x) / (5.0 - 4.0 * math.cos(2.0 * x) ** 2)
-    return lambda x: x * x * math.cos(2.0 * x) / (5.0 - 4.0 * math.cos(2.0 * x) ** 2) ** 2
+
+    def f1(x):
+        c = math.cos(2.0 * x)
+        return x * x * c / (5.0 - 4.0 * c ** 2)
+
+    def f2(x):
+        c = math.cos(2.0 * x)
+        return x * x * c / (5.0 - 4.0 * c ** 2) ** 2
+
+    return f1 if k == 1 else f2
 
 
 def _dup(p, k):

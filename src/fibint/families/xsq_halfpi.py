@@ -61,6 +61,11 @@ def _id8(p):
     return f
 
 
+def _id8_part(x):
+    c = math.cos(2.0 * x)
+    return x * x * (2.0 + c) / (5.0 + 4.0 * c) ** 2
+
+
 def _id8_rhs(p):
     lr = L(p["r"])
     d = lr * lr - 4.0
@@ -103,6 +108,6 @@ def cases():
              lambda p: cos2x_kernel(5.0, 4.0), lambda p: PI3 / 36.0 - PI / 12.0 * LN2**2),
         case("S7.ID8", "eq. (id8_from_eleven)", HALF, R_GE2, _id8, _id8_rhs),
         case("S7.ID8.PART", "special value pi^3/54 - (pi/18) ln^2 2 + (pi/24) ln 2", HALF, NO_PARAMS,
-             lambda p: lambda x: x * x * (2.0 + math.cos(2.0 * x)) / (5.0 + 4.0 * math.cos(2.0 * x)) ** 2,
+             lambda p: _id8_part,
              lambda p: PI3 / 54.0 - PI / 18.0 * LN2**2 + PI / 24.0 * LN2),
     ]

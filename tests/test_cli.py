@@ -305,3 +305,20 @@ def test_closed_stdout_exits_one_quietly(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["list", "--format", "json"], ["verify", "--filter", "S5.FOURG", "--format", "json"]],
+    ids=["list", "verify"],
+)
+@pytest.mark.parametrize("target", ["no-such-dir/out.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_exits_two_with_one_line(argv, target, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fibint.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibint.cli", *argv, "--out", target],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: cannot write {target}: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
