@@ -1,11 +1,9 @@
-"""Assembly of the full identity catalog, grouped by integrand family."""
+"""The identity catalog's sections, grouped by integrand family, in
+catalog order; each section's cases() returns its rows."""
 
-from __future__ import annotations
-
-from ..registry import IdentityCase
 from . import halfline, lewin, sine, stewart, tangent, xcos, xsine, xsq_cos2x, xsq_halfpi, xsq_pi
 
-_SECTIONS = (
+SECTIONS = (
     lewin,
     stewart,
     tangent,
@@ -17,10 +15,3 @@ _SECTIONS = (
     xsq_cos2x,
     xcos,
 )
-
-
-def build_catalog() -> list[IdentityCase]:
-    cases: list[IdentityCase] = []
-    for section in _SECTIONS:
-        cases.extend(section.cases())
-    return cases

@@ -118,23 +118,10 @@ def case(
     splits: tuple[float, ...] = (),
     note: str = "",
 ) -> IdentityCase:
-    """Wrap a bare-integrand builder into an IdentityCase."""
+    """A catalog row, with the default tolerance of its strategy unless tol is given."""
     if tol is None:
         tol = TOL_FINITE if strategy.kind == "FINITE" else TOL_TRANSFORMED
-
-    def build(p: Mapping[str, int]) -> Integrand:
-        return Integrand(lhs(p), splits)
-
-    return IdentityCase(
-        id=cid,
-        anchor=anchor,
-        params=params,
-        strategy=strategy,
-        lhs_builder=build,
-        rhs_eval=lambda p: float(rhs(p)),
-        default_tol=tol,
-        note=note,
-    )
+    return IdentityCase(cid, anchor, params, strategy, lhs, rhs, tol, note, splits)
 
 
 P = ParamSpec  # the short name the catalog tables use

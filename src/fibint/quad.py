@@ -84,7 +84,7 @@ import math
 import operator
 from typing import Callable
 
-from .registry import Integrand  # defined with the catalog records, so that building them loads no quadrature
+from .registry import Integrand, Record  # defined with the catalog records, so that building them loads no quadrature
 
 _PI_OVER_2 = math.pi / 2.0
 _EPS = math.ulp(1.0)
@@ -99,7 +99,7 @@ DEFAULT_TOL_FINITE = 1e-10
 DEFAULT_TOL_HALF_LINE = 1e-9
 
 
-class QuadResult:
+class QuadResult(Record):
     """One integral: value, error estimate, integrand calls made, whether
     the tolerance was met, and the rule that ran ("fejer", "tanh-sinh", or
     "mixed" for a sum of both).  Results compare field by field."""
@@ -112,18 +112,6 @@ class QuadResult:
         self.evals = evals
         self.converged = converged
         self.rule = rule
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not QuadResult:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"QuadResult({fields})"
 
     def __add__(self, other: "QuadResult") -> "QuadResult":
         return QuadResult(

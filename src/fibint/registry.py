@@ -98,10 +98,37 @@ HALF_LINE = Strategy("HALF_LINE")
 TAN_HALFPI = Strategy("TAN_HALFPI")
 
 
-class IdentityCase:
-    """One catalog row: integrand family, closed form, parameter domain."""
+class Record:
+    """Base of the slotted result records (quad.QuadResult,
+    verifier.VerificationResult): instances compare field by field, only
+    with their own class, and print as Name(field=value, ...)."""
 
-    __slots__ = ("id", "anchor", "params", "strategy", "lhs_builder", "rhs_eval", "default_tol", "note")
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
+class IdentityCase:
+    """One catalog row: integrand family, closed form, parameter domain.
+
+    lhs_builder maps an assignment to the bare integrand x -> f(x), and
+    splits are that integrand's known singular points; rhs_eval maps an
+    assignment to the closed form as written.  instantiate binds them into
+    a BoundInstance: Integrand(lhs_builder(p), splits) and
+    float(rhs_eval(p)).
+    """
+
+    __slots__ = ("id", "anchor", "params", "strategy", "lhs_builder", "rhs_eval", "default_tol", "note", "splits")
 
     def __init__(
         self,
@@ -109,10 +136,11 @@ class IdentityCase:
         anchor: str,
         params: tuple[ParamSpec, ...],
         strategy: Strategy,
-        lhs_builder: Callable[[Mapping[str, int]], Integrand],
+        lhs_builder: Callable[[Mapping[str, int]], Callable[[float], float]],
         rhs_eval: Callable[[Mapping[str, int]], float],
         default_tol: float,
         note: str = "",
+        splits: tuple[float, ...] = (),
     ) -> None:
         self.id = id
         self.anchor = anchor
@@ -122,6 +150,7 @@ class IdentityCase:
         self.rhs_eval = rhs_eval
         self.default_tol = default_tol
         self.note = note
+        self.splits = splits
 
 
 class Integrand:
@@ -169,15 +198,12 @@ def catalog() -> list[IdentityCase]:
     """The full identity catalog, in stable declaration order."""
     global _CATALOG
     if _CATALOG is None:
-        from .families import build_catalog
+        from .families import SECTIONS
 
-        cases = build_catalog()
-        seen: set[str] = set()
+        cases = [c for section in SECTIONS for c in section.cases()]
         for c in cases:
-            if c.id in seen:
+            if _INDEX.setdefault(c.id, c) is not c:
                 raise RuntimeError(f"duplicate catalog id {c.id}")
-            seen.add(c.id)
-            _INDEX[c.id] = c
         _CATALOG = cases
     return _CATALOG
 
@@ -225,8 +251,8 @@ def instantiate(case_id: str, assignment: Mapping[str, int]) -> BoundInstance:
     return BoundInstance(
         case_id=case.id,
         assignment=clean,
-        integrand=case.lhs_builder(clean),
-        rhs=case.rhs_eval(clean),
+        integrand=Integrand(case.lhs_builder(clean), case.splits),
+        rhs=float(case.rhs_eval(clean)),
         tol=case.default_tol,
         strategy=case.strategy,
     )
@@ -289,6 +315,7 @@ __all__ = [
     "FINITE",
     "HALF_LINE",
     "TAN_HALFPI",
+    "Record",
     "IdentityCase",
     "Integrand",
     "BoundInstance",

@@ -21,7 +21,7 @@ RTOL = 1e-8
 _QUAD_SAFETY = 0.25
 
 
-class VerificationResult:
+class VerificationResult(registry.Record):
     """The verdict on one instance.  Results compare field by field."""
 
     __slots__ = ("case_id", "assignment", "lhs", "rhs", "abs_err", "tol", "passed", "quad_evals", "note")
@@ -47,18 +47,6 @@ class VerificationResult:
         self.passed = passed
         self.quad_evals = quad_evals
         self.note = note
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not VerificationResult:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"VerificationResult({fields})"
 
     def sort_key(self):
         return (self.case_id, self.assignment)

@@ -16,7 +16,10 @@ quadrature inside the catalog, so a quadrature change legitimately moves
 them; their rhs is left out of the second digest, their integrand samples
 are not.
 
-A third pair of digests covers the `results` part of `fibint verify
+A third set pins the bytes of `fibint list --format json|csv|md`, which
+the catalog digest cannot see: it hashes parsed rows.
+
+A last pair of digests covers the `results` part of `fibint verify
 --format json` (cli.report_json without its meta) over the whole catalog,
 at the default tolerances and at `--tol 1e-12`: every lhs, rhs, abs_err,
 tol, verdict and note.  A change that moves one of those bits, in the
@@ -36,6 +39,12 @@ INSTANCE_SHA256 = "a580856fd730b78dcd68e281fb6bc69dee29b75acea6835631de924b0d44e
 RESULTS_SHA256 = {
     None: "2a2b3189192ce3b04ac90b457c11b1fe2da239a8983de293cbb93c48c37c472d",
     1e-12: "7a92e78c30a0d9455bd376fc74ff760f6e66f0a47b33a92fe386cd751ebe7f04",
+}
+
+LIST_SHA256 = {
+    "json": "7445986c1c8c8c14a92a6e21526363b1fe79a51ba46dffefbbacba6c62332e38",
+    "csv": "f21a87adc966faf57ecac3e2fd3b053c60afe4874f693777fb64b4deeb74f10c",
+    "md": "b00912959aec3f5a217eb868a53a644e8b46584c323dae022b1edeb67ee1db05",
 }
 
 QUADRATURE_RHS = {"S10.QVB6JUR", "S10.A40QD9A", "S6.FM2DODR"}
@@ -83,6 +92,12 @@ def test_catalog_rows_pinned():
 
 def test_instance_bits_pinned():
     assert instance_digest() == INSTANCE_SHA256
+
+
+@pytest.mark.parametrize("fmt", list(LIST_SHA256))
+def test_list_bytes_pinned(fmt, capsys):
+    assert cli.main(["list", "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == LIST_SHA256[fmt]
 
 
 def results_digest(tol):

@@ -282,15 +282,6 @@ def test_cli_import_leaves_catalog_unloaded():
     assert out.strip() == "[]"
 
 
-def test_package_catalog_stays_callable():
-    # fibint re-exports registry.catalog; the first catalog build imports the
-    # catalog modules, and a subpackage of the same name would replace it
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fibint.__file__).resolve().parent.parent))
-    code = "import fibint; a = fibint.catalog(); b = fibint.catalog(); print(len(a), a == b)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == [str(len(registry.catalog())), "True"]
-
-
 @pytest.mark.parametrize("argv", [["list", "--format", "md"], ["show", "S10.QVB6JUR"]], ids=["list", "show"])
 def test_closed_stdout_exits_one_quietly(argv):
     # `fibint list | head -c 600`: the reader goes away before the output is
