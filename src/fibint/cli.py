@@ -12,10 +12,11 @@ writes null for a non-finite float, e.g. the lhs of a failed instance).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from . import registry
 
@@ -269,18 +270,55 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write text and, unless it has one, a final newline: two writes, not a copy of text.
-    Stdout is flushed, so that a closed pipe raises here and not at exit."""
-    end = "" if text.endswith("\n") else "\n"
-    if out is None:
-        sys.stdout.write(text)
-        sys.stdout.write(end)
-        sys.stdout.flush()
+def _emit(text: str, out: TextIO | None) -> None:
+    """Write text and, unless it has one, a final newline to out, or to stdout if out is None:
+    two writes, not a copy of text.  The stream is flushed, so that a closed pipe raises here and not at exit."""
+    out = out or sys.stdout
+    out.write(text)
+    out.write("" if text.endswith("\n") else "\n")
+    out.flush()
+
+
+def _dispatch(args: argparse.Namespace, out: TextIO | None) -> int:
+    """Run one parsed command, writing its output to out (None: stdout)."""
+    if args.command == "list":
+        ids = set(registry.match_ids(args.filter))
+        text = {"json": _list_json, "csv": _list_csv, "md": _list_md}[args.format](ids)
+        _emit(text, out)
+        return 0
+
+    if args.command == "show":
+        case = registry.get_case(args.id)
+        grid = registry.default_grid(case.id)
+        lines = [
+            f"id:          {case.id}",
+            f"anchor:      {case.anchor}",
+            f"strategy:    {case.strategy.label()}",
+            f"params:      {_params_spec_str(case) or '(none)'}",
+            f"default_tol: {case.default_tol:.2e}",
+            f"instances:   {len(grid)}",
+        ]
+        if case.note:
+            lines.append(f"note:        {case.note}")
+        _emit("\n".join(lines), out)
+        return 0
+
+    # verify
+    from . import quad, verifier
+
+    if args.tol is not None and not (quad.TOL_MIN <= args.tol <= quad.TOL_MAX):
+        print(f"error: --tol must lie in [{quad.TOL_MIN}, {quad.TOL_MAX}]", file=sys.stderr)
+        return 2
+    overrides = _parse_grid(args.grid) or None
+    report = verifier.run(args.filter, grid_override=overrides, tol_override=args.tol)
+    if args.format == "json":
+        text = report_json(report, args.tol, args.filter)
+    elif args.format == "csv":
+        text = _report_csv(report)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write(end)
+        text = _report_md(report)
+    _emit(text, out)
+    return 0 if report.n_fail == 0 else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -290,45 +328,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
+    target = getattr(args, "out", None)  # `show` has no --out
     try:
-        if args.command == "list":
-            ids = set(registry.match_ids(args.filter))
-            text = {"json": _list_json, "csv": _list_csv, "md": _list_md}[args.format](ids)
-            _emit(text, args.out)
-            return 0
-
-        if args.command == "show":
-            case = registry.get_case(args.id)
-            grid = registry.default_grid(case.id)
-            lines = [
-                f"id:          {case.id}",
-                f"anchor:      {case.anchor}",
-                f"strategy:    {case.strategy.label()}",
-                f"params:      {_params_spec_str(case) or '(none)'}",
-                f"default_tol: {case.default_tol:.2e}",
-                f"instances:   {len(grid)}",
-            ]
-            if case.note:
-                lines.append(f"note:        {case.note}")
-            _emit("\n".join(lines), None)
-            return 0
-
-        # verify
-        from . import quad, verifier
-
-        if args.tol is not None and not (quad.TOL_MIN <= args.tol <= quad.TOL_MAX):
-            print(f"error: --tol must lie in [{quad.TOL_MIN}, {quad.TOL_MAX}]", file=sys.stderr)
-            return 2
-        overrides = _parse_grid(args.grid) or None
-        report = verifier.run(args.filter, grid_override=overrides, tol_override=args.tol)
-        if args.format == "json":
-            text = report_json(report, args.tol, args.filter)
-        elif args.format == "csv":
-            text = _report_csv(report)
-        else:
-            text = _report_md(report)
-        _emit(text, args.out)
-        return 0 if report.n_fail == 0 else 1
+        # --out is created or truncated before any work, as a shell redirection is
+        with open(target, "w", encoding="utf-8") if target is not None else contextlib.nullcontext() as out:
+            return _dispatch(args, out)
     except (registry.CatalogError, registry.ParamError, registry.EmptyFilterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -338,8 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except OSError as exc:  # e.g. --out in a missing directory, or naming a directory
-        target = getattr(args, "out", None) or "stdout"  # `show` has no --out
-        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        print(f"error: cannot write {'stdout' if target is None else target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -495,8 +495,8 @@ def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> 
     tol = _check_tol(tol)
     a = float(a)
     b = float(b)
-    if not (a < b):
-        raise ValueError(f"requires a < b, got a={a}, b={b}")
+    if not (a < b and math.isfinite(b - a)):
+        raise ValueError(f"requires a < b and a finite b - a, got a={a}, b={b}")
     cuts = sorted(p for p in f.singular_points if a < p < b)
     edges = [a, *cuts, b]
     ptol = max(tol / (len(edges) - 1), TOL_MIN)

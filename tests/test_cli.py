@@ -203,7 +203,8 @@ def test_emit_ends_with_one_newline(text, tmp_path, capsys):
     cli._emit(text, None)
     assert capsys.readouterr().out == text.rstrip("\n") + "\n"
     path = tmp_path / "out.txt"
-    cli._emit(text, str(path))
+    with path.open("w", encoding="utf-8") as fh:
+        cli._emit(text, fh)
     assert path.read_bytes() == (text.rstrip("\n") + "\n").encode()
 
 
@@ -313,3 +314,17 @@ def test_unwritable_out_exits_two_with_one_line(argv, target, tmp_path):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(f"error: cannot write {target}: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_out_is_opened_before_the_run(tmp_path, monkeypatch):
+    # as a shell redirection is: a writable --out is truncated even when the filter
+    # then fails, and an unwritable one never reaches the verifier
+    path = tmp_path / "r.json"
+    for command in ("list", "verify"):
+        path.write_text("stale")
+        assert cli.main([command, "--filter", "NOSUCH*", "--out", str(path)]) == 2
+        assert path.read_text() == ""
+    calls = []
+    monkeypatch.setattr(verifier, "run", lambda *args, **kwargs: calls.append(args))
+    assert cli.main(["verify", "--out", str(tmp_path / "missing" / "r.json")]) == 2
+    assert calls == []

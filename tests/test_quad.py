@@ -329,6 +329,9 @@ def test_finite_spec_examples():
 def test_parameter_validation():
     with pytest.raises(ValueError):
         integrate_finite(lambda x: x, 1.0, 0.0, 1e-9)
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)):  # an infinite bound or width
+        with pytest.raises(ValueError):
+            integrate_finite(lambda x: math.exp(-x * x) if math.isfinite(x) else 0.0, a, b, 1e-8)
     with pytest.raises(ValueError):
         integrate_finite(lambda x: x, 0.0, 1.0, 1e-2)
     with pytest.raises(ValueError):
