@@ -41,7 +41,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from ..exact_seq import ALPHA, BETA, LN_ALPHA, SQRT5, fib, lucas, golden_powers  # noqa: F401
 from ..registry import FINITE, HALF_LINE, TAN_HALFPI, IdentityCase, Integrand, ParamSpec, Strategy  # noqa: F401
-from ..specfun import LN2, cl2, constants, li2_real  # noqa: F401
+from ..specfun import CATALAN, LN2, cl2, li2_real  # noqa: F401
 
 PI = math.pi
 PI2 = PI * PI
@@ -80,10 +80,6 @@ def apow(r: int) -> float:
 
 def bpow(r: int) -> float:
     return golden_powers(r).beta_pow
-
-
-def catalan() -> float:
-    return constants().catalan
 
 
 def li2_odd(s: float) -> float:

@@ -6,8 +6,8 @@ collapses to a single logarithm through neighbour-product identities.
 from __future__ import annotations
 
 from ._helpers import (
-    ALPHA, BETA, EVEN, HALF, LN_ALPHA, NO_PARAMS, ODD, PI, SQRT2, SQRT5,
-    F, L, P, apow, bpow, case, catalan, cl_pair, math, qgrid,
+    ALPHA, BETA, CATALAN, EVEN, HALF, LN_ALPHA, NO_PARAMS, ODD, PI, SQRT2, SQRT5,
+    F, L, P, apow, bpow, case, cl_pair, math, qgrid,
 )
 
 KC, QC = qgrid((0.2, 0.5, 0.8, 1.0, BETA * BETA, -BETA))
@@ -125,7 +125,7 @@ def cases():
         case("S5.J7HZXMA.E", "thm. (j7hzxma), even branch", HALF, *_j7h(EVEN)),
         case("S5.J7HZXMA.O", "thm. (j7hzxma), odd branch", HALF, *_j7h(ODD)),
         # the Catalan special value
-        case("S5.FOURG", "special value 4G", HALF, NO_PARAMS, lambda p: _log_ratio_kernel(1.0), lambda p: 4.0 * catalan()),
+        case("S5.FOURG", "special value 4G", HALF, NO_PARAMS, lambda p: _log_ratio_kernel(1.0), lambda p: 4.0 * CATALAN),
         # sin x/(sin^2 x + Q^2)
         case("S5.TKZY7WR", "eq. (tkzy7wr)", HALF, KT, _tk, _tk_rhs),
         # golden instances of the sine kernel

@@ -11,9 +11,9 @@ Bernoulli-type expansions, one about t = 0 (leading behaviour
 t - t*ln|t|) and one about t = pi, after odd/2pi-periodic reduction.
 The defining sine series alone converges far too slowly for 1e-12 work.
 
-Catalan's constant is computed once from its alternating series
-sum (-1)^j/(2j+1)^2 under CVZ acceleration and memoized; thereafter the
-record returned by constants() is read-only.
+Catalan's constant G = sum (-1)^j/(2j+1)^2 is the literal CATALAN, its
+correctly rounded binary64 value.  constants() returns one read-only
+record of it and the golden-ratio constants of exact_seq, built at import.
 """
 
 from __future__ import annotations
@@ -140,19 +140,7 @@ def cl2(theta: float) -> float:
     return _cl2_core(t)
 
 
-def _catalan_cvz(n: int = 30) -> float:
-    # CVZ acceleration of the alternating series sum (-1)^k / (2k+1)^2;
-    # error decays like (3 + sqrt(8))^(-n)
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = 0.5 * (d + 1.0 / d)
-    b = -1.0
-    c = -d
-    s = 0.0
-    for k in range(n):
-        c = b - c
-        s += c / ((2 * k + 1) * (2 * k + 1))
-        b = (k + n) * (k - n) * b / ((k + 0.5) * (k + 1))
-    return s / d
+CATALAN = 0.915965594177219  # Catalan's G, correctly rounded (0x1.d4f9713e8135dp-1)
 
 
 class Constants(NamedTuple):
@@ -163,19 +151,16 @@ class Constants(NamedTuple):
     catalan: float
 
 
-@lru_cache(maxsize=1)
+_CONSTANTS = Constants(alpha=ALPHA, beta=BETA, ln_alpha=LN_ALPHA, sqrt5=SQRT5, catalan=CATALAN)
+
+
 def constants() -> Constants:
-    """Named constants; Catalan's G is computed once and memoized."""
-    return Constants(
-        alpha=ALPHA,
-        beta=BETA,
-        ln_alpha=LN_ALPHA,
-        sqrt5=SQRT5,
-        catalan=_catalan_cvz(),
-    )
+    """Named constants, as one read-only record."""
+    return _CONSTANTS
 
 
 __all__ = [
+    "CATALAN",
     "Constants",
     "constants",
     "li2_real",

@@ -34,11 +34,11 @@ import pytest
 from fibint import cli, registry, verifier
 
 CATALOG_SHA256 = "823e9b1cdddb37e83214234452375ebf31c64fe7d3425d83ec897556056b59a7"
-INSTANCE_SHA256 = "a580856fd730b78dcd68e281fb6bc69dee29b75acea6835631de924b0d44e657"
+INSTANCE_SHA256 = "e43528743e1a5d816de991ca3cfd7e35a52f1a59f24a70165f42be3e965df7d9"
 
 RESULTS_SHA256 = {
-    None: "2a2b3189192ce3b04ac90b457c11b1fe2da239a8983de293cbb93c48c37c472d",
-    1e-12: "7a92e78c30a0d9455bd376fc74ff760f6e66f0a47b33a92fe386cd751ebe7f04",
+    None: "9bea61982f9a47696fe6f2f298a27a698e4c94d06cfc961baa1ed9abfc54559f",
+    1e-12: "be1e6f823e135b82554b225e491eed715dd361fee5f9f9bdbb3f434fd1115b5b",
 }
 
 LIST_SHA256 = {

@@ -1,5 +1,5 @@
 """Check every FINITE default-grid lhs against mpmath.quad, which shares no
-code with fibint.quad.
+code with fibint.quad, and Catalan's G against mpmath.catalan.
 
 The oracle integrates the same binary64 integrand (each mpmath abscissa
 is rounded to a float first) under two splittings: [a, singular points...,
@@ -15,7 +15,7 @@ import math
 
 import pytest
 
-from fibint import quad, registry, verifier
+from fibint import quad, registry, specfun, verifier
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -51,3 +51,7 @@ def test_finite_lhs_matches_the_oracle(case_id, assignment):
     allowance = res.err_est + 4.0 * math.ulp(oracle)
     assert abs(oracle - check) <= 0.25 * allowance, "the oracle's two splittings disagree"
     assert abs(res.value - oracle) <= allowance
+
+
+def test_catalan_is_correctly_rounded():
+    assert specfun.constants().catalan == specfun.CATALAN == float(mpmath.catalan)
