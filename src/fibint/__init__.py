@@ -1,9 +1,9 @@
 """fibint: numerical verification of Fibonacci-Lucas integral identities.
 
 `import fibint` loads no submodule and holds only __version__.  The
-public API lives in the submodules, each listing it in its __all__:
-exact_seq, specfun, fib_complex, registry, quad, verifier and cli, so
-that `fibint list` never loads the quadrature or the verifier.
+public API lives in the submodules (exact_seq, specfun, fib_complex,
+registry, quad, verifier and cli) and is imported from them, so that
+`fibint list` never loads the quadrature or the verifier.
 """
 
 __version__ = "0.1.0"

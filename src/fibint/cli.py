@@ -12,7 +12,6 @@ writes null for a non-finite float, e.g. the lhs of a failed instance).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -330,8 +329,10 @@ def main(argv: list[str] | None = None) -> int:
 
     target = getattr(args, "out", None)  # `show` has no --out
     try:
+        if target is None:
+            return _dispatch(args, None)
         # --out is created or truncated before any work, as a shell redirection is
-        with open(target, "w", encoding="utf-8") if target is not None else contextlib.nullcontext() as out:
+        with open(target, "w", encoding="utf-8") as out:
             return _dispatch(args, out)
     except (registry.CatalogError, registry.ParamError, registry.EmptyFilterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
