@@ -80,15 +80,21 @@ def report_json(report: verifier.Report, tol, pattern: str) -> str:
     return "".join(buf)
 
 
-def _report_csv(report: verifier.Report) -> str:
+def _csv(header: list[str], rows) -> str:
     import csv
     import io
 
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["id", "params", "lhs", "rhs", "abs_err", "tol", "passed", "note"])
-    for r in report.results:
-        w.writerow(
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _report_csv(report: verifier.Report) -> str:
+    return _csv(
+        ["id", "params", "lhs", "rhs", "abs_err", "tol", "passed", "note"],
+        (
             [
                 r.case_id,
                 _params_str(r.assignment),
@@ -99,8 +105,9 @@ def _report_csv(report: verifier.Report) -> str:
                 "true" if r.passed else "false",
                 r.note,
             ]
-        )
-    return buf.getvalue()
+            for r in report.results
+        ),
+    )
 
 
 # decades of abs_err/tol in the md report's histogram; a healthy catalog row lands below 1e-2
@@ -179,46 +186,35 @@ def _params_spec_str(case: registry.IdentityCase) -> str:
     return ";".join(parts)
 
 
-def _list_json(cases) -> str:
+def _list_json(cases: list[registry.IdentityCase]) -> str:
     buf = ["["]
     sep = ""
-    for e in registry.catalog_entries():
-        if e["id"] not in cases:
-            continue
+    for c in cases:
         params = ", ".join(
-            f'{{"name": "{p["name"]}", "parity": "{p["parity"]}", "min": {p["min"]}, '
-            f'"max": {p["max"]}, "exclusions": {p["exclusions"]}}}'
-            for p in e["params"]
+            f'{{"name": "{p.name}", "parity": "{p.parity}", "min": {p.min}, '
+            f'"max": {p.max}, "exclusions": {list(p.exclusions)}}}'
+            for p in c.params
         )
         buf.append(
-            f'{sep}{{"id": "{e["id"]}", "anchor": "{_json_escape(e["anchor"])}", '
-            f'"params": [{params}], "strategy": "{e["strategy"]}", '
-            f'"default_tol": {_fmt(e["default_tol"])}}}'
+            f'{sep}{{"id": "{c.id}", "anchor": "{_json_escape(c.anchor)}", '
+            f'"params": [{params}], "strategy": "{c.strategy.label()}", '
+            f'"default_tol": {_fmt(c.default_tol)}}}'
         )
         sep = ", "
     buf.append("]")
     return "".join(buf)
 
 
-def _list_csv(cases) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["id", "anchor", "params", "strategy", "default_tol"])
-    for c in registry.catalog():
-        if c.id not in cases:
-            continue
-        w.writerow([c.id, c.anchor, _params_spec_str(c), c.strategy.label(), _fmt(c.default_tol)])
-    return buf.getvalue()
+def _list_csv(cases: list[registry.IdentityCase]) -> str:
+    return _csv(
+        ["id", "anchor", "params", "strategy", "default_tol"],
+        ([c.id, c.anchor, _params_spec_str(c), c.strategy.label(), _fmt(c.default_tol)] for c in cases),
+    )
 
 
-def _list_md(cases) -> str:
+def _list_md(cases: list[registry.IdentityCase]) -> str:
     lines = ["| id | anchor | params | strategy | tol |", "|----|--------|--------|----------|-----|"]
-    for c in registry.catalog():
-        if c.id not in cases:
-            continue
+    for c in cases:
         lines.append(
             f"| {c.id} | {c.anchor} | {_params_spec_str(c)} | {c.strategy.label()} | {c.default_tol:.1e} |"
         )
@@ -264,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="name=lo..hi",
-        help="override a parameter window across all matching entries (repeatable)",
+        help="narrow a parameter to its declared values inside lo..hi, across all matching entries (repeatable)",
     )
     return ap
 
@@ -282,7 +278,8 @@ def _dispatch(args: argparse.Namespace, out: TextIO | None) -> int:
     """Run one parsed command, writing its output to out (None: stdout)."""
     if args.command == "list":
         ids = set(registry.match_ids(args.filter))
-        text = {"json": _list_json, "csv": _list_csv, "md": _list_md}[args.format](ids)
+        cases = [c for c in registry.catalog() if c.id in ids]
+        text = {"json": _list_json, "csv": _list_csv, "md": _list_md}[args.format](cases)
         _emit(text, out)
         return 0
 
@@ -334,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         # --out is created or truncated before any work, as a shell redirection is
         with open(target, "w", encoding="utf-8") as out:
             return _dispatch(args, out)
-    except (registry.CatalogError, registry.ParamError, registry.EmptyFilterError, ValueError) as exc:
+    except (registry.CatalogError, ValueError) as exc:  # ParamError and EmptyFilterError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

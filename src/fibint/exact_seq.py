@@ -26,7 +26,6 @@ BETA = (1.0 - SQRT5) / 2.0
 LN_ALPHA = math.log(ALPHA)
 
 
-@lru_cache(maxsize=256, typed=True)
 def _fib_pair(m: int) -> tuple[int, int]:
     """(F_m, F_{m+1}) for m >= 0 by fast doubling, O(log m) multiplies."""
     a, b = 0, 1

@@ -15,7 +15,9 @@ for odd r); B_r, the other of the two; their squares A2 and B2; sigma =
 reads 1.0 - sigma * b; and lsq, the sign and function of the kernel
 L_r^2 - 4 cos^2 (even r) or L_r^2 + 4 sin^2 (odd r).  Each family is
 written once, with its kernel sign and its branch as arguments, and each
-catalog module ends in a table of rows that name them.
+catalog module ends in a table of rows that name them: case(...) is
+registry.IdentityCase, with its default tolerance by strategy, and P is
+ParamSpec.
 
 Folding signs this way keeps every result bit, because negation and
 scaling by +-1.0 or 2.0 are exact: a + s * c with s = -2.0 rounds as
@@ -40,7 +42,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
 from ..exact_seq import ALPHA, BETA, LN_ALPHA, SQRT5, fib, lucas, golden_powers  # noqa: F401
-from ..registry import FINITE, HALF_LINE, TAN_HALFPI, IdentityCase, Integrand, ParamSpec, Strategy  # noqa: F401
+from ..registry import FINITE, HALF_LINE, TAN_HALFPI, IdentityCase, Integrand, ParamSpec  # noqa: F401
 from ..specfun import CATALAN, LN2, cl2, li2_real  # noqa: F401
 
 PI = math.pi
@@ -56,10 +58,6 @@ MID = (HALF_PI,)
 QUARTS = (PI / 4.0, 3.0 * PI / 4.0)
 
 li2 = li2_real
-
-# default absolute tolerances by strategy family
-TOL_FINITE = 1e-7
-TOL_TRANSFORMED = 5e-7
 
 
 # a pass asks for ~60 distinct indices thousands of times, mostly from right sides;
@@ -103,24 +101,8 @@ def quad_rhs(f: Callable[[float], float], splits: tuple[float, ...] = ()) -> flo
     return _quad.integrate_finite(Integrand(f, splits), 0.0, PI, 1e-12).value
 
 
-def case(
-    cid: str,
-    anchor: str,
-    strategy: Strategy,
-    params: tuple[ParamSpec, ...],
-    lhs: Callable[[Mapping[str, int]], Callable[[float], float]],
-    rhs: Callable[[Mapping[str, int]], float],
-    tol: float | None = None,
-    splits: tuple[float, ...] = (),
-    note: str = "",
-) -> IdentityCase:
-    """A catalog row, with the default tolerance of its strategy unless tol is given."""
-    if tol is None:
-        tol = TOL_FINITE if strategy.kind == "FINITE" else TOL_TRANSFORMED
-    return IdentityCase(cid, anchor, params, strategy, lhs, rhs, tol, note, splits)
-
-
-P = ParamSpec  # the short name the catalog tables use
+case = IdentityCase  # the short names the catalog tables use
+P = ParamSpec
 
 
 NO_PARAMS: tuple[ParamSpec, ...] = ()

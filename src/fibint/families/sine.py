@@ -81,16 +81,15 @@ def _sin2_rhs(p):
     return math.sqrt(10.0) / (10.0 * F(r) * rl) * math.log((-SQRT2 * bpow(r) + rl) / (SQRT2 * apow(r) - rl))
 
 
-def _sin3_rhs(p):
-    r = p["r"]
-    rt = math.sqrt(F(2 * r - 1))
-    return math.log((F(r - 2) + rt) / (F(r + 1) - rt)) / (F(r) * rt)
+def _sin34_rhs(seq, c):
+    """log((S_{r-2} + rt)/(S_{r+1} - rt))/(S_r rt), rt = sqrt(c F_{2r-1}): S = F, c = 1 or S = L, c = 5."""
 
+    def rhs(p):
+        r = p["r"]
+        rt = math.sqrt(c * F(2 * r - 1))
+        return math.log((seq(r - 2) + rt) / (seq(r + 1) - rt)) / (seq(r) * rt)
 
-def _sin4_rhs(p):
-    r = p["r"]
-    rt = math.sqrt(5.0 * F(2 * r - 1))
-    return math.log((L(r - 2) + rt) / (L(r + 1) - rt)) / (L(r) * rt)
+    return rhs
 
 
 def _sin5_rhs(p):
@@ -135,9 +134,9 @@ def cases():
              _sin2_rhs),
         # Catalan-identity instances
         case("S5.SIN3", "eq. (Fib_sin_id3)", HALF, r2_10, lambda p: _sin_kernel(F(p["r"] - 1) ** 2, F(p["r"]) ** 2),
-             _sin3_rhs),
+             _sin34_rhs(F, 1.0)),
         case("S5.SIN4", "eq. (Fib_sin_id4)", HALF, r2_10, lambda p: _sin_kernel(L(p["r"] - 1) ** 2, L(p["r"]) ** 2),
-             _sin4_rhs),
+             _sin34_rhs(L, 5.0)),
         # shifted-index generalization, r odd
         case("S5.SIN5GEN", "eq. (Fib_sin_id5_gen)", HALF, (P("k", 1, 4), P("r", 1, 5, "odd")),
              lambda p: _sin_kernel(F(p["k"]) ** 2, F(p["k"] + p["r"]) ** 2), _sin5_rhs),

@@ -156,9 +156,9 @@ def cases():
         case("S10.CLSQ.O", "squared Clausen thm., odd branch", FULL, *_plus(ODD, 2), splits=MID, note=CLSQ_NOTE),
         # structural rows: right side evaluated by quadrature
         case("S10.QVB6JUR", "recombination lemma, first relation", FULL, r16, _qvb_lhs,
-             _by_quadrature(lambda a: _recombined(a, False)), tol=1e-9, splits=MID),
+             _by_quadrature(lambda a: _recombined(a, False)), default_tol=1e-9, splits=MID),
         case("S10.A40QD9A", "recombination lemma, cos 3x relation", FULL, r16, _a40q_lhs,
-             _by_quadrature(_a40q_rhs_kernel), tol=1e-9, splits=MID,
+             _by_quadrature(_a40q_rhs_kernel), default_tol=1e-9, splits=MID,
              note="source text adds the two half-kernels; the cos 3x relation requires their "
              "difference (verified numerically and consistent with the derived theorems)"),
         # recombined kernels

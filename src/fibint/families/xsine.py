@@ -185,5 +185,5 @@ def cases():
              lambda p: _quartic_rhs(qq(p), True), splits=MID),
         # half-interval equals full-interval/pi, including the power form
         case("S6.FM2DODR", "eq. (fm2dodr) and its power form", HALF, (P("m", 1, 3), P("k", 1, 3)), _fm_kernel, _fm_rhs,
-             tol=1e-9),
+             default_tol=1e-9),
     ]

@@ -31,18 +31,15 @@ from .exact_seq import ALPHA, BETA, LN_ALPHA, SQRT5
 MAX_ARG = 200.0
 
 
-def _check_arg(x: float) -> float:
+def _powers(x: float) -> tuple[float, complex]:
+    """(alpha^x, beta^x) for a finite |x| <= MAX_ARG, beta^x on the principal
+    branch: (-beta)^x = exp(-x ln alpha) since -beta = 1/alpha."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("argument must be finite")
     if abs(x) > MAX_ARG:
         raise ValueError(f"argument {x} outside supported range |x| <= {MAX_ARG}")
-    return x
-
-
-def _beta_pow(x: float) -> complex:
-    # principal branch: (-beta)^x = exp(-x ln alpha) since -beta = 1/alpha
-    return cmath.rect(math.exp(-x * LN_ALPHA), math.pi * x)
+    return math.exp(x * LN_ALPHA), cmath.rect(math.exp(-x * LN_ALPHA), math.pi * x)
 
 
 def _guard(z: complex) -> complex:
@@ -53,30 +50,26 @@ def _guard(z: complex) -> complex:
 
 def fib_fn(x: float) -> complex:
     """f(x) = (alpha^x - beta^x)/sqrt(5), principal branch; f(j) = F_j."""
-    x = _check_arg(x)
-    return _guard((math.exp(x * LN_ALPHA) - _beta_pow(x)) / SQRT5)
+    a, b = _powers(x)
+    return _guard((a - b) / SQRT5)
 
 
 def lucas_fn(x: float) -> complex:
     """l(x) = alpha^x + beta^x, principal branch; l(j) = L_j."""
-    x = _check_arg(x)
-    return _guard(math.exp(x * LN_ALPHA) + _beta_pow(x))
+    a, b = _powers(x)
+    return _guard(a + b)
 
 
 def fib_fn_deriv(x: float) -> complex:
     """Closed-form derivative f'(x) = (l(x) ln(alpha) - i pi beta^x)/sqrt(5)."""
-    x = _check_arg(x)
-    b = _beta_pow(x)
-    lx = math.exp(x * LN_ALPHA) + b
-    return _guard((lx * LN_ALPHA - 1j * math.pi * b) / SQRT5)
+    a, b = _powers(x)
+    return _guard(((a + b) * LN_ALPHA - 1j * math.pi * b) / SQRT5)
 
 
 def lucas_fn_deriv(x: float) -> complex:
     """Closed-form derivative l'(x) = sqrt(5) f(x) ln(alpha) + i pi beta^x."""
-    x = _check_arg(x)
-    b = _beta_pow(x)
-    fx = (math.exp(x * LN_ALPHA) - b) / SQRT5
-    return _guard(SQRT5 * fx * LN_ALPHA + 1j * math.pi * b)
+    a, b = _powers(x)
+    return _guard(SQRT5 * ((a - b) / SQRT5) * LN_ALPHA + 1j * math.pi * b)
 
 
 def central_difference(fn, x: float, h: float) -> complex:

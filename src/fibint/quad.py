@@ -14,8 +14,8 @@ Jacobian (for tan, also 1/(1+t^2)) folded into the weights.  It is built
 one level at a time on first use and then kept: one per finite interval
 (a, b) in a small LRU cache, one for the half line and one for tan.  The
 (delta, weight) pairs behind them and the Fejer rules below are kept the
-same way: every lazily built table is a _Levels, a dict that builds a
-missing level when it is first read.  Body nodes (delta >= 1e-6) are rows
+same way: every lazily built table is a functools.cache'd function of the
+level, called on every read.  Body nodes (delta >= 1e-6) are rows
 holding both images of a node.  Tail nodes are rows per side, walked
 outward; a side stops at its first term w*|f| below rounding (eps times
 the running sum of w*|f|) that lies deeper than every term above rounding
@@ -82,7 +82,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .registry import Integrand, Record  # defined with the catalog records, so that building them loads no quadrature
 
@@ -94,9 +94,6 @@ TOL_MIN = 1e-13
 TOL_MAX = 1e-3
 _DELTA_MIN = 1e-28  # drop nodes closer to an endpoint than this
 _DELTA_TAIL = 1e-6  # nodes closer to an endpoint than this are walked per side and may be cut
-
-DEFAULT_TOL_FINITE = 1e-10
-DEFAULT_TOL_HALF_LINE = 1e-9
 
 
 class QuadResult(Record):
@@ -142,18 +139,6 @@ def _check_tol(tol: float) -> float:
 # --------------------------------------------------------------------------
 
 
-class _Levels(dict):
-    """Values per level, each level built on first use by build(level)."""
-
-    def __init__(self, build: Callable[[int], object]) -> None:
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, level: int):
-        value = self[level] = self.build(level)
-        return value
-
-
 _W0 = _PI_OVER_2  # weight of the t = 0 node
 _Nodes = list[tuple[float, float]]
 
@@ -168,6 +153,7 @@ def _make_node(t: float) -> tuple[float, float] | None:
     return delta, w
 
 
+@functools.cache
 def _level_nodes(level: int) -> tuple[_Nodes, _Nodes]:
     """New (delta, weight) pairs introduced at this refinement level, in
     decreasing delta, split into the body (delta >= _DELTA_TAIL) and the tail."""
@@ -185,28 +171,25 @@ def _level_nodes(level: int) -> tuple[_Nodes, _Nodes]:
     return nodes[:split], nodes[split:]
 
 
-_NODES = _Levels(_level_nodes)
-
-
-class _MapTable(_Levels):
+class _MapTable(NamedTuple):
     """The node rows of one map, per level, each level built on first use.
 
-    table[level] is (body, (lo, hi)).  A body row holds both images of a
+    rows(level) is (body, (lo, hi)).  A body row holds both images of a
     node: (x_lo, x_hi, w) when they share a weight, else
     (x_lo, x_hi, w_lo, w_hi).  The tails lo and hi are rows (delta, x, w)
     at the low and the high end, outward.  center is the t = 0 node, (x, w).
     """
 
-    def __init__(self, center: tuple[float, float], shared_weight: bool, rows: Callable[[int], tuple]) -> None:
-        super().__init__(rows)
-        self.center = center
-        self.shared_weight = shared_weight
+    center: tuple[float, float]
+    shared_weight: bool
+    rows: Callable[[int], tuple]
+    fejer: Callable[[int], list[tuple[float, float]]] | None = None
 
 
 @functools.lru_cache(maxsize=16)  # a catalog run integrates over 7 intervals
 def _finite_table(a: float, b: float) -> _MapTable:
     """Rows of the finite map x = a + c*delta, b - c*delta, c = (b - a)/2,
-    and in its attribute fejer the node pairs (x_lo, x_hi) that each Fejer
+    and in its field fejer the node pairs (x_lo, x_hi) that each Fejer
     rule adds, placed the same way.  The table is paired unless a node with
     delta >= _DELTA_TAIL rounds onto an endpoint; then every node is a tail
     node, and fejer is None."""
@@ -217,18 +200,18 @@ def _finite_table(a: float, b: float) -> _MapTable:
         rows = [(delta, x0 + step * delta, w) for delta, w in tail]
         return rows[: sum(x != x0 for _, x, _ in rows)]  # those that round onto x0 are the deepest
 
+    @functools.cache
     def rows(level: int) -> tuple:
-        body, tail = _NODES[level]
+        body, tail = _level_nodes(level)
         if not paired:
             body, tail = [], body + tail
         return [(a + c * delta, b - c * delta, w) for delta, w in body], (walk(tail, a, c), walk(tail, b, -c))
 
+    @functools.cache
     def fejer_rows(level: int) -> list[tuple[float, float]]:
-        return [(a + c * delta, b - c * delta) for delta in _FEJER[level][0]]
+        return [(a + c * delta, b - c * delta) for delta in _fejer_level(level)[0]]
 
-    table = _MapTable((0.5 * (a + b), _W0), True, rows)
-    table.fejer = _Levels(fejer_rows) if paired else None
-    return table
+    return _MapTable((0.5 * (a + b), _W0), True, rows, fejer_rows if paired else None)
 
 
 def _half_line_table(tan: bool) -> _MapTable:
@@ -246,8 +229,9 @@ def _half_line_table(tan: bool) -> _MapTable:
             wh /= 1.0 + xh * xh
         return xl, xh, wl, wh
 
+    @functools.cache
     def rows(level: int) -> tuple:
-        body, tail = _NODES[level]
+        body, tail = _level_nodes(level)
         walks = [(delta, images(delta, w)) for delta, w in tail]
         lo = [(delta, xl, wl) for delta, (xl, _, wl, _) in walks]
         hi = [(delta, xh, wh) for delta, (_, xh, _, wh) in walks]
@@ -292,7 +276,7 @@ def _tanh_sinh(fe: Callable[[float], float], table: _MapTable, scale: float, tol
         comp = 0.0
         mag = w0 * abs(fc)
         for level in range(MAX_LEVEL + 1):
-            body, tails = table[level]
+            body, tails = table.rows(level)
             if shared:
                 for xl, xh, w in body:
                     calls += 1
@@ -364,6 +348,7 @@ _SAMPLE_T = 0.6180339887498949  # in (-1, 1), off every Chebyshev grid: not cos(
 _Rule = tuple[list[float], list[float], float, tuple[float, list[float], list[float]]]
 
 
+@functools.cache
 def _fejer_level(level: int) -> _Rule:
     """Fejer's second rule on [-1, 1] with n = FEJER_N0 * 2^level: the deltas
     2 sin^2(theta/2) of the node pairs -cos(theta), cos(theta) it adds,
@@ -394,9 +379,6 @@ def _fejer_level(level: int) -> _Rule:
     return deltas, [weight(theta) for theta in thetas], weight(_PI_OVER_2), basis
 
 
-_FEJER = _Levels(_fejer_level)
-
-
 def _weighted_sum(weights: list[float], values) -> float:
     """fsum of weights times values, nan when the terms are not all finite."""
     try:
@@ -405,8 +387,8 @@ def _weighted_sum(weights: list[float], values) -> float:
         return math.nan
 
 
-def _fejer(fe: Callable[[float], float], rows: _Levels, a: float, b: float, tol: float) -> QuadResult | int:
-    """Nested Fejer second-rule pass over (a, b), rows[level] the node pairs
+def _fejer(fe: Callable[[float], float], rows: Callable[[int], list], a: float, b: float, tol: float) -> QuadResult | int:
+    """Nested Fejer second-rule pass over (a, b), rows(level) the node pairs
     each rule adds, reusing every value when n doubles.  From the third rule
     on it accepts once the difference d1 of the last two rules is within tol
     and smaller than the difference d2 one level before, and the polynomial
@@ -434,8 +416,8 @@ def _fejer(fe: Callable[[float], float], rows: _Levels, a: float, b: float, tol:
     try:
         fm = fe(mid)
         for level in range(_FEJER_LEVELS):
-            _, weights, w_mid, (l_mid, l_lo, l_hi) = _FEJER[level]
-            for xl, xh in rows[level]:
+            _, weights, w_mid, (l_mid, l_lo, l_hi) = _fejer_level(level)
+            for xl, xh in rows(level):
                 put_lo(fe(xl))
                 put_hi(fe(xh))
             value = c * (w_mid * fm + _weighted_sum(weights, map(operator.add, flo, fhi)))
@@ -481,7 +463,7 @@ def _finite_panel(fe: Callable[[float], float], a: float, b: float, tol: float) 
     return res
 
 
-def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> QuadResult:
+def integrate_finite(f, a: float, b: float, tol: float) -> QuadResult:
     """Integrate f over (a, b) with open rules: a nested Fejer pass per
     panel, then one tanh-sinh pass where it declines.
 
@@ -497,7 +479,7 @@ def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> 
     b = float(b)
     if not (a < b and math.isfinite(b - a)):
         raise ValueError(f"requires a < b and a finite b - a, got a={a}, b={b}")
-    cuts = sorted(p for p in f.singular_points if a < p < b)
+    cuts = sorted({p for p in f.singular_points if a < p < b})  # a point declared twice would make a zero-width panel
     edges = [a, *cuts, b]
     ptol = max(tol / (len(edges) - 1), TOL_MIN)
     parts: list[QuadResult] = []
@@ -513,7 +495,7 @@ def integrate_finite(f, a: float, b: float, tol: float = DEFAULT_TOL_FINITE) -> 
 # --------------------------------------------------------------------------
 
 
-def integrate_half_line(f, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
+def integrate_half_line(f, tol: float) -> QuadResult:
     """Integrate f over (0, inf) via the algebraic map x = s/(1-s).
 
     Requires decay at least O(x^(-1-eps)); the transformed integral gets
@@ -523,7 +505,7 @@ def integrate_half_line(f, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
     return _tanh_sinh(_as_integrand(f).eval, _HALF_LINE, 0.5, _check_tol(tol))
 
 
-def integrate_tan_halfpi(g, tol: float = DEFAULT_TOL_HALF_LINE) -> QuadResult:
+def integrate_tan_halfpi(g, tol: float) -> QuadResult:
     """Integrate F(tan x) over (0, pi/2) given g(t) = F(t).
 
     Uses tan x = t, dx = dt/(1+t^2), so the caller's g never needs the
@@ -539,8 +521,6 @@ __all__ = [
     "integrate_finite",
     "integrate_half_line",
     "integrate_tan_halfpi",
-    "DEFAULT_TOL_FINITE",
-    "DEFAULT_TOL_HALF_LINE",
     "MAX_LEVEL",
     "TOL_MIN",
     "TOL_MAX",

@@ -97,6 +97,10 @@ def FINITE(a: float, b: float) -> Strategy:
 HALF_LINE = Strategy("HALF_LINE")
 TAN_HALFPI = Strategy("TAN_HALFPI")
 
+# default absolute tolerances of a row, by strategy
+TOL_FINITE = 1e-7
+TOL_TRANSFORMED = 5e-7
+
 
 class Record:
     """Base of the slotted result records (quad.QuadResult,
@@ -124,33 +128,35 @@ class IdentityCase:
     lhs_builder maps an assignment to the bare integrand x -> f(x), and
     splits are that integrand's known singular points; rhs_eval maps an
     assignment to the closed form as written.  instantiate binds them into
-    a BoundInstance: Integrand(lhs_builder(p), splits) and
-    float(rhs_eval(p)).
+    a BoundInstance: Integrand(lhs_builder(p), splits) and float(rhs_eval(p)).
+    default_tol defaults to TOL_FINITE on FINITE rows, else TOL_TRANSFORMED.
     """
 
-    __slots__ = ("id", "anchor", "params", "strategy", "lhs_builder", "rhs_eval", "default_tol", "note", "splits")
+    __slots__ = ("id", "anchor", "strategy", "params", "lhs_builder", "rhs_eval", "default_tol", "splits", "note")
 
     def __init__(
         self,
         id: str,
         anchor: str,
-        params: tuple[ParamSpec, ...],
         strategy: Strategy,
+        params: tuple[ParamSpec, ...],
         lhs_builder: Callable[[Mapping[str, int]], Callable[[float], float]],
         rhs_eval: Callable[[Mapping[str, int]], float],
-        default_tol: float,
-        note: str = "",
+        default_tol: float | None = None,
         splits: tuple[float, ...] = (),
+        note: str = "",
     ) -> None:
+        if default_tol is None:
+            default_tol = TOL_FINITE if strategy.kind == "FINITE" else TOL_TRANSFORMED
         self.id = id
         self.anchor = anchor
-        self.params = params
         self.strategy = strategy
+        self.params = params
         self.lhs_builder = lhs_builder
         self.rhs_eval = rhs_eval
         self.default_tol = default_tol
-        self.note = note
         self.splits = splits
+        self.note = note
 
 
 class Integrand:
@@ -236,7 +242,7 @@ def _validate(case: IdentityCase, assignment: Mapping[str, int]) -> dict[str, in
     clean: dict[str, int] = {}
     for spec in case.params:
         value = assignment[spec.name]
-        if not isinstance(value, int):
+        if not isinstance(value, int) or isinstance(value, bool):
             raise ParamError(f"{case.id}: {spec.name} must be an int")
         if not spec.admits(value):
             raise ParamError(f"{case.id}: {spec.describe(value)}")
@@ -273,12 +279,8 @@ def default_grid(
         lo = hi = None
         if overrides and spec.name in overrides:
             lo, hi = overrides[spec.name]
-        values = spec.values(lo, hi)
-        axes.append([(spec.name, v) for v in values])
-    if not axes:
-        return [{}]
-    grid = [dict(combo) for combo in itertools.product(*axes)]
-    return grid
+        axes.append([(spec.name, v) for v in spec.values(lo, hi)])
+    return [dict(combo) for combo in itertools.product(*axes)]
 
 
 def catalog_entries() -> list[dict]:

@@ -22,7 +22,7 @@ mpmath = pytest.importorskip("mpmath")
 # id -> why the check does not hold there, as measured
 XFAIL = {
     "S7.ID6/r=8": "the two splittings disagree by 8.9e-11, 12x the allowance: mpmath at dps 15 does not resolve "
-    "the kernel's near-cancellation at pi/2 (ROADMAP item 2), and claims an error of 1e-16",
+    "the kernel's near-cancellation at pi/2 (ROADMAP item 1), and claims an error of 1e-16",
 }
 
 

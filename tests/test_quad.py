@@ -253,6 +253,17 @@ def test_singular_point_presplit():
     res = integrate_finite(Integrand(lambda x: abs(x - 0.5), (0.5,)), 0.0, 1.0, 1e-12)
     assert res.converged
     assert res.value == pytest.approx(0.25, abs=1e-12)
+    # a point declared twice splits the interval once, and is never evaluated
+    seen = []
+
+    def probe(x):
+        seen.append(x)
+        return 1.0 / math.sqrt(abs(x - 0.5))
+
+    once = integrate_finite(Integrand(probe, (0.5,)), 0.0, 1.0, 1e-8)
+    twice = integrate_finite(Integrand(probe, (0.5, 0.5)), 0.0, 1.0, 1e-8)
+    assert twice == once
+    assert 0.5 not in seen
 
 
 def test_undeclared_interior_kink_reports_nonconvergence():

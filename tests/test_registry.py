@@ -59,6 +59,8 @@ def test_instantiate_rejects_bad_assignments():
         registry.instantiate("S5.FOURG", {"r": 1})
     with pytest.raises(ParamError):
         registry.instantiate("S2.BJU5530", {"k": 2, "n": 3, "m": 1})
+    with pytest.raises(ParamError, match="must be an int"):
+        registry.instantiate("S3.M6BI7TA", {"r": True})
 
 
 def test_parity_gates_every_constrained_case():
