@@ -99,7 +99,7 @@ def _lf2_rhs(p):
 
 
 def _four_rhs(a_of, b_of):
-    """The closed form of a kernel pair (A_r, 4), in a = a_of(r) and b = b_of(r), the squares 5 F_r^2 and L_r^2."""
+    """The closed form of the kernel pair (b_of(r), 4); a_of(r) is the other of the squares 5 F_r^2 and L_r^2."""
 
     def rhs(p):
         m, r = p["m"], p["r"]
