@@ -189,16 +189,16 @@ def _params_spec_str(case: registry.IdentityCase) -> str:
 def _list_json(cases: list[registry.IdentityCase]) -> str:
     buf = ["["]
     sep = ""
-    for c in cases:
+    for e in map(registry.catalog_entry, cases):
         params = ", ".join(
-            f'{{"name": "{p.name}", "parity": "{p.parity}", "min": {p.min}, '
-            f'"max": {p.max}, "exclusions": {list(p.exclusions)}}}'
-            for p in c.params
+            f'{{"name": "{p["name"]}", "parity": "{p["parity"]}", "min": {p["min"]}, '
+            f'"max": {p["max"]}, "exclusions": {p["exclusions"]}}}'
+            for p in e["params"]
         )
         buf.append(
-            f'{sep}{{"id": "{c.id}", "anchor": "{_json_escape(c.anchor)}", '
-            f'"params": [{params}], "strategy": "{c.strategy.label()}", '
-            f'"default_tol": {_fmt(c.default_tol)}}}'
+            f'{sep}{{"id": "{e["id"]}", "anchor": "{_json_escape(e["anchor"])}", '
+            f'"params": [{params}], "strategy": "{e["strategy"]}", '
+            f'"default_tol": {_fmt(e["default_tol"])}}}'
         )
         sep = ", "
     buf.append("]")

@@ -13,7 +13,7 @@ Fibonacci/Lucas numbers.
 
 from __future__ import annotations
 
-from ._helpers import F, HALF_LINE, L, P, _five_fib_sq, _lucas_sq, case, math
+from ._helpers import EVEN, F, HALF_LINE, L, ODD, P, case, math
 
 
 _PD_Q = (0.5, 1.5, 2.0, 3.0, 5.0)
@@ -99,7 +99,7 @@ def _lf2_rhs(p):
 
 
 def _four_rhs(a_of, b_of):
-    """The closed form of the kernel pair (b_of(r), 4); a_of(r) is the other of the squares 5 F_r^2 and L_r^2."""
+    """Kernel pair (b_of(r), 4) and its closed form; a_of(r) is the other of the squares 5 F_r^2 and L_r^2."""
 
     def rhs(p):
         m, r = p["m"], p["r"]
@@ -107,7 +107,7 @@ def _four_rhs(a_of, b_of):
         acc = sum((-1.0) ** (m - j) / j * (a / 4.0) ** j for j in range(1, m + 1))
         return (acc + (-1.0) ** (m - 1) * math.log(4.0 / b_of(r))) / (2.0 * a ** (m + 1))
 
-    return rhs
+    return lambda p: (b_of(p["r"]), 4.0), rhs
 
 
 def _f4r1_rhs(p):
@@ -134,9 +134,9 @@ def cases():
         *_pair("S4.LF2", "theorem with kernel pair (L_r^2, 5F_r^2)", r18, lambda p: (L(p["r"]) ** 2, 5.0 * F(p["r"]) ** 2),
                _lf2_rhs, note="source text prints the sum base as 4/(5F_r); verified as 4/(5F_r^2)"),
         *_pair("S4.EVEN4", "theorem with kernel pair (L_r^2, 4), r even", (m04, P("r", 2, 8, "even")),
-               lambda p: (L(p["r"]) ** 2, 4.0), _four_rhs(_five_fib_sq, _lucas_sq)),
+               *_four_rhs(EVEN.B2, EVEN.A2)),
         *_pair("S4.ODD4", "theorem with kernel pair (5F_r^2, 4), r odd", (m04, P("r", 1, 7, "odd")),
-               lambda p: (5.0 * F(p["r"]) ** 2, 4.0), _four_rhs(_lucas_sq, _five_fib_sq)),
+               *_four_rhs(ODD.B2, ODD.A2)),
         *_pair("S4.F4R1", "theorem with kernel F_{4r+1}", (m04, P("r", 1, 5)), lambda p: (1.0, F(4 * p["r"] + 1)),
                _f4r1_rhs),
     ]

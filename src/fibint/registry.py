@@ -283,29 +283,23 @@ def default_grid(
     return [dict(combo) for combo in itertools.product(*axes)]
 
 
+def catalog_entry(case: IdentityCase) -> dict:
+    """Export view of one row: id, anchor, params, strategy, default_tol."""
+    return {
+        "id": case.id,
+        "anchor": case.anchor,
+        "params": [
+            {"name": p.name, "parity": p.parity, "min": p.min, "max": p.max, "exclusions": list(p.exclusions)}
+            for p in case.params
+        ],
+        "strategy": case.strategy.label(),
+        "default_tol": case.default_tol,
+    }
+
+
 def catalog_entries() -> list[dict]:
-    """Export view: id, anchor, params, strategy, default_tol per row."""
-    rows = []
-    for c in catalog():
-        rows.append(
-            {
-                "id": c.id,
-                "anchor": c.anchor,
-                "params": [
-                    {
-                        "name": p.name,
-                        "parity": p.parity,
-                        "min": p.min,
-                        "max": p.max,
-                        "exclusions": list(p.exclusions),
-                    }
-                    for p in c.params
-                ],
-                "strategy": c.strategy.label(),
-                "default_tol": c.default_tol,
-            }
-        )
-    return rows
+    """catalog_entry of every row, in catalog order."""
+    return [catalog_entry(c) for c in catalog()]
 
 
 __all__ = [
@@ -326,5 +320,6 @@ __all__ = [
     "match_ids",
     "instantiate",
     "default_grid",
+    "catalog_entry",
     "catalog_entries",
 ]
