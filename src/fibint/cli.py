@@ -20,8 +20,10 @@ from typing import TYPE_CHECKING, TextIO
 from . import registry
 
 # `list` and `show` read only the catalog: quad and the verifier are imported by
-# `verify`, and csv, io, datetime and collections by the writers that use them
+# `verify`, and csv, datetime and collections by the writers that use them
 if TYPE_CHECKING:
+    from typing import Iterable, Iterator
+
     from . import verifier
 
 
@@ -50,14 +52,13 @@ def _params_str(assignment) -> str:
     return ";".join(f"{k}={v}" for k, v in assignment)
 
 
-def report_json(report: verifier.Report, tol, pattern: str) -> str:
-    """The `verify --format json` document: meta (tol, filter, timestamp) and one row per result."""
+def _json_pieces(report: verifier.Report, tol, pattern: str) -> Iterator[str]:
+    """The `verify --format json` document in pieces: meta (tol, filter, timestamp), then one row per result."""
     from datetime import datetime, timezone
 
     ts = datetime.now(timezone.utc).isoformat()
     tol_s = "null" if tol is None else _fmt(tol)
-    # one list of pieces and one join: the document is ~300 kB for the full catalog
-    buf = [f'{{"meta": {{"tol": {tol_s}, "filter": "{_json_escape(pattern)}", "timestamp": "{ts}"}}, "results": [']
+    yield f'{{"meta": {{"tol": {tol_s}, "filter": "{_json_escape(pattern)}", "timestamp": "{ts}"}}, "results": ['
     sep = ""
     isfinite = math.isfinite
     for r in report.results:
@@ -71,27 +72,31 @@ def report_json(report: verifier.Report, tol, pattern: str) -> str:
                 f'"abs_err": {_json_num(err)}, "tol": {_json_num(thr)}'
             )
         note = _json_escape(r.note) if r.note else ""
-        buf.append(
+        yield (
             f'{sep}{{"id": "{r.case_id}", "params": {{{params}}}, {nums}, '
             f'"passed": {"true" if r.passed else "false"}, "note": "{note}"}}'
         )
         sep = ", "
-    buf.append("]}")
-    return "".join(buf)
+    yield "]}"
 
 
-def _csv(header: list[str], rows) -> str:
+def report_json(report: verifier.Report, tol, pattern: str) -> str:
+    """The `verify --format json` document as one string: the pieces that `verify` streams, joined."""
+    return "".join(_json_pieces(report, tol, pattern))
+
+
+def _csv(header: list[str], rows) -> Iterator[str]:
+    """A header and rows as CSV, one piece per line."""
     import csv
-    import io
+    import types
 
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+    # writerow returns what its file's write returns: here str(line), the line itself
+    w = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n")
+    yield w.writerow(header)
+    yield from map(w.writerow, rows)
 
 
-def _report_csv(report: verifier.Report) -> str:
+def _csv_pieces(report: verifier.Report) -> Iterator[str]:
     return _csv(
         ["id", "params", "lhs", "rhs", "abs_err", "tol", "passed", "note"],
         (
@@ -108,6 +113,10 @@ def _report_csv(report: verifier.Report) -> str:
             for r in report.results
         ),
     )
+
+
+def _report_csv(report: verifier.Report) -> str:
+    return "".join(_csv_pieces(report))
 
 
 # decades of abs_err/tol in the md report's histogram; a healthy catalog row lands below 1e-2
@@ -136,42 +145,41 @@ def _margin(r: verifier.VerificationResult) -> float:
     return r.abs_err / r.tol if r.tol else math.inf
 
 
-def _report_md(report: verifier.Report) -> str:
-    """One row per result, then a per-family summary, the abs_err/tol histogram and the totals."""
+def _md_pieces(report: verifier.Report) -> Iterator[str]:
+    """One row per result, then a per-family summary, the abs_err/tol histogram and the totals, in pieces."""
     import collections
 
-    lines = [
-        "| id | params | lhs | rhs | abs_err | tol | passed | note |",
-        "|----|--------|-----|-----|---------|-----|--------|------|",
-    ]
+    yield (
+        "| id | params | lhs | rhs | abs_err | tol | passed | note |"
+        "\n|----|--------|-----|-----|---------|-----|--------|------|\n"
+    )
     families = collections.defaultdict(list)
     for r in report.results:
         mark = "pass" if r.passed else "FAIL"
-        lines.append(
+        yield (
             f"| {r.case_id} | {_params_str(r.assignment)} | {r.lhs:.12g} | {r.rhs:.12g} "
-            f"| {r.abs_err:.3e} | {r.tol:.1e} | {mark} | {r.note} |"
+            f"| {r.abs_err:.3e} | {r.tol:.1e} | {mark} | {r.note} |\n"
         )
         families[r.case_id.partition(".")[0]].append(r)
-    lines += [
-        "",
-        "| family | cases | failed | worst abs_err | worst abs_err/tol | evals |",
-        "|--------|-------|--------|---------------|-------------------|-------|",
-    ]
+    yield (
+        "\n| family | cases | failed | worst abs_err | worst abs_err/tol | evals |"
+        "\n|--------|-------|--------|---------------|-------------------|-------|\n"
+    )
     for fam in sorted(families):
         rs = families[fam]
-        lines.append(
+        yield (
             f"| {fam} | {len(rs)} | {sum(not r.passed for r in rs)} | {max(r.abs_err for r in rs):.3e} "
-            f"| {max(map(_margin, rs)):.3e} | {sum(r.quad_evals for r in rs)} |"
+            f"| {max(map(_margin, rs)):.3e} | {sum(r.quad_evals for r in rs)} |\n"
         )
     counts = collections.Counter(bucket_index(_margin(r)) for r in report.results)
-    lines += ["", "| abs_err/tol | instances |", "|-------------|-----------|"]
-    lines += [f"| {label} | {counts[i]} |" for i, label in enumerate(BUCKET_LABELS)]
-    lines.append("")
-    lines.append(
-        f"{report.n_pass} passed, {report.n_fail} failed, "
-        f"{len(report.results)} total in {report.wall_time:.2f} s"
-    )
-    return "\n".join(lines)
+    yield "\n| abs_err/tol | instances |\n|-------------|-----------|\n"
+    for i, label in enumerate(BUCKET_LABELS):
+        yield f"| {label} | {counts[i]} |\n"
+    yield f"\n{report.n_pass} passed, {report.n_fail} failed, {len(report.results)} total in {report.wall_time:.2f} s"
+
+
+def _report_md(report: verifier.Report) -> str:
+    return "".join(_md_pieces(report))
 
 
 def _params_spec_str(case: registry.IdentityCase) -> str:
@@ -206,10 +214,10 @@ def _list_json(cases: list[registry.IdentityCase]) -> str:
 
 
 def _list_csv(cases: list[registry.IdentityCase]) -> str:
-    return _csv(
+    return "".join(_csv(
         ["id", "anchor", "params", "strategy", "default_tol"],
         ([c.id, c.anchor, _params_spec_str(c), c.strategy.label(), _fmt(c.default_tol)] for c in cases),
-    )
+    ))
 
 
 def _list_md(cases: list[registry.IdentityCase]) -> str:
@@ -265,12 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(text: str, out: TextIO | None) -> None:
-    """Write text and, unless it has one, a final newline to out, or to stdout if out is None:
-    two writes, not a copy of text.  The stream is flushed, so that a closed pipe raises here and not at exit."""
+def _emit(text: str | Iterable[str], out: TextIO | None) -> None:
+    """Write a text, or a document's pieces as they come, then a final newline unless it ends with one,
+    to out, or to stdout if out is None.  The stream encodes and buffers only a few kB at a time, so a
+    streamed document is never held whole, as text or as bytes.  The stream is flushed, so that a closed
+    pipe raises here and not at exit."""
     out = out or sys.stdout
-    out.write(text)
-    out.write("" if text.endswith("\n") else "\n")
+    last = ""
+    for last in (text,) if isinstance(text, str) else text:
+        out.write(last)
+    out.write("" if last.endswith("\n") else "\n")
     out.flush()
 
 
@@ -308,12 +320,10 @@ def _dispatch(args: argparse.Namespace, out: TextIO | None) -> int:
     overrides = _parse_grid(args.grid) or None
     report = verifier.run(args.filter, grid_override=overrides, tol_override=args.tol)
     if args.format == "json":
-        text = report_json(report, args.tol, args.filter)
-    elif args.format == "csv":
-        text = _report_csv(report)
+        pieces = _json_pieces(report, args.tol, args.filter)
     else:
-        text = _report_md(report)
-    _emit(text, out)
+        pieces = (_csv_pieces if args.format == "csv" else _md_pieces)(report)
+    _emit(pieces, out)
     return 0 if report.n_fail == 0 else 1
 
 

@@ -447,11 +447,10 @@ def _fejer(fe: Callable[[float], float], rows: Callable[[int], list], a: float, 
 # --------------------------------------------------------------------------
 
 
-def _finite_panel(fe: Callable[[float], float], a: float, b: float, tol: float) -> QuadResult:
+def _finite_panel(fe: Callable[[float], float], a: float, b: float, table: _MapTable, tol: float) -> QuadResult:
     """The Fejer pass over one panel, and if it declines, one tanh-sinh
     pass; the declined pass's calls count in evals.  A panel whose DE table
     is unpaired is too fine for the float grid and skips the Fejer pass."""
-    table = _finite_table(a, b)
     declined = 0
     if table.fejer is not None:
         first = _fejer(fe, table.fejer, a, b, tol)
@@ -461,6 +460,14 @@ def _finite_panel(fe: Callable[[float], float], a: float, b: float, tol: float) 
     res = _tanh_sinh(fe, table, 0.5 * (b - a), tol)
     res.evals += declined
     return res
+
+
+@functools.lru_cache(maxsize=16)  # a catalog run integrates 5 layouts
+def _finite_layout(a: float, b: float, points: tuple) -> tuple[tuple[float, float, _MapTable], ...]:
+    """The panels (lo, hi, table) of (a, b) split at the distinct points
+    strictly inside it: a point declared twice would make a zero-width panel."""
+    edges = [a, *sorted({p for p in points if a < p < b}), b]
+    return tuple((lo, hi, _finite_table(lo, hi)) for lo, hi in zip(edges, edges[1:]))
 
 
 def integrate_finite(f, a: float, b: float, tol: float) -> QuadResult:
@@ -479,12 +486,11 @@ def integrate_finite(f, a: float, b: float, tol: float) -> QuadResult:
     b = float(b)
     if not (a < b and math.isfinite(b - a)):
         raise ValueError(f"requires a < b and a finite b - a, got a={a}, b={b}")
-    cuts = sorted({p for p in f.singular_points if a < p < b})  # a point declared twice would make a zero-width panel
-    edges = [a, *cuts, b]
-    ptol = max(tol / (len(edges) - 1), TOL_MIN)
+    panels = _finite_layout(a, b, tuple(f.singular_points))
+    ptol = max(tol / len(panels), TOL_MIN)
     parts: list[QuadResult] = []
-    for lo, hi in zip(edges, edges[1:]):
-        parts.append(_finite_panel(f.eval, lo, hi, ptol))
+    for lo, hi, table in panels:
+        parts.append(_finite_panel(f.eval, lo, hi, table, ptol))
         if math.isnan(parts[-1].value):
             break
     return functools.reduce(operator.add, parts)

@@ -112,7 +112,11 @@ def run(
     grid_override: Mapping[str, tuple[int, int]] | None = None,
     tol_override: float | None = None,
 ) -> Report:
-    """Verify every instance of every catalog entry matching the glob."""
+    """Verify every instance of every catalog entry matching the glob.
+
+    Every instance is bound first, then verified in binding order, and each
+    is released once its result exists, so the pass never holds them all.
+    """
     t0 = time.perf_counter()
     instances: list[registry.BoundInstance] = []
     for cid in match_ids(pattern):
@@ -124,7 +128,11 @@ def run(
     if not instances:
         grid = ", ".join(f"{k}={lo}..{hi}" for k, (lo, hi) in (grid_override or {}).items())
         raise EmptyFilterError(f"filter {pattern!r} with grid {grid!r} leaves no instance")
-    results = sorted(map(verify_instance, instances), key=VerificationResult.sort_key)
+    instances.reverse()  # popped from the end, so in binding order
+    results = []
+    while instances:
+        results.append(verify_instance(instances.pop()))
+    results.sort(key=VerificationResult.sort_key)
     n_pass = sum(1 for r in results if r.passed)
     return Report(
         results=tuple(results),

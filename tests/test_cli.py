@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from datetime import datetime
@@ -208,6 +209,31 @@ def test_emit_ends_with_one_newline(text, tmp_path, capsys):
     assert path.read_bytes() == (text.rstrip("\n") + "\n").encode()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+def test_streamed_report_is_the_string_renderers_text(fmt, tmp_path, monkeypatch):
+    # `verify` writes its report piece by piece; the file must hold exactly what
+    # the string renderer returns for the same report, and one final newline
+    reports = []
+    run = verifier.run
+
+    def keep_report(*args, **kwargs):
+        reports.append(run(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(verifier, "run", keep_report)
+    path = tmp_path / f"report.{fmt}"
+    assert cli.main(["verify", "--filter", "S5.*", "--format", fmt, "--out", str(path)]) == 0
+    (report,) = reports
+    text = path.read_text(encoding="utf-8")
+    if fmt == "json":
+        expected = cli.report_json(report, None, "S5.*")
+        text, expected = (re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', t) for t in (text, expected))
+    else:  # the md totals line reads the report's own wall time, so it matches too
+        expected = (cli._report_csv if fmt == "csv" else cli._report_md)(report)
+    assert len(report.results) > 10
+    assert text == expected.rstrip("\n") + "\n"
+
+
 def test_list_csv_has_full_catalog(capsys):
     code, out, _ = run_cli(capsys, "list", "--format", "csv")
     assert code == 0
@@ -283,7 +309,15 @@ def test_cli_import_leaves_catalog_unloaded():
     assert out.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv", [["list", "--format", "md"], ["show", "S10.QVB6JUR"]], ids=["list", "show"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["list", "--format", "md"],
+        ["show", "S10.QVB6JUR"],
+        *(["verify", "--filter", "S5.*", "--format", fmt] for fmt in ("json", "csv", "md")),
+    ],
+    ids=["list", "show", "verify-json", "verify-csv", "verify-md"],
+)
 def test_closed_stdout_exits_one_quietly(argv):
     # `fibint list | head -c 600`: the reader goes away before the output is
     # written; the command ends with exit code 1 and no traceback
@@ -297,6 +331,23 @@ def test_closed_stdout_exits_one_quietly(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_reader_gone_mid_report_exits_one_quietly():
+    # `fibint verify --format json | head -c 600`: the ~290 kB report is streamed
+    # in many writes, more than a pipe holds, and the reader leaves after 600 bytes
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fibint.__file__).resolve().parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fibint.cli", "verify", "--format", "json"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    with proc:
+        head = proc.stdout.read(600)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        rc = proc.wait(timeout=120)
+    assert head.startswith(b'{"meta": {"tol": null, "filter": "*", ') and len(head) == 600
+    assert (rc, err) == (1, b"")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import pytest
 
@@ -64,6 +65,32 @@ def test_catalog_integrand_calls_per_strategy(tol, calls):
     for r in rep.results:
         got[registry.get_case(r.case_id).strategy.kind] += r.quad_evals
     assert got == calls
+
+
+def test_run_releases_each_instance_once_verified(monkeypatch):
+    # BoundInstance and Integrand have no __weakref__ slot, so each instance is
+    # followed through a weak reference to its kernel function
+    kernels = []
+    alive = []  # kernels alive as each instance is verified
+    instantiate, verify_instance = registry.instantiate, verifier.verify_instance
+
+    def bind(case_id, assignment):
+        inst = instantiate(case_id, assignment)
+        kernels.append(weakref.ref(inst.integrand.eval))
+        return inst
+
+    def verify_counting(inst):
+        alive.append(sum(k() is not None for k in kernels))
+        return verify_instance(inst)
+
+    monkeypatch.setattr(registry, "instantiate", bind)
+    monkeypatch.setattr(verifier, "verify_instance", verify_counting)
+    rep = verifier.run("*")
+    assert len(rep.results) == len(kernels) == len(alive) == 1504
+    assert alive[0] == 1504  # every instance is bound before the first is verified
+    # kernels that a catalog row shares between its instances outlive the run
+    shared = sum(k() is not None for k in kernels)
+    assert alive[-1] <= 1 + shared <= 3
 
 
 def test_determinism():
