@@ -80,11 +80,6 @@ def _json_pieces(report: verifier.Report, tol, pattern: str) -> Iterator[str]:
     yield "]}"
 
 
-def report_json(report: verifier.Report, tol, pattern: str) -> str:
-    """The `verify --format json` document as one string: the pieces that `verify` streams, joined."""
-    return "".join(_json_pieces(report, tol, pattern))
-
-
 def _csv(header: list[str], rows) -> Iterator[str]:
     """A header and rows as CSV, one piece per line."""
     import csv
@@ -113,10 +108,6 @@ def _csv_pieces(report: verifier.Report) -> Iterator[str]:
             for r in report.results
         ),
     )
-
-
-def _report_csv(report: verifier.Report) -> str:
-    return "".join(_csv_pieces(report))
 
 
 # decades of abs_err/tol in the md report's histogram; a healthy catalog row lands below 1e-2
@@ -178,18 +169,12 @@ def _md_pieces(report: verifier.Report) -> Iterator[str]:
     yield f"\n{report.n_pass} passed, {report.n_fail} failed, {len(report.results)} total in {report.wall_time:.2f} s"
 
 
-def _report_md(report: verifier.Report) -> str:
-    return "".join(_md_pieces(report))
-
-
 def _params_spec_str(case: registry.IdentityCase) -> str:
     parts = []
     for p in case.params:
         s = f"{p.name}={p.min}..{p.max}"
         if p.parity != "any":
             s += f":{p.parity}"
-        if p.exclusions:
-            s += "!" + ",".join(map(str, p.exclusions))
         parts.append(s)
     return ";".join(parts)
 
@@ -242,6 +227,8 @@ def _parse_grid(specs: list[str]) -> dict[str, tuple[int, int]]:
             raise ValueError(f"bad grid override {spec!r}; parameter must be one of {registry.PARAM_NAMES}")
         if lo > hi:
             raise ValueError(f"bad grid override {spec!r}; empty window")
+        if name in out:
+            raise ValueError(f"bad grid override {spec!r}; {name} already has a window")
         out[name] = (lo, hi)
     return out
 
@@ -268,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="name=lo..hi",
-        help="narrow a parameter to its declared values inside lo..hi, across all matching entries (repeatable)",
+        help="narrow a parameter to its declared values inside lo..hi, across all matching entries "
+        "(repeatable, once per parameter)",
     )
     return ap
 

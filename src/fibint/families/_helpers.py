@@ -17,7 +17,9 @@ L_r^2 - 4 cos^2 (even r) or L_r^2 + 4 sin^2 (odd r).  Each family is
 written once, with its kernel sign and its branch as arguments, and each
 catalog module ends in a table of rows that name them: case(...) is
 registry.IdentityCase, with its default tolerance by strategy, and P is
-ParamSpec.
+ParamSpec.  A row's builder and closed form take its parameters by name,
+as def _pair_a_rhs(n, r) or lambda r: ..., and a row without parameters
+has lambda: c; a helper shared by several rows takes the same names.
 
 Folding signs this way keeps every result bit, because negation and
 scaling by +-1.0 or 2.0 are exact: a + s * c with s = -2.0 rounds as
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 from ..exact_seq import ALPHA, BETA, LN_ALPHA, SQRT5, fib, lucas, golden_powers  # noqa: F401
 from ..registry import FINITE, HALF_LINE, TAN_HALFPI, IdentityCase, Integrand, ParamSpec  # noqa: F401
@@ -108,17 +110,18 @@ P = ParamSpec
 NO_PARAMS: tuple[ParamSpec, ...] = ()
 
 
-def qgrid(values: tuple[float, ...]) -> tuple[tuple[ParamSpec, ...], Callable[[Mapping[str, int]], float]]:
-    """The 1-based index parameter k over a grid of real values, and its lookup."""
+def qgrid(values: tuple[float, ...]) -> tuple[tuple[ParamSpec, ...], Callable[[int], float]]:
+    """The 1-based index parameter k over a grid of real values, and its lookup, which takes k."""
 
-    def pick(p: Mapping[str, int]) -> float:
-        return values[p["k"] - 1]
+    def pick(k: int) -> float:
+        return values[k - 1]
 
     return (P("k", 1, len(values)),), pick
 
 
 class Branch(NamedTuple):
-    """One parity branch of a golden family (see the module docstring)."""
+    """One parity branch of a golden family (see the module docstring); its
+    functions take r, so a row's builder passes its own r on."""
 
     params: tuple[ParamSpec, ...]
     A: Callable[[int], float]

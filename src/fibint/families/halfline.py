@@ -27,9 +27,10 @@ def _generic_rhs(q: float, m: int) -> float:
 
 
 def _pair(base_id, anchor, params, ab_of, rhs, note=""):
-    def lhs_a(p):
-        a, b = ab_of(p)
-        m = p["m"]
+    """Both members of a row; ab_of takes the row's parameters other than m and returns the kernel's (A, B)."""
+
+    def lhs_a(m, **p):
+        a, b = ab_of(**p)
         k, e = 2 * m + 1, m + 1
 
         def f(x):
@@ -38,9 +39,9 @@ def _pair(base_id, anchor, params, ab_of, rhs, note=""):
 
         return f
 
-    def lhs_b(p):
-        a, b = ab_of(p)
-        e = p["m"] + 1
+    def lhs_b(m, **p):
+        a, b = ab_of(**p)
+        e = m + 1
 
         def f(x):
             x2 = x * x
@@ -57,13 +58,12 @@ def _pair(base_id, anchor, params, ab_of, rhs, note=""):
 def _neighbour(q_of, d_of):
     """The m-fold form at q = q_of(r), with q - 1 = d_of(r) a neighbour product."""
 
-    def rhs(p):
-        m, r = p["m"], p["r"]
+    def rhs(m, r):
         q, d = q_of(r), d_of(r)
         acc = sum(1.0 / (j * q**j * d ** (m - j + 1)) for j in range(1, m + 1))
         return -0.5 * acc + 0.5 * math.log(q) / d ** (m + 1)
 
-    return lambda p: (1.0, q_of(p["r"])), rhs
+    return lambda r: (1.0, q_of(r)), rhs
 
 
 def _kj_q(r):
@@ -90,8 +90,7 @@ def _q2_d(r):
     return L(r) * L(r + 1) if r % 2 == 1 else 5.0 * F(r) * F(r + 1)
 
 
-def _lf2_rhs(p):
-    m, r = p["m"], p["r"]
+def _lf2_rhs(m, r):
     f2 = 5.0 * F(r) ** 2
     acc = sum((-1.0) ** (r + (r + 1) * (m - j)) / j * (4.0 / f2) ** j for j in range(1, m + 1))
     logterm = (-1.0) ** ((r + 1) * (m + 1)) * math.log(f2 / L(r) ** 2)
@@ -101,18 +100,16 @@ def _lf2_rhs(p):
 def _four_rhs(a_of, b_of):
     """Kernel pair (b_of(r), 4) and its closed form; a_of(r) is the other of the squares 5 F_r^2 and L_r^2."""
 
-    def rhs(p):
-        m, r = p["m"], p["r"]
+    def rhs(m, r):
         a = a_of(r)
         acc = sum((-1.0) ** (m - j) / j * (a / 4.0) ** j for j in range(1, m + 1))
         return (acc + (-1.0) ** (m - 1) * math.log(4.0 / b_of(r))) / (2.0 * a ** (m + 1))
 
-    return lambda p: (b_of(p["r"]), 4.0), rhs
+    return lambda r: (b_of(r), 4.0), rhs
 
 
-def _f4r1_rhs(p):
+def _f4r1_rhs(m, r):
     # F_{4r+1} - 1 = F_{2r} L_{2r+1}
-    m, r = p["m"], p["r"]
     q = F(4 * r + 1)
     d = F(2 * r) * L(2 * r + 1)
     acc = sum((d / q) ** j / j for j in range(1, m + 1))
@@ -128,15 +125,15 @@ def cases():
         *_pair("S4.DPBN6CY", "eq. (dpbn6cy)", r18, *_neighbour(_dp_q, _dp_d)),
         *_pair("S4.Q2NVIQW", "eq. (q2nviqw)", r18, *_neighbour(_q2_q, _q2_d)),
         # generic positive q, m-fold derivative form
-        *_pair("S4.PDJJQGD", "eq. (pdjjqgd)", (m04, P("k", 1, len(_PD_Q))), lambda p: (1.0, _PD_Q[p["k"] - 1]),
-               lambda p: _generic_rhs(_PD_Q[p["k"] - 1], p["m"])),
+        *_pair("S4.PDJJQGD", "eq. (pdjjqgd)", (m04, P("k", 1, len(_PD_Q))), lambda k: (1.0, _PD_Q[k - 1]),
+               lambda m, k: _generic_rhs(_PD_Q[k - 1], m)),
         # kernel pair (L_r^2, 5 F_r^2); closed form uses L^2 - 5F^2 = 4(-1)^r
-        *_pair("S4.LF2", "theorem with kernel pair (L_r^2, 5F_r^2)", r18, lambda p: (L(p["r"]) ** 2, 5.0 * F(p["r"]) ** 2),
+        *_pair("S4.LF2", "theorem with kernel pair (L_r^2, 5F_r^2)", r18, lambda r: (L(r) ** 2, 5.0 * F(r) ** 2),
                _lf2_rhs, note="source text prints the sum base as 4/(5F_r); verified as 4/(5F_r^2)"),
         *_pair("S4.EVEN4", "theorem with kernel pair (L_r^2, 4), r even", (m04, P("r", 2, 8, "even")),
                *_four_rhs(EVEN.B2, EVEN.A2)),
         *_pair("S4.ODD4", "theorem with kernel pair (5F_r^2, 4), r odd", (m04, P("r", 1, 7, "odd")),
                *_four_rhs(ODD.B2, ODD.A2)),
-        *_pair("S4.F4R1", "theorem with kernel F_{4r+1}", (m04, P("r", 1, 5)), lambda p: (1.0, F(4 * p["r"] + 1)),
+        *_pair("S4.F4R1", "theorem with kernel F_{4r+1}", (m04, P("r", 1, 5)), lambda r: (1.0, F(4 * r + 1)),
                _f4r1_rhs),
     ]

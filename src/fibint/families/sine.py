@@ -26,8 +26,8 @@ def _log_ratio_kernel(amp: float):
     return f
 
 
-def _cl_rhs(p):
-    q = QC(p)
+def _cl_rhs(k):
+    q = QC(k)
     t = math.atan(q)
     return 2.0 * cl_pair(2.0 * t) + 4.0 * t * math.log(q)
 
@@ -35,16 +35,15 @@ def _cl_rhs(p):
 def _j7h(br):
     """ln((A_r/2 + sin x)/(A_r/2 - sin x)): Clausen pair at arctan(2/B_r)."""
 
-    def rhs(p):
-        r = p["r"]
+    def rhs(r):
         t = math.atan(2.0 / br.B(r))
         return 2.0 * cl_pair(t) - 2.0 * r * t * LN_ALPHA
 
-    return br.params, lambda p: _log_ratio_kernel(br.A(p["r"]) / 2.0), rhs
+    return br.params, lambda r: _log_ratio_kernel(br.A(r) / 2.0), rhs
 
 
-def _tk(p):
-    q2 = QT(p) ** 2
+def _tk(k):
+    q2 = QT(k) ** 2
 
     def f(x):
         s = math.sin(x)
@@ -53,8 +52,8 @@ def _tk(p):
     return f
 
 
-def _tk_rhs(p):
-    q = QT(p)
+def _tk_rhs(k):
+    q = QT(k)
     s = math.hypot(1.0, q)
     return math.log((1.0 - q + s) / (1.0 + q - s)) / s
 
@@ -69,14 +68,12 @@ def _sin_kernel(a, b):
     return f
 
 
-def _sin1_rhs(p):
-    r = p["r"]
+def _sin1_rhs(r):
     rl = math.sqrt(L(2 * r))
     return SQRT2 / (2.0 * L(r) * rl) * math.log((SQRT2 * bpow(r) + rl) / (SQRT2 * apow(r) - rl))
 
 
-def _sin2_rhs(p):
-    r = p["r"]
+def _sin2_rhs(r):
     rl = math.sqrt(L(2 * r))
     return math.sqrt(10.0) / (10.0 * F(r) * rl) * math.log((-SQRT2 * bpow(r) + rl) / (SQRT2 * apow(r) - rl))
 
@@ -84,22 +81,20 @@ def _sin2_rhs(p):
 def _sin34_rhs(seq, c):
     """log((S_{r-2} + rt)/(S_{r+1} - rt))/(S_r rt), rt = sqrt(c F_{2r-1}): S = F, c = 1 or S = L, c = 5."""
 
-    def rhs(p):
-        r = p["r"]
+    def rhs(r):
         rt = math.sqrt(c * F(2 * r - 1))
         return math.log((seq(r - 2) + rt) / (seq(r + 1) - rt)) / (seq(r) * rt)
 
     return rhs
 
 
-def _sin5_rhs(p):
-    k, r = p["k"], p["r"]
+def _sin5_rhs(k, r):
     rt = math.sqrt(F(r) * F(2 * k + r))
     return math.log((F(k + r) - F(k) + rt) / (F(k + r) + F(k) - rt)) / (F(k + r) * rt)
 
 
-def _sin7(p):
-    b = L(p["r"]) ** 2
+def _sin7(r):
+    b = L(r) ** 2
 
     def f(x):
         s = math.sin(x)
@@ -108,8 +103,7 @@ def _sin7(p):
     return f
 
 
-def _sin7_rhs(p):
-    r = p["r"]
+def _sin7_rhs(r):
     f2 = F(2 * r)
     return (2.0 * r * L(2 * r) / (SQRT5 * f2) * LN_ALPHA - 1.0) / (10.0 * f2 * f2)
 
@@ -118,30 +112,28 @@ def cases():
     r10, r2_10 = (P("r", 1, 10),), (P("r", 2, 10),)
     return [
         # generic Clausen-valued log kernel, 0 < q <= 1
-        case("S5.CL66RLS", "eq. (cl66rls)", HALF, KC, lambda p: _log_ratio_kernel((1.0 + QC(p) * QC(p)) / (2.0 * QC(p))),
+        case("S5.CL66RLS", "eq. (cl66rls)", HALF, KC, lambda k: _log_ratio_kernel((1.0 + QC(k) * QC(k)) / (2.0 * QC(k))),
              _cl_rhs),
         # golden instances of the log kernel
         case("S5.J7HZXMA.E", "thm. (j7hzxma), even branch", HALF, *_j7h(EVEN)),
         case("S5.J7HZXMA.O", "thm. (j7hzxma), odd branch", HALF, *_j7h(ODD)),
         # the Catalan special value
-        case("S5.FOURG", "special value 4G", HALF, NO_PARAMS, lambda p: _log_ratio_kernel(1.0), lambda p: 4.0 * CATALAN),
+        case("S5.FOURG", "special value 4G", HALF, NO_PARAMS, lambda: _log_ratio_kernel(1.0), lambda: 4.0 * CATALAN),
         # sin x/(sin^2 x + Q^2)
         case("S5.TKZY7WR", "eq. (tkzy7wr)", HALF, KT, _tk, _tk_rhs),
         # golden instances of the sine kernel
-        case("S5.SIN1", "eq. (Fib_sin_id1)", HALF, r10, lambda p: _sin_kernel(5.0 * F(p["r"]) ** 2, L(p["r"]) ** 2),
-             _sin1_rhs),
-        case("S5.SIN2", "eq. (Fib_sin_id2)", HALF, r10, lambda p: _sin_kernel(L(p["r"]) ** 2, 5.0 * F(p["r"]) ** 2),
-             _sin2_rhs),
+        case("S5.SIN1", "eq. (Fib_sin_id1)", HALF, r10, lambda r: _sin_kernel(5.0 * F(r) ** 2, L(r) ** 2), _sin1_rhs),
+        case("S5.SIN2", "eq. (Fib_sin_id2)", HALF, r10, lambda r: _sin_kernel(L(r) ** 2, 5.0 * F(r) ** 2), _sin2_rhs),
         # Catalan-identity instances
-        case("S5.SIN3", "eq. (Fib_sin_id3)", HALF, r2_10, lambda p: _sin_kernel(F(p["r"] - 1) ** 2, F(p["r"]) ** 2),
+        case("S5.SIN3", "eq. (Fib_sin_id3)", HALF, r2_10, lambda r: _sin_kernel(F(r - 1) ** 2, F(r) ** 2),
              _sin34_rhs(F, 1.0)),
-        case("S5.SIN4", "eq. (Fib_sin_id4)", HALF, r2_10, lambda p: _sin_kernel(L(p["r"] - 1) ** 2, L(p["r"]) ** 2),
+        case("S5.SIN4", "eq. (Fib_sin_id4)", HALF, r2_10, lambda r: _sin_kernel(L(r - 1) ** 2, L(r) ** 2),
              _sin34_rhs(L, 5.0)),
         # shifted-index generalization, r odd
         case("S5.SIN5GEN", "eq. (Fib_sin_id5_gen)", HALF, (P("k", 1, 4), P("r", 1, 5, "odd")),
-             lambda p: _sin_kernel(F(p["k"]) ** 2, F(p["k"] + p["r"]) ** 2), _sin5_rhs),
+             lambda k, r: _sin_kernel(F(k) ** 2, F(k + r) ** 2), _sin5_rhs),
         # kernel 4 + L_r^2 sin^2 x, r odd
-        case("S5.SIN6", "eq. (Fib_sin_id6)", HALF, ODD.params, lambda p: _sin_kernel(4.0, L(p["r"]) ** 2),
-             lambda p: p["r"] / (SQRT5 * F(2 * p["r"])) * LN_ALPHA),
+        case("S5.SIN6", "eq. (Fib_sin_id6)", HALF, ODD.params, lambda r: _sin_kernel(4.0, L(r) ** 2),
+             lambda r: r / (SQRT5 * F(2 * r)) * LN_ALPHA),
         case("S5.SIN7", "eq. (Fib_sin_id7)", HALF, ODD.params, _sin7, _sin7_rhs),
     ]

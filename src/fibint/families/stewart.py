@@ -14,54 +14,51 @@ LN_2_3 = math.log(2.0 / 3.0)
 PM1 = FINITE(-1.0, 1.0)
 
 
-def _stewart(p):
-    lk, fk = L(p["k"]), F(p["k"])
-    e = p["n"] - 1
+def _stewart(k, n):
+    lk, fk = L(k), F(k)
+    e = n - 1
     return lambda x: (lk + fk * x * SQRT5) ** e
 
 
-def _bju(p):
-    lk, fk = L(p["k"]), F(p["k"])
-    e = p["n"] - 2
+def _bju(k, n):
+    lk, fk = L(k), F(k)
+    e = n - 2
     return lambda x: (lk + fk * x * SQRT5) ** e * (fk * SQRT5 + lk * x)
 
 
-def _bju_rhs(p):
-    n, k = p["n"], p["k"]
+def _bju_rhs(k, n):
     fk = F(k)
     return 2.0**n / ((n - 1) * SQRT5) * (L(k * n) / fk - F(k * n) * L(k) / (n * fk * fk))
 
 
-def _xsn_rhs(p):
-    n, k = p["n"], p["k"]
+def _xsn_rhs(k, n):
     return 2.0**n / ((n - 1) * F(k) * SQRT5) * (-bpow((n - 1) * k) + F(n * k) / (n * F(k)))
 
 
-def _xsn(p):
-    lk, fk = L(p["k"]), F(p["k"])
-    e = p["n"] - 2
+def _xsn(k, n):
+    lk, fk = L(k), F(k)
+    e = n - 2
     return lambda x: (lk + fk * x * SQRT5) ** e * (1.0 - x)
 
 
-def _compl2(p):
-    lk, fk = L(p["k"]), F(p["k"])
-    e = p["n"] - 2
+def _compl2(k, n):
+    lk, fk = L(k), F(k)
+    e = n - 2
     return lambda x: (lk + fk * x * SQRT5) ** e * x
 
 
-def _compl2_rhs(p):
-    n, k = p["n"], p["k"]
+def _compl2_rhs(k, n):
     return 2.0**n / ((n - 1) * SQRT5 * F(k)) * (L((n - 1) * k) / 2.0 - F(n * k) / (n * F(k)))
 
 
-def _dilcher(p):
-    e = p["n"] - 1
+def _dilcher(n):
+    e = n - 1
     c = SQRT5 / 3.0
     return lambda x: (1.0 + c * math.cos(x)) ** e * math.sin(x)
 
 
-def _djf(p):
-    e = p["n"] - 1
+def _djf(n):
+    e = n - 1
     c = SQRT5 / 3.0
 
     def f(x):
@@ -71,8 +68,7 @@ def _djf(p):
     return f
 
 
-def _djf_rhs(p):
-    n = p["n"]
+def _djf_rhs(n):
     w = (2.0 / 3.0) ** n
     return 6.0 / (n * SQRT5) * w * L(2 * n) * LN_ALPHA + (-1.0 / n + LN_2_3) * w * 3.0 / n * F(2 * n)
 
@@ -81,9 +77,9 @@ def cases():
     kn, kn2, n18 = (P("k", 1, 5), P("n", 1, 8)), (P("k", 1, 5), P("n", 2, 8)), (P("n", 1, 8),)
     return [
         # F_{kn}/F_k = (n/2^n) * integral of (L_k + F_k x sqrt5)^(n-1)
-        case("S1.STEWART", "eq. (1)", PM1, kn, _stewart, lambda p: (2.0 ** p["n"] / p["n"]) * F(p["k"] * p["n"]) / F(p["k"])),
+        case("S1.STEWART", "eq. (1)", PM1, kn, _stewart, lambda k, n: (2.0 ** n / n) * F(k * n) / F(k)),
         # F_{2n} = (n/2)(3/2)^(n-1) * integral of (1 + sqrt5/3 cos x)^(n-1) sin x
-        case("S1.DILCHER", "eq. (3)", FULL, n18, _dilcher, lambda p: F(2 * p["n"]) * (2.0 / p["n"]) * (2.0 / 3.0) ** (p["n"] - 1)),
+        case("S1.DILCHER", "eq. (3)", FULL, n18, _dilcher, lambda n: F(2 * n) * (2.0 / n) * (2.0 / 3.0) ** (n - 1)),
         # complement with the linear factor (F_k sqrt5 + L_k x)
         case("S2.BJU5530", "eq. (bju5530)", PM1, kn2, _bju, _bju_rhs),
         # complement with the factor (1 - x)

@@ -53,8 +53,7 @@ def _recip(l2r):
     return lambda t: 1.0 / (1.0 + (l2r + t * t) * t * t)
 
 
-def _k2(p):
-    r = p["r"]
+def _k2(r):
     a2 = apow(2 * r)
     l2r = L(2 * r)
 
@@ -65,28 +64,25 @@ def _k2(p):
     return f
 
 
-def _k2_rhs(p):
-    r = p["r"]
+def _k2_rhs(r):
     if r % 2 == 1:
         return PI * r * LN_ALPHA
     return PI * math.log((1.0 + apow(r)) ** 2 / (L(r) + 2.0))
 
 
-def _tan2_rhs(p):
-    a = parity(p["r"]).A(p["r"])
+def _tan2_rhs(r):
+    a = parity(r).A(r)
     return PI / 2.0 / (a * (a + 2.0))
 
 
-def _recip_rhs(p):
-    r = p["r"]
+def _recip_rhs(r):
     l2r = L(2 * r)
     a = parity(r).A(r)
     return PI / 2.0 / (l2r * (a + 2.0)) * (l2r + a - 2.0 / a)
 
 
-def _rok(p):
-    n = p["n"]
-    q = ROK_Q[p["k"] - 1]
+def _rok(n, k):
+    q = ROK_Q[k - 1]
     qq = q * q
     rc = tuple(reversed(_sum_poly(n, qq)))
     e = n + 1
@@ -101,17 +97,15 @@ def _rok(p):
     return f
 
 
-def _rok_rhs(p):
-    n = p["n"]
-    q = ROK_Q[p["k"] - 1]
+def _rok_rhs(n, k):
+    q = ROK_Q[k - 1]
     return PI / (2.0 * (n + 1)) * (1.0 / q ** (2 * n + 1) - q / (q * (q + 1.0)) ** (n + 1))
 
 
 def _pair(swap):
     """n-fold derivative family at q^2 = a/b, (a, b) = (L_r^2, 5 F_r^2), or swapped."""
 
-    def lhs(p):
-        n, r = p["n"], p["r"]
+    def lhs(n, r):
         a, b = L(r) ** 2, 5.0 * F(r) ** 2
         if swap:
             a, b = b, a
@@ -130,14 +124,12 @@ def _pair(swap):
     return lhs
 
 
-def _pair_a_rhs(p):
-    n, r = p["n"], p["r"]
+def _pair_a_rhs(n, r):
     lr = L(r)
     return PI / (2.0 * (n + 1)) / (lr**n * F(r) * SQRT5) * (1.0 / lr ** (n + 1) - 1.0 / (2.0 * apow(r)) ** (n + 1))
 
 
-def _pair_b_rhs(p):
-    n, r = p["n"], p["r"]
+def _pair_b_rhs(n, r):
     s = F(r) * SQRT5
     return PI / (2.0 * (n + 1)) / (s**n * L(r)) * (1.0 / s ** (n + 1) - 1.0 / (2.0 * apow(r)) ** (n + 1))
 
@@ -152,19 +144,17 @@ def _special(swap):
     def ab(r):
         return (5.0 * F(r) ** 2, L(r) ** 2) if swap else (L(r) ** 2, 5.0 * F(r) ** 2)
 
-    def rhs(p):
-        r = p["r"]
+    def rhs(r):
         return PI / 4.0 / (F(2 * r) * SQRT5) * (1.0 / ab(r)[0] - 1.0 / (4.0 * apow(2 * r)))
 
-    return lambda p: _special_kernel(*ab(p["r"])), rhs
+    return lambda r: _special_kernel(*ab(r)), rhs
 
 
 def _quartic(seq):
     """Combined golden-power instance with numerator coefficients from seq (L or F)."""
 
-    def lhs(p):
-        n = p["n"]
-        rc = tuple(reversed(_quartic_poly(n, p["r"], seq)))
+    def lhs(n, r):
+        rc = tuple(reversed(_quartic_poly(n, r, seq)))
         e = n + 1
 
         def f(t):
@@ -181,13 +171,11 @@ def _quartic(seq):
     return lhs
 
 
-def _quartic_l_rhs(p):
-    n, r = p["n"], p["r"]
+def _quartic_l_rhs(n, r):
     return PI / (2.0 * (n + 1)) * (F(2 * n + r + 1) * SQRT5 - apow(r - 1) + (-1.0) ** (n + 1) * bpow(3 * n + r + 2))
 
 
-def _quartic_f_rhs(p):
-    n, r = p["n"], p["r"]
+def _quartic_f_rhs(n, r):
     return PI / (2.0 * SQRT5 * (n + 1)) * (L(2 * n + r + 1) - apow(r - 1) + (-1.0) ** n * bpow(3 * n + r + 2))
 
 
@@ -196,15 +184,14 @@ def cases():
     nr, nrq = (P("n", 0, 3), P("r", 1, 8)), (P("n", 0, 3), P("r", -3, 6))
     return [
         # log of the quartic kernel
-        case("S3.M6BI7TA", "eq. (m6bi7ta)", TAN_HALFPI, r_any,
-             lambda p: _log_quartic(L(2 * p["r"])),
-             lambda p: PI * math.log(parity(p["r"]).A(p["r"]) + 2.0)),
+        case("S3.M6BI7TA", "eq. (m6bi7ta)", TAN_HALFPI, r_any, lambda r: _log_quartic(L(2 * r)),
+             lambda r: PI * math.log(parity(r).A(r) + 2.0)),
         # log of (alpha^{2r}+t^2)^2 over the quartic kernel
         case("S3.K2XKUE3", "eq. (k2xkue3)", TAN_HALFPI, r_any, _k2, _k2_rhs, note=K2_NOTE),
         # tan^2 over the quartic kernel
-        case("S3.TAN2", "cor. after eq. (m6bi7ta)", TAN_HALFPI, r_any, lambda p: _tan2(L(2 * p["r"])), _tan2_rhs),
+        case("S3.TAN2", "cor. after eq. (m6bi7ta)", TAN_HALFPI, r_any, lambda r: _tan2(L(2 * r)), _tan2_rhs),
         # reciprocal of the quartic kernel
-        case("S3.RECIP", "cor. after eq. (t2k7wzu)", TAN_HALFPI, r_any, lambda p: _recip(L(2 * p["r"])), _recip_rhs),
+        case("S3.RECIP", "cor. after eq. (t2k7wzu)", TAN_HALFPI, r_any, lambda r: _recip(L(2 * r)), _recip_rhs),
         # n-fold derivative family at generic positive q
         case("S3.ROKBVU0", "eq. (rokbvu0)", TAN_HALFPI, (P("n", 0, 4), P("k", 1, len(ROK_Q))), _rok, _rok_rhs),
         # the same family at q = L_r/(F_r sqrt5) and its reciprocal
@@ -214,16 +201,16 @@ def cases():
         case("S3.SPECIAL1", "n=1 special case, first member", TAN_HALFPI, r8, *_special(False)),
         case("S3.SPECIAL2", "n=1 special case, second member", TAN_HALFPI, r8, *_special(True)),
         case("S3.SPECIAL1.PART", "special value pi*alpha/16", TAN_HALFPI, NO_PARAMS,
-             lambda p: _special_kernel(1.0, 5.0), lambda p: PI * ALPHA / 16.0),
+             lambda: _special_kernel(1.0, 5.0), lambda: PI * ALPHA / 16.0),
         case("S3.SPECIAL2.PART", "special value (pi/400)(2+7/alpha^2)", TAN_HALFPI, NO_PARAMS,
-             lambda p: lambda t: 1.0 / (5.0 + t * t) ** 2, lambda p: PI / 400.0 * (2.0 + 7.0 / ALPHA**2)),
+             lambda: lambda t: 1.0 / (5.0 + t * t) ** 2, lambda: PI / 400.0 * (2.0 + 7.0 / ALPHA**2)),
         # combined golden-power instances with Lucas/Fibonacci numerators
         case("S3.QUARTIC.L", "quartic theorem, Lucas member", TAN_HALFPI, nrq, _quartic(L), _quartic_l_rhs),
         case("S3.QUARTIC.F", "quartic theorem, Fibonacci member", TAN_HALFPI, nrq, _quartic(F), _quartic_f_rhs),
         case("S3.QUARTIC.PART1", "special value -pi*beta^3/2", TAN_HALFPI, NO_PARAMS,
-             lambda p: lambda t: (1.0 - t * t) / (1.0 + (3.0 + t * t) * t * t), lambda p: -PI * BETA**3 / 2.0),
+             lambda: lambda t: (1.0 - t * t) / (1.0 + (3.0 + t * t) * t * t), lambda: -PI * BETA**3 / 2.0),
         case("S3.QUARTIC.PART2", "special value pi*beta^2/sqrt5", TAN_HALFPI, NO_PARAMS,
-             lambda p: _recip(3.0), lambda p: PI * BETA**2 / SQRT5),
+             lambda: _recip(3.0), lambda: PI * BETA**2 / SQRT5),
         case("S3.QUARTIC.PART3", "special value -pi*beta^3/(2 sqrt5)", TAN_HALFPI, NO_PARAMS,
-             lambda p: _tan2(3.0), lambda p: -PI * BETA**3 / (2.0 * SQRT5)),
+             lambda: _tan2(3.0), lambda: -PI * BETA**3 / (2.0 * SQRT5)),
     ]

@@ -25,8 +25,7 @@ CLSQ_NOTE = (
 def _minus(br, k):
     """x^2 cos x/(A_r - 2 cos 2x)^k: dilogarithms at +-sqrt(|beta|^r)."""
 
-    def rhs(p):
-        r = p["r"]
+    def rhs(r):
         u = br.sigma * bpow(r)
         s = math.sqrt(u)
         if k == 1:
@@ -34,14 +33,13 @@ def _minus(br, k):
         b, w = br.B(r), s / (1.0 - u)
         return -PI / b * w * (0.5 + u / (1.0 - u)) * li2_odd(s) - PI / (2.0 * b) * w * math.log((1.0 + s) / (1.0 - s))
 
-    return br.params, lambda p: xcos_kernel(br.A(p["r"]), -2.0, k), rhs
+    return br.params, lambda r: xcos_kernel(br.A(r), -2.0, k), rhs
 
 
 def _plus(br, k):
     """x^2 cos x/(A_r + 2 cos 2x)^k: Clausen values at 2 arctan sqrt(|beta|^r)."""
 
-    def rhs(p):
-        r = p["r"]
+    def rhs(r):
         u = br.sigma * bpow(r)
         s = math.sqrt(u)
         if k == 1:
@@ -54,7 +52,7 @@ def _plus(br, k):
             - PI / (2.0 * b) * w * math.atan(2.0 * s / (1.0 - u))
         )
 
-    return br.params, lambda p: xcos_kernel(br.A(p["r"]), 2.0, k), rhs
+    return br.params, lambda r: xcos_kernel(br.A(r), 2.0, k), rhs
 
 
 def _recombined(a, triple):
@@ -77,8 +75,7 @@ def _recombined(a, triple):
 def _recombined_rows(br, triple):
     """x^2 cos x or x^2 cos 3x over A_r^2 - 4 cos^2 2x."""
 
-    def rhs(p):
-        r = p["r"]
+    def rhs(r):
         u = br.sigma * bpow(r)
         s = math.sqrt(u)
         a = br.A(r)
@@ -95,11 +92,11 @@ def _recombined_rows(br, triple):
             - PI / a * s / (1.0 + u) * math.atan(s) * math.log(s)
         )
 
-    return br.params, lambda p: _recombined(br.A2(p["r"]), triple), rhs
+    return br.params, lambda r: _recombined(br.A2(r), triple), rhs
 
 
-def _qvb_lhs(p):
-    a = F(p["r"]) * SQRT5
+def _qvb_lhs(r):
+    a = F(r) * SQRT5
     w = 1.0 / (2.0 * a)
 
     def f(x):
@@ -109,8 +106,8 @@ def _qvb_lhs(p):
     return f
 
 
-def _a40q_lhs(p):
-    a = F(p["r"]) * SQRT5
+def _a40q_lhs(r):
+    a = F(r) * SQRT5
 
     def f(x):
         c = 2.0 * math.cos(2.0 * x)
@@ -129,7 +126,7 @@ def _a40q_rhs_kernel(a):
 
 def _by_quadrature(kernel):
     """Right side of a structural row: 1e-12 quadrature of kernel(5 F_r^2)."""
-    return lambda p: quad_rhs(kernel(5.0 * F(p["r"]) ** 2), MID)
+    return lambda r: quad_rhs(kernel(5.0 * F(r) ** 2), MID)
 
 
 def cases():
@@ -139,18 +136,18 @@ def cases():
         case("S10.RI9NKKO", "eq. (ri9nkko)", FULL, *_minus(EVEN, 1)),
         case("S10.UJHMYEF", "eq. (ujhmyef)", FULL, *_minus(ODD, 1)),
         case("S10.RI9NKKO.PART", "special value -pi^3/6 + (3pi/2) ln^2 alpha", FULL, NO_PARAMS,
-             lambda p: xcos_kernel(3.0, -2.0), lambda p: -PI3 / 6.0 + 1.5 * PI * LA2),
+             lambda: xcos_kernel(3.0, -2.0), lambda: -PI3 / 6.0 + 1.5 * PI * LA2),
         # squared minus-kernels
         case("S10.SQ.E", "squared thm., even branch", FULL, *_minus(EVEN, 2)),
         case("S10.SQ.O", "squared thm., odd branch", FULL, *_minus(ODD, 2)),
         case("S10.SQ.PART", "special value at squared kernel 3 - 2 cos 2x", FULL, NO_PARAMS,
-             lambda p: xcos_kernel(3.0, -2.0, 2),
-             lambda p: -PI / 4.0 * (PI2 / 3.0 - 3.0 * LA2) - 3.0 * PI / (2.0 * SQRT5) * LN_ALPHA),
+             lambda: xcos_kernel(3.0, -2.0, 2),
+             lambda: -PI / 4.0 * (PI2 / 3.0 - 3.0 * LA2) - 3.0 * PI / (2.0 * SQRT5) * LN_ALPHA),
         # plus-kernels: Clausen forms
         case("S10.PI7I3YL", "eq. (pi7i3yl)", FULL, *_plus(EVEN, 1), splits=MID),
         case("S10.A40FGGG", "eq. (a40fggg)", FULL, *_plus(ODD, 1), splits=MID),
         case("S10.PI7I3YL.PART", "special value at kernel 3 + 2 cos 2x", FULL, NO_PARAMS,
-             lambda p: xcos_kernel(3.0, 2.0), lambda p: PI / SQRT5 * t * LN_ALPHA - PI / SQRT5 * cl_pair(t), splits=MID),
+             lambda: xcos_kernel(3.0, 2.0), lambda: PI / SQRT5 * t * LN_ALPHA - PI / SQRT5 * cl_pair(t), splits=MID),
         # squared plus-kernels
         case("S10.CLSQ.E", "squared Clausen thm., even branch", FULL, *_plus(EVEN, 2), splits=MID, note=CLSQ_NOTE),
         case("S10.CLSQ.O", "squared Clausen thm., odd branch", FULL, *_plus(ODD, 2), splits=MID, note=CLSQ_NOTE),
@@ -167,7 +164,7 @@ def cases():
         case("S10.V11U6JR", "eq. (v11u6jr)", FULL, *_recombined_rows(EVEN, False), splits=MID),
         case("S10.PADU4YO", "eq. (padu4yo)", FULL, *_recombined_rows(EVEN, True), splits=MID),
         case("S10.PART9", "special value at kernel 9 - 4 cos^2 2x", FULL, NO_PARAMS,
-             lambda p: lambda x: x * x * math.cos(x) / (9.0 - 4.0 * math.cos(2.0 * x) ** 2),
-             lambda p: -PI / 6.0 * (PI2 / 6.0 - 1.5 * LA2) + PI / (6.0 * SQRT5) * t * LN_ALPHA
+             lambda: lambda x: x * x * math.cos(x) / (9.0 - 4.0 * math.cos(2.0 * x) ** 2),
+             lambda: -PI / 6.0 * (PI2 / 6.0 - 1.5 * LA2) + PI / (6.0 * SQRT5) * t * LN_ALPHA
              - PI / (6.0 * SQRT5) * cl_pair(t), splits=MID),
     ]

@@ -35,36 +35,34 @@ def _four_cubed(r, fib):
 def _log_rows(br, k):
     """x sin x/(L_r^2 - 4 cos^2 x)^k for even r, x sin x/(L_r^2 + 4 sin^2 x)^k for odd r."""
 
-    def rhs(p):
-        r = p["r"]
+    def rhs(r):
         a, b = br.A(r), br.B(r)
         lg = math.log(b / (a - 2.0) if br is EVEN else (a + 2.0) / b)
         if k == 1:
             return PI / (2.0 * a) * lg
         return PI / _four_cubed(r, br is ODD) * lg + PI / (10.0 * F(2 * r) ** 2)
 
-    return br.params, lambda p: _xsin(L(p["r"]) ** 2, *br.lsq, k), rhs
+    return br.params, lambda r: _xsin(L(r) ** 2, *br.lsq, k), rhs
 
 
 def _atan_rows(br, k):
     """x sin x/(A_r^2 - 4 sin^2 x)^k: arctan(2/B_r)."""
 
-    def rhs(p):
-        r = p["r"]
+    def rhs(r):
         b = br.B(r)
         if k == 1:
             return PI / 2.0 / b * math.atan(2.0 / b)
         return PI / _four_cubed(r, br is EVEN) * math.atan(2.0 / b) + PI / (10.0 * F(2 * r) ** 2)
 
-    return br.params, lambda p: _xsin(br.A2(p["r"]), -4.0, math.sin, k), rhs
+    return br.params, lambda r: _xsin(br.A2(r), -4.0, math.sin, k), rhs
 
 
 def _u6_rhs(q):
     return PI / 2.0 * (1.0 - q * q) ** 2 / (q * (1.0 + q * q)) * math.log(abs((1.0 + q) / (1.0 - q)))
 
 
-def _cube(p):
-    b = 5.0 * F(2 * p["r"]) ** 2
+def _cube(r):
+    b = 5.0 * F(2 * r) ** 2
 
     def f(x):
         s = math.sin(x)
@@ -73,8 +71,7 @@ def _cube(p):
     return f
 
 
-def _cube_rhs(p):
-    r = p["r"]
+def _cube_rhs(r):
     f4 = F(4 * r)
     return -PI / (10.0 * f4 * f4) + 2.0 * PI * SQRT5 / 25.0 * L(4 * r) / f4**3 * r * LN_ALPHA
 
@@ -84,14 +81,12 @@ def _gj_rhs(q):
     return PI / (q * s) * math.log(q + s)
 
 
-def _sc3_rhs(p):
-    r = p["r"]
+def _sc3_rhs(r):
     rl = math.sqrt(L(2 * r))
     return PI * SQRT2 / (2.0 * L(r) * rl) * math.log((bpow(r) * SQRT2 + rl) / (apow(r) * SQRT2 - rl))
 
 
-def _qo3_rhs(p):
-    r = p["r"]
+def _qo3_rhs(r):
     rl = math.sqrt(L(2 * r))
     return PI * math.sqrt(10.0) / (10.0 * F(r) * rl) * math.log((-bpow(r) * SQRT2 + rl) / (apow(r) * SQRT2 - rl))
 
@@ -124,20 +119,19 @@ def _quartic_rhs(q, cube):
     return PI / (2.0 * q * sm) * math.atan(q / sm) + PI / (2.0 * q * sp) * math.log(q + sp)
 
 
-def _fm_kernel(p):
-    q2 = (0.5, 1.0, 2.0)[p["k"] - 1] ** 2
-    m = p["m"]
-    k = 2 * m - 1
+def _fm_kernel(k, m):
+    q2 = (0.5, 1.0, 2.0)[k - 1] ** 2
+    e = 2 * m - 1
 
     def g(x):
         s = math.sin(x)
-        return s ** k / (1.0 + q2 * s * s) ** m
+        return s ** e / (1.0 + q2 * s * s) ** m
 
     return g
 
 
-def _fm_rhs(p):
-    g = _fm_kernel(p)
+def _fm_rhs(k, m):
+    g = _fm_kernel(k, m)
     return quad_rhs(lambda x: x * g(x)) / PI
 
 
@@ -150,7 +144,7 @@ def cases():
     return [
         # generic log form at parameter q, q^2 < 1
         case("S6.U6JQLAY", "eq. (u6jqlay)", FULL, k6,
-             lambda p: _xsin(1.0, (2.0 * q6(p) / (1.0 - q6(p) * q6(p))) ** 2, math.sin), lambda p: _u6_rhs(q6(p))),
+             lambda k: _xsin(1.0, (2.0 * q6(k) / (1.0 - q6(k) * q6(k))) ** 2, math.sin), lambda k: _u6_rhs(q6(k))),
         # golden instances: r odd, kernel L_r^2 + 4 sin^2 x; r even, kernel L_r^2 - 4 cos^2 x
         case("S6.CPWMQ60", "eq. (cpwmq60)", FULL, *_log_rows(ODD, 1)),
         case("S6.RDJRA1D", "eq. (rdjra1d)", FULL, *_log_rows(EVEN, 1), note=RDJ_NOTE),
@@ -158,31 +152,30 @@ def cases():
         case("S6.SQ.A", "squared cor. of eq. (cpwmq60)", FULL, *_log_rows(ODD, 2)),
         case("S6.SQ.B", "squared cor. of eq. (rdjra1d)", FULL, *_log_rows(EVEN, 2)),
         # kernel 4 + 5 F_{2r}^2 sin^2 x
-        case("S6.RLJJ8TO", "eq. (rljj8to)", FULL, r16, lambda p: _xsin(4.0, 5.0 * F(2 * p["r"]) ** 2, math.sin),
-             lambda p: 2.0 * PI * p["r"] * SQRT5 / (5.0 * F(4 * p["r"])) * LN_ALPHA),
+        case("S6.RLJJ8TO", "eq. (rljj8to)", FULL, r16, lambda r: _xsin(4.0, 5.0 * F(2 * r) ** 2, math.sin),
+             lambda r: 2.0 * PI * r * SQRT5 / (5.0 * F(4 * r)) * LN_ALPHA),
         case("S6.SIN3CUBE", "cor. of eq. (rljj8to)", FULL, r16, _cube, _cube_rhs),
         # generic log and arctan forms in Q
-        case("S6.GJNEYFK", "eq. (gjneyfk)", FULL, kg, lambda p: _xsin(1.0, qg(p) ** 2, math.sin), lambda p: _gj_rhs(qg(p))),
+        case("S6.GJNEYFK", "eq. (gjneyfk)", FULL, kg, lambda k: _xsin(1.0, qg(k) ** 2, math.sin), lambda k: _gj_rhs(qg(k))),
         # golden instances with cos^2 kernels
-        case("S6.SC3T62N", "eq. (sc3t62n)", FULL, r18,
-             lambda p: _xsin(2.0 * L(2 * p["r"]), -L(p["r"]) ** 2, math.cos), _sc3_rhs),
+        case("S6.SC3T62N", "eq. (sc3t62n)", FULL, r18, lambda r: _xsin(2.0 * L(2 * r), -L(r) ** 2, math.cos), _sc3_rhs),
         case("S6.QO33H5M", "eq. (qo33h5m)", FULL, r18,
-             lambda p: _xsin(2.0 * L(2 * p["r"]), -5.0 * F(p["r"]) ** 2, math.cos), _qo3_rhs),
+             lambda r: _xsin(2.0 * L(2 * r), -5.0 * F(r) ** 2, math.cos), _qo3_rhs),
         # arctan form, Q^2 < 1
-        case("S6.PGLRQHP", "eq. (pglrqhp)", FULL, kp, lambda p: _xsin(1.0, -qp(p) ** 2, math.sin),
-             lambda p: _pg_rhs(qp(p)), splits=MID),
+        case("S6.PGLRQHP", "eq. (pglrqhp)", FULL, kp, lambda k: _xsin(1.0, -qp(k) ** 2, math.sin),
+             lambda k: _pg_rhs(qp(k)), splits=MID),
         # golden arctan instances
         case("S6.FMK6KRX.E", "thm. (fmk6krx), even branch", FULL, *_atan_rows(EVEN, 1), splits=MID),
         case("S6.FMK6KRX.O", "thm. (fmk6krx), odd branch", FULL, *_atan_rows(ODD, 1), splits=MID),
         case("S6.FMK6KRX.PART", "special value (pi/2) arctan 2", FULL, NO_PARAMS,
-             lambda p: _xsin(5.0, -4.0, math.sin), lambda p: PI / 2.0 * math.atan(2.0), splits=MID),
+             lambda: _xsin(5.0, -4.0, math.sin), lambda: PI / 2.0 * math.atan(2.0), splits=MID),
         case("S6.FMK6SQ.E", "squared cor. of thm. (fmk6krx), even", FULL, *_atan_rows(EVEN, 2), splits=MID),
         case("S6.FMK6SQ.O", "squared cor. of thm. (fmk6krx), odd", FULL, *_atan_rows(ODD, 2), splits=MID),
         # quartic sine kernels, Q^2 < 1
-        case("S6.QUARTIC.A", "remark pair, first", FULL, kq, lambda p: _quartic(qq(p) ** 4, False),
-             lambda p: _quartic_rhs(qq(p), False), splits=MID),
-        case("S6.QUARTIC.B", "remark pair, second", FULL, kq, lambda p: _quartic(qq(p) ** 4, True),
-             lambda p: _quartic_rhs(qq(p), True), splits=MID),
+        case("S6.QUARTIC.A", "remark pair, first", FULL, kq, lambda k: _quartic(qq(k) ** 4, False),
+             lambda k: _quartic_rhs(qq(k), False), splits=MID),
+        case("S6.QUARTIC.B", "remark pair, second", FULL, kq, lambda k: _quartic(qq(k) ** 4, True),
+             lambda k: _quartic_rhs(qq(k), True), splits=MID),
         # half-interval equals full-interval/pi, including the power form
         case("S6.FM2DODR", "eq. (fm2dodr) and its power form", HALF, (P("m", 1, 3), P("k", 1, 3)), _fm_kernel, _fm_rhs,
              default_tol=1e-9),

@@ -17,11 +17,10 @@ def _core2(arg: float) -> float:
 
 def _lsq(br, k):
     """x^2/(L_r^2 - 4 cos^2 x)^k for even r, x^2/(L_r^2 + 4 sin^2 x)^k for odd r."""
-    return br.params, lambda p: trig_sq_kernel(L(p["r"]) ** 2, *br.lsq, k)
+    return br.params, lambda r: trig_sq_kernel(L(r) ** 2, *br.lsq, k)
 
 
-def _ae_rhs(p):
-    r = p["r"]
+def _ae_rhs(r):
     return _core2(bpow(2 * r)) / (F(2 * r) * SQRT5)
 
 
@@ -31,31 +30,26 @@ def _m86(r, e, lg):
     return PI3 * w / 75.0 + PI * w / 25.0 * li2(e) - PI / (5.0 * F(2 * r) ** 2) * lg
 
 
-def _m86_rhs(p):
-    r = p["r"]
+def _m86_rhs(r):
     arg = bpow(r) * F(r) * SQRT5 if r % 2 == 0 else -bpow(r) * L(r)
     return _m86(r, bpow(2 * r), math.log(arg))
 
 
-def _wbn(p, k):
+def _wbn(r, k):
     """x^2/(L_r^2 - 4 (-1)^r cos^2 x)^k."""
-    r = p["r"]
     return trig_sq_kernel(L(r) ** 2, -4.0 * parity(r).sigma, math.cos, k)
 
 
-def _wbn_rhs(p):
-    r = p["r"]
+def _wbn_rhs(r):
     return _core2((-1.0) ** r * bpow(2 * r)) / (F(2 * r) * SQRT5)
 
 
-def _wbnsq_rhs(p):
-    r = p["r"]
+def _wbnsq_rhs(r):
     e = (-1.0) ** r * bpow(2 * r)
     return _m86(r, e, math.log1p(-e))
 
 
-def _ef4(p):
-    r = p["r"]
+def _ef4(r):
     a = L(r) ** 2
     s = 4.0 * (-1.0) ** r
 
@@ -66,8 +60,7 @@ def _ef4(p):
     return f
 
 
-def _ef4_rhs(p):
-    r = p["r"]
+def _ef4_rhs(r):
     sgn = (-1.0) ** r
     f2 = F(2 * r)
     pref = -PI / (10.0 * F(r) * f2 * bpow(r)) + PI * SQRT5 / 20.0 * sgn / f2
@@ -79,8 +72,8 @@ def _ef4_rhs(p):
 KR, QR = qgrid((-0.7, -0.5, 0.3, 0.6, BETA * BETA, -BETA))
 
 
-def _rm(p):
-    q = QR(p)
+def _rm(k):
+    q = QR(k)
     c = 4.0 * q / (1.0 + q) ** 2
 
     def f(x):
@@ -90,8 +83,8 @@ def _rm(p):
     return f
 
 
-def _rm_rhs(p):
-    q = QR(p)
+def _rm_rhs(k):
+    q = QR(k)
     return -PI / 4.0 * (1.0 + q) ** 4 / (1.0 - q) ** 2 * math.log1p(-q) / q + 0.5 * (
         (1.0 + q) / (1.0 - q)
     ) ** 3 * _core2(q)
@@ -104,16 +97,16 @@ def cases():
         case("S8.AEKFMPM.E", "eq. (aekfmpm), even branch", FULL, *_lsq(EVEN, 1), _ae_rhs),
         case("S8.AEKFMPM.O", "eq. (aekfmpm), odd branch", FULL, *_lsq(ODD, 1), _ae_rhs),
         case("S8.AEKFMPM.PART", "special value at kernel 1 + 4 sin^2 x", FULL, NO_PARAMS,
-             lambda p: trig_sq_kernel(1.0, 4.0, math.sin), lambda p: 2.0 * PI3 / (5.0 * SQRT5) - PI * LN_ALPHA**2 / SQRT5),
+             lambda: trig_sq_kernel(1.0, 4.0, math.sin), lambda: 2.0 * PI3 / (5.0 * SQRT5) - PI * LN_ALPHA**2 / SQRT5),
         # squared kernels
         case("S8.M86SKX9.E", "cor. (m86skx9), even branch", FULL, *_lsq(EVEN, 2), _m86_rhs),
         case("S8.M86SKX9.O", "cor. (m86skx9), odd branch", FULL, *_lsq(ODD, 2), _m86_rhs),
         case("S8.M86SKX9.PART", "special value at squared kernel 1 + 4 sin^2 x", FULL, NO_PARAMS,
-             lambda p: trig_sq_kernel(1.0, 4.0, math.sin, 2),
-             lambda p: 6.0 * PI3 * SQRT5 / 125.0 - 3.0 * PI * SQRT5 / 25.0 * LN_ALPHA**2 + PI / 5.0 * LN_ALPHA),
+             lambda: trig_sq_kernel(1.0, 4.0, math.sin, 2),
+             lambda: 6.0 * PI3 * SQRT5 / 125.0 - 3.0 * PI * SQRT5 / 25.0 * LN_ALPHA**2 + PI / 5.0 * LN_ALPHA),
         # sign-resolved kernel L_r^2 - 4(-1)^r cos^2 x
-        case("S8.WBNQDEF", "eq. (wbnqdef)", FULL, r10, lambda p: _wbn(p, 1), _wbn_rhs, splits=MID),
-        case("S8.WBNQ.SQ", "squared cor. of eq. (wbnqdef)", FULL, r10, lambda p: _wbn(p, 2), _wbnsq_rhs, splits=MID),
+        case("S8.WBNQDEF", "eq. (wbnqdef)", FULL, r10, lambda r: _wbn(r, 1), _wbn_rhs, splits=MID),
+        case("S8.WBNQ.SQ", "squared cor. of eq. (wbnqdef)", FULL, r10, lambda r: _wbn(r, 2), _wbnsq_rhs, splits=MID),
         # x^2 cos^2 x numerator over the squared sign-resolved kernel
         case("S8.EF4NKHY", "eq. (ef4nkhy)", FULL, (P("r", 1, 8),), _ef4, _ef4_rhs, splits=MID),
         # generic q-derivative remark form

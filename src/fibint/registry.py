@@ -7,7 +7,10 @@ m, k), frequently with a parity split between even and odd r.  Entries
 carry an anchor string naming the identity, a quadrature strategy, and a
 default absolute tolerance.  default_grid() enumerates the verification
 assignments; instantiate() binds one assignment, evaluating all exact
-sequence values and converting to binary64 as late as possible.
+sequence values and converting to binary64 as late as possible.  A row's
+integrand builder and closed form are plain functions of its parameters,
+which they take by name: def rhs(n, r), or lambda: c for a row without
+parameters.
 """
 
 from __future__ import annotations
@@ -36,32 +39,26 @@ class ParamError(ValueError):
 class ParamSpec:
     """Validity/verification range of one integer parameter."""
 
-    __slots__ = ("name", "min", "max", "parity", "exclusions")
+    __slots__ = ("name", "min", "max", "parity")
 
-    def __init__(self, name: str, min: int, max: int, parity: str = "any", exclusions: tuple[int, ...] = ()) -> None:
+    def __init__(self, name: str, min: int, max: int, parity: str = "any") -> None:
         if name not in PARAM_NAMES:
             raise ValueError(f"parameter name must be one of {PARAM_NAMES}")
         if min > max:
             raise ValueError(f"{name}: min {min} > max {max}")
         if parity not in ("any", "even", "odd"):
             raise ValueError(f"{name}: bad parity {parity!r}")
-        for x in exclusions:
-            if not (min <= x <= max):
-                raise ValueError(f"{name}: exclusion {x} outside range")
         self.name = name
         self.min = min
         self.max = max
         self.parity = parity
-        self.exclusions = exclusions
 
     def admits(self, value: int) -> bool:
         if not (self.min <= value <= self.max):
             return False
         if self.parity == "even" and value % 2 != 0:
             return False
-        if self.parity == "odd" and value % 2 == 0:
-            return False
-        return value not in self.exclusions
+        return not (self.parity == "odd" and value % 2 == 0)
 
     def values(self, lo: int | None = None, hi: int | None = None) -> list[int]:
         lo = self.min if lo is None else max(lo, self.min)
@@ -72,8 +69,6 @@ class ParamSpec:
         parts = [f"{self.min}..{self.max}"]
         if self.parity != "any":
             parts.append(self.parity)
-        if self.exclusions:
-            parts.append("excluding " + ",".join(map(str, self.exclusions)))
         return f"{self.name}={value} violates {self.name} in {' '.join(parts)}"
 
 
@@ -125,10 +120,11 @@ class Record:
 class IdentityCase:
     """One catalog row: integrand family, closed form, parameter domain.
 
-    lhs_builder maps an assignment to the bare integrand x -> f(x), and
-    splits are that integrand's known singular points; rhs_eval maps an
-    assignment to the closed form as written.  instantiate binds them into
-    a BoundInstance: Integrand(lhs_builder(p), splits) and float(rhs_eval(p)).
+    lhs_builder takes the row's parameters by name and returns the bare
+    integrand x -> f(x), and splits are that integrand's known singular
+    points; rhs_eval takes the same parameters and returns the closed form
+    as written.  instantiate binds them into a BoundInstance:
+    Integrand(lhs_builder(**p), splits) and float(rhs_eval(**p)).
     default_tol defaults to TOL_FINITE on FINITE rows, else TOL_TRANSFORMED.
     """
 
@@ -140,8 +136,8 @@ class IdentityCase:
         anchor: str,
         strategy: Strategy,
         params: tuple[ParamSpec, ...],
-        lhs_builder: Callable[[Mapping[str, int]], Callable[[float], float]],
-        rhs_eval: Callable[[Mapping[str, int]], float],
+        lhs_builder: Callable[..., Callable[[float], float]],
+        rhs_eval: Callable[..., float],
         default_tol: float | None = None,
         splits: tuple[float, ...] = (),
         note: str = "",
@@ -251,14 +247,16 @@ def _validate(case: IdentityCase, assignment: Mapping[str, int]) -> dict[str, in
 
 
 def instantiate(case_id: str, assignment: Mapping[str, int]) -> BoundInstance:
-    """Bind a catalog row to one assignment; validates parity/range."""
+    """Bind a catalog row to one assignment, validated for names, parity and
+    range, by calling its builder and closed form with the parameters as
+    keywords."""
     case = get_case(case_id)
     clean = _validate(case, assignment)
     return BoundInstance(
         case_id=case.id,
         assignment=clean,
-        integrand=Integrand(case.lhs_builder(clean), case.splits),
-        rhs=float(case.rhs_eval(clean)),
+        integrand=Integrand(case.lhs_builder(**clean), case.splits),
+        rhs=float(case.rhs_eval(**clean)),
         tol=case.default_tol,
         strategy=case.strategy,
     )
@@ -270,8 +268,7 @@ def default_grid(
     """Cross product of the per-parameter verification ranges.
 
     overrides maps a parameter name to an inclusive (lo, hi) window that
-    is intersected with the declared range; parity and exclusions always
-    stay in force.
+    is intersected with the declared range; parity always stays in force.
     """
     case = get_case(case_id)
     axes: list[list[tuple[str, int]]] = []
@@ -288,8 +285,9 @@ def catalog_entry(case: IdentityCase) -> dict:
     return {
         "id": case.id,
         "anchor": case.anchor,
+        # no parameter has exclusions; the key stays, as the bytes of `list --format json` and the catalog pins carry it
         "params": [
-            {"name": p.name, "parity": p.parity, "min": p.min, "max": p.max, "exclusions": list(p.exclusions)}
+            {"name": p.name, "parity": p.parity, "min": p.min, "max": p.max, "exclusions": []}
             for p in case.params
         ],
         "strategy": case.strategy.label(),

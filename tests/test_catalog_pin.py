@@ -20,7 +20,7 @@ A third set pins the bytes of `fibint list --format json|csv|md`, which
 the catalog digest cannot see: it hashes parsed rows.
 
 A last pair of digests covers the `results` part of `fibint verify
---format json` (cli.report_json without its meta) over the whole catalog,
+--format json` (cli._json_pieces joined, without its meta) over the whole catalog,
 at the default tolerances and at `--tol 1e-12`: every lhs, rhs, abs_err,
 tol, verdict and note.  A change that moves one of those bits, in the
 catalog or in the quadrature, re-records the digest and says why.
@@ -101,7 +101,7 @@ def test_list_bytes_pinned(fmt, capsys):
 
 
 def results_digest(tol):
-    doc = cli.report_json(verifier.run("*", tol_override=tol), tol, "*")
+    doc = "".join(cli._json_pieces(verifier.run("*", tol_override=tol), tol, "*"))
     return hashlib.sha256(doc[doc.index('"results": '):].encode()).hexdigest()
 
 

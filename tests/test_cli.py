@@ -79,7 +79,7 @@ def test_report_md_byte_layout():
         "B.FAIL", (("k", 1),), float("nan"), 0.25, float("inf"), 1e-7, False, 0, "integration error: boom"
     )
     report = verifier.Report(results=(passed, exact, failed), n_pass=2, n_fail=1, wall_time=0.0)
-    assert cli._report_md(report) == (
+    assert "".join(cli._md_pieces(report)) == (
         "| id | params | lhs | rhs | abs_err | tol | passed | note |\n"
         "|----|--------|-----|-----|---------|-----|--------|------|\n"
         "| A.PASS | m=2;r=3 | 1.5 | 1.5 | 2.220e-16 | 1.0e-10 | pass |  |\n"
@@ -171,7 +171,7 @@ def test_failed_row_is_its_familys_worst():
     assert bad.abs_err == math.inf and not bad.passed
     good = verifier.verify_instance(registry.instantiate("S5.FOURG", {}))
     for rows in ((good, bad), (bad, good)):
-        md = cli._report_md(verifier.Report(results=rows, n_pass=1, n_fail=1, wall_time=0.0))
+        md = "".join(cli._md_pieces(verifier.Report(results=rows, n_pass=1, n_fail=1, wall_time=0.0)))
         assert "\n| S5 | 2 | 1 | inf | inf | " in md
 
 
@@ -183,7 +183,7 @@ def test_report_json_byte_layout():
         "B.FAIL", (), float("nan"), 0.25, float("inf"), 1e-7, False, 0, 'say "hi" \\ then\ttab\x01'
     )
     report = verifier.Report(results=(passed, failed), n_pass=1, n_fail=1, wall_time=0.0)
-    text = cli.report_json(report, 1e-12, "A.*")
+    text = "".join(cli._json_pieces(report, 1e-12, "A.*"))
     head, _, rest = text.partition('"timestamp": "')
     assert head == '{"meta": {"tol": 9.9999999999999998e-13, "filter": "A.*", '
     timestamp, _, rest = rest.partition('"')
@@ -211,8 +211,8 @@ def test_emit_ends_with_one_newline(text, tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
 def test_streamed_report_is_the_string_renderers_text(fmt, tmp_path, monkeypatch):
-    # `verify` writes its report piece by piece; the file must hold exactly what
-    # the string renderer returns for the same report, and one final newline
+    # `verify` writes its report piece by piece; the file must hold exactly the
+    # renderer's pieces for the same report, joined, and one final newline
     reports = []
     run = verifier.run
 
@@ -226,10 +226,10 @@ def test_streamed_report_is_the_string_renderers_text(fmt, tmp_path, monkeypatch
     (report,) = reports
     text = path.read_text(encoding="utf-8")
     if fmt == "json":
-        expected = cli.report_json(report, None, "S5.*")
+        expected = "".join(cli._json_pieces(report, None, "S5.*"))
         text, expected = (re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', t) for t in (text, expected))
     else:  # the md totals line reads the report's own wall time, so it matches too
-        expected = (cli._report_csv if fmt == "csv" else cli._report_md)(report)
+        expected = "".join((cli._csv_pieces if fmt == "csv" else cli._md_pieces)(report))
     assert len(report.results) > 10
     assert text == expected.rstrip("\n") + "\n"
 
@@ -259,6 +259,21 @@ def test_show(capsys):
     code, _, err = run_cli(capsys, "show", "NOSUCH")
     assert code == 2
     assert err == "error: unknown catalog id 'NOSUCH'\n"
+
+
+def test_repeated_grid_name_exits_2(capsys):
+    # a second window for r must not silently replace the first
+    code, out, err = run_cli(
+        capsys, "verify", "--filter", "S3.M6BI7TA", "--grid", "r=2..3", "--grid", "r=5..6", "--format", "csv"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: bad grid override 'r=5..6'; r already has a window\n"
+    # windows for different parameters still combine
+    code, out, _ = run_cli(
+        capsys, "verify", "--filter", "S3.LFPAIR.A", "--grid", "n=1..1", "--grid", "r=2..3", "--format", "csv"
+    )
+    assert code == 0
+    assert [row[1] for row in csv.reader(io.StringIO(out))][1:] == ["n=1;r=2", "n=1;r=3"]
 
 
 def test_bad_arguments_exit_2(capsys):

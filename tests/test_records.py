@@ -107,7 +107,7 @@ def test_identity_case_builders_and_integrand_eval_are_assignable():
     seen = []
     try:
         for attr, fn in saved.items():
-            object.__setattr__(case, attr, lambda p, fn=fn, attr=attr: seen.append(attr) or fn(p))
+            object.__setattr__(case, attr, lambda fn=fn, attr=attr, **p: seen.append(attr) or fn(**p))
         inst = registry.instantiate(case.id, registry.default_grid(case.id)[0])
         assert seen == ["lhs_builder", "rhs_eval"]
         inner = inst.integrand.eval
