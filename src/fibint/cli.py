@@ -15,12 +15,13 @@ import argparse
 import math
 import os
 import sys
+import time
 from typing import TYPE_CHECKING, TextIO
 
 from . import registry
 
 # `list` and `show` read only the catalog: quad and the verifier are imported by
-# `verify`, and csv, datetime and collections by the writers that use them
+# `verify`, and csv and collections by the writers that use them
 if TYPE_CHECKING:
     from typing import Iterable, Iterator
 
@@ -54,9 +55,7 @@ def _params_str(assignment) -> str:
 
 def _json_pieces(report: verifier.Report, tol, pattern: str) -> Iterator[str]:
     """The `verify --format json` document in pieces: meta (tol, filter, timestamp), then one row per result."""
-    from datetime import datetime, timezone
-
-    ts = datetime.now(timezone.utc).isoformat()
+    ts = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())  # UTC, to the second
     tol_s = "null" if tol is None else _fmt(tol)
     yield f'{{"meta": {{"tol": {tol_s}, "filter": "{_json_escape(pattern)}", "timestamp": "{ts}"}}, "results": ['
     sep = ""

@@ -10,6 +10,8 @@ cl2 evaluates Clausen's function Cl2(t) = sum sin(n t)/n^2 through two
 Bernoulli-type expansions, one about t = 0 (leading behaviour
 t - t*ln|t|) and one about t = pi, after odd/2pi-periodic reduction.
 The defining sine series alone converges far too slowly for 1e-12 work.
+Its coefficient tables are float literals; a test rebuilds every bit of
+them from exact Bernoulli numbers.
 
 Catalan's constant G = sum (-1)^j/(2j+1)^2 is the literal CATALAN, its
 correctly rounded binary64 value.  constants() returns one read-only
@@ -19,13 +21,9 @@ record of it and the golden-ratio constants of exact_seq, built at import.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .exact_seq import ALPHA, BETA, LN_ALPHA, SQRT5
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 PI = math.pi
 PI2_6 = PI * PI / 6.0
@@ -36,28 +34,23 @@ _SERIES_TOL = 1e-16  # the direct series stop at their first term below this
 _MAX_TERMS = 200
 
 
-def _bernoulli(n: int) -> list[Fraction]:
-    """B_0 .. B_n (B_1 = -1/2) via the defining recurrence, exact."""
-    from fractions import Fraction  # imported here: only the lazily built tables need it
-
-    b = [Fraction(0)] * (n + 1)
-    b[0] = Fraction(1)
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for k in range(m):
-            acc += math.comb(m + 1, k) * b[k]
-        b[m] = -acc / (m + 1)
-    return b
-
-
-@lru_cache(maxsize=1)
-def _tables() -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # cl2 about 0:   Cl2(t) = t - t ln t + sum_n c0_n t^{2n+1}
-    # cl2 about pi:  Cl2(pi - p) = p ln 2 - sum_m cp_m p^{2m+1}
-    # cp_m = (4^m - 1) c0_m, taken on the exact rationals before rounding
-    bern = _bernoulli(40)
-    about0 = [(-1) ** (n + 1) * bern[2 * n] / (2 * math.factorial(2 * n) * n * (2 * n + 1)) for n in range(1, 21)]
-    return tuple(map(float, about0)), tuple(float((4**m - 1) * c) for m, c in enumerate(about0, 1))
+# cl2 about 0:   Cl2(t) = t - t ln t + sum_n c0_n t^{2n+1}, with c0_n = (-1)^(n+1) B_2n / (2 (2n)! n (2n+1))
+# cl2 about pi:  Cl2(pi - p) = p ln 2 - sum_m cp_m p^{2m+1}, with cp_m = (4^m - 1) c0_m
+# n, m = 1 .. 20; each entry is its exact rational rounded once to binary64
+_CL2_C0 = (
+    0.013888888888888888, 6.944444444444444e-05, 7.873519778281683e-07, 1.1482216343327455e-08,
+    1.8978869988971e-10, 3.387301370953521e-12, 6.372636443183181e-14, 1.2462059912950672e-15,
+    2.5105444608999545e-17, 5.178258806090623e-19, 1.0887357368300849e-20, 2.325744114302087e-22,
+    5.03519521314739e-24, 1.1026499294381215e-25, 2.4386585509007344e-27, 5.440142678856253e-29,
+    1.2228340131217352e-30, 2.767263468967951e-32, 6.3000905918320136e-34, 1.4420868388418476e-35,
+)
+_CL2_CP = (
+    0.041666666666666664, 0.0010416666666666667, 4.96031746031746e-05, 2.927965167548501e-06,
+    1.941538399871733e-07, 1.3870999114054669e-08, 1.0440290284867003e-09, 8.167010963952224e-11,
+    6.5812165661369675e-12, 5.429792727596475e-13, 4.5664875671936356e-14, 3.901950904063069e-15,
+    3.3790622573736396e-16, 2.9599033551444004e-17, 2.618489678118693e-18, 2.336523488582129e-19,
+    2.1008128377954317e-20, 1.9016489757535847e-21, 1.7317557154340702e-22, 1.5855912475679037e-23,
+)
 
 
 def _li2_series(z: float) -> float:
@@ -100,14 +93,13 @@ def li2_real(x: float) -> float:
 
 def _cl2_core(t: float) -> float:
     """Cl2 on [0, pi] via the expansion about 0 or about pi."""
-    c0, cp = _tables()
     if t == 0.0 or t == PI:
         return 0.0
     if t <= 0.5 * PI:
         t2 = t * t
         acc = t - t * math.log(t)
         tp = t * t2
-        for cn in c0:
+        for cn in _CL2_C0:
             term = cn * tp
             acc += term
             if abs(term) < _SERIES_TOL:
@@ -118,7 +110,7 @@ def _cl2_core(t: float) -> float:
     p2 = p * p
     acc = p * LN2
     pp = p * p2
-    for cm in cp:
+    for cm in _CL2_CP:
         term = cm * pp
         acc -= term
         if abs(term) < _SERIES_TOL:

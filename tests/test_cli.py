@@ -276,6 +276,28 @@ def test_repeated_grid_name_exits_2(capsys):
     assert [row[1] for row in csv.reader(io.StringIO(out))][1:] == ["n=1;r=2", "n=1;r=3"]
 
 
+def test_grid_window_no_matched_row_declares_exits_2(capsys):
+    # S3.M6BI7TA has only r: a window on n must not run its full grid without a word
+    code, out, err = run_cli(capsys, "verify", "--filter", "S3.M6BI7TA", "--grid", "n=1..2", "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "error: bad grid override 'n=1..2'; no entry matching 'S3.M6BI7TA' has n\n"
+    # a window on a parameter that some matched rows declare narrows those rows only
+    code, out, _ = run_cli(
+        capsys, "verify", "--filter", "S3.LFPAIR.A", "--grid", "n=1..1", "--grid", "r=2..3", "--format", "csv"
+    )
+    assert code == 0
+    assert [row[1] for row in csv.reader(io.StringIO(out))][1:] == ["n=1;r=2", "n=1;r=3"]
+    code, out, _ = run_cli(
+        capsys, "verify", "--filter", "S3.[LM]*", "--grid", "n=1..1", "--grid", "r=2..2", "--format", "csv"
+    )
+    assert code == 0
+    assert [row[:2] for row in csv.reader(io.StringIO(out))][1:] == [
+        ["S3.LFPAIR.A", "n=1;r=2"],
+        ["S3.LFPAIR.B", "n=1;r=2"],
+        ["S3.M6BI7TA", "r=2"],
+    ]
+
+
 def test_bad_arguments_exit_2(capsys):
     assert run_cli(capsys, "verify", "--grid", "r=5")[0] == 2
     assert run_cli(capsys, "verify", "--grid", "z=1..2")[0] == 2

@@ -1,8 +1,9 @@
 """Start-up cost of the records and the package, and the names `perfbench/traced.py` patches.
 
 `fibint list` and a cold `fibint verify` should not pay for the
-`dataclasses` machinery or for `fractions`/`decimal`, which only the
-lazily built Clausen tables use.  `import fibint` loads no submodule,
+`dataclasses` machinery or for `fractions`/`decimal`: the Clausen tables
+are float literals, and the report's timestamp comes from `time`, not
+`datetime`.  `import fibint` loads no submodule,
 and `fibint list` and `show` load neither the quadrature nor the
 verifier, nor the modules only the other writers use.  The traced benchmark run
 (`perfbench/run.py --trace 1`) replaces module functions and record
@@ -56,6 +57,19 @@ def test_list_and_show_load_only_the_catalog():
     )
     loaded = _modules_after(code) - _modules_after("pass")
     assert [m for m in NOT_FOR_LIST if m in loaded] == []
+
+
+def test_whole_catalog_verify_loads_no_exact_arithmetic_or_datetime():
+    names = ("fractions", "decimal", "numbers", "datetime")
+    bare = _loaded_after("pass", names)
+    if bare:
+        pytest.skip(f"a bare interpreter already loads {bare}")
+    code = (
+        "import os\n"
+        "from fibint import cli\n"
+        "assert cli.main(['verify', '--format', 'json', '--out', os.devnull]) == 0"
+    )
+    assert _loaded_after(code, names) == []
 
 
 def test_verify_leaves_fib_complex_unloaded():

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibint import specfun
 from fibint.exact_seq import fib, golden_powers, lucas
 from fibint.quad import Integrand, integrate_finite
 from fibint.specfun import (
@@ -70,6 +72,17 @@ def test_li2_duplication_fixed_points():
 @settings(max_examples=120, deadline=None)
 def test_li2_duplication_property(x):
     assert 0.5 * li2_real(x * x) - li2_real(x) - li2_real(-x) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cl2_tables_are_the_exact_rationals_rounded_once():
+    # B_0 .. B_40 (B_1 = -1/2) from the defining recurrence, in exact arithmetic
+    bern = [Fraction(1)]
+    for m in range(1, 41):
+        bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
+    about0 = [(-1) ** (n + 1) * bern[2 * n] / (2 * math.factorial(2 * n) * n * (2 * n + 1)) for n in range(1, 21)]
+    about_pi = [(4**m - 1) * c for m, c in enumerate(about0, 1)]
+    assert list(map(float.hex, specfun._CL2_C0)) == [float(c).hex() for c in about0]
+    assert list(map(float.hex, specfun._CL2_CP)) == [float(c).hex() for c in about_pi]
 
 
 def test_cl2_zeros_and_catalan():

@@ -1,3 +1,4 @@
+import collections
 import math
 import weakref
 
@@ -71,7 +72,7 @@ def test_run_releases_each_instance_once_verified(monkeypatch):
     # BoundInstance and Integrand have no __weakref__ slot, so each instance is
     # followed through a weak reference to its kernel function
     kernels = []
-    alive = []  # kernels alive as each instance is verified
+    alive = []  # (row, kernels alive) as each instance is verified
     instantiate, verify_instance = registry.instantiate, verifier.verify_instance
 
     def bind(case_id, assignment):
@@ -80,17 +81,22 @@ def test_run_releases_each_instance_once_verified(monkeypatch):
         return inst
 
     def verify_counting(inst):
-        alive.append(sum(k() is not None for k in kernels))
+        alive.append((inst.case_id, sum(k() is not None for k in kernels)))
         return verify_instance(inst)
 
     monkeypatch.setattr(registry, "instantiate", bind)
     monkeypatch.setattr(verifier, "verify_instance", verify_counting)
     rep = verifier.run("*")
     assert len(rep.results) == len(kernels) == len(alive) == 1504
-    assert alive[0] == 1504  # every instance is bound before the first is verified
-    # kernels that a catalog row shares between its instances outlive the run
+    # a row's instances are bound when the row is reached: besides the current one and
+    # those of its row not yet verified, only the kernels that a row shares between its
+    # instances live, so the pass never holds more than one row
     shared = sum(k() is not None for k in kernels)
-    assert alive[-1] <= 1 + shared <= 3
+    assert shared <= 1
+    pending = collections.Counter(row for row, _ in alive)
+    for row, n in alive:
+        assert n <= pending[row] + shared
+        pending[row] -= 1
 
 
 def test_determinism():
