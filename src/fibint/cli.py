@@ -1,5 +1,6 @@
 """Command-line front end: list the catalog, show one entry, run
-verifications, emit machine-readable reports.
+verifications, emit machine-readable reports.  Every command writes its
+output through one path, as pieces streamed to stdout or to --out.
 
 Exit codes: 0 all verified instances passed, 1 any failure or a stdout
 closed before the output was written (`fibint list | head`), 2
@@ -32,21 +33,12 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _json_num(x: float) -> str:
-    """_fmt for JSON, which has no nan or inf: those become null."""
-    return _fmt(x) if math.isfinite(x) else "null"
+# the quote, the backslash and the control characters; every other character is written as it is
+_JSON_ESCAPES = {**{i: f"\\u{i:04x}" for i in range(0x20)}, ord('"'): '\\"', ord("\\"): "\\\\"}
 
 
 def _json_escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch in '"\\':
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return s.translate(_JSON_ESCAPES)
 
 
 def _params_str(assignment) -> str:
@@ -63,13 +55,9 @@ def _json_pieces(report: verifier.Report, tol, pattern: str) -> Iterator[str]:
     for r in report.results:
         lhs, rhs, err, thr = r.lhs, r.rhs, r.abs_err, r.tol
         params = ", ".join([f'"{k}": {v}' for k, v in r.assignment])
-        if isfinite(lhs + rhs + err + thr):  # so all four are; an overflow takes the other branch, same bytes
-            nums = f'"lhs": {lhs:.17g}, "rhs": {rhs:.17g}, "abs_err": {err:.17g}, "tol": {thr:.17g}'
-        else:
-            nums = (
-                f'"lhs": {_json_num(lhs)}, "rhs": {_json_num(rhs)}, '
-                f'"abs_err": {_json_num(err)}, "tol": {_json_num(thr)}'
-            )
+        nums = f'"lhs": {lhs:.17g}, "rhs": {rhs:.17g}, "abs_err": {err:.17g}, "tol": {thr:.17g}'
+        if not isfinite(lhs + rhs + err + thr):  # JSON has no inf or nan: null; "-inf" first, or it reads -null
+            nums = nums.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
         note = _json_escape(r.note) if r.note else ""
         yield (
             f'{sep}{{"id": "{r.case_id}", "params": {{{params}}}, {nums}, '
@@ -178,8 +166,8 @@ def _params_spec_str(case: registry.IdentityCase) -> str:
     return ";".join(parts)
 
 
-def _list_json(cases: list[registry.IdentityCase]) -> str:
-    buf = ["["]
+def _list_json(cases: list[registry.IdentityCase]) -> Iterator[str]:
+    yield "["
     sep = ""
     for e in map(registry.catalog_entry, cases):
         params = ", ".join(
@@ -187,30 +175,26 @@ def _list_json(cases: list[registry.IdentityCase]) -> str:
             f'"max": {p["max"]}, "exclusions": {p["exclusions"]}}}'
             for p in e["params"]
         )
-        buf.append(
+        yield (
             f'{sep}{{"id": "{e["id"]}", "anchor": "{_json_escape(e["anchor"])}", '
             f'"params": [{params}], "strategy": "{e["strategy"]}", '
             f'"default_tol": {_fmt(e["default_tol"])}}}'
         )
         sep = ", "
-    buf.append("]")
-    return "".join(buf)
+    yield "]"
 
 
-def _list_csv(cases: list[registry.IdentityCase]) -> str:
-    return "".join(_csv(
+def _list_csv(cases: list[registry.IdentityCase]) -> Iterator[str]:
+    return _csv(
         ["id", "anchor", "params", "strategy", "default_tol"],
         ([c.id, c.anchor, _params_spec_str(c), c.strategy.label(), _fmt(c.default_tol)] for c in cases),
-    ))
+    )
 
 
-def _list_md(cases: list[registry.IdentityCase]) -> str:
-    lines = ["| id | anchor | params | strategy | tol |", "|----|--------|--------|----------|-----|"]
+def _list_md(cases: list[registry.IdentityCase]) -> Iterator[str]:
+    yield "| id | anchor | params | strategy | tol |\n|----|--------|--------|----------|-----|\n"
     for c in cases:
-        lines.append(
-            f"| {c.id} | {c.anchor} | {_params_spec_str(c)} | {c.strategy.label()} | {c.default_tol:.1e} |"
-        )
-    return "\n".join(lines)
+        yield f"| {c.id} | {c.anchor} | {_params_spec_str(c)} | {c.strategy.label()} | {c.default_tol:.1e} |\n"
 
 
 def _parse_grid(specs: list[str]) -> dict[str, tuple[int, int]]:
@@ -260,14 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(text: str | Iterable[str], out: TextIO | None) -> None:
-    """Write a text, or a document's pieces as they come, then a final newline unless it ends with one,
-    to out, or to stdout if out is None.  The stream encodes and buffers only a few kB at a time, so a
-    streamed document is never held whole, as text or as bytes.  The stream is flushed, so that a closed
-    pipe raises here and not at exit."""
+def _emit(pieces: Iterable[str], out: TextIO | None) -> None:
+    """Write a document's pieces as they come, then a final newline unless it ends with one, to out, or
+    to stdout if out is None.  The stream encodes and buffers only a few kB at a time, so a document is
+    never held whole, as text or as bytes.  The stream is flushed, so that a closed pipe raises here and
+    not at exit."""
     out = out or sys.stdout
     last = ""
-    for last in (text,) if isinstance(text, str) else text:
+    for last in pieces:
         out.write(last)
     out.write("" if last.endswith("\n") else "\n")
     out.flush()
@@ -276,10 +260,8 @@ def _emit(text: str | Iterable[str], out: TextIO | None) -> None:
 def _dispatch(args: argparse.Namespace, out: TextIO | None) -> int:
     """Run one parsed command, writing its output to out (None: stdout)."""
     if args.command == "list":
-        ids = set(registry.match_ids(args.filter))
-        cases = [c for c in registry.catalog() if c.id in ids]
-        text = {"json": _list_json, "csv": _list_csv, "md": _list_md}[args.format](cases)
-        _emit(text, out)
+        cases = [registry.get_case(i) for i in registry.match_ids(args.filter)]
+        _emit({"json": _list_json, "csv": _list_csv, "md": _list_md}[args.format](cases), out)
         return 0
 
     if args.command == "show":
@@ -295,7 +277,7 @@ def _dispatch(args: argparse.Namespace, out: TextIO | None) -> int:
         ]
         if case.note:
             lines.append(f"note:        {case.note}")
-        _emit("\n".join(lines), out)
+        _emit(["\n".join(lines)], out)
         return 0
 
     # verify

@@ -14,7 +14,8 @@ for odd r); B_r, the other of the two; their squares A2 and B2; sigma =
 (-1)^r as +-1.0, so that sigma beta^r = |beta|^r and a factor 1 -+ beta^r
 reads 1.0 - sigma * b; and lsq, the sign and function of the kernel
 L_r^2 - 4 cos^2 (even r) or L_r^2 + 4 sin^2 (odd r).  Each family is
-written once, with its kernel sign and its branch as arguments, and each
+written once, with its kernel sign and its branch as arguments, as is each
+shared kernel or closed-form core (pi3_li2(e) = pi^3/3 + pi Li2(e)), and each
 catalog module ends in a table of rows that name them: case(...) is
 registry.IdentityCase, with its default tolerance by strategy, and P is
 ParamSpec.  A row's builder and closed form take its parameters by name,
@@ -92,15 +93,16 @@ def cl_pair(t: float) -> float:
     return cl2(t) + cl2(PI - t)
 
 
-_quad = None  # fibint.quad, imported by the first right side that needs it, not by catalog()
+def pi3_li2(e: float) -> float:
+    """pi^3/3 + pi Li2(e)."""
+    return PI3 / 3.0 + PI * li2(e)
 
 
 def quad_rhs(f: Callable[[float], float], splits: tuple[float, ...] = ()) -> float:
     """f integrated over (0, pi) to 1e-12: the right side of a row whose closed form is a quadrature value."""
-    global _quad
-    if _quad is None:
-        from .. import quad as _quad
-    return _quad.integrate_finite(Integrand(f, splits), 0.0, PI, 1e-12).value
+    from ..quad import integrate_finite  # here, so that catalog() loads no quadrature
+
+    return integrate_finite(Integrand(f, splits), 0.0, PI, 1e-12).value
 
 
 case = IdentityCase  # the short names the catalog tables use

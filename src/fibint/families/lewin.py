@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ._helpers import (
     ALPHA, BETA, FULL, HALF, HALF_LINE, MID, PI, PI2, PI3, TAN_HALFPI,
-    case, cos2x_kernel, li2, li2_odd, math, qgrid, trig_sq_kernel, xcos_kernel,
+    case, cos2x_kernel, li2, li2_odd, math, pi3_li2, qgrid, trig_sq_kernel, xcos_kernel,
 )
 
 B2 = BETA * BETA  # beta^2 = 0.3819...
@@ -71,12 +71,12 @@ def _e11_rhs(k):
 
 def _e12_rhs(k):
     q = Q12(k)
-    return (1.0 + q) / (1.0 - q) * (PI3 / 3.0 + PI * li2(q))
+    return (1.0 + q) / (1.0 - q) * pi3_li2(q)
 
 
 def _e13_rhs(k):
     q = Q13(k)
-    return (1.0 + q * q) / (1.0 - q * q) * (PI3 / 3.0 + PI * li2(q))
+    return (1.0 + q * q) / (1.0 - q * q) * pi3_li2(q)
 
 
 def _e14_rhs(k):

@@ -42,16 +42,6 @@ def _j7h(br):
     return br.params, lambda r: _log_ratio_kernel(br.A(r) / 2.0), rhs
 
 
-def _tk(k):
-    q2 = QT(k) ** 2
-
-    def f(x):
-        s = math.sin(x)
-        return s / (s ** 2 + q2)
-
-    return f
-
-
 def _tk_rhs(k):
     q = QT(k)
     s = math.hypot(1.0, q)
@@ -119,8 +109,8 @@ def cases():
         case("S5.J7HZXMA.O", "thm. (j7hzxma), odd branch", HALF, *_j7h(ODD)),
         # the Catalan special value
         case("S5.FOURG", "special value 4G", HALF, NO_PARAMS, lambda: _log_ratio_kernel(1.0), lambda: 4.0 * CATALAN),
-        # sin x/(sin^2 x + Q^2)
-        case("S5.TKZY7WR", "eq. (tkzy7wr)", HALF, KT, _tk, _tk_rhs),
+        # sin x/(sin^2 x + Q^2), as Q^2 + 1.0 * sin^2 x: the same bits
+        case("S5.TKZY7WR", "eq. (tkzy7wr)", HALF, KT, lambda k: _sin_kernel(QT(k) ** 2, 1.0), _tk_rhs),
         # golden instances of the sine kernel
         case("S5.SIN1", "eq. (Fib_sin_id1)", HALF, r10, lambda r: _sin_kernel(5.0 * F(r) ** 2, L(r) ** 2), _sin1_rhs),
         case("S5.SIN2", "eq. (Fib_sin_id2)", HALF, r10, lambda r: _sin_kernel(L(r) ** 2, 5.0 * F(r) ** 2), _sin2_rhs),

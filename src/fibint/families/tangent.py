@@ -81,10 +81,9 @@ def _recip_rhs(r):
     return PI / 2.0 / (l2r * (a + 2.0)) * (l2r + a - 2.0 / a)
 
 
-def _rok(n, k):
-    q = ROK_Q[k - 1]
-    qq = q * q
-    rc = tuple(reversed(_sum_poly(n, qq)))
+def _poly_kernel(n, a, b):
+    """The n-fold derivative family's integrand: its binomial numerator at q^2 = a/b over (a + b t^2)^(n+1)."""
+    rc = tuple(reversed(_sum_poly(n, a / b)))
     e = n + 1
 
     def f(t):
@@ -92,9 +91,14 @@ def _rok(n, k):
         acc = 0.0
         for c in rc:
             acc = acc * u + c
-        return acc / (qq + u) ** e
+        return acc / (a + b * u) ** e
 
     return f
+
+
+def _rok(n, k):
+    q = ROK_Q[k - 1]
+    return _poly_kernel(n, q * q, 1.0)  # q*q/1.0 and 1.0*u are exact
 
 
 def _rok_rhs(n, k):
@@ -107,19 +111,7 @@ def _pair(swap):
 
     def lhs(n, r):
         a, b = L(r) ** 2, 5.0 * F(r) ** 2
-        if swap:
-            a, b = b, a
-        rc = tuple(reversed(_sum_poly(n, a / b)))
-        e = n + 1
-
-        def f(t):
-            u = t * t
-            acc = 0.0
-            for c in rc:
-                acc = acc * u + c
-            return acc / (a + b * u) ** e
-
-        return f
+        return _poly_kernel(n, b, a) if swap else _poly_kernel(n, a, b)
 
     return lhs
 
@@ -203,7 +195,7 @@ def cases():
         case("S3.SPECIAL1.PART", "special value pi*alpha/16", TAN_HALFPI, NO_PARAMS,
              lambda: _special_kernel(1.0, 5.0), lambda: PI * ALPHA / 16.0),
         case("S3.SPECIAL2.PART", "special value (pi/400)(2+7/alpha^2)", TAN_HALFPI, NO_PARAMS,
-             lambda: lambda t: 1.0 / (5.0 + t * t) ** 2, lambda: PI / 400.0 * (2.0 + 7.0 / ALPHA**2)),
+             lambda: _special_kernel(5.0, 1.0), lambda: PI / 400.0 * (2.0 + 7.0 / ALPHA**2)),
         # combined golden-power instances with Lucas/Fibonacci numerators
         case("S3.QUARTIC.L", "quartic theorem, Lucas member", TAN_HALFPI, nrq, _quartic(L), _quartic_l_rhs),
         case("S3.QUARTIC.F", "quartic theorem, Fibonacci member", TAN_HALFPI, nrq, _quartic(F), _quartic_f_rhs),

@@ -11,14 +11,10 @@ from __future__ import annotations
 
 from ._helpers import (
     BETA, EVEN, FULL, LA2, LN_ALPHA, MID, NO_PARAMS, ODD, PI, PI3, QUARTS, SQRT5,
-    F, L, P, bpow, case, cl2, cl_pair, cos2x_kernel, li2, li2_odd, math, parity, qgrid, trig_sq_kernel,
+    F, L, P, bpow, case, cl2, cl_pair, cos2x_kernel, li2, li2_odd, math, parity, pi3_li2, qgrid, trig_sq_kernel,
 )
 
 R_ANY = (P("r", 1, 10),)
-
-
-def _core3(arg: float) -> float:
-    return PI3 / 3.0 + PI * li2(arg)
 
 
 def _cos2x_rows(br, sg, k):
@@ -27,9 +23,9 @@ def _cos2x_rows(br, sg, k):
     def rhs(r):
         e = -sg * br.sigma * bpow(r)
         if k == 1:
-            return _core3(e) / br.B(r)
+            return pi3_li2(e) / br.B(r)
         b3 = 5.0 * F(r) ** 3 * SQRT5 if br is EVEN else L(r) ** 3
-        return -PI / br.B2(r) * math.log1p(-e) + br.A(r) / b3 * _core3(e)
+        return -PI / br.B2(r) * math.log1p(-e) + br.A(r) / b3 * pi3_li2(e)
 
     return br.params, lambda r: cos2x_kernel(br.A(r), 2.0 * sg, k), rhs
 

@@ -7,12 +7,8 @@ from __future__ import annotations
 
 from ._helpers import (
     BETA, EVEN, FULL, LN_ALPHA, MID, NO_PARAMS, ODD, PI, PI3, SQRT5,
-    F, L, P, bpow, case, li2, math, parity, qgrid, trig_sq_kernel,
+    F, L, P, bpow, case, li2, math, parity, pi3_li2, qgrid, trig_sq_kernel,
 )
-
-
-def _core2(arg: float) -> float:
-    return PI3 / 3.0 + PI * li2(arg)
 
 
 def _lsq(br, k):
@@ -21,7 +17,7 @@ def _lsq(br, k):
 
 
 def _ae_rhs(r):
-    return _core2(bpow(2 * r)) / (F(2 * r) * SQRT5)
+    return pi3_li2(bpow(2 * r)) / (F(2 * r) * SQRT5)
 
 
 def _m86(r, e, lg):
@@ -41,7 +37,7 @@ def _wbn(r, k):
 
 
 def _wbn_rhs(r):
-    return _core2((-1.0) ** r * bpow(2 * r)) / (F(2 * r) * SQRT5)
+    return pi3_li2((-1.0) ** r * bpow(2 * r)) / (F(2 * r) * SQRT5)
 
 
 def _wbnsq_rhs(r):
@@ -87,7 +83,7 @@ def _rm_rhs(k):
     q = QR(k)
     return -PI / 4.0 * (1.0 + q) ** 4 / (1.0 - q) ** 2 * math.log1p(-q) / q + 0.5 * (
         (1.0 + q) / (1.0 - q)
-    ) ** 3 * _core2(q)
+    ) ** 3 * pi3_li2(q)
 
 
 def cases():

@@ -124,9 +124,7 @@ def cl2(theta: float) -> float:
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("argument must be finite")
-    t = math.fmod(theta, 2.0 * PI)
-    if t < 0.0:
-        t += 2.0 * PI
+    t = theta % (2.0 * PI)  # in [0, 2 pi): float % takes the sign of the divisor
     if t > PI:
         return -_cl2_core(2.0 * PI - t)
     return _cl2_core(t)

@@ -22,6 +22,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _fresh_env():
+    """The environment for a fresh interpreter that imports the fibint under test."""
+    return dict(os.environ, PYTHONPATH=str(pathlib.Path(fibint.__file__).resolve().parent.parent))
+
+
 def test_verify_single_id_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--filter", "S5.FOURG", "--format", "json")
     assert code == 0
@@ -199,9 +204,53 @@ def test_report_json_byte_layout():
     assert json.loads(text)["results"][1]["note"] == failed.note
 
 
-@pytest.mark.parametrize("text", ["{}", "a,b\n"])
-def test_emit_ends_with_one_newline(text, tmp_path, capsys):
-    cli._emit(text, None)
+_FLOATS = ("lhs", "rhs", "abs_err", "tol")
+
+
+def test_non_finite_numbers_are_null_in_every_json_field():
+    # -inf, inf and nan in each float field in turn, then all four non-finite: each
+    # such field reads null and every other one keeps its 17 significant digits
+    finite = {"lhs": -1.5, "rhs": 0.25, "abs_err": 2.220446049250313e-16, "tol": 1e-10}
+    rows = [dict(finite, **{f: v}) for f in _FLOATS for v in (-math.inf, math.inf, math.nan)]
+    rows.append({"lhs": -math.inf, "rhs": math.inf, "abs_err": math.nan, "tol": -math.inf})
+    results = tuple(verifier.VerificationResult("X.NF", (), **row, passed=False, quad_evals=0) for row in rows)
+    report = verifier.Report(results=results, n_pass=0, n_fail=len(rows), wall_time=0.0)
+    text = "".join(cli._json_pieces(report, None, "*"))
+    for row, got in zip(rows, json.loads(text, parse_constant=_reject_constant)["results"], strict=True):
+        assert [got[f] for f in _FLOATS] == [row[f] if math.isfinite(row[f]) else None for f in _FLOATS]
+
+    def num(x):
+        return format(x, ".17g") if math.isfinite(x) else "null"
+
+    nums = (", ".join(f'"{f}": {num(row[f])}' for f in _FLOATS) for row in rows)
+    body = ", ".join(f'{{"id": "X.NF", "params": {{}}, {n}, "passed": false, "note": ""}}' for n in nums)
+    assert text.endswith(f'"results": [{body}]}}')
+    assert '"lhs": null, "rhs": 0.25, "abs_err": 2.2204460492503131e-16, "tol": 1e-10' in text
+
+
+def test_json_escape_table():
+    # the quote and the backslash take a backslash, a code point below 0x20 is written
+    # \u00XX (lowercase hex), and every other character, DEL and non-ASCII too, as it is
+    for ch in [*map(chr, range(128)), "\u00e9", "\u2028"]:
+        if ch in '"\\':
+            want = "\\" + ch
+        elif ord(ch) < 0x20:
+            want = f"\\u{ord(ch):04x}"
+        else:
+            want = ch
+        assert cli._json_escape(ch) == want, hex(ord(ch))
+    assert cli._json_escape('\t"\x1f\x7f\\\u2028') == '\\u0009\\"\\u001f\x7f\\\\\u2028'
+    text = "".join(map(chr, range(128))) + "\u00e9\u2028"
+    assert json.loads(f'"{cli._json_escape(text)}"') == text
+
+
+@pytest.mark.parametrize(
+    "pieces",
+    [pytest.param(["{", "}"], id="{}"), pytest.param(["a,b", "\n"], id="a,b\n"), pytest.param([], id="empty")],
+)
+def test_emit_ends_with_one_newline(pieces, tmp_path, capsys):
+    text = "".join(pieces)
+    cli._emit(pieces, None)
     assert capsys.readouterr().out == text.rstrip("\n") + "\n"
     path = tmp_path / "out.txt"
     with path.open("w", encoding="utf-8") as fh:
@@ -240,6 +289,10 @@ def test_list_csv_has_full_catalog(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["id", "anchor", "params", "strategy", "default_tol"]
     assert len(rows) - 1 >= 60
+
+
+def test_list_json_of_no_rows_is_an_empty_array():
+    assert "".join(cli._list_json([])) == "[]"
 
 
 def test_list_json_fields(capsys):
@@ -340,7 +393,7 @@ def test_cli_import_leaves_catalog_unloaded():
     # The catalog modules (fibint.families) bind exact_seq and specfun names when first imported;
     # perfbench/traced.py wraps those before that import, so importing the CLI
     # must not pull the catalog in early.
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fibint.__file__).resolve().parent.parent))
+    env = _fresh_env()
     code = "import sys, fibint.cli; print(sorted(m for m in sys.modules if m.startswith('fibint.families')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
@@ -358,7 +411,7 @@ def test_cli_import_leaves_catalog_unloaded():
 def test_closed_stdout_exits_one_quietly(argv):
     # `fibint list | head -c 600`: the reader goes away before the output is
     # written; the command ends with exit code 1 and no traceback
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fibint.__file__).resolve().parent.parent))
+    env = _fresh_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -373,7 +426,7 @@ def test_closed_stdout_exits_one_quietly(argv):
 def test_reader_gone_mid_report_exits_one_quietly():
     # `fibint verify --format json | head -c 600`: the ~290 kB report is streamed
     # in many writes, more than a pipe holds, and the reader leaves after 600 bytes
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fibint.__file__).resolve().parent.parent))
+    env = _fresh_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "fibint.cli", "verify", "--format", "json"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -394,7 +447,7 @@ def test_reader_gone_mid_report_exits_one_quietly():
 )
 @pytest.mark.parametrize("target", ["no-such-dir/out.json", "."], ids=["missing-dir", "directory"])
 def test_unwritable_out_exits_two_with_one_line(argv, target, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fibint.__file__).resolve().parent.parent))
+    env = _fresh_env()
     proc = subprocess.run(
         [sys.executable, "-m", "fibint.cli", *argv, "--out", target],
         env=env, cwd=tmp_path, capture_output=True, text=True,
