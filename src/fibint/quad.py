@@ -9,21 +9,23 @@ endpoint logarithms or mild endpoint peaks.  Nodes are placed from their
 distance delta to the nearest endpoint, so placements like b - c*delta
 stay meaningful down to delta ~ 1e-28.
 
-Each map has a node table of mapped abscissae and weights, with the map's
-Jacobian (for tan, also 1/(1+t^2)) folded into the weights.  It is built
-one level at a time on first use and then kept: one per finite interval
-(a, b) in a small LRU cache, one for the half line and one for tan.  The
-(delta, weight) pairs behind them and the Fejer rules below are kept the
-same way: every lazily built table is a functools.cache'd function of the
-level, called on every read.  Body nodes (delta >= 1e-6) are rows
-holding both images of a node.  Tail nodes are rows per side, walked
-outward; a side stops at its first term w*|f| below rounding (eps times
-the running sum of w*|f|) that lies deeper than every term above rounding
-on that side, and later levels skip the nodes beyond that cut without
-calling the integrand (the tail truncation of Bailey, Jeyabalan & Li
-2005).  A finite tail ends before its first abscissa that rounds onto the
-endpoint, so the rule stays open; where a body node could round onto an
-endpoint, every node is a tail node.
+Each map is one function images(delta, w) -> (x_lo, x_hi, w_lo, w_hi):
+the two abscissae of a node and their weights, with the map's Jacobian
+(for tan, also 1/(1+t^2)) folded into the weights; the finite map's two
+images share the weight w.  One builder turns images into the map's node
+table, built one level at a time on first use and then kept: one per
+finite interval (a, b) in a small LRU cache, one for the half line and one
+for tan.  The (delta, weight) pairs behind them and the Fejer rules below
+are kept the same way: every lazily built table is a functools.cache'd
+function of the level, called on every read.  Body nodes (delta >= 1e-6)
+are rows images(delta, w), summed as pairs.  Tail nodes are rows
+(delta, x, w) per side, walked outward; a side stops at its first term
+w*|f| below rounding (eps times the running sum of w*|f|) that lies deeper
+than every term above rounding on that side, and later levels skip the
+nodes beyond that cut without calling the integrand (the tail truncation
+of Bailey, Jeyabalan & Li 2005).  A tail drops its abscissae that round
+onto the endpoint, so the rule stays open; where a body node could round
+onto an endpoint, every node is a tail node.
 
 One loop runs the levels of every map and applies the stopping rule.
 DE rules converge quadratically: each halving of the step roughly squares
@@ -174,16 +176,35 @@ def _level_nodes(level: int) -> tuple[_Nodes, _Nodes]:
 class _MapTable(NamedTuple):
     """The node rows of one map, per level, each level built on first use.
 
-    rows(level) is (body, (lo, hi)).  A body row holds both images of a
-    node: (x_lo, x_hi, w) when they share a weight, else
-    (x_lo, x_hi, w_lo, w_hi).  The tails lo and hi are rows (delta, x, w)
-    at the low and the high end, outward.  center is the t = 0 node, (x, w).
+    The map is one function images(delta, w) -> (x_lo, x_hi, w_lo, w_hi):
+    the two abscissae of a node at distance delta from the ends, and their
+    weights.  rows(level) is (body, (lo, hi)).  A body row is images(delta,
+    w); the tails lo and hi are rows (delta, x, w) at the low and the high
+    end, outward.  center is the t = 0 node, (x, w).
     """
 
     center: tuple[float, float]
-    shared_weight: bool
     rows: Callable[[int], tuple]
     fejer: Callable[[int], list[tuple[float, float]]] | None = None
+
+
+def _map_rows(images: Callable[[float, float], tuple], ends: tuple[float, float], paired: bool = True) -> Callable[[int], tuple]:
+    """rows(level) of a _MapTable from its images and its ends (lo, hi).  A
+    tail image that rounds onto its end is dropped, so the rule stays open;
+    such images are the deepest of their side.  An unpaired map has no body:
+    every node is a tail node."""
+
+    @functools.cache
+    def rows(level: int) -> tuple:
+        body, tail = _level_nodes(level)
+        if not paired:
+            body, tail = [], body + tail
+        walks = [(delta, images(delta, w)) for delta, w in tail]
+        lo = [(delta, xl, wl) for delta, (xl, _, wl, _) in walks if xl != ends[0]]
+        hi = [(delta, xh, wh) for delta, (_, xh, _, wh) in walks if xh != ends[1]]
+        return [images(delta, w) for delta, w in body], (lo, hi)
+
+    return rows
 
 
 @functools.lru_cache(maxsize=16)  # a catalog run integrates over 7 intervals
@@ -196,22 +217,14 @@ def _finite_table(a: float, b: float) -> _MapTable:
     c = 0.5 * (b - a)
     paired = a + c * _DELTA_TAIL > a and b - c * _DELTA_TAIL < b
 
-    def walk(tail: _Nodes, x0: float, step: float) -> list[tuple[float, float, float]]:
-        rows = [(delta, x0 + step * delta, w) for delta, w in tail]
-        return rows[: sum(x != x0 for _, x, _ in rows)]  # those that round onto x0 are the deepest
-
-    @functools.cache
-    def rows(level: int) -> tuple:
-        body, tail = _level_nodes(level)
-        if not paired:
-            body, tail = [], body + tail
-        return [(a + c * delta, b - c * delta, w) for delta, w in body], (walk(tail, a, c), walk(tail, b, -c))
+    def images(delta: float, w: float) -> tuple[float, float, float, float]:
+        return a + c * delta, b - c * delta, w, w
 
     @functools.cache
     def fejer_rows(level: int) -> list[tuple[float, float]]:
         return [(a + c * delta, b - c * delta) for delta in _fejer_level(level)[0]]
 
-    return _MapTable((0.5 * (a + b), _W0), True, rows, fejer_rows if paired else None)
+    return _MapTable((0.5 * (a + b), _W0), _map_rows(images, (a, b), paired), fejer_rows if paired else None)
 
 
 def _half_line_table(tan: bool) -> _MapTable:
@@ -229,16 +242,8 @@ def _half_line_table(tan: bool) -> _MapTable:
             wh /= 1.0 + xh * xh
         return xl, xh, wl, wh
 
-    @functools.cache
-    def rows(level: int) -> tuple:
-        body, tail = _level_nodes(level)
-        walks = [(delta, images(delta, w)) for delta, w in tail]
-        lo = [(delta, xl, wl) for delta, (xl, _, wl, _) in walks]
-        hi = [(delta, xh, wh) for delta, (_, xh, _, wh) in walks]
-        return [images(delta, w) for delta, w in body], (lo, hi)
-
     # s = 1/2: x = 1, dx/ds = 4, and 1/(1+1) for tan
-    return _MapTable((1.0, (2.0 if tan else 4.0) * _W0), False, rows)
+    return _MapTable((1.0, (2.0 if tan else 4.0) * _W0), _map_rows(images, (0.0, math.inf)))
 
 
 _HALF_LINE = _half_line_table(tan=False)
@@ -262,7 +267,6 @@ def _tanh_sinh(fe: Callable[[float], float], table: _MapTable, scale: float, tol
     the failed result (nan, inf, calls made).  calls counts each integrand
     call before it is made, so it is exact when one raises."""
     x0, w0 = table.center
-    shared = table.shared_weight
     eps = _EPS
     # per side: the cut, and the smallest delta whose term was above rounding;
     # a term below rounding at a larger delta does not cut, since mass lies beyond it
@@ -277,28 +281,16 @@ def _tanh_sinh(fe: Callable[[float], float], table: _MapTable, scale: float, tol
         mag = w0 * abs(fc)
         for level in range(MAX_LEVEL + 1):
             body, tails = table.rows(level)
-            if shared:
-                for xl, xh, w in body:
-                    calls += 1
-                    flo = fe(xl)
-                    calls += 1
-                    fhi = fe(xh)
-                    y = w * (flo + fhi) - comp
-                    t = s + y
-                    comp = (t - s) - y
-                    s = t
-                    mag += w * (abs(flo) + abs(fhi))
-            else:
-                for xl, xh, wl, wh in body:
-                    calls += 1
-                    flo = fe(xl)
-                    calls += 1
-                    fhi = fe(xh)
-                    y = wl * flo + wh * fhi - comp
-                    t = s + y
-                    comp = (t - s) - y
-                    s = t
-                    mag += wl * abs(flo) + wh * abs(fhi)
+            for xl, xh, wl, wh in body:
+                calls += 1
+                flo = fe(xl)
+                calls += 1
+                fhi = fe(xh)
+                y = wl * flo + wh * fhi - comp
+                t = s + y
+                comp = (t - s) - y
+                s = t
+                mag += wl * abs(flo) + wh * abs(fhi)
             for side, tail in zip(sides, tails):
                 cut, deepest = side
                 for delta, x, w in tail:

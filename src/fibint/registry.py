@@ -16,6 +16,7 @@ parameters.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import itertools
 from typing import Callable, Mapping, NamedTuple
 
@@ -192,22 +193,19 @@ class BoundInstance:
         self.strategy = strategy
 
 
-_CATALOG: list[IdentityCase] | None = None
 _INDEX: dict[str, IdentityCase] = {}
 
 
+@functools.cache
 def catalog() -> list[IdentityCase]:
     """The full identity catalog, in stable declaration order."""
-    global _CATALOG
-    if _CATALOG is None:
-        from .families import SECTIONS
+    from .families import SECTIONS
 
-        cases = [c for section in SECTIONS for c in section.cases()]
-        for c in cases:
-            if _INDEX.setdefault(c.id, c) is not c:
-                raise RuntimeError(f"duplicate catalog id {c.id}")
-        _CATALOG = cases
-    return _CATALOG
+    cases = [c for section in SECTIONS for c in section.cases()]
+    for c in cases:
+        if _INDEX.setdefault(c.id, c) is not c:
+            raise RuntimeError(f"duplicate catalog id {c.id}")
+    return cases
 
 
 def get_case(case_id: str) -> IdentityCase:

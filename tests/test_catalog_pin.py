@@ -19,6 +19,9 @@ are not.
 A third set pins the bytes of `fibint list --format json|csv|md`, which
 the catalog digest cannot see: it hashes parsed rows.
 
+Five rows repeat one integral at several points of their own grid; a
+test holds those points to one integrand and one closed form.
+
 A last pair of digests covers the `results` part of `fibint verify
 --format json` (cli._json_pieces joined, without its meta) over the whole catalog,
 at the default tolerances and at `--tol 1e-12`: every lhs, rhs, abs_err,
@@ -37,8 +40,8 @@ CATALOG_SHA256 = "823e9b1cdddb37e83214234452375ebf31c64fe7d3425d83ec897556056b59
 INSTANCE_SHA256 = "e43528743e1a5d816de991ca3cfd7e35a52f1a59f24a70165f42be3e965df7d9"
 
 RESULTS_SHA256 = {
-    None: "9bea61982f9a47696fe6f2f298a27a698e4c94d06cfc961baa1ed9abfc54559f",
-    1e-12: "be1e6f823e135b82554b225e491eed715dd361fee5f9f9bdbb3f434fd1115b5b",
+    None: "d522ac6c3d8339e70d8b98d0e177be2d638215ab6b9dc3ff3946d7bf0c407f62",
+    1e-12: "8603085ef87c53d790dbd75aeb23ad874c7992e3c1f60d21fcf8e5a4ebdc813b",
 }
 
 LIST_SHA256 = {
@@ -108,3 +111,24 @@ def results_digest(tol):
 @pytest.mark.parametrize("tol", list(RESULTS_SHA256))
 def test_verify_results_pinned(tol):
     assert results_digest(tol) == RESULTS_SHA256[tol]
+
+
+# rows that integrate one function at several points of their own grid
+REPEATS = {
+    "S1.STEWART": [{"n": 1, "k": k} for k in range(1, 6)],
+    "S2.XSN0TMC": [{"n": 2, "k": k} for k in range(1, 6)],
+    "S2.COMPL2": [{"n": 2, "k": k} for k in range(1, 6)],
+    "S10.QVB6JUR": [{"r": 1}, {"r": 2}],  # F_1 = F_2
+    "S10.A40QD9A": [{"r": 1}, {"r": 2}],
+}
+
+
+@pytest.mark.parametrize("case_id", list(REPEATS))
+def test_repeated_integral_has_one_closed_form(case_id):
+    # a row that repeats one integral inside its grid must give it one closed form
+    xs = _abscissae(registry.get_case(case_id).strategy)
+    seen = set()
+    for assignment in REPEATS[case_id]:
+        inst = registry.instantiate(case_id, assignment)
+        seen.add((tuple(_sample(inst.integrand.eval, x) for x in xs), inst.rhs.hex()))
+    assert len(seen) == 1

@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 from fibint import fib_complex, quad, registry, verifier
+from fibint.families._helpers import F, L
 from fibint.quad import Integrand, integrate_finite
 from fibint.specfun import LN_ALPHA, constants
 
@@ -127,6 +128,37 @@ def test_negative_control_flips():
     )
     res_wrong = verifier.verify_instance(wrong)
     assert not res_wrong.passed
+
+
+def _lf2_printed_rhs(m, r):
+    # the S4.LF2 closed form as the source prints it, with sum base 4/(5F_r)
+    # where the catalog's _lf2_rhs verifies with 4/(5F_r^2)
+    f2 = 5.0 * F(r) ** 2
+    acc = sum((-1.0) ** (r + (r + 1) * (m - j)) / j * (4.0 / (5.0 * F(r))) ** j for j in range(1, m + 1))
+    logterm = (-1.0) ** ((r + 1) * (m + 1)) * math.log(f2 / L(r) ** 2)
+    return (acc + logterm) / 2.0 ** (2 * m + 3)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-12])
+def test_lf2_misprint_is_caught(tol):
+    # the note on S4.LF2 and S4.LF2.B says the printed sum base does not
+    # verify: every grid point where the printed form differs from the
+    # catalog's (m >= 1 and F_r != 1, so r >= 3) must fail
+    differ, failed = [], []
+    for cid in ("S4.LF2", "S4.LF2.B"):
+        for assignment in registry.default_grid(cid):
+            inst = registry.instantiate(cid, assignment)
+            printed = _lf2_printed_rhs(**assignment)
+            if printed == inst.rhs:
+                continue
+            differ.append((cid, assignment["m"], assignment["r"]))
+            if tol is not None:
+                inst.tol = tol
+            inst.rhs = printed
+            if not verifier.verify_instance(inst).passed:
+                failed.append(differ[-1])
+    assert len(differ) == 48 and all(m >= 1 and r >= 3 for _, m, r in differ)
+    assert failed == differ
 
 
 def test_grid_and_tol_overrides():
