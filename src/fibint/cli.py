@@ -124,7 +124,9 @@ def _margin(r: verifier.VerificationResult) -> float:
 
 
 def _md_pieces(report: verifier.Report) -> Iterator[str]:
-    """One row per result, then a per-family summary, the abs_err/tol histogram and the totals, in pieces."""
+    """One row per result, then a per-family summary, the abs_err/tol histogram and the totals, in pieces.
+    A family's evals are the integrand calls its results made, so a result that reused another
+    instance's integral adds none; the totals say how many did."""
     import collections
 
     yield (
@@ -153,7 +155,10 @@ def _md_pieces(report: verifier.Report) -> Iterator[str]:
     yield "\n| abs_err/tol | instances |\n|-------------|-----------|\n"
     for i, label in enumerate(BUCKET_LABELS):
         yield f"| {label} | {counts[i]} |\n"
+    reused = sum(r.reused for r in report.results)
     yield f"\n{report.n_pass} passed, {report.n_fail} failed, {len(report.results)} total in {report.wall_time:.2f} s"
+    if reused:
+        yield f"; {reused} reused the integral of another instance"
 
 
 def _params_spec_str(case: registry.IdentityCase) -> str:

@@ -21,6 +21,11 @@ registry.IdentityCase, with its default tolerance by strategy, and P is
 ParamSpec.  A row's builder and closed form take its parameters by name,
 as def _pair_a_rhs(n, r) or lambda r: ..., and a row without parameters
 has lambda: c; a helper shared by several rows takes the same names.
+A row whose integrand is, bit for bit, another instance's at some of its
+points names that instance in shares=, as lambda k, n: ... or
+same_as("S7.ID5", r=2) on a row without parameters.  The instance named
+is on the fuller row (a .PART names its general row) and declares no
+shares of its own.
 
 Folding signs this way keeps every result bit, because negation and
 scaling by +-1.0 or 2.0 are exact: a + s * c with s = -2.0 rounds as
@@ -110,6 +115,11 @@ P = ParamSpec
 
 
 NO_PARAMS: tuple[ParamSpec, ...] = ()
+
+
+def same_as(case_id: str, **assignment: int) -> Callable[[], tuple[str, dict[str, int]]]:
+    """The shares of a row without parameters whose integral is case_id's at assignment."""
+    return lambda: (case_id, assignment)
 
 
 def qgrid(values: tuple[float, ...]) -> tuple[tuple[ParamSpec, ...], Callable[[int], float]]:

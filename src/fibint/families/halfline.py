@@ -26,8 +26,9 @@ def _generic_rhs(q: float, m: int) -> float:
     return 0.5 * acc + 0.5 * (-1.0) ** (m - 1) * math.log(q) / (1.0 - q) ** (m + 1)
 
 
-def _pair(base_id, anchor, params, ab_of, rhs, note=""):
-    """Both members of a row; ab_of takes the row's parameters other than m and returns the kernel's (A, B)."""
+def _pair(base_id, anchor, params, ab_of, rhs, note="", shares=None):
+    """Both members of a row; ab_of takes the row's parameters other than m and returns the kernel's (A, B).
+    shares names an instance of another pair, whose .B member the .B row shares."""
 
     def lhs_a(m, **p):
         a, b = ab_of(**p)
@@ -49,9 +50,14 @@ def _pair(base_id, anchor, params, ab_of, rhs, note=""):
 
         return f
 
+    def shares_b(**p):
+        target = shares(**p)
+        return target and (target[0] + ".B", target[1])
+
     return [
-        case(base_id, anchor, HALF_LINE, params, lhs_a, rhs, note=note),
-        case(base_id + ".B", anchor + ", second member", HALF_LINE, params, lhs_b, rhs, note=note),
+        case(base_id, anchor, HALF_LINE, params, lhs_a, rhs, note=note, shares=shares),
+        case(base_id + ".B", anchor + ", second member", HALF_LINE, params, lhs_b, rhs, note=note,
+             shares=shares and shares_b),
     ]
 
 
@@ -64,6 +70,14 @@ def _neighbour(q_of, d_of):
         return -0.5 * acc + 0.5 * math.log(q) / d ** (m + 1)
 
     return lambda r: (1.0, q_of(r)), rhs
+
+
+_PD_SHARED = {3: ("S4.DPBN6CY", 1), 4: ("S4.KJ2W249", 2), 5: ("S4.DPBN6CY", 2)}  # k -> (row, r) of its kernel
+
+
+def _pd_shares(m, k):
+    target = _PD_SHARED.get(k)
+    return target and (target[0], {"m": m, "r": target[1]})
 
 
 def _kj_q(r):
@@ -125,15 +139,17 @@ def cases():
         *_pair("S4.DPBN6CY", "eq. (dpbn6cy)", r18, *_neighbour(_dp_q, _dp_d)),
         *_pair("S4.Q2NVIQW", "eq. (q2nviqw)", r18, *_neighbour(_q2_q, _q2_d)),
         # generic positive q, m-fold derivative form
+        # q = 2, 3 and 5 are F_3, F_4 and F_5, the kernels of DPBN6CY r=1, KJ2W249 r=2 and DPBN6CY r=2
         *_pair("S4.PDJJQGD", "eq. (pdjjqgd)", (m04, P("k", 1, len(_PD_Q))), lambda k: (1.0, _PD_Q[k - 1]),
-               lambda m, k: _generic_rhs(_PD_Q[k - 1], m)),
+               lambda m, k: _generic_rhs(_PD_Q[k - 1], m), shares=_pd_shares),
         # kernel pair (L_r^2, 5 F_r^2); closed form uses L^2 - 5F^2 = 4(-1)^r
         *_pair("S4.LF2", "theorem with kernel pair (L_r^2, 5F_r^2)", r18, lambda r: (L(r) ** 2, 5.0 * F(r) ** 2),
-               _lf2_rhs, note="source text prints the sum base as 4/(5F_r); verified as 4/(5F_r^2)"),
+               _lf2_rhs, note="source text prints the sum base as 4/(5F_r); verified as 4/(5F_r^2)",
+               shares=lambda m, r: ("S4.DPBN6CY", {"m": m, "r": 2}) if r == 1 else None),
         *_pair("S4.EVEN4", "theorem with kernel pair (L_r^2, 4), r even", (m04, P("r", 2, 8, "even")),
                *_four_rhs(EVEN.B2, EVEN.A2)),
         *_pair("S4.ODD4", "theorem with kernel pair (5F_r^2, 4), r odd", (m04, P("r", 1, 7, "odd")),
                *_four_rhs(ODD.B2, ODD.A2)),
         *_pair("S4.F4R1", "theorem with kernel F_{4r+1}", (m04, P("r", 1, 5)), lambda r: (1.0, F(4 * r + 1)),
-               _f4r1_rhs),
+               _f4r1_rhs, shares=lambda m, r: ("S4.DPBN6CY", {"m": m, "r": 2 * r}) if r <= 4 else None),
     ]

@@ -73,19 +73,26 @@ def _djf_rhs(n):
     return 6.0 / (n * SQRT5) * w * L(2 * n) * LN_ALPHA + (-1.0 / n + LN_2_3) * w * 3.0 / n * F(2 * n)
 
 
+def _k_free(case_id, n0):
+    """shares of a row whose kernel has (L_k + F_k x sqrt5)^0 at n = n0, so that there its integrand does
+    not depend on k: each k names k = 1."""
+    return lambda k, n: (case_id, {"k": 1, "n": n}) if n == n0 and k > 1 else None
+
+
 def cases():
     kn, kn2, n18 = (P("k", 1, 5), P("n", 1, 8)), (P("k", 1, 5), P("n", 2, 8)), (P("n", 1, 8),)
     return [
         # F_{kn}/F_k = (n/2^n) * integral of (L_k + F_k x sqrt5)^(n-1)
-        case("S1.STEWART", "eq. (1)", PM1, kn, _stewart, lambda k, n: (2.0 ** n / n) * F(k * n) / F(k)),
+        case("S1.STEWART", "eq. (1)", PM1, kn, _stewart, lambda k, n: (2.0 ** n / n) * F(k * n) / F(k),
+             shares=_k_free("S1.STEWART", 1)),
         # F_{2n} = (n/2)(3/2)^(n-1) * integral of (1 + sqrt5/3 cos x)^(n-1) sin x
         case("S1.DILCHER", "eq. (3)", FULL, n18, _dilcher, lambda n: F(2 * n) * (2.0 / n) * (2.0 / 3.0) ** (n - 1)),
         # complement with the linear factor (F_k sqrt5 + L_k x)
         case("S2.BJU5530", "eq. (bju5530)", PM1, kn2, _bju, _bju_rhs),
         # complement with the factor (1 - x)
-        case("S2.XSN0TMC", "eq. (xsn0tmc)", PM1, kn2, _xsn, _xsn_rhs),
+        case("S2.XSN0TMC", "eq. (xsn0tmc)", PM1, kn2, _xsn, _xsn_rhs, shares=_k_free("S2.XSN0TMC", 2)),
         # complement with the bare x factor
-        case("S2.COMPL2", "eq. (stewart_compl2)", PM1, kn2, _compl2, _compl2_rhs),
+        case("S2.COMPL2", "eq. (stewart_compl2)", PM1, kn2, _compl2, _compl2_rhs, shares=_k_free("S2.COMPL2", 2)),
         # log-weighted complement of the cosine-kernel representation
         case("S2.DJFHEP4", "eq. (djfhep4)", FULL, n18, _djf, _djf_rhs),
     ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._helpers import (
     ALPHA, BETA, EVEN, FULL, HALF, LN_ALPHA, MID, NO_PARAMS, ODD, PI, SQRT2, SQRT5,
-    F, L, P, apow, bpow, case, math, qgrid, quad_rhs,
+    F, L, P, apow, bpow, case, math, qgrid, quad_rhs, same_as,
 )
 
 RDJ_NOTE = (
@@ -156,7 +156,9 @@ def cases():
              lambda r: 2.0 * PI * r * SQRT5 / (5.0 * F(4 * r)) * LN_ALPHA),
         case("S6.SIN3CUBE", "cor. of eq. (rljj8to)", FULL, r16, _cube, _cube_rhs),
         # generic log and arctan forms in Q
-        case("S6.GJNEYFK", "eq. (gjneyfk)", FULL, kg, lambda k: _xsin(1.0, qg(k) ** 2, math.sin), lambda k: _gj_rhs(qg(k))),
+        # Q = 2 is CPWMQ60's kernel at r = 1, 1 + 4 sin^2 x
+        case("S6.GJNEYFK", "eq. (gjneyfk)", FULL, kg, lambda k: _xsin(1.0, qg(k) ** 2, math.sin), lambda k: _gj_rhs(qg(k)),
+             shares=lambda k: ("S6.CPWMQ60", {"r": 1}) if k == 4 else None),
         # golden instances with cos^2 kernels
         case("S6.SC3T62N", "eq. (sc3t62n)", FULL, r18, lambda r: _xsin(2.0 * L(2 * r), -L(r) ** 2, math.cos), _sc3_rhs),
         case("S6.QO33H5M", "eq. (qo33h5m)", FULL, r18,
@@ -168,7 +170,8 @@ def cases():
         case("S6.FMK6KRX.E", "thm. (fmk6krx), even branch", FULL, *_atan_rows(EVEN, 1), splits=MID),
         case("S6.FMK6KRX.O", "thm. (fmk6krx), odd branch", FULL, *_atan_rows(ODD, 1), splits=MID),
         case("S6.FMK6KRX.PART", "special value (pi/2) arctan 2", FULL, NO_PARAMS,
-             lambda: _xsin(5.0, -4.0, math.sin), lambda: PI / 2.0 * math.atan(2.0), splits=MID),
+             lambda: _xsin(5.0, -4.0, math.sin), lambda: PI / 2.0 * math.atan(2.0), splits=MID,
+             shares=same_as("S6.FMK6KRX.O", r=1)),
         case("S6.FMK6SQ.E", "squared cor. of thm. (fmk6krx), even", FULL, *_atan_rows(EVEN, 2), splits=MID),
         case("S6.FMK6SQ.O", "squared cor. of thm. (fmk6krx), odd", FULL, *_atan_rows(ODD, 2), splits=MID),
         # quartic sine kernels, Q^2 < 1

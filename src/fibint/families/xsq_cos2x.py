@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from ._helpers import (
     BETA, EVEN, FULL, LA2, LN_ALPHA, MID, NO_PARAMS, ODD, PI, PI3, QUARTS, SQRT5,
-    F, L, P, bpow, case, cl2, cl_pair, cos2x_kernel, li2, li2_odd, math, parity, pi3_li2, qgrid, trig_sq_kernel,
+    F, L, P, bpow, case, cl2, cl_pair, cos2x_kernel, li2, li2_odd, math, parity, pi3_li2, qgrid, same_as,
+    trig_sq_kernel,
 )
 
 R_ANY = (P("r", 1, 10),)
@@ -240,11 +241,14 @@ def cases():
         case("S9.G8UGNY7.PO", "eq. (g8ugny7), odd, upper sign", FULL, *_cos2x_rows(ODD, 1.0, 1), splits=MID),
         case("S9.G8UGNY7.MO", "eq. (g8ugny7), odd, lower sign", FULL, *_cos2x_rows(ODD, -1.0, 1)),
         case("S9.G8UGNY7.PART1", "special value at kernel sqrt5 + 2 cos 2x", FULL, NO_PARAMS,
-             lambda: cos2x_kernel(SQRT5, 2.0), lambda: 4.0 * PI3 / 15.0 + 0.5 * PI * LA2, splits=MID),
+             lambda: cos2x_kernel(SQRT5, 2.0), lambda: 4.0 * PI3 / 15.0 + 0.5 * PI * LA2, splits=MID,
+             shares=same_as("S9.G8UGNY7.PO", r=1)),
         case("S9.G8UGNY7.PART2", "special value at kernel sqrt5 - 2 cos 2x", FULL, NO_PARAMS,
-             lambda: cos2x_kernel(SQRT5, -2.0), lambda: 13.0 * PI3 / 30.0 - PI * LA2),
+             lambda: cos2x_kernel(SQRT5, -2.0), lambda: 13.0 * PI3 / 30.0 - PI * LA2,
+             shares=same_as("S9.G8UGNY7.MO", r=1)),
         case("S9.G8UGNY7.PART3", "special value at kernel 3 - 2 cos 2x", FULL, NO_PARAMS,
-             lambda: cos2x_kernel(3.0, -2.0), lambda: (2.0 * PI3 / 5.0 - PI * LA2) / SQRT5),
+             lambda: cos2x_kernel(3.0, -2.0), lambda: (2.0 * PI3 / 5.0 - PI * LA2) / SQRT5,
+             shares=same_as("S9.G8UGNY7.PE", r=2)),
         # squared cos 2x kernels
         case("S9.KNIIJOY.M", "eq. (kniijoy), upper sign", FULL, *_cos2x_rows(EVEN, -1.0, 2)),
         case("S9.KNIIJOY.P", "eq. (kniijoy), lower sign", FULL, *_cos2x_rows(EVEN, 1.0, 2), splits=MID),
@@ -252,22 +256,26 @@ def cases():
         case("S9.M64M49C.M", "eq. (m64m49c), lower sign", FULL, *_cos2x_rows(ODD, -1.0, 2)),
         case("S9.KNIIJOY.PART1", "special value at squared kernel 3 - 2 cos 2x", FULL, NO_PARAMS,
              lambda: cos2x_kernel(3.0, -2.0, 2),
-             lambda: PI / 5.0 * LN_ALPHA + 6.0 * PI3 / (25.0 * SQRT5) - 3.0 * PI / (5.0 * SQRT5) * LA2),
+             lambda: PI / 5.0 * LN_ALPHA + 6.0 * PI3 / (25.0 * SQRT5) - 3.0 * PI / (5.0 * SQRT5) * LA2,
+             shares=same_as("S9.KNIIJOY.M", r=2)),
         case("S9.KNIIJOY.PART2", "special value at squared kernel sqrt5 + 2 cos 2x", FULL, NO_PARAMS,
              lambda: cos2x_kernel(SQRT5, 2.0, 2),
-             lambda: -PI * LN_ALPHA + 4.0 * PI3 / (3.0 * SQRT5) + PI * SQRT5 / 2.0 * LA2, splits=MID),
+             lambda: -PI * LN_ALPHA + 4.0 * PI3 / (3.0 * SQRT5) + PI * SQRT5 / 2.0 * LA2, splits=MID,
+             shares=same_as("S9.M64M49C.P", r=1)),
         case("S9.KNIIJOY.PART3", "special value at squared kernel sqrt5 - 2 cos 2x", FULL, NO_PARAMS,
              lambda: cos2x_kernel(SQRT5, -2.0, 2),
-             lambda: 2.0 * PI * LN_ALPHA + 13.0 * PI3 / (6.0 * SQRT5) - PI * SQRT5 * LA2),
+             lambda: 2.0 * PI * LN_ALPHA + 13.0 * PI3 / (6.0 * SQRT5) - PI * SQRT5 * LA2,
+             shares=same_as("S9.M64M49C.M", r=1)),
         # squared cos^2(2x) kernels, paired numerators
         case("S9.FRLTBQE", "eq. (frltbqe)", FULL, EVEN.params, lambda r: _paired(EVEN.A2(r)), _frl_rhs, splits=MID),
         case("S9.S7JKWMS", "eq. (s7jkwms)", FULL, EVEN.params, lambda r: _c2x(EVEN.A2(r), -4.0, 2), _s7j_rhs,
-             splits=MID),
+             splits=MID, shares=lambda r: ("S9.EZYW57R", {"r": r}) if r == 10 else None),
         case("S9.VXZM3GU", "eq. (vxzm3gu)", FULL, ODD.params, lambda r: _paired(ODD.A2(r)), _vxz_rhs, splits=MID),
-        case("S9.NT2NOAN", "eq. (nt2noan)", FULL, ODD.params, lambda r: _c2x(ODD.A2(r), -4.0, 2), _nt2_rhs, splits=MID),
+        case("S9.NT2NOAN", "eq. (nt2noan)", FULL, ODD.params, lambda r: _c2x(ODD.A2(r), -4.0, 2), _nt2_rhs, splits=MID,
+             shares=lambda r: ("S9.EZYW57R", {"r": r})),
         case("S9.FRLT.PART1", "special value at kernel (5 - 4cos^2 2x)^2, paired numerator", FULL, NO_PARAMS,
              lambda: _paired(5.0), lambda: 0.5 * PI * LN_ALPHA + 7.0 * PI3 / (4.0 * SQRT5) - PI * SQRT5 / 4.0 * LA2,
-             splits=MID),
+             splits=MID, shares=same_as("S9.VXZM3GU", r=1)),
         case("S9.FRLT.PART2", "special value at kernel (5 - 4cos^2 2x)^2, cos 2x numerator", FULL, NO_PARAMS,
              lambda: _golden5_part(2), lambda: sq5_value, splits=MID),
         # generic duplication pair: Q = 2q/(1+q^2)
@@ -279,7 +287,7 @@ def cases():
         case("S9.ISEKZ49", "eq. (isekz49)", FULL, R_ANY, lambda r: _ise(r, 1), _ise_rhs, splits=MID),
         case("S9.JIVTZPL.PART1", "special value at kernel 1 + 4 sin^2 2x", FULL, NO_PARAMS,
              lambda: trig_sq_kernel(1.0, 4.0, math.sin, 1, True),
-             lambda: (7.0 * PI3 / 20.0 - 0.25 * PI * LA2) / SQRT5, splits=MID),
+             lambda: (7.0 * PI3 / 20.0 - 0.25 * PI * LA2) / SQRT5, splits=MID, shares=same_as("S9.JIVTZPL", r=1)),
         case("S9.JIVTZPL.PART2", "special value at kernel 5 - 4 cos^2 2x, cos 2x numerator", FULL, NO_PARAMS,
              lambda: _golden5_part(1), lambda: PI3 / 24.0 - 3.0 * PI / 8.0 * LA2, splits=MID),
         # sin^2/cos^2 numerators from adding/subtracting the pair
@@ -296,9 +304,10 @@ def cases():
         case("S9.EZYW57R", "eq. (ezyw57r)", FULL, R_ANY, lambda r: _ise(r, 2), _ezy_rhs, splits=MID),
         case("S9.PXI3HD5.PART1", "special value at squared kernel 1 + 4 sin^2 2x", FULL, NO_PARAMS,
              lambda: trig_sq_kernel(1.0, 4.0, math.sin, 2, True),
-             lambda: 21.0 / 100.0 * PI3 / SQRT5 - 3.0 * PI / (20.0 * SQRT5) * LA2 + PI / 20.0 * LN_ALPHA, splits=MID),
+             lambda: 21.0 / 100.0 * PI3 / SQRT5 - 3.0 * PI / (20.0 * SQRT5) * LA2 + PI / 20.0 * LN_ALPHA, splits=MID,
+             shares=same_as("S9.PXI3HD5", r=1)),
         case("S9.PXI3HD5.PART2", "special value at squared kernel 5 - 4 cos^2 2x, cos 2x numerator", FULL, NO_PARAMS,
-             lambda: _golden5_part(2), lambda: sq5_value, splits=MID),
+             lambda: _golden5_part(2), lambda: sq5_value, splits=MID, shares=same_as("S9.FRLT.PART2")),
         # imaginary-parameter pair: R = 2q/(1-q^2)
         case("S9.XITQGR6", "eq. (xitqgr6)", FULL, KX, lambda k: trig_sq_kernel(1.0, _xit_c(QX(k)) ** 2, math.cos, 1, True),
              _xit_rhs, splits=QUARTS),

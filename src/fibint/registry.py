@@ -10,7 +10,8 @@ assignments; instantiate() binds one assignment, evaluating all exact
 sequence values and converting to binary64 as late as possible.  A row's
 integrand builder and closed form are plain functions of its parameters,
 which they take by name: def rhs(n, r), or lambda: c for a row without
-parameters.
+parameters.  A row whose integral is another instance's at some of its
+points says so with shares, which the verifier reads and `list` does not.
 """
 
 from __future__ import annotations
@@ -127,9 +128,17 @@ class IdentityCase:
     as written.  instantiate binds them into a BoundInstance:
     Integrand(lhs_builder(**p), splits) and float(rhs_eval(**p)).
     default_tol defaults to TOL_FINITE on FINITE rows, else TOL_TRANSFORMED.
+
+    shares, if given, takes the same parameters and returns (row id,
+    assignment) of the instance whose integral this one's equals, the same
+    binary64 integrand under the same strategy and splits, or None where it
+    equals none.  The instance it names declares none itself.  shares is
+    not part of catalog_entry.
     """
 
-    __slots__ = ("id", "anchor", "strategy", "params", "lhs_builder", "rhs_eval", "default_tol", "splits", "note")
+    __slots__ = (
+        "id", "anchor", "strategy", "params", "lhs_builder", "rhs_eval", "default_tol", "splits", "note", "shares"
+    )
 
     def __init__(
         self,
@@ -142,6 +151,7 @@ class IdentityCase:
         default_tol: float | None = None,
         splits: tuple[float, ...] = (),
         note: str = "",
+        shares: Callable[..., tuple[str, dict[str, int]] | None] | None = None,
     ) -> None:
         if default_tol is None:
             default_tol = TOL_FINITE if strategy.kind == "FINITE" else TOL_TRANSFORMED
@@ -154,6 +164,7 @@ class IdentityCase:
         self.default_tol = default_tol
         self.splits = splits
         self.note = note
+        self.shares = shares
 
 
 class Integrand:
@@ -172,9 +183,11 @@ class Integrand:
 
 
 class BoundInstance:
-    """A catalog row bound to one concrete assignment."""
+    """A catalog row bound to one concrete assignment.  shared, which
+    verifier.run sets, holds the quadrature results of an integral that
+    other instances of the run compute too, by quadrature tol."""
 
-    __slots__ = ("case_id", "assignment", "integrand", "rhs", "tol", "strategy")
+    __slots__ = ("case_id", "assignment", "integrand", "rhs", "tol", "strategy", "shared")
 
     def __init__(
         self,
@@ -191,6 +204,7 @@ class BoundInstance:
         self.rhs = rhs
         self.tol = tol
         self.strategy = strategy
+        self.shared: dict | None = None
 
 
 _INDEX: dict[str, IdentityCase] = {}

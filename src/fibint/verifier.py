@@ -6,10 +6,20 @@ RTOL = 1e-8, and the quadrature must have converged.  Failures never
 abort a run; the report is total and deterministically ordered, so two
 runs of the same filter are bitwise identical (timestamps live only in
 serialization metadata, never in results).
+
+An integral that the catalog declares shared (IdentityCase.shares) is
+integrated once per run and quadrature tol, and the instances that share
+it reuse that QuadResult, each with its own rhs, threshold and verdict.
+A QuadResult is a function of the integrand's bits and the tol alone, so
+every result is the one its instance gets verified alone or under any
+filter.  A result's quad_evals are the integrand calls made for it: 0
+when it reused another instance's integral, as its reused flag says.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import time
 from typing import Mapping, NamedTuple
@@ -22,9 +32,12 @@ _QUAD_SAFETY = 0.25
 
 
 class VerificationResult(registry.Record):
-    """The verdict on one instance.  Results compare field by field."""
+    """The verdict on one instance.  Results compare field by field.
+    quad_evals counts the integrand calls made for this result; reused says
+    that its lhs is another instance's integral, integrated earlier in the
+    same run, and then quad_evals is 0."""
 
-    __slots__ = ("case_id", "assignment", "lhs", "rhs", "abs_err", "tol", "passed", "quad_evals", "note")
+    __slots__ = ("case_id", "assignment", "lhs", "rhs", "abs_err", "tol", "passed", "quad_evals", "note", "reused")
 
     def __init__(
         self,
@@ -37,6 +50,7 @@ class VerificationResult(registry.Record):
         passed: bool,
         quad_evals: int,
         note: str = "",
+        reused: bool = False,
     ) -> None:
         self.case_id = case_id
         self.assignment = assignment
@@ -47,6 +61,7 @@ class VerificationResult(registry.Record):
         self.passed = passed
         self.quad_evals = quad_evals
         self.note = note
+        self.reused = reused
 
     def sort_key(self):
         return (self.case_id, self.assignment)
@@ -67,21 +82,34 @@ def _quad_tol(threshold: float) -> float:
     return min(max(_QUAD_SAFETY * threshold, quad.TOL_MIN), quad.TOL_MAX)
 
 
+def _integrate(inst: registry.BoundInstance, qtol: float) -> quad.QuadResult:
+    strat = inst.strategy
+    if strat.kind == "FINITE":
+        return quad.integrate_finite(inst.integrand, strat.a, strat.b, qtol)
+    if strat.kind == "HALF_LINE":
+        return quad.integrate_half_line(inst.integrand, qtol)
+    if strat.kind == "TAN_HALFPI":
+        return quad.integrate_tan_halfpi(inst.integrand, qtol)
+    raise RuntimeError(f"unknown strategy {strat.kind}")
+
+
 def verify_instance(inst: registry.BoundInstance) -> VerificationResult:
-    """Integrate one bound instance and compare to its closed form."""
+    """Integrate one bound instance and compare to its closed form.  An
+    instance whose inst.shared already holds a result at its quadrature tol
+    reuses it, with 0 quad_evals; one that integrates adds its result there."""
     threshold = pass_threshold(inst.tol, inst.rhs)
     qtol = _quad_tol(threshold)
     note = ""
+    shared = inst.shared
+    reused = shared is not None and qtol in shared
     try:
-        strat = inst.strategy
-        if strat.kind == "FINITE":
-            res = quad.integrate_finite(inst.integrand, strat.a, strat.b, qtol)
-        elif strat.kind == "HALF_LINE":
-            res = quad.integrate_half_line(inst.integrand, qtol)
-        elif strat.kind == "TAN_HALFPI":
-            res = quad.integrate_tan_halfpi(inst.integrand, qtol)
+        if reused:
+            res = shared[qtol]
+            res = quad.QuadResult(res.value, res.err_est, 0, res.converged, res.rule)
         else:
-            raise RuntimeError(f"unknown strategy {strat.kind}")
+            res = _integrate(inst, qtol)
+            if shared is not None:
+                shared[qtol] = res
     except Exception as exc:  # a failed instance is a result, not a crash
         res = quad.QuadResult(math.nan, math.inf, 0, False)
         note = f"integration error: {exc}"
@@ -104,7 +132,26 @@ def verify_instance(inst: registry.BoundInstance) -> VerificationResult:
         passed=passed,
         quad_evals=res.evals,
         note=note,
+        reused=reused,
     )
+
+
+@functools.cache
+def _integral_index() -> dict[str, dict[tuple, tuple]]:
+    """The integrals the catalog declares shared, over the default grids: by
+    row id, the key of each instance that computes one, by the instance's
+    parameter values in the row's order.  The key is (row id, values) of
+    the instance a declaration names, which is itself a member."""
+    index: dict[str, dict[tuple, tuple]] = {}
+    for case in registry.catalog():
+        for assignment in registry.default_grid(case.id) if case.shares is not None else ():
+            target = case.shares(**assignment)
+            if target is not None:
+                row, values = target
+                key = row, tuple(values[p.name] for p in registry.get_case(row).params)
+                index.setdefault(case.id, {})[tuple(assignment.values())] = key
+                index.setdefault(row, {})[key[1]] = key
+    return index
 
 
 def run(
@@ -118,23 +165,50 @@ def run(
     bound when the row is reached, and each instance is released once its
     result exists, so the pass never holds more than one row's instances.
     (Binding each instance between two verifications measured ~5% slower.)
-    A grid window that no matching entry has a parameter for is a ValueError,
-    raised before anything is bound.
+    The grid of a row that shares an integral is built before the pass, to
+    count the instances that compute each shared integral.  A grid window
+    that no matching entry has a parameter for is a ValueError, raised
+    before anything is bound.
+
+    An integral that several instances of the run compute, as the catalog
+    declares with IdentityCase.shares, is integrated once per quadrature
+    tol: the first of them to be verified integrates and the others reuse
+    its QuadResult.  The result is a function of the integrand's bits and
+    the tol alone, so every result is the one the instance gets verified
+    alone.  A result is kept only while an instance that may reuse it is
+    still to come.
     """
     t0 = time.perf_counter()
     ids = match_ids(pattern)
     for name, (lo, hi) in (grid_override or {}).items():
         if not any(spec.name == name for cid in ids for spec in registry.get_case(cid).params):
             raise ValueError(f"bad grid override '{name}={lo}..{hi}'; no entry matching {pattern!r} has {name}")
+    index = _integral_index()
+    shared = {}  # row id -> (grid, integral key or None per instance), for the rows that share an integral
+    left: collections.Counter = collections.Counter()  # integral key -> instances of this run still to compute it
+    for cid in ids:
+        if cid in index:
+            grid = registry.default_grid(cid, grid_override)
+            keys = [index[cid].get(tuple(assignment.values())) for assignment in grid]
+            shared[cid] = grid, keys
+            left.update(k for k in keys if k is not None)
+    memo = {k: {} for k, n in left.items() if n > 1}  # integral key -> {qtol: QuadResult}
     results = []
     assignments: dict = {}  # one tuple per distinct assignment, which the results share
     for cid in ids:
-        row = [registry.instantiate(cid, assignment) for assignment in registry.default_grid(cid, grid_override)]
+        grid, keys = shared.pop(cid, None) or (registry.default_grid(cid, grid_override), None)
+        row = [registry.instantiate(cid, assignment) for assignment in grid]
         while row:  # popped, so that each instance is released once verified; the results are sorted below
             inst = row.pop()
+            key = keys.pop() if keys else None
             if tol_override is not None:
                 inst.tol = tol_override
+            inst.shared = memo.get(key)
             res = verify_instance(inst)
+            if inst.shared is not None:
+                left[key] -= 1
+                if not left[key]:
+                    del memo[key]
             res.assignment = assignments.setdefault(res.assignment, res.assignment)
             results.append(res)
     if not results:

@@ -19,8 +19,13 @@ are not.
 A third set pins the bytes of `fibint list --format json|csv|md`, which
 the catalog digest cannot see: it hashes parsed rows.
 
-Five rows repeat one integral at several points of their own grid; a
-test holds those points to one integrand and one closed form.
+Rows whose integral is another instance's declare it (IdentityCase.shares),
+and the verifier integrates it once.  Tests hold the declarations to the
+catalog: every repeated binary64 integrand is declared, every declared
+group is one integrand at every abscissa a quadrature can visit, and its
+closed forms agree within a few ulp.  Five rows repeat one integral at
+several points of their own grid; a test holds those points to one
+integrand and one closed form.
 
 A last pair of digests covers the `results` part of `fibint verify
 --format json` (cli._json_pieces joined, without its meta) over the whole catalog,
@@ -29,12 +34,15 @@ tol, verdict and note.  A change that moves one of those bits, in the
 catalog or in the quadrature, re-records the digest and says why.
 """
 
+import collections
+import functools
 import hashlib
 import json
+import math
 
 import pytest
 
-from fibint import cli, registry, verifier
+from fibint import cli, quad, registry, verifier
 
 CATALOG_SHA256 = "823e9b1cdddb37e83214234452375ebf31c64fe7d3425d83ec897556056b59a7"
 INSTANCE_SHA256 = "e43528743e1a5d816de991ca3cfd7e35a52f1a59f24a70165f42be3e965df7d9"
@@ -113,22 +121,162 @@ def test_verify_results_pinned(tol):
     assert results_digest(tol) == RESULTS_SHA256[tol]
 
 
-# rows that integrate one function at several points of their own grid
-REPEATS = {
-    "S1.STEWART": [{"n": 1, "k": k} for k in range(1, 6)],
-    "S2.XSN0TMC": [{"n": 2, "k": k} for k in range(1, 6)],
-    "S2.COMPL2": [{"n": 2, "k": k} for k in range(1, 6)],
-    "S10.QVB6JUR": [{"r": 1}, {"r": 2}],  # F_1 = F_2
-    "S10.A40QD9A": [{"r": 1}, {"r": 2}],
-}
+# Integrals the catalog declares shared (IdentityCase.shares): a group is the
+# instance a declaration names and the instances that name it.
 
 
-@pytest.mark.parametrize("case_id", list(REPEATS))
+def _key(case_id, assignment):
+    return case_id, tuple(sorted(assignment.items()))
+
+
+def declared_groups():
+    """{target key: [target key, sharer keys...]}, over the default grids."""
+    groups = {}
+    for case in registry.catalog():
+        if case.shares is None:
+            continue
+        for assignment in registry.default_grid(case.id):
+            target = case.shares(**assignment)
+            if target is not None:
+                tkey = _key(*target)
+                groups.setdefault(tkey, [tkey]).append(_key(case.id, assignment))
+    return groups
+
+
+def _key_args(key):
+    return key[0], dict(key[1])
+
+
+def _group_id(key):
+    case_id, assignment = key
+    return "/".join([case_id, *(f"{k}={v}" for k, v in assignment)])
+
+
+DECLARED = declared_groups()
+DENSE = 4000
+
+
+def _even_abscissae(strategy, n):
+    """n evenly spaced abscissae inside the domain; on the half line, x = tan of an even grid on (0, pi/2)."""
+    if strategy.kind == "FINITE":
+        return [strategy.a + (strategy.b - strategy.a) * j / (n + 1) for j in range(1, n + 1)]
+    return [math.tan(0.5 * math.pi * j / (n + 1)) for j in range(1, n + 1)]
+
+
+def _quadrature_abscissae(strategy, splits):
+    """Every abscissa that a quadrature of a row with this strategy and splits
+    can visit, at any tol: each panel's tanh-sinh nodes down to MAX_LEVEL,
+    and on a finite panel its Fejer nodes and off-grid sample."""
+    if strategy.kind == "FINITE":
+        panels = quad._finite_layout(strategy.a, strategy.b, tuple(splits))
+    else:
+        panels = [(0.0, math.inf, quad._HALF_LINE if strategy.kind == "HALF_LINE" else quad._TAN)]
+    xs = []
+    for lo, hi, table in panels:
+        xs.append(table.center[0])
+        for level in range(quad.MAX_LEVEL + 1):
+            body, (low, high) = table.rows(level)
+            xs += [x for row in body for x in row[:2]]
+            xs += [x for _, x, _ in low + high]
+        if table.fejer is not None:
+            xs += [x for level in range(quad._FEJER_LEVELS) for pair in table.fejer(level) for x in pair]
+            xs.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * quad._SAMPLE_T)
+    return xs
+
+
+@functools.cache
+def _dense_xs(strategy, splits):
+    return _quadrature_abscissae(strategy, splits) + _even_abscissae(strategy, DENSE)
+
+
+@functools.cache
+def dense_signature(key):
+    """A digest of the instance's integrand at every quadrature node and DENSE more abscissae."""
+    case = registry.get_case(key[0])
+    f = registry.instantiate(*_key_args(key)).integrand.eval
+    samples = [_sample(f, x) for x in _dense_xs(case.strategy, case.splits)]
+    return case.strategy, case.splits, hashlib.sha256(repr(samples).encode()).hexdigest()
+
+
+def test_every_bit_identical_repeat_is_declared():
+    # group every default-grid instance by its integrand at 22 abscissae, then
+    # split each group by the dense signature: each part of two or more
+    # instances integrates one binary64 function, and must be a declared group
+    coarse = collections.defaultdict(list)
+    for case in registry.catalog():
+        xs = _even_abscissae(case.strategy, 22)
+        for assignment in registry.default_grid(case.id):
+            f = registry.instantiate(case.id, assignment).integrand.eval
+            coarse[case.strategy, case.splits, tuple(_sample(f, x) for x in xs)].append(_key(case.id, assignment))
+    found = []
+    for members in coarse.values():
+        if len(members) > 1:
+            parts = collections.defaultdict(list)
+            for key in members:
+                parts[dense_signature(key)].append(key)
+            found += [sorted(part) for part in parts.values() if len(part) > 1]
+    declared = [sorted(group) for group in DECLARED.values()]
+    assert [g for g in found if g not in declared] == []
+    assert len(found) == len(declared) == 106
+    assert sum(map(len, found)) == 243
+
+
+@pytest.mark.parametrize("target", list(DECLARED), ids=_group_id)
+def test_declared_integrals_are_bit_identical(target):
+    # one binary64 integrand under one strategy and one set of splits, so that
+    # every quadrature of it, at any tol, gives the same QuadResult
+    assert len({dense_signature(key) for key in DECLARED[target]}) == 1
+
+
+def test_declarations_name_instances_that_declare_nothing():
+    # a target is an instance of its row's default grid, and no target is itself a sharer
+    for target, members in DECLARED.items():
+        case_id, assignment = _key_args(target)
+        assert assignment in registry.default_grid(case_id), target
+        shares = registry.get_case(case_id).shares
+        assert shares is None or shares(**assignment) is None, target
+        assert len(set(members)) == len(members), target
+
+
+# in-grid repeats: rows that name an instance of their own grid
+REPEATS = sorted({key[0] for target, members in DECLARED.items() for key in members[1:] if key[0] == target[0]})
+
+
+@pytest.mark.parametrize("case_id", REPEATS)
 def test_repeated_integral_has_one_closed_form(case_id):
     # a row that repeats one integral inside its grid must give it one closed form
     xs = _abscissae(registry.get_case(case_id).strategy)
-    seen = set()
-    for assignment in REPEATS[case_id]:
-        inst = registry.instantiate(case_id, assignment)
-        seen.add((tuple(_sample(inst.integrand.eval, x) for x in xs), inst.rhs.hex()))
-    assert len(seen) == 1
+    for target, members in DECLARED.items():
+        if target[0] == case_id:
+            seen = set()
+            for key in members:
+                inst = registry.instantiate(*_key_args(key))
+                seen.add((tuple(_sample(inst.integrand.eval, x) for x in xs), inst.rhs.hex()))
+            assert len(seen) == 1, target
+
+
+CLOSED_FORM_ULPS = 8
+# group -> why its closed forms disagree by more than CLOSED_FORM_ULPS, as measured
+CLOSED_FORM_XFAIL = {
+    "S7.ID4/r=1": "S7.ID34.PART2 is 28 ulp away; a 40-digit mpmath.quad of the binary64 integrand puts S7.ID4 "
+    "31 ulp off and PART2 3 ulp off, a closed form that loses digits (ROADMAP item 1)",
+    "S9.EZYW57R/r=9": "S9.NT2NOAN is 9 ulp away; a 40-digit mpmath.quad of the binary64 integrand puts NT2NOAN "
+    "12 ulp off and EZYW57R 3 ulp off, a closed form that loses digits (ROADMAP item 1)",
+}
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        pytest.param(t, marks=[pytest.mark.xfail(strict=True, reason=CLOSED_FORM_XFAIL[_group_id(t)])])
+        if _group_id(t) in CLOSED_FORM_XFAIL
+        else t
+        for t in DECLARED
+    ],
+    ids=_group_id,
+)
+def test_closed_forms_of_one_integral_agree(target):
+    # every closed form of one integral rounds to within a few ulp of the others:
+    # a far sharper check on them than any verdict threshold
+    rhs = [registry.instantiate(*_key_args(key)).rhs for key in DECLARED[target]]
+    assert max(rhs) - min(rhs) <= CLOSED_FORM_ULPS * math.ulp(max(map(abs, rhs)))

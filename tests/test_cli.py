@@ -68,6 +68,17 @@ def test_verify_md_summary(capsys):
     assert "1 passed, 0 failed" in out
 
 
+def test_verify_md_totals_count_reused_integrals(capsys):
+    # S1.STEWART integrates one function at n=1 for k=1..5: the first of them
+    # integrates, four reuse its result, and the family's evals count the calls made
+    code, out, _ = run_cli(capsys, "verify", "--filter", "S1.STEWART")
+    assert code == 0
+    assert out.endswith("; 4 reused the integral of another instance\n")
+    evals = sum(r.quad_evals for r in verifier.run("S1.STEWART").results)
+    assert f"| S1 | 40 | 0 | " in out and out.count(f" | {evals} |\n") == 1
+    assert sum(r.quad_evals == 0 for r in verifier.run("S1.STEWART").results) == 4
+
+
 def test_verify_grid_leaving_no_instance_exits_2(capsys):
     # an even-r family under an odd-only window
     code, out, err = run_cli(capsys, "verify", "--filter", "S9.G8UGNY7.PE", "--grid", "r=3..3")

@@ -54,19 +54,76 @@ def test_report_counts_consistent():
 @pytest.mark.parametrize(
     "tol, calls",
     [
-        (None, {"FINITE": 47549, "HALF_LINE": 34290, "TAN_HALFPI": 19925}),
-        (1e-12, {"FINITE": 59089, "HALF_LINE": 45650, "TAN_HALFPI": 22655}),
+        (None, {"FINITE": 42989, "HALF_LINE": 28476, "TAN_HALFPI": 19388}),
+        (1e-12, {"FINITE": 55393, "HALF_LINE": 38748, "TAN_HALFPI": 22471}),
     ],
 )
 def test_catalog_integrand_calls_per_strategy(tol, calls):
     # the integrand calls of a whole-catalog run, pinned per strategy: a change
-    # to the quadrature that moves one says so and re-records it here
+    # to the quadrature, or to the integrals the catalog declares shared, that
+    # moves one says so and re-records it here
     rep = verifier.run("*", tol_override=tol)
     assert rep.n_fail == 0 and len(rep.results) == 1504
     got = dict.fromkeys(calls, 0)
     for r in rep.results:
         got[registry.get_case(r.case_id).strategy.kind] += r.quad_evals
     assert got == calls
+
+
+def _shared_instances():
+    """Every default-grid instance of a declared group: each sharer and the instance it names."""
+    out = set()
+    for case in registry.catalog():
+        for assignment in registry.default_grid(case.id) if case.shares is not None else ():
+            target = case.shares(**assignment)
+            if target is not None:
+                out.add((case.id, tuple(sorted(assignment.items()))))
+                out.add((target[0], tuple(sorted(target[1].items()))))
+    return sorted(out)
+
+
+def _verdict(r):
+    return r.lhs.hex(), r.rhs.hex(), r.tol.hex(), r.passed, r.note
+
+
+@pytest.mark.parametrize("tol, reused", [(None, 136), (1e-12, 122)])
+def test_shared_integrals_give_the_results_of_a_lone_verification(tol, reused):
+    # an instance that reuses another's integral gets the bits it gets alone:
+    # each instance of a declared group verified by itself, and each row of
+    # one verified on its own, give the full run's lhs, rhs, tol and verdict
+    full = verifier.run("*", tol_override=tol).results
+    by_key = {(r.case_id, r.assignment): r for r in full}
+    members = _shared_instances()
+    assert len(members) == 243
+    for case_id, assignment in members:
+        inst = registry.instantiate(case_id, dict(assignment))
+        if tol is not None:
+            inst.tol = tol
+        res = verifier.verify_instance(inst)
+        assert _verdict(res) == _verdict(by_key[case_id, assignment])
+        assert res.quad_evals > 0 and not res.reused  # alone, every instance integrates
+    for case_id in sorted({case_id for case_id, _ in members}):
+        for r in verifier.run(case_id, tol_override=tol).results:
+            assert _verdict(r) == _verdict(by_key[r.case_id, r.assignment])
+    assert sum(r.reused for r in full) == reused
+    assert all(r.quad_evals == 0 for r in full if r.reused)
+
+
+def test_run_shares_only_quadrature_results(monkeypatch):
+    # what an instance is handed to share holds QuadResults by quadrature tol, never an instance or a kernel
+    seen = []
+    verify_instance = verifier.verify_instance
+
+    def keep(inst):
+        res = verify_instance(inst)
+        if inst.shared is not None:
+            seen.append(dict(inst.shared))
+        return res
+
+    monkeypatch.setattr(verifier, "verify_instance", keep)
+    verifier.run("S4.*")
+    assert len(seen) == 140  # the S4 instances of declared groups
+    assert all(type(q) is float and type(v) is quad.QuadResult for d in seen for q, v in d.items())
 
 
 def test_run_releases_each_instance_once_verified(monkeypatch):
