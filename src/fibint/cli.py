@@ -46,23 +46,32 @@ def _params_str(assignment) -> str:
 
 
 def _json_pieces(report: verifier.Report, tol, pattern: str) -> Iterator[str]:
-    """The `verify --format json` document in pieces: meta (tol, filter, timestamp), then one row per result."""
+    """The `verify --format json` document in pieces: meta (tol, filter, timestamp), then one piece per
+    catalog row, holding that row's results.  Each distinct assignment's params text is formatted once."""
+    import itertools
+
     ts = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())  # UTC, to the second
     tol_s = "null" if tol is None else _fmt(tol)
     yield f'{{"meta": {{"tol": {tol_s}, "filter": "{_json_escape(pattern)}", "timestamp": "{ts}"}}, "results": ['
     sep = ""
     isfinite = math.isfinite
-    for r in report.results:
-        lhs, rhs, err, thr = r.lhs, r.rhs, r.abs_err, r.tol
-        params = ", ".join([f'"{k}": {v}' for k, v in r.assignment])
-        nums = f'"lhs": {lhs:.17g}, "rhs": {rhs:.17g}, "abs_err": {err:.17g}, "tol": {thr:.17g}'
-        if not isfinite(lhs + rhs + err + thr):  # JSON has no inf or nan: null; "-inf" first, or it reads -null
-            nums = nums.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
-        note = _json_escape(r.note) if r.note else ""
-        yield (
-            f'{sep}{{"id": "{r.case_id}", "params": {{{params}}}, {nums}, '
-            f'"passed": {"true" if r.passed else "false"}, "note": "{note}"}}'
-        )
+    texts: dict = {}  # assignment -> its params text
+    for case_id, results in itertools.groupby(report.results, lambda r: r.case_id):
+        row = []
+        for r in results:
+            lhs, rhs, err, thr = r.lhs, r.rhs, r.abs_err, r.tol
+            params = texts.get(r.assignment)
+            if params is None:
+                params = texts[r.assignment] = ", ".join([f'"{k}": {v}' for k, v in r.assignment])
+            nums = '"lhs": %.17g, "rhs": %.17g, "abs_err": %.17g, "tol": %.17g' % (lhs, rhs, err, thr)
+            if not isfinite(lhs + rhs + err + thr):  # JSON has no inf or nan: null; "-inf" first, or it reads -null
+                nums = nums.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+            note = _json_escape(r.note) if r.note else ""
+            row.append(
+                f'{{"id": "{case_id}", "params": {{{params}}}, {nums}, '
+                f'"passed": {"true" if r.passed else "false"}, "note": "{note}"}}'
+            )
+        yield sep + ", ".join(row)
         sep = ", "
     yield "]}"
 
@@ -85,10 +94,7 @@ def _csv_pieces(report: verifier.Report) -> Iterator[str]:
             [
                 r.case_id,
                 _params_str(r.assignment),
-                _fmt(r.lhs),
-                _fmt(r.rhs),
-                _fmt(r.abs_err),
-                _fmt(r.tol),
+                *map(_fmt, (r.lhs, r.rhs, r.abs_err, r.tol)),
                 "true" if r.passed else "false",
                 r.note,
             ]
@@ -162,28 +168,21 @@ def _md_pieces(report: verifier.Report) -> Iterator[str]:
 
 
 def _params_spec_str(case: registry.IdentityCase) -> str:
-    parts = []
-    for p in case.params:
-        s = f"{p.name}={p.min}..{p.max}"
-        if p.parity != "any":
-            s += f":{p.parity}"
-        parts.append(s)
-    return ";".join(parts)
+    return ";".join(f"{p.name}={p.min}..{p.max}" + ("" if p.parity == "any" else f":{p.parity}") for p in case.params)
 
 
 def _list_json(cases: list[registry.IdentityCase]) -> Iterator[str]:
+    """registry.catalog_entry of each row, as JSON."""
     yield "["
     sep = ""
-    for e in map(registry.catalog_entry, cases):
+    for c in cases:
         params = ", ".join(
-            f'{{"name": "{p["name"]}", "parity": "{p["parity"]}", "min": {p["min"]}, '
-            f'"max": {p["max"]}, "exclusions": {p["exclusions"]}}}'
-            for p in e["params"]
+            f'{{"name": "{p.name}", "parity": "{p.parity}", "min": {p.min}, "max": {p.max}, "exclusions": []}}'
+            for p in c.params
         )
         yield (
-            f'{sep}{{"id": "{e["id"]}", "anchor": "{_json_escape(e["anchor"])}", '
-            f'"params": [{params}], "strategy": "{e["strategy"]}", '
-            f'"default_tol": {_fmt(e["default_tol"])}}}'
+            f'{sep}{{"id": "{c.id}", "anchor": "{_json_escape(c.anchor)}", "params": [{params}], '
+            f'"strategy": "{c.strategy.label()}", "default_tol": {_fmt(c.default_tol)}}}'
         )
         sep = ", "
     yield "]"
@@ -250,10 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(pieces: Iterable[str], out: TextIO | None) -> None:
-    """Write a document's pieces as they come, then a final newline unless it ends with one, to out, or
-    to stdout if out is None.  The stream encodes and buffers only a few kB at a time, so a document is
-    never held whole, as text or as bytes.  The stream is flushed, so that a closed pipe raises here and
-    not at exit."""
+    """Write a document one write per piece, as the pieces come, then a final newline unless it ends with
+    one, to out, or to stdout if out is None.  No piece is more than one catalog row, so a document is never
+    held whole, as text or as bytes.  The stream is flushed, so that a closed pipe raises here and not at
+    exit."""
     out = out or sys.stdout
     last = ""
     for last in pieces:

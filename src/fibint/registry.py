@@ -7,11 +7,9 @@ m, k), frequently with a parity split between even and odd r.  Entries
 carry an anchor string naming the identity, a quadrature strategy, and a
 default absolute tolerance.  default_grid() enumerates the verification
 assignments; instantiate() binds one assignment, evaluating all exact
-sequence values and converting to binary64 as late as possible.  A row's
-integrand builder and closed form are plain functions of its parameters,
-which they take by name: def rhs(n, r), or lambda: c for a row without
-parameters.  A row whose integral is another instance's at some of its
-points says so with shares, which the verifier reads and `list` does not.
+sequence values and converting to binary64 as late as possible.  A row
+whose integral is another instance's at some of its points says so with
+shares, which the verifier reads and `list` does not.
 """
 
 from __future__ import annotations
@@ -56,11 +54,7 @@ class ParamSpec:
         self.parity = parity
 
     def admits(self, value: int) -> bool:
-        if not (self.min <= value <= self.max):
-            return False
-        if self.parity == "even" and value % 2 != 0:
-            return False
-        return not (self.parity == "odd" and value % 2 == 0)
+        return self.min <= value <= self.max and (self.parity == "any" or value % 2 == (self.parity == "odd"))
 
     def values(self, lo: int | None = None, hi: int | None = None) -> list[int]:
         lo = self.min if lo is None else max(lo, self.min)
@@ -68,10 +62,8 @@ class ParamSpec:
         return [v for v in range(lo, hi + 1) if self.admits(v)]
 
     def describe(self, value: int) -> str:
-        parts = [f"{self.min}..{self.max}"]
-        if self.parity != "any":
-            parts.append(self.parity)
-        return f"{self.name}={value} violates {self.name} in {' '.join(parts)}"
+        parity = "" if self.parity == "any" else f" {self.parity}"
+        return f"{self.name}={value} violates {self.name} in {self.min}..{self.max}{parity}"
 
 
 class Strategy(NamedTuple):
@@ -125,9 +117,8 @@ class IdentityCase:
     lhs_builder takes the row's parameters by name and returns the bare
     integrand x -> f(x), and splits are that integrand's known singular
     points; rhs_eval takes the same parameters and returns the closed form
-    as written.  instantiate binds them into a BoundInstance:
-    Integrand(lhs_builder(**p), splits) and float(rhs_eval(**p)).
-    default_tol defaults to TOL_FINITE on FINITE rows, else TOL_TRANSFORMED.
+    as written, or lambda: c on a row without parameters.  default_tol
+    defaults to TOL_FINITE on FINITE rows, else TOL_TRANSFORMED.
 
     shares, if given, takes the same parameters and returns (row id,
     assignment) of the instance whose integral this one's equals, the same
@@ -190,13 +181,7 @@ class BoundInstance:
     __slots__ = ("case_id", "assignment", "integrand", "rhs", "tol", "strategy", "shared")
 
     def __init__(
-        self,
-        case_id: str,
-        assignment: dict[str, int],
-        integrand: Integrand,
-        rhs: float,
-        tol: float,
-        strategy: Strategy,
+        self, case_id: str, assignment: dict[str, int], integrand: Integrand, rhs: float, tol: float, strategy: Strategy
     ) -> None:
         self.case_id = case_id
         self.assignment = assignment
@@ -239,23 +224,26 @@ def match_ids(pattern: str) -> list[str]:
 
 
 def _validate(case: IdentityCase, assignment: Mapping[str, int]) -> dict[str, int]:
+    """The assignment in the row's parameter order, checked in one pass over case.params.  The sets that word
+    an error are built only for one: an unexpected name, then a missing one, then the first bad value."""
+    clean: dict[str, int] = {}
+    for spec in case.params:
+        value = assignment.get(spec.name)
+        if not isinstance(value, int) or isinstance(value, bool) or not spec.admits(value):
+            break
+        clean[spec.name] = value
+    else:
+        if len(clean) == len(assignment):
+            return clean
     wanted = {p.name for p in case.params}
     got = set(assignment)
     if got - wanted:
-        raise ParamError(
-            f"{case.id}: unexpected parameter(s) {sorted(got - wanted)}; expects {sorted(wanted)}"
-        )
+        raise ParamError(f"{case.id}: unexpected parameter(s) {sorted(got - wanted)}; expects {sorted(wanted)}")
     if wanted - got:
         raise ParamError(f"{case.id}: missing parameter(s) {sorted(wanted - got)}")
-    clean: dict[str, int] = {}
-    for spec in case.params:
-        value = assignment[spec.name]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParamError(f"{case.id}: {spec.name} must be an int")
-        if not spec.admits(value):
-            raise ParamError(f"{case.id}: {spec.describe(value)}")
-        clean[spec.name] = value
-    return clean
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParamError(f"{case.id}: {spec.name} must be an int")
+    raise ParamError(f"{case.id}: {spec.describe(value)}")
 
 
 def instantiate(case_id: str, assignment: Mapping[str, int]) -> BoundInstance:
@@ -264,14 +252,8 @@ def instantiate(case_id: str, assignment: Mapping[str, int]) -> BoundInstance:
     keywords."""
     case = get_case(case_id)
     clean = _validate(case, assignment)
-    return BoundInstance(
-        case_id=case.id,
-        assignment=clean,
-        integrand=Integrand(case.lhs_builder(**clean), case.splits),
-        rhs=float(case.rhs_eval(**clean)),
-        tol=case.default_tol,
-        strategy=case.strategy,
-    )
+    integrand = Integrand(case.lhs_builder(**clean), case.splits)
+    return BoundInstance(case.id, clean, integrand, float(case.rhs_eval(**clean)), case.default_tol, case.strategy)
 
 
 def default_grid(
@@ -282,13 +264,8 @@ def default_grid(
     overrides maps a parameter name to an inclusive (lo, hi) window that
     is intersected with the declared range; parity always stays in force.
     """
-    case = get_case(case_id)
-    axes: list[list[tuple[str, int]]] = []
-    for spec in case.params:
-        lo = hi = None
-        if overrides and spec.name in overrides:
-            lo, hi = overrides[spec.name]
-        axes.append([(spec.name, v) for v in spec.values(lo, hi)])
+    windows = overrides or {}
+    axes = [[(p.name, v) for v in p.values(*windows.get(p.name, (None, None)))] for p in get_case(case_id).params]
     return [dict(combo) for combo in itertools.product(*axes)]
 
 

@@ -121,18 +121,17 @@ def verify_instance(inst: registry.BoundInstance) -> VerificationResult:
     abs_err = abs(res.value - inst.rhs)
     if math.isnan(abs_err):  # inf, never nan, so that a max over rows keeps the failed one
         abs_err = math.inf
-    passed = res.converged and abs_err <= threshold
     return VerificationResult(
-        case_id=inst.case_id,
-        assignment=tuple(sorted(inst.assignment.items())),
-        lhs=res.value,
-        rhs=inst.rhs,
-        abs_err=abs_err,
-        tol=threshold,
-        passed=passed,
-        quad_evals=res.evals,
-        note=note,
-        reused=reused,
+        inst.case_id,
+        tuple(sorted(inst.assignment.items())),
+        res.value,
+        inst.rhs,
+        abs_err,
+        threshold,
+        res.converged and abs_err <= threshold,
+        res.evals,
+        note,
+        reused,
     )
 
 

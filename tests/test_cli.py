@@ -239,6 +239,47 @@ def test_non_finite_numbers_are_null_in_every_json_field():
     assert '"lhs": null, "rhs": 0.25, "abs_err": 2.2204460492503131e-16, "tol": 1e-10' in text
 
 
+def _json_result(r):
+    """One result as `verify --format json` writes it, rendered on its own."""
+    nums = ", ".join(
+        f'"{f}": {format(v, ".17g") if math.isfinite(v) else "null"}'
+        for f, v in zip(_FLOATS, (r.lhs, r.rhs, r.abs_err, r.tol))
+    )
+    params = ", ".join(f'"{k}": {v}' for k, v in r.assignment)
+    passed = "true" if r.passed else "false"
+    note = cli._json_escape(r.note)
+    return f'{{"id": "{r.case_id}", "params": {{{params}}}, {nums}, "passed": {passed}, "note": "{note}"}}'
+
+
+def test_json_pieces_are_one_per_catalog_row():
+    # rows that repeat assignments and hold nan and inf: one piece per row after the meta,
+    # and the pieces joined are the results rendered one by one
+    def res(case_id, assignment, lhs, passed=True, note=""):
+        return verifier.VerificationResult(case_id, assignment, lhs, 0.5, abs(lhs - 0.5), 1e-7, passed, 3, note)
+
+    r1, r2 = (("r", 1),), (("r", 2),)
+    rows = [
+        [res("A.X", r1, 0.5), res("A.X", r2, -math.inf, False, "a\tb")],
+        [res("B.Y", r1, math.nan, False), res("B.Y", r2, 0.5), res("B.Y", (("m", 0), *r2), 0.5)],
+        [res("C.Z", (), math.inf, False)],
+    ]
+    report = verifier.Report(tuple(r for row in rows for r in row), n_pass=3, n_fail=3, wall_time=0.0)
+    head, *pieces, tail = cli._json_pieces(report, None, "*")
+    assert head.endswith('"results": [') and tail == "]}"
+    assert pieces == [(", " if i else "") + ", ".join(map(_json_result, row)) for i, row in enumerate(rows)]
+    assert json.loads("".join((head, *pieces, tail)))["results"][1]["lhs"] is None
+
+
+def test_json_pieces_of_the_catalog_hold_one_row_each():
+    # the whole-catalog report is streamed a catalog row at a time, never more
+    report = verifier.run("*")
+    _, *pieces, _ = cli._json_pieces(report, None, "*")
+    ids = [[r["id"] for r in json.loads("[" + p.removeprefix(", ") + "]")] for p in pieces]
+    assert [row[0] for row in ids] == sorted(registry.match_ids("*"))  # results are sorted by id
+    assert all(set(row) == {row[0]} for row in ids)
+    assert sum(map(len, ids)) == len(report.results) == 1504
+
+
 def test_json_escape_table():
     # the quote and the backslash take a backslash, a code point below 0x20 is written
     # \u00XX (lowercase hex), and every other character, DEL and non-ASCII too, as it is

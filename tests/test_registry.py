@@ -63,6 +63,51 @@ def test_instantiate_rejects_bad_assignments():
         registry.instantiate("S3.M6BI7TA", {"r": True})
 
 
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    ("case_id", "assignment", "message"),
+    [
+        # an extra name wins over a missing name and over any bad value
+        ("S2.BJU5530", {"k": 2.0, "n": 0, "m": 1}, "S2.BJU5530: unexpected parameter(s) ['m']; expects ['k', 'n']"),
+        ("S2.BJU5530", {"k": True, "m": 1}, "S2.BJU5530: unexpected parameter(s) ['m']; expects ['k', 'n']"),
+        (
+            "S2.BJU5530",
+            {"z": 1, "a": None, "k": 1, "n": 2},
+            "S2.BJU5530: unexpected parameter(s) ['a', 'z']; expects ['k', 'n']",
+        ),
+        ("S5.FOURG", {"r": 1}, "S5.FOURG: unexpected parameter(s) ['r']; expects []"),
+        # a missing name wins over a bad value
+        ("S2.BJU5530", {"n": 99}, "S2.BJU5530: missing parameter(s) ['k']"),
+        ("S2.BJU5530", {}, "S2.BJU5530: missing parameter(s) ['k', 'n']"),
+        # then the parameters in the row's order, each checked for its type before its range
+        ("S3.M6BI7TA", {"r": True}, "S3.M6BI7TA: r must be an int"),
+        ("S3.M6BI7TA", {"r": 2.0}, "S3.M6BI7TA: r must be an int"),
+        ("S3.M6BI7TA", {"r": None}, "S3.M6BI7TA: r must be an int"),
+        ("S2.BJU5530", {"n": 0, "k": 2.0}, "S2.BJU5530: k must be an int"),
+        ("S2.BJU5530", {"n": 3.0, "k": 0}, "S2.BJU5530: k=0 violates k in 1..5"),
+        ("S2.BJU5530", {"k": 1, "n": 9}, "S2.BJU5530: n=9 violates n in 2..8"),
+        ("S3.M6BI7TA", {"r": 99}, "S3.M6BI7TA: r=99 violates r in 1..10"),
+        ("S10.CLSQ.E", {"r": 3}, "S10.CLSQ.E: r=3 violates r in 2..10 even"),
+        ("S10.CLSQ.O", {"r": 4}, "S10.CLSQ.O: r=4 violates r in 1..9 odd"),
+        ("S10.CLSQ.E", {"r": 12}, "S10.CLSQ.E: r=12 violates r in 2..10 even"),
+    ],
+)
+def test_param_error_messages(case_id, assignment, message):
+    with pytest.raises(ParamError) as exc:
+        registry.instantiate(case_id, assignment)
+    assert str(exc.value) == message
+
+
+def test_instantiate_accepts_int_subclasses_in_row_order():
+    inst = registry.instantiate("S2.BJU5530", {"n": _Int(3), "k": _Int(1)})
+    assert inst.assignment == {"k": 1, "n": 3} and list(inst.assignment) == ["k", "n"]
+    assert inst.rhs == registry.instantiate("S2.BJU5530", {"k": 1, "n": 3}).rhs
+    assert registry.instantiate("S10.CLSQ.E", {"r": _Int(4)}).assignment == {"r": 4}
+
+
 def test_parity_gates_every_constrained_case():
     for case in registry.catalog():
         for spec in case.params:
