@@ -174,11 +174,11 @@ class Integrand:
 
 
 class BoundInstance:
-    """A catalog row bound to one concrete assignment.  shared, which
-    verifier.run sets, holds the quadrature results of an integral that
-    other instances of the run compute too, by quadrature tol."""
+    """A catalog row bound to one concrete assignment: the integrand, the
+    closed form's value, the row's absolute tolerance (which a run's --tol
+    replaces) and the quadrature strategy."""
 
-    __slots__ = ("case_id", "assignment", "integrand", "rhs", "tol", "strategy", "shared")
+    __slots__ = ("case_id", "assignment", "integrand", "rhs", "tol", "strategy")
 
     def __init__(
         self, case_id: str, assignment: dict[str, int], integrand: Integrand, rhs: float, tol: float, strategy: Strategy
@@ -189,7 +189,6 @@ class BoundInstance:
         self.rhs = rhs
         self.tol = tol
         self.strategy = strategy
-        self.shared: dict | None = None
 
 
 _INDEX: dict[str, IdentityCase] = {}

@@ -18,7 +18,6 @@ when it reused another instance's integral, as its reused flag says.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import time
@@ -93,14 +92,14 @@ def _integrate(inst: registry.BoundInstance, qtol: float) -> quad.QuadResult:
     raise RuntimeError(f"unknown strategy {strat.kind}")
 
 
-def verify_instance(inst: registry.BoundInstance) -> VerificationResult:
-    """Integrate one bound instance and compare to its closed form.  An
-    instance whose inst.shared already holds a result at its quadrature tol
-    reuses it, with 0 quad_evals; one that integrates adds its result there."""
+def verify_instance(inst: registry.BoundInstance, shared: dict | None = None) -> VerificationResult:
+    """Integrate one bound instance and compare to its closed form.  shared,
+    if given, holds the QuadResults of the instance's integral by quadrature
+    tol: an instance whose quadrature tol is already there reuses that
+    result, with 0 quad_evals; one that integrates adds its result there."""
     threshold = pass_threshold(inst.tol, inst.rhs)
     qtol = _quad_tol(threshold)
     note = ""
-    shared = inst.shared
     reused = shared is not None and qtol in shared
     try:
         if reused:
@@ -164,18 +163,16 @@ def run(
     bound when the row is reached, and each instance is released once its
     result exists, so the pass never holds more than one row's instances.
     (Binding each instance between two verifications measured ~5% slower.)
-    The grid of a row that shares an integral is built before the pass, to
-    count the instances that compute each shared integral.  A grid window
-    that no matching entry has a parameter for is a ValueError, raised
-    before anything is bound.
+    A grid window that no matching entry has a parameter for is a
+    ValueError, raised before anything is bound.
 
     An integral that several instances of the run compute, as the catalog
     declares with IdentityCase.shares, is integrated once per quadrature
     tol: the first of them to be verified integrates and the others reuse
     its QuadResult.  The result is a function of the integrand's bits and
     the tol alone, so every result is the one the instance gets verified
-    alone.  A result is kept only while an instance that may reuse it is
-    still to come.
+    alone.  The memo lives for this one call and holds at most one result
+    per shared integral and quadrature tol.
     """
     t0 = time.perf_counter()
     ids = match_ids(pattern)
@@ -183,31 +180,18 @@ def run(
         if not any(spec.name == name for cid in ids for spec in registry.get_case(cid).params):
             raise ValueError(f"bad grid override '{name}={lo}..{hi}'; no entry matching {pattern!r} has {name}")
     index = _integral_index()
-    shared = {}  # row id -> (grid, integral key or None per instance), for the rows that share an integral
-    left: collections.Counter = collections.Counter()  # integral key -> instances of this run still to compute it
-    for cid in ids:
-        if cid in index:
-            grid = registry.default_grid(cid, grid_override)
-            keys = [index[cid].get(tuple(assignment.values())) for assignment in grid]
-            shared[cid] = grid, keys
-            left.update(k for k in keys if k is not None)
-    memo = {k: {} for k, n in left.items() if n > 1}  # integral key -> {qtol: QuadResult}
+    memo: dict = {}  # integral key -> {qtol: QuadResult}
     results = []
     assignments: dict = {}  # one tuple per distinct assignment, which the results share
     for cid in ids:
-        grid, keys = shared.pop(cid, None) or (registry.default_grid(cid, grid_override), None)
-        row = [registry.instantiate(cid, assignment) for assignment in grid]
+        keys = index.get(cid, {})
+        row = [registry.instantiate(cid, assignment) for assignment in registry.default_grid(cid, grid_override)]
         while row:  # popped, so that each instance is released once verified; the results are sorted below
             inst = row.pop()
-            key = keys.pop() if keys else None
             if tol_override is not None:
                 inst.tol = tol_override
-            inst.shared = memo.get(key)
-            res = verify_instance(inst)
-            if inst.shared is not None:
-                left[key] -= 1
-                if not left[key]:
-                    del memo[key]
+            key = keys.get(tuple(inst.assignment.values()))
+            res = verify_instance(inst, memo.setdefault(key, {}) if key else None)
             res.assignment = assignments.setdefault(res.assignment, res.assignment)
             results.append(res)
     if not results:

@@ -109,21 +109,58 @@ def test_shared_integrals_give_the_results_of_a_lone_verification(tol, reused):
     assert all(r.quad_evals == 0 for r in full if r.reused)
 
 
+_WINDOWS = [("S4.*", {"r": (1, 2)}), ("*", {"r": (1, 2)}), ("*", {"k": (1, 1)}), ("S1.*", {"n": (1, 1)})]
+
+
+@pytest.mark.parametrize("tol, reused", [(None, (50, 96, 87, 4)), (1e-12, (50, 85, 75, 4))])
+def test_shared_integrals_under_grid_windows_give_the_full_run_results(tol, reused):
+    # a --grid window leaves some of a group's members out of the run: those left in
+    # still share, and each gets the bits of the whole-catalog run
+    by_key = {(r.case_id, r.assignment): r for r in verifier.run("*", tol_override=tol).results}
+    got = []
+    for pattern, window in _WINDOWS:
+        results = verifier.run(pattern, grid_override=window, tol_override=tol).results
+        for r in results:
+            assert _verdict(r) == _verdict(by_key[r.case_id, r.assignment])
+        got.append(sum(r.reused for r in results))
+    assert tuple(got) == reused
+
+
 def test_run_shares_only_quadrature_results(monkeypatch):
     # what an instance is handed to share holds QuadResults by quadrature tol, never an instance or a kernel
     seen = []
     verify_instance = verifier.verify_instance
 
-    def keep(inst):
-        res = verify_instance(inst)
-        if inst.shared is not None:
-            seen.append(dict(inst.shared))
+    def keep(inst, shared=None):
+        res = verify_instance(inst, shared)
+        if shared is not None:
+            seen.append(dict(shared))
         return res
 
     monkeypatch.setattr(verifier, "verify_instance", keep)
     verifier.run("S4.*")
     assert len(seen) == 140  # the S4 instances of declared groups
     assert all(type(q) is float and type(v) is quad.QuadResult for d in seen for q, v in d.items())
+
+
+@pytest.mark.parametrize("tol, reused", [(None, 136), (1e-12, 122)])
+def test_run_memo_holds_one_result_per_shared_integral_and_tol(monkeypatch, tol, reused):
+    # a whole-catalog run hands the 243 members of declared groups one dict per
+    # shared integral, 106 in all, and each holds a result per quadrature tol only
+    handed = []
+    verify_instance = verifier.verify_instance
+
+    def keep(inst, shared=None):
+        if shared is not None:
+            handed.append(shared)
+        return verify_instance(inst, shared)
+
+    monkeypatch.setattr(verifier, "verify_instance", keep)
+    rep = verifier.run("*", tol_override=tol)
+    memos = list({id(d): d for d in handed}.values())
+    assert (len(handed), len(memos)) == (243, 106)
+    assert sum(r.reused for r in rep.results) == reused
+    assert sum(len(d) for d in memos) == 243 - reused == {None: 107, 1e-12: 121}[tol]
 
 
 def test_run_releases_each_instance_once_verified(monkeypatch):
@@ -138,9 +175,9 @@ def test_run_releases_each_instance_once_verified(monkeypatch):
         kernels.append(weakref.ref(inst.integrand.eval))
         return inst
 
-    def verify_counting(inst):
+    def verify_counting(inst, shared=None):
         alive.append((inst.case_id, sum(k() is not None for k in kernels)))
-        return verify_instance(inst)
+        return verify_instance(inst, shared)
 
     monkeypatch.setattr(registry, "instantiate", bind)
     monkeypatch.setattr(verifier, "verify_instance", verify_counting)
@@ -240,11 +277,26 @@ def _rdjra1d_printed_kernel(r):
     return lambda x: x * math.sin(x) / (a - 4.0 * math.sin(x) ** 2)
 
 
+def _a40q_printed_kernel(r):
+    # the S10.A40QD9A kernel as the source prints it, with the two half-kernels added,
+    # where the row's closed form (the cos 3x relation) belongs to their difference
+    a = F(r) * SQRT5
+
+    def f(x):
+        c = 2.0 * math.cos(2.0 * x)
+        return 0.5 * x * x * math.cos(x) * (1.0 / (a - c) + 1.0 / (a + c))
+
+    return f
+
+
+_PRINTED_KERNELS = {"S6.RDJRA1D": _rdjra1d_printed_kernel, "S10.A40QD9A": _a40q_printed_kernel}
+
+
 def _printed_variant(cid, inst):
     """The instance with the printed formula of its row's note, and whether that formula differs from the row's."""
     r = inst.assignment["r"]
-    if cid == "S6.RDJRA1D":
-        printed, row = _rdjra1d_printed_kernel(r), inst.integrand.eval
+    if cid in _PRINTED_KERNELS:
+        printed, row = _PRINTED_KERNELS[cid](r), inst.integrand.eval
         inst.integrand = Integrand(printed, inst.integrand.singular_points)
         return any(printed(x) != row(x) for x in (0.5, 1.0, 2.0))
     printed = _clsq_printed_rhs(r)
@@ -252,13 +304,20 @@ def _printed_variant(cid, inst):
     return differs
 
 
-_CLSQ, _RDJ = ("S10.CLSQ.E", "S10.CLSQ.O"), ("S6.RDJRA1D",)
+_CLSQ, _RDJ, _A40Q = ("S10.CLSQ.E", "S10.CLSQ.O"), ("S6.RDJRA1D",), ("S10.A40QD9A",)
 
 
 @pytest.mark.parametrize(
     ("cids", "tol", "n_differ", "n_failed"),
-    [(_CLSQ, None, 10, 10), (_CLSQ, 1e-12, 10, 10), (_RDJ, None, 5, 4), (_RDJ, 1e-12, 5, 5)],
-    ids=["CLSQ-default", "CLSQ-1e-12", "RDJRA1D-default", "RDJRA1D-1e-12"],
+    [
+        (_CLSQ, None, 10, 10),
+        (_CLSQ, 1e-12, 10, 10),
+        (_RDJ, None, 5, 4),
+        (_RDJ, 1e-12, 5, 5),
+        (_A40Q, None, 6, 6),
+        (_A40Q, 1e-12, 6, 6),
+    ],
+    ids=["CLSQ-default", "CLSQ-1e-12", "RDJRA1D-default", "RDJRA1D-1e-12", "A40QD9A-default", "A40QD9A-1e-12"],
 )
 def test_printed_misprints_are_caught(cids, tol, n_differ, n_failed):
     # each row's note says the formula the source prints does not verify: run the printed
