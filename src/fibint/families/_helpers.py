@@ -2,10 +2,11 @@
 
 Closed-form right sides are assembled from exact Fibonacci/Lucas integers
 (converted to binary64 late), golden-ratio powers built from those exact
-integers, and the special-function evaluators.  Algebraically equivalent
-but cancellation-free rewrites are preferred where the printed form would
-subtract nearly equal quantities, e.g. 1 - sqrt(5) F_r / L_r is computed
-as 2 beta^r / L_r.
+integers, and the special-function evaluators.  No right side is a
+quadrature value, so binding an instance never loads fibint.quad.
+Algebraically equivalent but cancellation-free rewrites are preferred
+where the printed form would subtract nearly equal quantities, e.g.
+1 - sqrt(5) F_r / L_r is computed as 2 beta^r / L_r.
 
 Most golden families come as an even and an odd branch in r.  A Branch
 holds what differs between the two as data: the parameter domain; A_r,
@@ -50,7 +51,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from ..exact_seq import ALPHA, BETA, LN_ALPHA, SQRT5, fib, lucas, golden_powers  # noqa: F401
-from ..registry import FINITE, HALF_LINE, TAN_HALFPI, IdentityCase, Integrand, ParamSpec  # noqa: F401
+from ..registry import FINITE, HALF_LINE, TAN_HALFPI, IdentityCase, ParamSpec  # noqa: F401
 from ..specfun import CATALAN, LN2, cl2, li2_real  # noqa: F401
 
 PI = math.pi
@@ -101,13 +102,6 @@ def cl_pair(t: float) -> float:
 def pi3_li2(e: float) -> float:
     """pi^3/3 + pi Li2(e)."""
     return PI3 / 3.0 + PI * li2(e)
-
-
-def quad_rhs(f: Callable[[float], float], splits: tuple[float, ...] = ()) -> float:
-    """f integrated over (0, pi) to 1e-12: the right side of a row whose closed form is a quadrature value."""
-    from ..quad import integrate_finite  # here, so that catalog() loads no quadrature
-
-    return integrate_finite(Integrand(f, splits), 0.0, PI, 1e-12).value
 
 
 case = IdentityCase  # the short names the catalog tables use

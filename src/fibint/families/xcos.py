@@ -3,17 +3,18 @@ Li2(+-sqrt(beta^r)) and Clausen values at 2 arctan(sqrt(beta^r)), with the
 square roots taken of beta^r for even r and of -beta^r for odd r, so no
 complex quantity ever enters.
 
-Also registers the two structural rows whose right side is itself a
-quadrature value: the partial-fraction recombination of the (a -+ 2cos2x)
-kernels and its cos 3x companion (which requires 2 cos x cos 2x =
-cos 3x + cos x).
+The recombined kernels over a^2 - 4 cos^2 2x share one closed form in
+u, the small root of u + 1/u = a (u = |beta|^r at a = A_r).  So do the
+two structural rows, the partial-fraction recombination of the
+(a -+ 2 cos 2x) kernels and its cos 3x companion (which requires
+2 cos x cos 2x = cos 3x + cos x), at a = sqrt5 F_r for every r.
 """
 
 from __future__ import annotations
 
 from ._helpers import (
     EVEN, FULL, LA2, LN_ALPHA, MID, NO_PARAMS, ODD, PI, PI2, PI3, SQRT5,
-    F, P, bpow, case, cl_pair, li2, li2_odd, math, quad_rhs, same_as, xcos_kernel,
+    F, P, bpow, case, cl_pair, li2, li2_odd, math, same_as, xcos_kernel,
 )
 
 CLSQ_NOTE = (
@@ -72,25 +73,24 @@ def _recombined(a, triple):
     return f
 
 
+def _recombined_rhs(u, cx, cy):
+    """cx X + cy Y in u < 1, u + 1/u = a.  Over a^2 - 4 cos^2 2x, x^2 cos x integrates to -(X + Y)/a,
+    x^2 cos 3x to (1/a - 1) X + (1/a + 1) Y and their sum to Y - X, where, with s = sqrt u and
+    t = arctan s, X = (pi/2) s/(1-u) (Li2(s) - Li2(-s)) and Y = (pi/2) s/(1+u) (Cl2(2t) + Cl2(pi-2t) + 2t ln s)."""
+    s = math.sqrt(u)
+    t = math.atan(s)
+    return cx * PI / 2.0 * s / (1.0 - u) * li2_odd(s) + cy * PI / 2.0 * s / (1.0 + u) * (
+        cl_pair(2.0 * t) + 2.0 * t * math.log(s)
+    )
+
+
 def _recombined_rows(br, triple):
     """x^2 cos x or x^2 cos 3x over A_r^2 - 4 cos^2 2x."""
 
     def rhs(r):
+        v = 1.0 / br.A(r)
         u = br.sigma * bpow(r)
-        s = math.sqrt(u)
-        a = br.A(r)
-        if triple:
-            v = 1.0 / a
-            return (
-                (v - 1.0) * PI / 2.0 * s / (1.0 - u) * li2_odd(s)
-                + (v + 1.0) * PI / 2.0 * s / (1.0 + u) * cl_pair(2.0 * math.atan(s))
-                + (v + 1.0) * PI * s / (1.0 + u) * math.atan(s) * math.log(s)
-            )
-        return (
-            -PI / (2.0 * a) * s / (1.0 - u) * li2_odd(s)
-            - PI / (2.0 * a) * s / (1.0 + u) * cl_pair(2.0 * math.atan(s))
-            - PI / a * s / (1.0 + u) * math.atan(s) * math.log(s)
-        )
+        return _recombined_rhs(u, v - 1.0, v + 1.0) if triple else _recombined_rhs(u, -v, -v)
 
     return br.params, lambda r: _recombined(br.A2(r), triple), rhs
 
@@ -116,17 +116,15 @@ def _a40q_lhs(r):
     return f
 
 
-def _a40q_rhs_kernel(a):
-    def g(x):
-        c = math.cos(2.0 * x)
-        return x * x * (math.cos(x) + math.cos(3.0 * x)) / (a - 4.0 * c * c)
-
-    return g
+def _root(r):
+    """u < 1 with u + 1/u = a, a = sqrt5 F_r the constant of the structural rows' kernels."""
+    a = F(r) * SQRT5
+    return 2.0 / (a + math.sqrt(a * a - 4.0))
 
 
-def _by_quadrature(kernel):
-    """Right side of a structural row: 1e-12 quadrature of kernel(5 F_r^2)."""
-    return lambda r: quad_rhs(kernel(5.0 * F(r) ** 2), MID)
+def _qvb_rhs(r):
+    v = 1.0 / (F(r) * SQRT5)
+    return _recombined_rhs(_root(r), -v, -v)
 
 
 def _r2_is_r1(case_id):
@@ -157,12 +155,12 @@ def cases():
         # squared plus-kernels
         case("S10.CLSQ.E", "squared Clausen thm., even branch", FULL, *_plus(EVEN, 2), splits=MID, note=CLSQ_NOTE),
         case("S10.CLSQ.O", "squared Clausen thm., odd branch", FULL, *_plus(ODD, 2), splits=MID, note=CLSQ_NOTE),
-        # structural rows: right side evaluated by quadrature; F_1 = F_2, so r = 2 repeats r = 1
-        case("S10.QVB6JUR", "recombination lemma, first relation", FULL, r16, _qvb_lhs,
-             _by_quadrature(lambda a: _recombined(a, False)), default_tol=1e-9, splits=MID,
-             shares=_r2_is_r1("S10.QVB6JUR")),
+        # structural rows: the recombined forms at a = sqrt5 F_r; F_1 = F_2, so r = 2 repeats r = 1
+        case("S10.QVB6JUR", "recombination lemma, first relation", FULL, r16, _qvb_lhs, _qvb_rhs,
+             default_tol=1e-9, splits=MID, shares=_r2_is_r1("S10.QVB6JUR")),
         case("S10.A40QD9A", "recombination lemma, cos 3x relation", FULL, r16, _a40q_lhs,
-             _by_quadrature(_a40q_rhs_kernel), default_tol=1e-9, splits=MID, shares=_r2_is_r1("S10.A40QD9A"),
+             lambda r: _recombined_rhs(_root(r), -1.0, 1.0), default_tol=1e-9, splits=MID,
+             shares=_r2_is_r1("S10.A40QD9A"),
              note="source text adds the two half-kernels; the cos 3x relation requires their "
              "difference (verified numerically and consistent with the derived theorems)"),
         # recombined kernels

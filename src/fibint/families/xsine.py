@@ -3,15 +3,15 @@ forms, their squared-kernel derivatives, and the half-interval relation
 
     int_0^{pi/2} sin^(2m-1)x/(1+Q^2 sin^2 x)^m = (1/pi) int_0^pi x sin^(2m-1)x/(...)^m,
 
-which is registered as a property row whose right side is itself computed
-by quadrature.
+which is registered as a property row: its left side is integrated, and
+its closed form is the rational integral that u = cos x makes of it.
 """
 
 from __future__ import annotations
 
 from ._helpers import (
     ALPHA, BETA, EVEN, FULL, HALF, LN_ALPHA, MID, NO_PARAMS, ODD, PI, SQRT2, SQRT5,
-    F, L, P, apow, bpow, case, math, qgrid, quad_rhs, same_as,
+    F, L, P, apow, bpow, case, math, qgrid, same_as,
 )
 
 RDJ_NOTE = (
@@ -119,8 +119,12 @@ def _quartic_rhs(q, cube):
     return PI / (2.0 * q * sm) * math.atan(q / sm) + PI / (2.0 * q * sp) * math.log(q + sp)
 
 
+def _fm_q2(k):
+    return (0.5, 1.0, 2.0)[k - 1] ** 2
+
+
 def _fm_kernel(k, m):
-    q2 = (0.5, 1.0, 2.0)[k - 1] ** 2
+    q2 = _fm_q2(k)
     e = 2 * m - 1
 
     def g(x):
@@ -131,8 +135,17 @@ def _fm_kernel(k, m):
 
 
 def _fm_rhs(k, m):
-    g = _fm_kernel(k, m)
-    return quad_rhs(lambda x: x * g(x)) / PI
+    """With u = cos x and p^2 = (1 + Q^2)/Q^2 the integral is Q^(-2m) sum_{j<m} C(m-1, j) (-1/Q^2)^j I_{j+1},
+    I_j = int_0^1 du/(p^2 - u^2)^j: I_1 = artanh(1/p)/p, I_{j+1} = (Q^(2j) + (2j-1) I_j)/(2j p^2)."""
+    q2 = _fm_q2(k)
+    p2 = (1.0 + q2) / q2
+    p = math.sqrt(p2)
+    i = math.atanh(1.0 / p) / p
+    total = 0.0
+    for j in range(1, m + 1):
+        total += math.comb(m - 1, j - 1) * (-1.0 / q2) ** (j - 1) * i
+        i = (q2**j + (2 * j - 1) * i) / (2 * j * p2)
+    return total / q2**m
 
 
 def cases():

@@ -3,7 +3,7 @@ builders, closed-form evaluators, and the machinery binding them.
 
 Each catalog entry pairs a left-hand integrand family with the matching
 closed-form right side, quantified over small integer parameters (r, n,
-m, k), frequently with a parity split between even and odd r.  Entries
+m, k), often with a parity split between even and odd r.  Entries
 carry an anchor string naming the identity, a quadrature strategy, and a
 default absolute tolerance.  default_grid() enumerates the verification
 assignments; instantiate() binds one assignment, evaluating all exact
@@ -59,7 +59,8 @@ class ParamSpec:
     def values(self, lo: int | None = None, hi: int | None = None) -> list[int]:
         lo = self.min if lo is None else max(lo, self.min)
         hi = self.max if hi is None else min(hi, self.max)
-        return [v for v in range(lo, hi + 1) if self.admits(v)]
+        step = 1 if self.parity == "any" else 2
+        return list(range(lo + (lo - (self.parity == "odd")) % step, hi + 1, step))
 
     def describe(self, value: int) -> str:
         parity = "" if self.parity == "any" else f" {self.parity}"
@@ -123,8 +124,7 @@ class IdentityCase:
     shares, if given, takes the same parameters and returns (row id,
     assignment) of the instance whose integral this one's equals, the same
     binary64 integrand under the same strategy and splits, or None where it
-    equals none.  The instance it names declares none itself.  shares is
-    not part of catalog_entry.
+    equals none.  The instance named declares none; catalog_entry omits shares.
     """
 
     __slots__ = (
@@ -260,8 +260,8 @@ def default_grid(
 ) -> list[dict[str, int]]:
     """Cross product of the per-parameter verification ranges.
 
-    overrides maps a parameter name to an inclusive (lo, hi) window that
-    is intersected with the declared range; parity always stays in force.
+    overrides maps a parameter name to an inclusive (lo, hi) window,
+    intersected with the declared range; parity stays in force.
     """
     windows = overrides or {}
     axes = [[(p.name, v) for v in p.values(*windows.get(p.name, (None, None)))] for p in get_case(case_id).params]
@@ -273,7 +273,7 @@ def catalog_entry(case: IdentityCase) -> dict:
     return {
         "id": case.id,
         "anchor": case.anchor,
-        # no parameter has exclusions; the key stays, as the bytes of `list --format json` and the catalog pins carry it
+        # no parameter has exclusions; the key stays for the `list` bytes and the catalog pins
         "params": [
             {"name": p.name, "parity": p.parity, "min": p.min, "max": p.max, "exclusions": []}
             for p in case.params

@@ -1,17 +1,22 @@
 """Dilogarithm, Clausen's function and named constants.
 
-li2_real covers every real argument x <= 1, including large negative x:
-the defining series Li2(z) = sum z^k/k^2 is used on |x| <= 1/2, the
-reflection Li2(x) + Li2(1-x) = pi^2/6 - ln(x)ln(1-x) on (1/2, 1], a
-Landen step Li2(x) = -Li2(x/(x-1)) - ln^2(1-x)/2 on (-1, -1/2), and the
-inversion Li2(x) = -pi^2/6 - ln^2(-x)/2 - Li2(1/x) for x < -1.
+li2_real covers every real argument x <= 1, including large negative x.
+On [-1, 1/2] it sums the Bernoulli series in u = -ln(1-x),
+
+    Li2(x) = u - u^2/4 + sum_k B_2k u^(2k+1)/(2k+1)!,
+
+which converges like (u/2pi)^2k, so ten terms reach rounding at
+|u| <= ln 2.  The reflection Li2(x) + Li2(1-x) = pi^2/6 - ln(x)ln(1-x)
+maps (1/2, 1] onto [0, 1/2), and the inversion
+Li2(x) = -pi^2/6 - ln^2(-x)/2 - Li2(1/x) maps x < -1 onto (-1, 0).
 
 cl2 evaluates Clausen's function Cl2(t) = sum sin(n t)/n^2 through two
 Bernoulli-type expansions, one about t = 0 (leading behaviour
 t - t*ln|t|) and one about t = pi, after odd/2pi-periodic reduction.
 The defining sine series alone converges far too slowly for 1e-12 work.
-Its coefficient tables are float literals; a test rebuilds every bit of
-them from exact Bernoulli numbers.
+
+The coefficient tables of both functions are float literals; a test
+rebuilds every bit of them from exact Bernoulli numbers.
 
 Catalan's constant G = sum (-1)^j/(2j+1)^2 is the literal CATALAN, its
 correctly rounded binary64 value.  constants() returns one read-only
@@ -30,8 +35,16 @@ PI2_6 = PI * PI / 6.0
 LN2 = math.log(2.0)
 
 
-_SERIES_TOL = 1e-16  # the direct series stop at their first term below this
-_MAX_TERMS = 200
+_SERIES_TOL = 1e-16  # the Clausen series stop at their first term below this
+
+
+# li2 on [-1, 1/2]:  Li2 = u - u^2/4 + sum_k b_k u^(2k+1), with b_k = B_2k / (2k+1)!, u = -ln(1-x)
+# k = 1 .. 10; each entry is its exact rational rounded once to binary64
+_LI2_B = (
+    0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06, -9.185773074661964e-08,
+    1.8978869988971e-09, -4.0647616451442256e-11, 8.921691020456452e-13, -1.9939295860721074e-14,
+    4.518980029619918e-16, -1.0356517612181247e-17,
+)
 
 
 # cl2 about 0:   Cl2(t) = t - t ln t + sum_n c0_n t^{2n+1}, with c0_n = (-1)^(n+1) B_2n / (2 (2n)! n (2n+1))
@@ -53,17 +66,14 @@ _CL2_CP = (
 )
 
 
-def _li2_series(z: float) -> float:
-    """The defining series sum z^k/k^2."""
-    total = 0.0
-    zk = z
-    for k in range(1, _MAX_TERMS + 1):
-        term = zk / (k * k)
-        total += term
-        if abs(term) < _SERIES_TOL:
-            break
-        zk *= z
-    return total
+def _li2_core(x: float) -> float:
+    """Li2 on [-1, 1/2], where |u| <= ln 2: the Bernoulli series, in Horner form in u^2."""
+    u = -math.log1p(-x)
+    u2 = u * u
+    p = 0.0
+    for b in reversed(_LI2_B):
+        p = p * u2 + b
+    return u - 0.25 * u2 + u * u2 * p
 
 
 def li2_real(x: float) -> float:
@@ -75,20 +85,14 @@ def li2_real(x: float) -> float:
         raise ValueError(f"li2_real requires x <= 1, got {x}")
     if x == 1.0:
         return PI2_6
-    if x == 0.0:
-        return 0.0
     if x > 0.5:
-        # reflection onto (0, 1/2)
+        # reflection onto [0, 1/2)
         y = 1.0 - x
-        return PI2_6 - math.log(x) * math.log(y) - _li2_series(y)
-    if x >= -0.5:
-        return _li2_series(x)
+        return PI2_6 - math.log(x) * math.log(y) - _li2_core(y)
     if x >= -1.0:
-        # Landen: x/(x-1) lands in (0, 1/2)
-        y = x / (x - 1.0)
-        return -_li2_series(y) - 0.5 * math.log1p(-x) ** 2
-    inv = li2_real(1.0 / x)
-    return -PI2_6 - 0.5 * math.log(-x) ** 2 - inv
+        return _li2_core(x)
+    # inversion onto (-1, 0)
+    return -PI2_6 - 0.5 * math.log(-x) ** 2 - _li2_core(1.0 / x)
 
 
 def _cl2_core(t: float) -> float:

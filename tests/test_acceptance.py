@@ -89,7 +89,7 @@ def test_criterion_4_named_anchors():
         Integrand(lambda x: x * x / (5.0 + 4.0 * math.cos(2.0 * x))), 0.0, PI / 2.0, 1e-10
     ).value
     closed = PI**3 / 36.0 - PI / 12.0 * math.log(2.0) ** 2
-    # li2_real(0.5) is evaluated by the direct series branch
+    # li2_real(0.5) is evaluated by the Bernoulli series at its edge, u = ln 2
     via_li2 = (PI**3 / 24.0 + PI / 2.0 * li2_real(0.5)) / 3.0
     checks.append(("pi^3/36 - (pi/12) ln^2 2", got, closed))
     checks.append(("same, via series dilogarithm", got, via_li2))

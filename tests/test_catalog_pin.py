@@ -11,11 +11,6 @@ single result bit:
   abscissae per strategy, so each closed form and each integrand keeps
   its rounding.
 
-The right sides of S10.QVB6JUR, S10.A40QD9A and S6.FM2DODR are computed by
-quadrature inside the catalog, so a quadrature change legitimately moves
-them; their rhs is left out of the second digest, their integrand samples
-are not.
-
 A third set pins the bytes of `fibint list --format json|csv|md`, which
 the catalog digest cannot see: it hashes parsed rows.
 
@@ -45,11 +40,11 @@ import pytest
 from fibint import cli, quad, registry, verifier
 
 CATALOG_SHA256 = "823e9b1cdddb37e83214234452375ebf31c64fe7d3425d83ec897556056b59a7"
-INSTANCE_SHA256 = "e43528743e1a5d816de991ca3cfd7e35a52f1a59f24a70165f42be3e965df7d9"
+INSTANCE_SHA256 = "8b4caead69ab6fd3342d1d4bf42350451fd04cabfb2ccace89faf3429aa42b3d"
 
 RESULTS_SHA256 = {
-    None: "d522ac6c3d8339e70d8b98d0e177be2d638215ab6b9dc3ff3946d7bf0c407f62",
-    1e-12: "8603085ef87c53d790dbd75aeb23ad874c7992e3c1f60d21fcf8e5a4ebdc813b",
+    None: "bdf8e15c582268cb396d4eaf79ead426981244486eeaa2f2e0b43cc1fadb5299",
+    1e-12: "8aeb32dc52525f4056558b4e20ffb0b07bdd1f47830b6ccc694aacac23ed716d",
 }
 
 LIST_SHA256 = {
@@ -58,7 +53,6 @@ LIST_SHA256 = {
     "md": "b00912959aec3f5a217eb868a53a644e8b46584c323dae022b1edeb67ee1db05",
 }
 
-QUADRATURE_RHS = {"S10.QVB6JUR", "S10.A40QD9A", "S6.FM2DODR"}
 FINITE_FRACTIONS = (0.0625, 0.3, 0.61803, 0.97)
 HALF_LINE_POINTS = (0.03, 0.7, 2.5, 41.0)  # also t = tan x for TAN_HALFPI
 
@@ -89,9 +83,8 @@ def instance_digest():
         xs = _abscissae(case.strategy)
         for assignment in registry.default_grid(case.id):
             inst = registry.instantiate(case.id, assignment)
-            rhs = "quadrature" if case.id in QUADRATURE_RHS else inst.rhs.hex()
             samples = [_sample(inst.integrand.eval, x) for x in xs]
-            line = (case.id, sorted(assignment.items()), rhs, inst.tol.hex(), inst.strategy.label(),
+            line = (case.id, sorted(assignment.items()), inst.rhs.hex(), inst.tol.hex(), inst.strategy.label(),
                     [p.hex() for p in inst.integrand.singular_points], samples)
             h.update(repr(line).encode())
     return h.hexdigest()
@@ -258,8 +251,6 @@ def test_repeated_integral_has_one_closed_form(case_id):
 CLOSED_FORM_ULPS = 8
 # group -> why its closed forms disagree by more than CLOSED_FORM_ULPS, as measured
 CLOSED_FORM_XFAIL = {
-    "S7.ID4/r=1": "S7.ID34.PART2 is 28 ulp away; a 40-digit mpmath.quad of the binary64 integrand puts S7.ID4 "
-    "31 ulp off and PART2 3 ulp off, a closed form that loses digits (ROADMAP item 1)",
     "S9.EZYW57R/r=9": "S9.NT2NOAN is 9 ulp away; a 40-digit mpmath.quad of the binary64 integrand puts NT2NOAN "
     "12 ulp off and EZYW57R 3 ulp off, a closed form that loses digits (ROADMAP item 1)",
 }
@@ -280,3 +271,13 @@ def test_closed_forms_of_one_integral_agree(target):
     # a far sharper check on them than any verdict threshold
     rhs = [registry.instantiate(*_key_args(key)).rhs for key in DECLARED[target]]
     assert max(rhs) - min(rhs) <= CLOSED_FORM_ULPS * math.ulp(max(map(abs, rhs)))
+
+
+@pytest.mark.parametrize("r", [1, 3, 5])
+def test_structural_rows_at_odd_r_are_the_recombined_rows(r):
+    # at odd r the structural kernels' constant sqrt5 F_r is A_r of the odd recombined rows, so
+    # QVB6JUR is Y4DQFP7's integral and A40QD9A the sum of Y4DQFP7's and GG6A1VX's
+    rhs = {case_id: registry.instantiate(case_id, {"r": r}).rhs
+           for case_id in ("S10.QVB6JUR", "S10.A40QD9A", "S10.Y4DQFP7", "S10.GG6A1VX")}
+    for got, want in ((rhs["S10.QVB6JUR"], rhs["S10.Y4DQFP7"]), (rhs["S10.A40QD9A"], rhs["S10.Y4DQFP7"] + rhs["S10.GG6A1VX"])):
+        assert abs(got - want) <= CLOSED_FORM_ULPS * math.ulp(want)

@@ -1,14 +1,15 @@
 """Start-up cost of the records and the package, and the names `perfbench/traced.py` patches.
 
 `fibint list` and a cold `fibint verify` should not pay for the
-`dataclasses` machinery or for `fractions`/`decimal`: the Clausen tables
-are float literals, and the report's timestamp comes from `time`, not
-`datetime`.  `import fibint` loads no submodule,
-and `fibint list` and `show` load neither the quadrature nor the
-verifier, nor the modules only the other writers use.  The traced benchmark run
-(`perfbench/run.py --trace 1`) replaces module functions and record
-attributes in place, so those names must stay module attributes and
-those attributes must stay assignable.
+`dataclasses` machinery or for `fractions`/`decimal`: the dilogarithm and
+Clausen tables are float literals, and the report's timestamp comes from
+`time`, not `datetime`.  `import fibint` loads no submodule, and `fibint
+list` and `show` load neither the quadrature nor the verifier, nor the
+modules only the other writers use.  No right side is a quadrature
+value, so binding every instance loads no quadrature either.  The traced
+benchmark run (`perfbench/run.py --trace 1`) replaces module functions and
+record attributes in place, so those names must stay module attributes
+and those attributes must stay assignable.
 """
 
 import os
@@ -70,6 +71,17 @@ def test_whole_catalog_verify_loads_no_exact_arithmetic_or_datetime():
         "assert cli.main(['verify', '--format', 'json', '--out', os.devnull]) == 0"
     )
     assert _loaded_after(code, names) == []
+
+
+def test_binding_every_instance_loads_no_quadrature():
+    # every right side is a closed form: binding the whole default grid never reaches fibint.quad
+    code = (
+        "from fibint import registry\n"
+        "for case in registry.catalog():\n"
+        "    for assignment in registry.default_grid(case.id):\n"
+        "        registry.instantiate(case.id, assignment)"
+    )
+    assert "fibint.quad" not in _modules_after(code)
 
 
 def test_verify_leaves_fib_complex_unloaded():

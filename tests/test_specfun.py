@@ -74,11 +74,22 @@ def test_li2_duplication_property(x):
     assert 0.5 * li2_real(x * x) - li2_real(x) - li2_real(-x) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_cl2_tables_are_the_exact_rationals_rounded_once():
-    # B_0 .. B_40 (B_1 = -1/2) from the defining recurrence, in exact arithmetic
+def _bernoulli(n):
+    """B_0 .. B_n (B_1 = -1/2) from the defining recurrence, in exact arithmetic."""
     bern = [Fraction(1)]
-    for m in range(1, 41):
+    for m in range(1, n + 1):
         bern.append(-sum(math.comb(m + 1, k) * bern[k] for k in range(m)) / (m + 1))
+    return bern
+
+
+def test_li2_table_is_the_exact_rationals_rounded_once():
+    bern = _bernoulli(20)
+    exact = [bern[2 * k] / math.factorial(2 * k + 1) for k in range(1, 11)]
+    assert list(map(float.hex, specfun._LI2_B)) == [float(c).hex() for c in exact]
+
+
+def test_cl2_tables_are_the_exact_rationals_rounded_once():
+    bern = _bernoulli(40)
     about0 = [(-1) ** (n + 1) * bern[2 * n] / (2 * math.factorial(2 * n) * n * (2 * n + 1)) for n in range(1, 21)]
     about_pi = [(4**m - 1) * c for m, c in enumerate(about0, 1)]
     assert list(map(float.hex, specfun._CL2_C0)) == [float(c).hex() for c in about0]
