@@ -96,3 +96,9 @@ def golden_powers(r: int) -> GoldenPair:
     # alternating in sign, so the subtraction is again cancellation-free
     beta_pow = (lr - fr * SQRT5) / 2.0
     return GoldenPair((-1.0) ** r / beta_pow, beta_pow)
+
+
+__all__ = [
+    "ALPHA", "BETA", "LN_ALPHA", "SQRT5", "MAX_INDEX", "MAX_GOLDEN_POWER",
+    "GoldenPair", "fib", "lucas", "golden_powers",
+]

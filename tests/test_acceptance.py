@@ -8,10 +8,12 @@ import time
 
 import pytest
 
-from fibint import fib_complex, verifier
+from fibint import verifier
 from fibint.exact_seq import fib, golden_powers, lucas
 from fibint.quad import Integrand, integrate_finite, integrate_tan_halfpi
 from fibint.specfun import LN_ALPHA, cl2, constants, li2_real
+
+from test_fib_complex import deriv_residual
 
 PI = math.pi
 SQRT5 = math.sqrt(5.0)
@@ -151,16 +153,11 @@ def test_criterion_6_special_function_suite():
 
 
 def test_criterion_7_derivative_oracle():
-    res = fib_complex.lemma2_check(0, 10, 1e-5)
-    worst = max(max(r.fib_resid, r.lucas_resid) for r in res)
+    worst = max(max(deriv_residual(float(j), 1e-5)) for j in range(11))
     ok = worst <= 1e-6
-    coarse = fib_complex.lemma2_check(0, 10, 1e-4)
-    fine = fib_complex.lemma2_check(0, 10, 5e-5)
-    ratios = [
-        c.fib_resid / f.fib_resid
-        for c, f in zip(coarse, fine)
-        if f.fib_resid > 1e-12
-    ]
+    coarse = [deriv_residual(float(j), 1e-4)[0] for j in range(11)]
+    fine = [deriv_residual(float(j), 5e-5)[0] for j in range(11)]
+    ratios = [c / f for c, f in zip(coarse, fine) if f > 1e-12]
     order2 = all(3.0 <= ratio <= 5.0 for ratio in ratios)
     _line(7, ok and order2, f"derivative oracle: worst residual {worst:.2e}, h-halving ratios ~4x")
 

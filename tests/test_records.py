@@ -5,7 +5,8 @@
 Clausen tables are float literals, and the report's timestamp comes from
 `time`, not `datetime`.  `import fibint` loads no submodule, and `fibint
 list` and `show` load neither the quadrature nor the verifier, nor the
-modules only the other writers use.  No right side is a quadrature
+modules only the other writers use, while one small `verify` run loads
+every module the package ships, so none is dead weight.  No right side is a quadrature
 value, so binding every instance loads no quadrature either.  The traced
 benchmark run (`perfbench/run.py --trace 1`) replaces module functions and
 record attributes in place, so those names must stay module attributes
@@ -20,10 +21,10 @@ import sys
 import pytest
 
 import fibint
-from fibint import cli, exact_seq, fib_complex, quad, registry, specfun, verifier
+from fibint import cli, exact_seq, quad, registry, specfun, verifier
 
 HEAVY = ("dataclasses", "inspect", "fractions", "decimal")
-NOT_FOR_LIST = ("fibint.quad", "fibint.verifier", "fibint.fib_complex", "csv", "datetime")
+NOT_FOR_LIST = ("fibint.quad", "fibint.verifier", "csv", "datetime")
 
 
 def _modules_after(code: str) -> set[str]:
@@ -84,14 +85,19 @@ def test_binding_every_instance_loads_no_quadrature():
     assert "fibint.quad" not in _modules_after(code)
 
 
-def test_verify_leaves_fib_complex_unloaded():
-    # no command reaches the complex Fibonacci functions or their lemma check
+def test_verify_loads_every_package_module():
+    # the package holds only what a command runs: one small verify run loads each of its modules
     code = (
         "import os\n"
         "from fibint import cli\n"
         "assert cli.main(['verify', '--filter', 'S5.FOURG', '--format', 'json', '--out', os.devnull]) == 0"
     )
-    assert "fibint.fib_complex" not in _modules_after(code)
+    package = pathlib.Path(fibint.__file__).resolve().parent
+    shipped = {".".join(("fibint",) + p.relative_to(package).with_suffix("").parts) for p in package.rglob("*.py")}
+    shipped = {name.removesuffix(".__init__") for name in shipped}
+    loaded = {m for m in _modules_after(code) if m == "fibint" or m.startswith("fibint.")}
+    assert loaded == shipped
+
 
 def test_package_import_loads_no_submodule():
     assert sorted(m for m in _modules_after("import fibint") if m.startswith("fibint.")) == []
@@ -99,7 +105,7 @@ def test_package_import_loads_no_submodule():
 
 def test_every_public_name_resolves():
     # the public API is each submodule's __all__; the package itself holds only __version__
-    for module in (fib_complex, quad, registry, specfun, verifier):
+    for module in (exact_seq, quad, registry, specfun, verifier):
         namespace: dict = {}
         exec(f"from {module.__name__} import *", namespace)
         for name in module.__all__:

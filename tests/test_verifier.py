@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from fibint import fib_complex, quad, registry, verifier
+from fibint import quad, registry, verifier
 from fibint.families._helpers import F, L, bpow, parity
 from fibint.quad import Integrand, integrate_finite
 from fibint.specfun import LN_ALPHA, cl2, constants
@@ -86,6 +86,16 @@ def _verdict(r):
     return r.lhs.hex(), r.rhs.hex(), r.tol.hex(), r.passed, r.note
 
 
+# Instances whose |lhs| is within their own threshold, by section: a closed form of 0
+# would pass each of them.  ROADMAP items 2 and 11 are meant to lower these counts;
+# this is the baseline they gate on.
+_VACUOUS = {
+    None: {"S4": 142, "S3": 22, "S2": 5, "S6": 6, "S9": 6, "S8": 2},
+    1e-12: {"S4": 42, "S3": 4, "S2": 5},
+}
+_ZERO_RHS = [("S2.COMPL2", (("k", k), ("n", 2))) for k in range(1, 6)]
+
+
 @pytest.mark.parametrize("tol, reused", [(None, 137), (1e-12, 125)])
 def test_shared_integrals_give_the_results_of_a_lone_verification(tol, reused):
     # an instance that reuses another's integral gets the bits it gets alone:
@@ -107,6 +117,10 @@ def test_shared_integrals_give_the_results_of_a_lone_verification(tol, reused):
             assert _verdict(r) == _verdict(by_key[r.case_id, r.assignment])
     assert sum(r.reused for r in full) == reused
     assert all(r.quad_evals == 0 for r in full if r.reused)
+    # the same full run gauges the vacuous passes
+    vacuous = collections.Counter(r.case_id.split(".")[0] for r in full if abs(r.lhs) <= r.tol)
+    assert vacuous == _VACUOUS[tol] and sum(vacuous.values()) == {None: 183, 1e-12: 51}[tol]
+    assert [(r.case_id, r.assignment) for r in full if r.rhs == 0.0] == _ZERO_RHS
 
 
 _WINDOWS = [("S4.*", {"r": (1, 2)}), ("*", {"r": (1, 2)}), ("*", {"k": (1, 1)}), ("S1.*", {"n": (1, 1)})]
@@ -482,18 +496,3 @@ def test_half_full_interval_relation():
     rep = verifier.run("S6.FM2DODR")
     assert rep.n_fail == 0
     assert all(r.tol <= 1e-8 for r in rep.results)
-
-
-def test_lemma2_check():
-    res = fib_complex.lemma2_check(0, 10, 1e-5)
-    assert len(res) == 11
-    assert all(r.fib_resid <= 1e-6 and r.lucas_resid <= 1e-6 for r in res)
-    coarse = fib_complex.lemma2_check(0, 10, 1e-4)
-    fine = fib_complex.lemma2_check(0, 10, 5e-5)
-    for c, f in zip(coarse, fine):
-        if c.fib_resid > 1e-12:
-            assert f.fib_resid == pytest.approx(c.fib_resid / 4.0, rel=0.2)
-    with pytest.raises(ValueError):
-        fib_complex.lemma2_check(0, 5, 1e-8)
-    with pytest.raises(ValueError):
-        fib_complex.lemma2_check(5, 0)
