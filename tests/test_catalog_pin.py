@@ -99,9 +99,13 @@ def test_instance_bits_pinned():
 
 
 @pytest.mark.parametrize("fmt", list(LIST_SHA256))
-def test_list_bytes_pinned(fmt, capsys):
+def test_list_bytes_pinned(fmt, capsys, tmp_path):
+    # stdout and --out FILE carry the same bytes
+    path = tmp_path / f"list.{fmt}"
     assert cli.main(["list", "--format", fmt]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == LIST_SHA256[fmt]
+    assert cli.main(["list", "--format", fmt, "--out", str(path)]) == 0
+    for data in (capsys.readouterr().out.encode(), path.read_bytes()):
+        assert hashlib.sha256(data).hexdigest() == LIST_SHA256[fmt]
 
 
 def results_digest(tol):

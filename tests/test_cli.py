@@ -333,6 +333,10 @@ def test_streamed_report_is_the_string_renderers_text(fmt, tmp_path, monkeypatch
         expected = "".join((cli._csv_pieces if fmt == "csv" else cli._md_pieces)(report))
     assert len(report.results) > 10
     assert text == expected.rstrip("\n") + "\n"
+    if fmt == "json":
+        assert len(json.loads(text)["results"]) == len(report.results)
+    elif fmt == "csv":
+        assert len(list(csv.reader(io.StringIO(text)))) - 1 == len(report.results)
 
 
 def test_list_csv_has_full_catalog(capsys):
@@ -426,6 +430,27 @@ def test_results_payload_deterministic(capsys):
     r1 = out1[out1.index('"results"') :]
     r2 = out2[out2.index('"results"') :]
     assert r1 == r2
+
+
+def test_results_payload_independent_of_hash_seed():
+    # the JSON writer keys a dict by assignment tuple, and str hashes differ per
+    # interpreter, so two fresh whole-catalog runs under different seeds must
+    # write the same results bytes
+    payloads = []
+    for seed in ("0", "1"):
+        env = dict(_fresh_env(), PYTHONHASHSEED=seed)
+        out = subprocess.run(
+            [sys.executable, "-m", "fibint.cli", "verify", "--format", "json"],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        payloads.append(out[out.index('"results": ') :])
+    a, b = payloads
+    at = len(os.path.commonprefix(payloads))
+    # a bare a == b would have pytest diff two ~290 kB lines character by character
+    same = a == b
+    assert same, f"seeds 0 and 1 differ at {at}: {a[at - 60 : at + 60]!r} != {b[at - 60 : at + 60]!r}"
+    instances = sum(len(registry.default_grid(c.id)) for c in registry.catalog())
+    assert len(json.loads("{" + payloads[0])["results"]) == instances
 
 
 def test_grid_override_applies_across_filter(capsys):

@@ -171,6 +171,10 @@ def test_strategies_are_well_formed():
         assert case.strategy.kind in ("FINITE", "HALF_LINE", "TAN_HALFPI")
         if case.strategy.kind == "FINITE":
             assert case.strategy.a < case.strategy.b
+            # the quadrature drops a split outside (a, b) without a word
+            assert all(case.strategy.a < s < case.strategy.b for s in case.splits), case.id
+        else:  # the half-line and tan rules never read splits
+            assert case.splits == (), case.id
         assert 1e-13 <= case.default_tol <= 1e-3
 
 
