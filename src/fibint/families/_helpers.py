@@ -23,10 +23,11 @@ ParamSpec.  A row's builder and closed form take its parameters by name,
 as def _pair_a_rhs(n, r) or lambda r: ..., and a row without parameters
 has lambda: c; a helper shared by several rows takes the same names.
 A row whose integrand is, bit for bit, another instance's at some of its
-points names that instance in shares=, as lambda k, n: ... or
-same_as("S7.ID5", r=2) on a row without parameters.  The instance named
-is on the fuller row (a .PART names its general row) and declares no
-shares of its own.
+points names that instance in shares=, as lambda k, n: (id, assignment).
+A .PART row that is a general row at one point is part(id5, "S7.ID5.PART",
+anchor, closed form, r=2), with id5 that row: it writes only its id,
+anchor, closed form and point.  The instance named is on the fuller row
+and declares no shares of its own.
 
 Folding signs this way keeps every result bit, because negation and
 scaling by +-1.0 or 2.0 are exact: a + s * c with s = -2.0 rounds as
@@ -111,9 +112,10 @@ P = ParamSpec
 NO_PARAMS: tuple[ParamSpec, ...] = ()
 
 
-def same_as(case_id: str, **assignment: int) -> Callable[[], tuple[str, dict[str, int]]]:
-    """The shares of a row without parameters whose integral is case_id's at assignment."""
-    return lambda: (case_id, assignment)
+def part(of: IdentityCase, id: str, anchor: str, rhs_eval: Callable[[], float], **assignment: int) -> IdentityCase:
+    """The row that is of at assignment: of's integrand, strategy and splits, and a share of its integral."""
+    return IdentityCase(id, anchor, of.strategy, NO_PARAMS, lambda: of.lhs_builder(**assignment), rhs_eval,
+                        splits=of.splits, shares=lambda: (of.id, assignment))
 
 
 def qgrid(values: tuple[float, ...]) -> tuple[tuple[ParamSpec, ...], Callable[[int], float]]:

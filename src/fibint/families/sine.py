@@ -6,8 +6,8 @@ collapses to a single logarithm through neighbour-product identities.
 from __future__ import annotations
 
 from ._helpers import (
-    ALPHA, BETA, CATALAN, EVEN, HALF, LN_ALPHA, NO_PARAMS, ODD, PI, SQRT2, SQRT5,
-    F, L, P, apow, bpow, case, cl_pair, math, qgrid, same_as,
+    ALPHA, BETA, CATALAN, EVEN, HALF, LN_ALPHA, NO_PARAMS, ODD, SQRT2, SQRT5,
+    F, L, P, apow, bpow, case, cl_pair, math, qgrid,
 )
 
 KC, QC = qgrid((0.2, 0.5, 0.8, 1.0, BETA * BETA, -BETA))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._helpers import (
     ALPHA, BETA, LN_ALPHA, NO_PARAMS, PI, SQRT5, TAN_HALFPI,
-    F, L, P, apow, bpow, case, math, parity, same_as,
+    F, L, P, apow, bpow, case, math, parity, part,
 )
 
 ROK_Q = (F(4) / F(3), L(3) / L(2), F(5) / L(2), L(4) / F(5), F(6) / F(4), L(5) / L(3))
@@ -181,9 +181,10 @@ def cases():
         # log of (alpha^{2r}+t^2)^2 over the quartic kernel
         case("S3.K2XKUE3", "eq. (k2xkue3)", TAN_HALFPI, r_any, _k2, _k2_rhs, note=K2_NOTE),
         # tan^2 over the quartic kernel
-        case("S3.TAN2", "cor. after eq. (m6bi7ta)", TAN_HALFPI, r_any, lambda r: _tan2(L(2 * r)), _tan2_rhs),
+        tan2 := case("S3.TAN2", "cor. after eq. (m6bi7ta)", TAN_HALFPI, r_any, lambda r: _tan2(L(2 * r)), _tan2_rhs),
         # reciprocal of the quartic kernel
-        case("S3.RECIP", "cor. after eq. (t2k7wzu)", TAN_HALFPI, r_any, lambda r: _recip(L(2 * r)), _recip_rhs),
+        recip := case("S3.RECIP", "cor. after eq. (t2k7wzu)", TAN_HALFPI, r_any, lambda r: _recip(L(2 * r)),
+                      _recip_rhs),
         # n-fold derivative family at generic positive q
         case("S3.ROKBVU0", "eq. (rokbvu0)", TAN_HALFPI, (P("n", 0, 4), P("k", 1, len(ROK_Q))), _rok, _rok_rhs),
         # the same family at q = L_r/(F_r sqrt5) and its reciprocal
@@ -192,20 +193,17 @@ def cases():
         case("S3.LFPAIR.B", "theorem after eq. (rokbvu0), second member", TAN_HALFPI, nr, _pair(True), _pair_b_rhs,
              shares=lambda n, r: ("S3.SPECIAL2", {"r": r}) if n == 1 and r in (1, 3) else None),
         # squared special cases of the pair
-        case("S3.SPECIAL1", "n=1 special case, first member", TAN_HALFPI, r8, *_special(False)),
-        case("S3.SPECIAL2", "n=1 special case, second member", TAN_HALFPI, r8, *_special(True)),
-        case("S3.SPECIAL1.PART", "special value pi*alpha/16", TAN_HALFPI, NO_PARAMS,
-             lambda: _special_kernel(1.0, 5.0), lambda: PI * ALPHA / 16.0, shares=same_as("S3.SPECIAL1", r=1)),
-        case("S3.SPECIAL2.PART", "special value (pi/400)(2+7/alpha^2)", TAN_HALFPI, NO_PARAMS,
-             lambda: _special_kernel(5.0, 1.0), lambda: PI / 400.0 * (2.0 + 7.0 / ALPHA**2),
-             shares=same_as("S3.SPECIAL2", r=1)),
+        special1 := case("S3.SPECIAL1", "n=1 special case, first member", TAN_HALFPI, r8, *_special(False)),
+        special2 := case("S3.SPECIAL2", "n=1 special case, second member", TAN_HALFPI, r8, *_special(True)),
+        part(special1, "S3.SPECIAL1.PART", "special value pi*alpha/16", lambda: PI * ALPHA / 16.0, r=1),
+        part(special2, "S3.SPECIAL2.PART", "special value (pi/400)(2+7/alpha^2)",
+             lambda: PI / 400.0 * (2.0 + 7.0 / ALPHA**2), r=1),
         # combined golden-power instances with Lucas/Fibonacci numerators
         case("S3.QUARTIC.L", "quartic theorem, Lucas member", TAN_HALFPI, nrq, _quartic(L), _quartic_l_rhs),
         case("S3.QUARTIC.F", "quartic theorem, Fibonacci member", TAN_HALFPI, nrq, _quartic(F), _quartic_f_rhs),
         case("S3.QUARTIC.PART1", "special value -pi*beta^3/2", TAN_HALFPI, NO_PARAMS,
              lambda: lambda t: (1.0 - t * t) / (1.0 + (3.0 + t * t) * t * t), lambda: -PI * BETA**3 / 2.0),
-        case("S3.QUARTIC.PART2", "special value pi*beta^2/sqrt5", TAN_HALFPI, NO_PARAMS,
-             lambda: _recip(3.0), lambda: PI * BETA**2 / SQRT5, shares=same_as("S3.RECIP", r=1)),
-        case("S3.QUARTIC.PART3", "special value -pi*beta^3/(2 sqrt5)", TAN_HALFPI, NO_PARAMS,
-             lambda: _tan2(3.0), lambda: -PI * BETA**3 / (2.0 * SQRT5), shares=same_as("S3.TAN2", r=1)),
+        part(recip, "S3.QUARTIC.PART2", "special value pi*beta^2/sqrt5", lambda: PI * BETA**2 / SQRT5, r=1),
+        part(tan2, "S3.QUARTIC.PART3", "special value -pi*beta^3/(2 sqrt5)",
+             lambda: -PI * BETA**3 / (2.0 * SQRT5), r=1),
     ]

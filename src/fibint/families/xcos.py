@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ._helpers import (
     EVEN, FULL, LA2, LN_ALPHA, MID, NO_PARAMS, ODD, PI, PI2, PI3, SQRT5,
-    F, P, bpow, case, cl_pair, li2, li2_odd, math, same_as, xcos_kernel,
+    F, P, bpow, case, cl_pair, li2, li2_odd, math, part, xcos_kernel,
 )
 
 CLSQ_NOTE = (
@@ -135,23 +135,20 @@ def cases():
     r16 = (P("r", 1, 6),)
     t = math.atan(2.0)
     return [
-        case("S10.RI9NKKO", "eq. (ri9nkko)", FULL, *_minus(EVEN, 1)),
+        ri9 := case("S10.RI9NKKO", "eq. (ri9nkko)", FULL, *_minus(EVEN, 1)),
         case("S10.UJHMYEF", "eq. (ujhmyef)", FULL, *_minus(ODD, 1)),
-        case("S10.RI9NKKO.PART", "special value -pi^3/6 + (3pi/2) ln^2 alpha", FULL, NO_PARAMS,
-             lambda: xcos_kernel(3.0, -2.0), lambda: -PI3 / 6.0 + 1.5 * PI * LA2, shares=same_as("S10.RI9NKKO", r=2)),
+        part(ri9, "S10.RI9NKKO.PART", "special value -pi^3/6 + (3pi/2) ln^2 alpha",
+             lambda: -PI3 / 6.0 + 1.5 * PI * LA2, r=2),
         # squared minus-kernels
-        case("S10.SQ.E", "squared thm., even branch", FULL, *_minus(EVEN, 2)),
+        sq_even := case("S10.SQ.E", "squared thm., even branch", FULL, *_minus(EVEN, 2)),
         case("S10.SQ.O", "squared thm., odd branch", FULL, *_minus(ODD, 2)),
-        case("S10.SQ.PART", "special value at squared kernel 3 - 2 cos 2x", FULL, NO_PARAMS,
-             lambda: xcos_kernel(3.0, -2.0, 2),
-             lambda: -PI / 4.0 * (PI2 / 3.0 - 3.0 * LA2) - 3.0 * PI / (2.0 * SQRT5) * LN_ALPHA,
-             shares=same_as("S10.SQ.E", r=2)),
+        part(sq_even, "S10.SQ.PART", "special value at squared kernel 3 - 2 cos 2x",
+             lambda: -PI / 4.0 * (PI2 / 3.0 - 3.0 * LA2) - 3.0 * PI / (2.0 * SQRT5) * LN_ALPHA, r=2),
         # plus-kernels: Clausen forms
-        case("S10.PI7I3YL", "eq. (pi7i3yl)", FULL, *_plus(EVEN, 1), splits=MID),
+        pi7 := case("S10.PI7I3YL", "eq. (pi7i3yl)", FULL, *_plus(EVEN, 1), splits=MID),
         case("S10.A40FGGG", "eq. (a40fggg)", FULL, *_plus(ODD, 1), splits=MID),
-        case("S10.PI7I3YL.PART", "special value at kernel 3 + 2 cos 2x", FULL, NO_PARAMS,
-             lambda: xcos_kernel(3.0, 2.0), lambda: PI / SQRT5 * t * LN_ALPHA - PI / SQRT5 * cl_pair(t), splits=MID,
-             shares=same_as("S10.PI7I3YL", r=2)),
+        part(pi7, "S10.PI7I3YL.PART", "special value at kernel 3 + 2 cos 2x",
+             lambda: PI / SQRT5 * t * LN_ALPHA - PI / SQRT5 * cl_pair(t), r=2),
         # squared plus-kernels
         case("S10.CLSQ.E", "squared Clausen thm., even branch", FULL, *_plus(EVEN, 2), splits=MID, note=CLSQ_NOTE),
         case("S10.CLSQ.O", "squared Clausen thm., odd branch", FULL, *_plus(ODD, 2), splits=MID, note=CLSQ_NOTE),

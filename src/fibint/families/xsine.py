@@ -10,8 +10,8 @@ its closed form is the rational integral that u = cos x makes of it.
 from __future__ import annotations
 
 from ._helpers import (
-    ALPHA, BETA, EVEN, FULL, HALF, LN_ALPHA, MID, NO_PARAMS, ODD, PI, SQRT2, SQRT5,
-    F, L, P, apow, bpow, case, math, qgrid, same_as,
+    ALPHA, BETA, EVEN, FULL, HALF, LN_ALPHA, MID, ODD, PI, SQRT2, SQRT5,
+    F, L, P, apow, bpow, case, math, part, qgrid,
 )
 
 RDJ_NOTE = (
@@ -181,10 +181,8 @@ def cases():
              lambda k: _pg_rhs(qp(k)), splits=MID),
         # golden arctan instances
         case("S6.FMK6KRX.E", "thm. (fmk6krx), even branch", FULL, *_atan_rows(EVEN, 1), splits=MID),
-        case("S6.FMK6KRX.O", "thm. (fmk6krx), odd branch", FULL, *_atan_rows(ODD, 1), splits=MID),
-        case("S6.FMK6KRX.PART", "special value (pi/2) arctan 2", FULL, NO_PARAMS,
-             lambda: _xsin(5.0, -4.0, math.sin), lambda: PI / 2.0 * math.atan(2.0), splits=MID,
-             shares=same_as("S6.FMK6KRX.O", r=1)),
+        fmk_odd := case("S6.FMK6KRX.O", "thm. (fmk6krx), odd branch", FULL, *_atan_rows(ODD, 1), splits=MID),
+        part(fmk_odd, "S6.FMK6KRX.PART", "special value (pi/2) arctan 2", lambda: PI / 2.0 * math.atan(2.0), r=1),
         case("S6.FMK6SQ.E", "squared cor. of thm. (fmk6krx), even", FULL, *_atan_rows(EVEN, 2), splits=MID),
         case("S6.FMK6SQ.O", "squared cor. of thm. (fmk6krx), odd", FULL, *_atan_rows(ODD, 2), splits=MID),
         # quartic sine kernels, Q^2 < 1

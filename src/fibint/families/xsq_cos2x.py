@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._helpers import (
     BETA, EVEN, FULL, LA2, LN_ALPHA, MID, NO_PARAMS, ODD, PI, PI3, QUARTS, SQRT5,
-    F, L, P, bpow, case, cl2, cl_pair, cos2x_kernel, li2, li2_odd, math, parity, pi3_li2, qgrid, same_as,
+    F, L, P, bpow, case, cl2, cl_pair, cos2x_kernel, li2, li2_odd, math, parity, part, pi3_li2, qgrid,
     trig_sq_kernel,
 )
 
@@ -236,58 +236,48 @@ def cases():
     sq5_value = 3.0 * PI / (8.0 * SQRT5) * LN_ALPHA + PI3 / 48.0 - 3.0 * PI / 16.0 * LA2
     return [
         # plain cos 2x kernels: one row per sign/parity combination
-        case("S9.G8UGNY7.PE", "eq. (g8ugny7), even, upper sign", FULL, *_cos2x_rows(EVEN, -1.0, 1)),
+        g8_pe := case("S9.G8UGNY7.PE", "eq. (g8ugny7), even, upper sign", FULL, *_cos2x_rows(EVEN, -1.0, 1)),
         case("S9.G8UGNY7.ME", "eq. (g8ugny7), even, lower sign", FULL, *_cos2x_rows(EVEN, 1.0, 1), splits=MID),
-        case("S9.G8UGNY7.PO", "eq. (g8ugny7), odd, upper sign", FULL, *_cos2x_rows(ODD, 1.0, 1), splits=MID),
-        case("S9.G8UGNY7.MO", "eq. (g8ugny7), odd, lower sign", FULL, *_cos2x_rows(ODD, -1.0, 1)),
-        case("S9.G8UGNY7.PART1", "special value at kernel sqrt5 + 2 cos 2x", FULL, NO_PARAMS,
-             lambda: cos2x_kernel(SQRT5, 2.0), lambda: 4.0 * PI3 / 15.0 + 0.5 * PI * LA2, splits=MID,
-             shares=same_as("S9.G8UGNY7.PO", r=1)),
-        case("S9.G8UGNY7.PART2", "special value at kernel sqrt5 - 2 cos 2x", FULL, NO_PARAMS,
-             lambda: cos2x_kernel(SQRT5, -2.0), lambda: 13.0 * PI3 / 30.0 - PI * LA2,
-             shares=same_as("S9.G8UGNY7.MO", r=1)),
-        case("S9.G8UGNY7.PART3", "special value at kernel 3 - 2 cos 2x", FULL, NO_PARAMS,
-             lambda: cos2x_kernel(3.0, -2.0), lambda: (2.0 * PI3 / 5.0 - PI * LA2) / SQRT5,
-             shares=same_as("S9.G8UGNY7.PE", r=2)),
+        g8_po := case("S9.G8UGNY7.PO", "eq. (g8ugny7), odd, upper sign", FULL, *_cos2x_rows(ODD, 1.0, 1), splits=MID),
+        g8_mo := case("S9.G8UGNY7.MO", "eq. (g8ugny7), odd, lower sign", FULL, *_cos2x_rows(ODD, -1.0, 1)),
+        part(g8_po, "S9.G8UGNY7.PART1", "special value at kernel sqrt5 + 2 cos 2x",
+             lambda: 4.0 * PI3 / 15.0 + 0.5 * PI * LA2, r=1),
+        part(g8_mo, "S9.G8UGNY7.PART2", "special value at kernel sqrt5 - 2 cos 2x",
+             lambda: 13.0 * PI3 / 30.0 - PI * LA2, r=1),
+        part(g8_pe, "S9.G8UGNY7.PART3", "special value at kernel 3 - 2 cos 2x",
+             lambda: (2.0 * PI3 / 5.0 - PI * LA2) / SQRT5, r=2),
         # squared cos 2x kernels
-        case("S9.KNIIJOY.M", "eq. (kniijoy), upper sign", FULL, *_cos2x_rows(EVEN, -1.0, 2)),
+        kn_m := case("S9.KNIIJOY.M", "eq. (kniijoy), upper sign", FULL, *_cos2x_rows(EVEN, -1.0, 2)),
         case("S9.KNIIJOY.P", "eq. (kniijoy), lower sign", FULL, *_cos2x_rows(EVEN, 1.0, 2), splits=MID),
-        case("S9.M64M49C.P", "eq. (m64m49c), upper sign", FULL, *_cos2x_rows(ODD, 1.0, 2), splits=MID),
-        case("S9.M64M49C.M", "eq. (m64m49c), lower sign", FULL, *_cos2x_rows(ODD, -1.0, 2)),
-        case("S9.KNIIJOY.PART1", "special value at squared kernel 3 - 2 cos 2x", FULL, NO_PARAMS,
-             lambda: cos2x_kernel(3.0, -2.0, 2),
-             lambda: PI / 5.0 * LN_ALPHA + 6.0 * PI3 / (25.0 * SQRT5) - 3.0 * PI / (5.0 * SQRT5) * LA2,
-             shares=same_as("S9.KNIIJOY.M", r=2)),
-        case("S9.KNIIJOY.PART2", "special value at squared kernel sqrt5 + 2 cos 2x", FULL, NO_PARAMS,
-             lambda: cos2x_kernel(SQRT5, 2.0, 2),
-             lambda: -PI * LN_ALPHA + 4.0 * PI3 / (3.0 * SQRT5) + PI * SQRT5 / 2.0 * LA2, splits=MID,
-             shares=same_as("S9.M64M49C.P", r=1)),
-        case("S9.KNIIJOY.PART3", "special value at squared kernel sqrt5 - 2 cos 2x", FULL, NO_PARAMS,
-             lambda: cos2x_kernel(SQRT5, -2.0, 2),
-             lambda: 2.0 * PI * LN_ALPHA + 13.0 * PI3 / (6.0 * SQRT5) - PI * SQRT5 * LA2,
-             shares=same_as("S9.M64M49C.M", r=1)),
+        m64_p := case("S9.M64M49C.P", "eq. (m64m49c), upper sign", FULL, *_cos2x_rows(ODD, 1.0, 2), splits=MID),
+        m64_m := case("S9.M64M49C.M", "eq. (m64m49c), lower sign", FULL, *_cos2x_rows(ODD, -1.0, 2)),
+        part(kn_m, "S9.KNIIJOY.PART1", "special value at squared kernel 3 - 2 cos 2x",
+             lambda: PI / 5.0 * LN_ALPHA + 6.0 * PI3 / (25.0 * SQRT5) - 3.0 * PI / (5.0 * SQRT5) * LA2, r=2),
+        part(m64_p, "S9.KNIIJOY.PART2", "special value at squared kernel sqrt5 + 2 cos 2x",
+             lambda: -PI * LN_ALPHA + 4.0 * PI3 / (3.0 * SQRT5) + PI * SQRT5 / 2.0 * LA2, r=1),
+        part(m64_m, "S9.KNIIJOY.PART3", "special value at squared kernel sqrt5 - 2 cos 2x",
+             lambda: 2.0 * PI * LN_ALPHA + 13.0 * PI3 / (6.0 * SQRT5) - PI * SQRT5 * LA2, r=1),
         # squared cos^2(2x) kernels, paired numerators
         case("S9.FRLTBQE", "eq. (frltbqe)", FULL, EVEN.params, lambda r: _paired(EVEN.A2(r)), _frl_rhs, splits=MID),
         case("S9.S7JKWMS", "eq. (s7jkwms)", FULL, EVEN.params, lambda r: _c2x(EVEN.A2(r), -4.0, 2), _s7j_rhs,
              splits=MID, shares=lambda r: ("S9.EZYW57R", {"r": r}) if r == 10 else None),
-        case("S9.VXZM3GU", "eq. (vxzm3gu)", FULL, ODD.params, lambda r: _paired(ODD.A2(r)), _vxz_rhs, splits=MID),
+        vxz := case("S9.VXZM3GU", "eq. (vxzm3gu)", FULL, ODD.params, lambda r: _paired(ODD.A2(r)), _vxz_rhs,
+                    splits=MID),
         case("S9.NT2NOAN", "eq. (nt2noan)", FULL, ODD.params, lambda r: _c2x(ODD.A2(r), -4.0, 2), _nt2_rhs, splits=MID,
              shares=lambda r: ("S9.EZYW57R", {"r": r})),
-        case("S9.FRLT.PART1", "special value at kernel (5 - 4cos^2 2x)^2, paired numerator", FULL, NO_PARAMS,
-             lambda: _paired(5.0), lambda: 0.5 * PI * LN_ALPHA + 7.0 * PI3 / (4.0 * SQRT5) - PI * SQRT5 / 4.0 * LA2,
-             splits=MID, shares=same_as("S9.VXZM3GU", r=1)),
-        case("S9.FRLT.PART2", "special value at kernel (5 - 4cos^2 2x)^2, cos 2x numerator", FULL, NO_PARAMS,
+        part(vxz, "S9.FRLT.PART1", "special value at kernel (5 - 4cos^2 2x)^2, paired numerator",
+             lambda: 0.5 * PI * LN_ALPHA + 7.0 * PI3 / (4.0 * SQRT5) - PI * SQRT5 / 4.0 * LA2, r=1),
+        frlt2 := case("S9.FRLT.PART2", "special value at kernel (5 - 4cos^2 2x)^2, cos 2x numerator", FULL, NO_PARAMS,
              lambda: _golden5_part(2), lambda: sq5_value, splits=MID),
         # generic duplication pair: Q = 2q/(1+q^2)
         case("S9.ARIA0WT", "eq. (aria0wt)", FULL, KA, lambda k: trig_sq_kernel(1.0, -_aria_c(QA(k)) ** 2, math.cos, 1, True),
              _aria_rhs, splits=MID),
         case("S9.RU2AYAB", "eq. (ru2ayab)", FULL, KA, _ru2, _ru2_rhs, splits=MID),
         # golden instances of the duplication pair (parity-split kernels)
-        case("S9.JIVTZPL", "eq. (jivtzpl)", FULL, R_ANY, lambda r: _dup(r, 1), _dup_rhs(1.0, 1), splits=MID),
+        jiv := case("S9.JIVTZPL", "eq. (jivtzpl)", FULL, R_ANY, lambda r: _dup(r, 1), _dup_rhs(1.0, 1), splits=MID),
         case("S9.ISEKZ49", "eq. (isekz49)", FULL, R_ANY, lambda r: _ise(r, 1), _ise_rhs, splits=MID),
-        case("S9.JIVTZPL.PART1", "special value at kernel 1 + 4 sin^2 2x", FULL, NO_PARAMS,
-             lambda: trig_sq_kernel(1.0, 4.0, math.sin, 1, True),
-             lambda: (7.0 * PI3 / 20.0 - 0.25 * PI * LA2) / SQRT5, splits=MID, shares=same_as("S9.JIVTZPL", r=1)),
+        part(jiv, "S9.JIVTZPL.PART1", "special value at kernel 1 + 4 sin^2 2x",
+             lambda: (7.0 * PI3 / 20.0 - 0.25 * PI * LA2) / SQRT5, r=1),
         case("S9.JIVTZPL.PART2", "special value at kernel 5 - 4 cos^2 2x, cos 2x numerator", FULL, NO_PARAMS,
              lambda: _golden5_part(1), lambda: PI3 / 24.0 - 3.0 * PI / 8.0 * LA2, splits=MID),
         # sin^2/cos^2 numerators from adding/subtracting the pair
@@ -300,14 +290,12 @@ def cases():
         case("S9.SINCOS.PART2", "special value x^2 cos^2 x/(1 + 4 sin^2 2x)", FULL, NO_PARAMS, _sincos_part(math.cos),
              lambda: -(SQRT5 / 40.0 + 3.0 / 16.0) * PI * LA2 + (7.0 * SQRT5 / 200.0 + 1.0 / 48.0) * PI3, splits=MID),
         # squared duplication kernels
-        case("S9.PXI3HD5", "eq. (pxi3hd5)", FULL, R_ANY, lambda r: _dup(r, 2), _dup_rhs(1.0, 2), splits=MID),
+        pxi := case("S9.PXI3HD5", "eq. (pxi3hd5)", FULL, R_ANY, lambda r: _dup(r, 2), _dup_rhs(1.0, 2), splits=MID),
         case("S9.EZYW57R", "eq. (ezyw57r)", FULL, R_ANY, lambda r: _ise(r, 2), _ezy_rhs, splits=MID),
-        case("S9.PXI3HD5.PART1", "special value at squared kernel 1 + 4 sin^2 2x", FULL, NO_PARAMS,
-             lambda: trig_sq_kernel(1.0, 4.0, math.sin, 2, True),
-             lambda: 21.0 / 100.0 * PI3 / SQRT5 - 3.0 * PI / (20.0 * SQRT5) * LA2 + PI / 20.0 * LN_ALPHA, splits=MID,
-             shares=same_as("S9.PXI3HD5", r=1)),
-        case("S9.PXI3HD5.PART2", "special value at squared kernel 5 - 4 cos^2 2x, cos 2x numerator", FULL, NO_PARAMS,
-             lambda: _golden5_part(2), lambda: sq5_value, splits=MID, shares=same_as("S9.FRLT.PART2")),
+        part(pxi, "S9.PXI3HD5.PART1", "special value at squared kernel 1 + 4 sin^2 2x",
+             lambda: 21.0 / 100.0 * PI3 / SQRT5 - 3.0 * PI / (20.0 * SQRT5) * LA2 + PI / 20.0 * LN_ALPHA, r=1),
+        part(frlt2, "S9.PXI3HD5.PART2", "special value at squared kernel 5 - 4 cos^2 2x, cos 2x numerator",
+             lambda: sq5_value),
         # imaginary-parameter pair: R = 2q/(1-q^2)
         case("S9.XITQGR6", "eq. (xitqgr6)", FULL, KX, lambda k: trig_sq_kernel(1.0, _xit_c(QX(k)) ** 2, math.cos, 1, True),
              _xit_rhs, splits=QUARTS),

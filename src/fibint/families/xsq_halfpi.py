@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from ._helpers import (
     EVEN, HALF, LN2, LN_ALPHA, NO_PARAMS, ODD, PI, PI3, SQRT5,
-    F, L, P, apow, bpow, case, cos2x_kernel, li2, math, same_as,
+    F, L, P, apow, bpow, case, cos2x_kernel, li2, math, part,
 )
 
 R_EVEN8 = (P("r", 2, 8, "even"),)
@@ -74,35 +74,29 @@ def _id8_rhs(r):
 def cases():
     return [
         # kernel L_r + 2 cos 2x, r even; kernel sqrt5 F_r - 2 cos 2x, r odd
-        case("S7.ID1", "eq. (id1_from_eleven)", HALF, *_id_rows(EVEN, 1)),
-        case("S7.ID2", "eq. (id2_from_eleven)", HALF, *_id_rows(ODD, 1)),
-        case("S7.ID12.PART1", "special value at kernel 3 + 2 cos 2x", HALF, NO_PARAMS,
-             lambda: cos2x_kernel(3.0, 2.0), lambda: (3.0 * PI3 / 40.0 - 0.5 * PI * LN_ALPHA**2) / SQRT5,
-             shares=same_as("S7.ID1", r=2)),
-        case("S7.ID12.PART2", "special value at kernel sqrt5 - 2 cos 2x", HALF, NO_PARAMS,
-             lambda: cos2x_kernel(SQRT5, -2.0), lambda: PI3 / 120.0 + 0.25 * PI * LN_ALPHA**2,
-             shares=same_as("S7.ID2", r=1)),
+        id1 := case("S7.ID1", "eq. (id1_from_eleven)", HALF, *_id_rows(EVEN, 1)),
+        id2 := case("S7.ID2", "eq. (id2_from_eleven)", HALF, *_id_rows(ODD, 1)),
+        part(id1, "S7.ID12.PART1", "special value at kernel 3 + 2 cos 2x",
+             lambda: (3.0 * PI3 / 40.0 - 0.5 * PI * LN_ALPHA**2) / SQRT5, r=2),
+        part(id2, "S7.ID12.PART2", "special value at kernel sqrt5 - 2 cos 2x",
+             lambda: PI3 / 120.0 + 0.25 * PI * LN_ALPHA**2, r=1),
         # squared kernels
-        case("S7.ID3", "eq. (id3_from_eleven)", HALF, *_id_rows(EVEN, 2)),
-        case("S7.ID4", "eq. (id4_from_eleven)", HALF, *_id_rows(ODD, 2)),
-        case("S7.ID34.PART1", "special value at squared kernel 3 + 2 cos 2x", HALF, NO_PARAMS,
-             lambda: cos2x_kernel(3.0, 2.0, 2),
-             lambda: 3.0 / (5.0 * SQRT5) * (3.0 * PI3 / 40.0 - 0.5 * PI * LN_ALPHA**2) + PI / 10.0 * LN_ALPHA,
-             shares=same_as("S7.ID3", r=2)),
-        case("S7.ID34.PART2", "special value at squared kernel sqrt5 - 2 cos 2x", HALF, NO_PARAMS,
-             lambda: cos2x_kernel(SQRT5, -2.0, 2),
-             lambda: SQRT5 * (PI3 / 120.0 + 0.25 * PI * LN_ALPHA**2) - 0.5 * PI * LN_ALPHA,
-             shares=same_as("S7.ID4", r=1)),
+        id3 := case("S7.ID3", "eq. (id3_from_eleven)", HALF, *_id_rows(EVEN, 2)),
+        id4 := case("S7.ID4", "eq. (id4_from_eleven)", HALF, *_id_rows(ODD, 2)),
+        part(id3, "S7.ID34.PART1", "special value at squared kernel 3 + 2 cos 2x",
+             lambda: 3.0 / (5.0 * SQRT5) * (3.0 * PI3 / 40.0 - 0.5 * PI * LN_ALPHA**2) + PI / 10.0 * LN_ALPHA, r=2),
+        part(id4, "S7.ID34.PART2", "special value at squared kernel sqrt5 - 2 cos 2x",
+             lambda: SQRT5 * (PI3 / 120.0 + 0.25 * PI * LN_ALPHA**2) - 0.5 * PI * LN_ALPHA, r=1),
         # kernel L_{2r} + sqrt5 F_{2r} cos 2x, r even >= 2
-        case("S7.ID5", "eq. (id5_from_eleven)", HALF, R_EVEN8, lambda r: cos2x_kernel(L(2 * r), SQRT5 * F(2 * r)),
-             lambda r: PI3 / 48.0 + 0.25 * PI * li2(SQRT5 * F(r) / L(r))),
-        case("S7.ID5.PART", "special value at kernel 7 + 3 sqrt5 cos 2x", HALF, NO_PARAMS,
-             lambda: cos2x_kernel(7.0, 3.0 * SQRT5), lambda: PI3 / 48.0 + 0.25 * PI * li2(SQRT5 / 3.0),
-             shares=same_as("S7.ID5", r=2)),
-        case("S7.ID6", "eq. (id6_from_eleven)", HALF, R_EVEN8, lambda r: _id6(L(2 * r), SQRT5 * F(2 * r)), _id6_rhs),
-        case("S7.ID6.PART", "special value ln(2/(3 alpha^2))", HALF, NO_PARAMS, lambda: _id6(7.0, 3.0 * SQRT5),
-             lambda: PI / (6.0 * SQRT5) * math.log(2.0 / (3.0 * apow(2))),
-             shares=same_as("S7.ID6", r=2)),
+        id5 := case("S7.ID5", "eq. (id5_from_eleven)", HALF, R_EVEN8,
+                    lambda r: cos2x_kernel(L(2 * r), SQRT5 * F(2 * r)),
+                    lambda r: PI3 / 48.0 + 0.25 * PI * li2(SQRT5 * F(r) / L(r))),
+        part(id5, "S7.ID5.PART", "special value at kernel 7 + 3 sqrt5 cos 2x",
+             lambda: PI3 / 48.0 + 0.25 * PI * li2(SQRT5 / 3.0), r=2),
+        id6 := case("S7.ID6", "eq. (id6_from_eleven)", HALF, R_EVEN8, lambda r: _id6(L(2 * r), SQRT5 * F(2 * r)),
+                    _id6_rhs),
+        part(id6, "S7.ID6.PART", "special value ln(2/(3 alpha^2))",
+             lambda: PI / (6.0 * SQRT5) * math.log(2.0 / (3.0 * apow(2))), r=2),
         # kernel L_r^2 + 4 + 4 L_r cos 2x, r >= 2
         case("S7.ID7", "eq. (id7_from_eleven)", HALF, R_GE2, _id7,
              lambda r: (PI3 / 24.0 + 0.5 * PI * li2(2.0 / L(r))) / (L(r) ** 2 - 4.0)),

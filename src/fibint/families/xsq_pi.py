@@ -6,8 +6,8 @@ derivative form with the x^2 cos^2 x numerator.
 from __future__ import annotations
 
 from ._helpers import (
-    BETA, EVEN, FULL, LN_ALPHA, MID, NO_PARAMS, ODD, PI, PI3, SQRT5,
-    F, L, P, bpow, case, li2, math, parity, pi3_li2, qgrid, same_as, trig_sq_kernel,
+    BETA, EVEN, FULL, LN_ALPHA, MID, ODD, PI, PI3, SQRT5,
+    F, L, P, bpow, case, li2, math, parity, part, pi3_li2, qgrid, trig_sq_kernel,
 )
 
 
@@ -91,17 +91,14 @@ def cases():
     return [
         # kernel L_r^2 - 4 cos^2 x (r even) / L_r^2 + 4 sin^2 x (r odd)
         case("S8.AEKFMPM.E", "eq. (aekfmpm), even branch", FULL, *_lsq(EVEN, 1), _ae_rhs),
-        case("S8.AEKFMPM.O", "eq. (aekfmpm), odd branch", FULL, *_lsq(ODD, 1), _ae_rhs),
-        case("S8.AEKFMPM.PART", "special value at kernel 1 + 4 sin^2 x", FULL, NO_PARAMS,
-             lambda: trig_sq_kernel(1.0, 4.0, math.sin), lambda: 2.0 * PI3 / (5.0 * SQRT5) - PI * LN_ALPHA**2 / SQRT5,
-             shares=same_as("S8.AEKFMPM.O", r=1)),
+        ae_odd := case("S8.AEKFMPM.O", "eq. (aekfmpm), odd branch", FULL, *_lsq(ODD, 1), _ae_rhs),
+        part(ae_odd, "S8.AEKFMPM.PART", "special value at kernel 1 + 4 sin^2 x",
+             lambda: 2.0 * PI3 / (5.0 * SQRT5) - PI * LN_ALPHA**2 / SQRT5, r=1),
         # squared kernels
         case("S8.M86SKX9.E", "cor. (m86skx9), even branch", FULL, *_lsq(EVEN, 2), _m86_rhs),
-        case("S8.M86SKX9.O", "cor. (m86skx9), odd branch", FULL, *_lsq(ODD, 2), _m86_rhs),
-        case("S8.M86SKX9.PART", "special value at squared kernel 1 + 4 sin^2 x", FULL, NO_PARAMS,
-             lambda: trig_sq_kernel(1.0, 4.0, math.sin, 2),
-             lambda: 6.0 * PI3 * SQRT5 / 125.0 - 3.0 * PI * SQRT5 / 25.0 * LN_ALPHA**2 + PI / 5.0 * LN_ALPHA,
-             shares=same_as("S8.M86SKX9.O", r=1)),
+        m86_odd := case("S8.M86SKX9.O", "cor. (m86skx9), odd branch", FULL, *_lsq(ODD, 2), _m86_rhs),
+        part(m86_odd, "S8.M86SKX9.PART", "special value at squared kernel 1 + 4 sin^2 x",
+             lambda: 6.0 * PI3 * SQRT5 / 125.0 - 3.0 * PI * SQRT5 / 25.0 * LN_ALPHA**2 + PI / 5.0 * LN_ALPHA, r=1),
         # sign-resolved kernel L_r^2 - 4(-1)^r cos^2 x
         case("S8.WBNQDEF", "eq. (wbnqdef)", FULL, r10, lambda r: _wbn(r, 1), _wbn_rhs, splits=MID),
         case("S8.WBNQ.SQ", "squared cor. of eq. (wbnqdef)", FULL, r10, lambda r: _wbn(r, 2), _wbnsq_rhs, splits=MID),

@@ -379,24 +379,25 @@ def _weighted_sum(weights: list[float], values) -> float:
         return math.nan
 
 
-def _fejer(fe: Callable[[float], float], rows: Callable[[int], list], a: float, b: float, tol: float) -> QuadResult | int:
-    """Nested Fejer second-rule pass over (a, b), rows(level) the node pairs
-    each rule adds, reusing every value when n doubles.  From the third rule
-    on it accepts once the difference d1 of the last two rules is within tol
-    and smaller than the difference d2 one level before, and the polynomial
-    through the nodes matches f at mid + c*_SAMPLE_T to within tol/c.
-    Differences alone cannot tell a polynomial from a higher one that
-    aliases onto it at every node so far (T_38 is T_6 on the nodes of n = 8
-    and 16, also under a part that is still converging); a sample off the
-    grid exposes it, as in Chebfun's sample test, and a rule that fails it
-    is not accepted, so the pass goes on to the next.  It declines,
-    returning only the number of calls made, on a non-finite sum, past
-    FEJER_N_MAX, or once two rules agree exactly where it cannot accept (so
-    d2 of the next rule would be 0): fixed nodes can agree with each other
-    and miss a narrow feature between them.  An integrand that raises an
-    arithmetic error ends the pass with the failed result (nan, inf, calls
-    made).  Every call but one that raises keeps its value, so the values
-    count the calls."""
+def _fejer(fe: Callable[[float], float], table: _MapTable, a: float, b: float, tol: float) -> QuadResult:
+    """Nested Fejer second-rule pass over the panel (a, b),
+    table.fejer(level) the node pairs each rule adds, reusing every value
+    when n doubles.  From the third rule on it accepts once the difference
+    d1 of the last two rules is within tol and smaller than the difference
+    d2 one level before, and the polynomial through the nodes matches f at
+    mid + c*_SAMPLE_T to within tol/c.  Differences alone cannot tell a
+    polynomial from a higher one that aliases onto it at every node so far
+    (T_38 is T_6 on the nodes of n = 8 and 16, also under a part that is
+    still converging); a sample off the grid exposes it, as in Chebfun's
+    sample test, and a rule that fails it is not accepted, so the pass goes
+    on to the next.  It declines on a non-finite sum, past FEJER_N_MAX, or
+    once two rules agree exactly where it cannot accept (so d2 of the next
+    rule would be 0): fixed nodes can agree with each other and miss a
+    narrow feature between them.  A declined pass returns the panel's
+    tanh-sinh pass, with its own calls added to that pass's evals.  An
+    integrand that raises an arithmetic error ends the pass with the failed
+    result (nan, inf, calls made).  Every call but one that raises keeps its
+    value, so the values count the calls."""
     c = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fm = sample = None  # f at mid, and at mid + c*_SAMPLE_T once tested
@@ -409,7 +410,7 @@ def _fejer(fe: Callable[[float], float], rows: Callable[[int], list], a: float, 
         fm = fe(mid)
         for level in range(_FEJER_LEVELS):
             _, weights, w_mid, (l_mid, l_lo, l_hi) = _fejer_level(level)
-            for xl, xh in rows(level):
+            for xl, xh in table.fejer(level):
                 put_lo(fe(xl))
                 put_hi(fe(xh))
             value = c * (w_mid * fm + _weighted_sum(weights, map(operator.add, flo, fhi)))
@@ -431,27 +432,14 @@ def _fejer(fe: Callable[[float], float], rows: Callable[[int], list], a: float, 
     except (ZeroDivisionError, OverflowError, ValueError):
         made = (fm is not None) + len(flo) + len(fhi) + (sample is not None)
         return QuadResult(math.nan, math.inf, made + 1, False, "fejer")
-    return 1 + len(flo) + len(fhi) + (sample is not None)
+    res = _tanh_sinh(fe, table, c, tol)
+    res.evals += 1 + len(flo) + len(fhi) + (sample is not None)
+    return res
 
 
 # --------------------------------------------------------------------------
 # finite intervals
 # --------------------------------------------------------------------------
-
-
-def _finite_panel(fe: Callable[[float], float], a: float, b: float, table: _MapTable, tol: float) -> QuadResult:
-    """The Fejer pass over one panel, and if it declines, one tanh-sinh
-    pass; the declined pass's calls count in evals.  A panel whose DE table
-    is unpaired is too fine for the float grid and skips the Fejer pass."""
-    declined = 0
-    if table.fejer is not None:
-        first = _fejer(fe, table.fejer, a, b, tol)
-        if isinstance(first, QuadResult):
-            return first
-        declined = first
-    res = _tanh_sinh(fe, table, 0.5 * (b - a), tol)
-    res.evals += declined
-    return res
 
 
 @functools.lru_cache(maxsize=16)  # a catalog run integrates 5 layouts
@@ -481,8 +469,9 @@ def integrate_finite(f, a: float, b: float, tol: float) -> QuadResult:
     panels = _finite_layout(a, b, tuple(f.singular_points))
     ptol = max(tol / len(panels), TOL_MIN)
     parts: list[QuadResult] = []
-    for lo, hi, table in panels:
-        parts.append(_finite_panel(f.eval, lo, hi, table, ptol))
+    fe = f.eval
+    for lo, hi, table in panels:  # a panel whose DE table is unpaired is too fine for the Fejer pass
+        parts.append(_fejer(fe, table, lo, hi, ptol) if table.fejer else _tanh_sinh(fe, table, 0.5 * (hi - lo), ptol))
         if math.isnan(parts[-1].value):
             break
     return functools.reduce(operator.add, parts)

@@ -122,9 +122,9 @@ class IdentityCase:
     defaults to TOL_FINITE on FINITE rows, else TOL_TRANSFORMED.
 
     shares, if given, takes the same parameters and returns (row id,
-    assignment) of the instance whose integral this one's equals, the same
-    binary64 integrand under the same strategy and splits, or None where it
-    equals none.  The instance named declares none; catalog_entry omits shares.
+    assignment) of the instance with the same binary64 integrand, strategy
+    and splits, or None; a .PART row made by _helpers.part names its general
+    row's.  The instance named declares none; catalog_entry omits shares.
     """
 
     __slots__ = (

@@ -1,8 +1,6 @@
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fibint.exact_seq import MAX_GOLDEN_POWER, MAX_INDEX, SQRT5, fib, golden_powers, lucas
 
@@ -141,8 +139,7 @@ def test_one_minus_beta_power_parity_split():
             assert -b * fib(r) * SQRT5 - (1.0 + b2) == pytest.approx(0.0, abs=1e-10)
 
 
-@given(st.integers(min_value=-200, max_value=200))
-@settings(max_examples=80, deadline=None)
-def test_cassini_and_lucas_bridge(n):
-    assert fib(n + 1) * fib(n - 1) - fib(n) ** 2 == (-1) ** n
-    assert lucas(n) == fib(n - 1) + fib(n + 1)
+def test_cassini_and_lucas_bridge():
+    for n in range(-200, 201):
+        assert fib(n + 1) * fib(n - 1) - fib(n) ** 2 == (-1) ** n
+        assert lucas(n) == fib(n - 1) + fib(n + 1)

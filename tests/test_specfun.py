@@ -1,9 +1,8 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fibint import specfun
 from fibint.exact_seq import fib, golden_powers, lucas
@@ -68,10 +67,11 @@ def test_li2_duplication_fixed_points():
         assert 0.5 * li2_real(x * x) - li2_real(x) - li2_real(-x) == pytest.approx(0.0, abs=1e-12)
 
 
-@given(st.floats(min_value=-0.99, max_value=0.99))
-@settings(max_examples=120, deadline=None)
-def test_li2_duplication_property(x):
-    assert 0.5 * li2_real(x * x) - li2_real(x) - li2_real(-x) == pytest.approx(0.0, abs=1e-12)
+def test_li2_duplication_property():
+    # 120 seeded points and both ends of [-0.99, 0.99]
+    rng = random.Random(0)
+    for x in [-0.99, 0.99] + [rng.uniform(-0.99, 0.99) for _ in range(120)]:
+        assert 0.5 * li2_real(x * x) - li2_real(x) - li2_real(-x) == pytest.approx(0.0, abs=1e-12), x
 
 
 def _bernoulli(n):
@@ -126,10 +126,11 @@ def test_cl2_matches_defining_integral():
         assert cl2(t) == pytest.approx(res.value, abs=1e-11)
 
 
-@given(st.floats(min_value=-20.0, max_value=20.0))
-@settings(max_examples=100, deadline=None)
-def test_cl2_periodicity(t):
-    assert cl2(t + 2.0 * PI) == pytest.approx(cl2(t), abs=1e-11)
+def test_cl2_periodicity():
+    # 100 seeded points and both ends of [-20, 20]
+    rng = random.Random(0)
+    for t in [-20.0, 20.0] + [rng.uniform(-20.0, 20.0) for _ in range(100)]:
+        assert cl2(t + 2.0 * PI) == pytest.approx(cl2(t), abs=1e-11), t
 
 
 def test_arctan_beta_power_relations():

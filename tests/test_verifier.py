@@ -9,6 +9,8 @@ from fibint.families._helpers import F, L, bpow, parity
 from fibint.quad import Integrand, integrate_finite
 from fibint.specfun import LN_ALPHA, cl2, constants
 
+from test_catalog_pin import DECLARED
+
 PI = math.pi
 SQRT5 = math.sqrt(5.0)
 
@@ -72,14 +74,7 @@ def test_catalog_integrand_calls_per_strategy(tol, calls):
 
 def _shared_instances():
     """Every default-grid instance of a declared group: each sharer and the instance it names."""
-    out = set()
-    for case in registry.catalog():
-        for assignment in registry.default_grid(case.id) if case.shares is not None else ():
-            target = case.shares(**assignment)
-            if target is not None:
-                out.add((case.id, tuple(sorted(assignment.items()))))
-                out.add((target[0], tuple(sorted(target[1].items()))))
-    return sorted(out)
+    return sorted({key for members in DECLARED.values() for key in members})
 
 
 def _verdict(r):
