@@ -49,14 +49,20 @@ adds the odd k.  Its weights come from a short sine sum (Waldvogel 2006,
 "Fast construction of the Fejer and Clenshaw-Curtis quadrature rules", BIT
 46), built one rule at a time on first use and shared by every interval; a
 node is placed from its nearer endpoint, as a + c*delta or b - c*delta
-with delta = 2 sin^2(theta/2), and kept with the interval's DE table.  On
-integrands analytic on the closed interval it converges about as fast as
-Gauss (Trefethen 2008, "Is Gauss quadrature better than Clenshaw-Curtis?",
-SIAM Review 50), which covers most finite catalog rows.  From the third
-rule on the pass stops once the difference d1 of the last two rules is
-within the tolerance and below the difference before it, with err_est
-max(d1, rounding floor), and once the polynomial through the nodes matches
-the integrand at a fixed point off every rule's grid.  Differences of
+with delta = 2 sin^2(theta/2), and kept with the interval's DE table,
+which hands out each rule's new nodes, weights and interpolation basis in
+one cached call.  The pass keeps f at both nodes of each pair and their
+sum as it makes them, so a rule's value is one fsum of its weights times
+the pair sums.  On integrands analytic on the closed interval it converges
+about as fast as Gauss (Trefethen 2008, "Is Gauss quadrature better than
+Clenshaw-Curtis?", SIAM Review 50), which covers most finite catalog rows.
+From the third rule on the pass stops once the difference d1 of the last
+two rules is within the tolerance and below the difference before it, with
+err_est max(d1, rounding floor), and once the polynomial through the nodes
+matches the integrand at a fixed point off every rule's grid.  The floor,
+8 eps c times the rule's sum of w|f|, is summed only where it could exceed
+d1: the weights are positive and sum to 2, so it is at most 8 eps c 2.0625
+hypot(f), and above that bound err_est is d1 without it.  Differences of
 nested rules cannot tell a polynomial from a higher one aliased onto it at
 every node so far (T_38 is T_6 on the nodes of n = 8 and 16); a sample off
 the grid exposes it, as in Chebfun's sample test, and a rule that fails it
@@ -185,7 +191,7 @@ class _MapTable(NamedTuple):
 
     center: tuple[float, float]
     rows: Callable[[int], tuple]
-    fejer: Callable[[int], list[tuple[float, float]]] | None = None
+    fejer: Callable[[int], tuple] | None = None
 
 
 def _map_rows(images: Callable[[float, float], tuple], ends: tuple[float, float], paired: bool = True) -> Callable[[int], tuple]:
@@ -210,8 +216,9 @@ def _map_rows(images: Callable[[float, float], tuple], ends: tuple[float, float]
 @functools.lru_cache(maxsize=16)  # a catalog run integrates over 7 intervals
 def _finite_table(a: float, b: float) -> _MapTable:
     """Rows of the finite map x = a + c*delta, b - c*delta, c = (b - a)/2,
-    and in its field fejer the node pairs (x_lo, x_hi) that each Fejer
-    rule adds, placed the same way.  The table is paired unless a node with
+    and in its field fejer each Fejer rule as _fejer_level gives it, with
+    the node pairs (x_lo, x_hi) it adds, placed the same way, in place of
+    their deltas.  The table is paired unless a node with
     delta >= _DELTA_TAIL rounds onto an endpoint; then every node is a tail
     node, and fejer is None."""
     c = 0.5 * (b - a)
@@ -221,10 +228,11 @@ def _finite_table(a: float, b: float) -> _MapTable:
         return a + c * delta, b - c * delta, w, w
 
     @functools.cache
-    def fejer_rows(level: int) -> list[tuple[float, float]]:
-        return [(a + c * delta, b - c * delta) for delta in _fejer_level(level)[0]]
+    def fejer_rule(level: int) -> tuple:
+        deltas, weights, w_mid, basis = _fejer_level(level)
+        return [(a + c * delta, b - c * delta) for delta in deltas], weights, w_mid, basis
 
-    return _MapTable((0.5 * (a + b), _W0), _map_rows(images, (a, b), paired), fejer_rows if paired else None)
+    return _MapTable((0.5 * (a + b), _W0), _map_rows(images, (a, b), paired), fejer_rule if paired else None)
 
 
 def _half_line_table(tan: bool) -> _MapTable:
@@ -290,7 +298,7 @@ def _tanh_sinh(fe: Callable[[float], float], table: _MapTable, scale: float, tol
                 t = s + y
                 comp = (t - s) - y
                 s = t
-                mag += wl * abs(flo) + wh * abs(fhi)
+                mag += wl * (flo if flo >= 0.0 else -flo) + wh * (fhi if fhi >= 0.0 else -fhi)  # |f| without abs()
             for side, tail in zip(sides, tails):
                 cut, deepest = side
                 for delta, x, w in tail:
@@ -302,7 +310,7 @@ def _tanh_sinh(fe: Callable[[float], float], table: _MapTable, scale: float, tol
                     t = s + y
                     comp = (t - s) - y
                     s = t
-                    term = w * abs(f)
+                    term = w * (f if f >= 0.0 else -f)
                     mag += term
                     if term >= eps * mag:
                         if delta < deepest:
@@ -371,6 +379,11 @@ def _fejer_level(level: int) -> _Rule:
     return deltas, [weight(theta) for theta in thetas], weight(_PI_OVER_2), basis
 
 
+# sum(w |f|) over a Fejer rule is at most 2 max|f| <= 2 hypot(f), since the
+# weights are positive and sum to 2; the 1/16 beyond 2 covers the rounding
+_MAG_BOUND = 2.0625
+
+
 def _weighted_sum(weights: list[float], values) -> float:
     """fsum of weights times values, nan when the terms are not all finite."""
     try:
@@ -380,47 +393,60 @@ def _weighted_sum(weights: list[float], values) -> float:
 
 
 def _fejer(fe: Callable[[float], float], table: _MapTable, a: float, b: float, tol: float) -> QuadResult:
-    """Nested Fejer second-rule pass over the panel (a, b),
-    table.fejer(level) the node pairs each rule adds, reusing every value
-    when n doubles.  From the third rule on it accepts once the difference
-    d1 of the last two rules is within tol and smaller than the difference
-    d2 one level before, and the polynomial through the nodes matches f at
-    mid + c*_SAMPLE_T to within tol/c.  Differences alone cannot tell a
-    polynomial from a higher one that aliases onto it at every node so far
-    (T_38 is T_6 on the nodes of n = 8 and 16, also under a part that is
-    still converging); a sample off the grid exposes it, as in Chebfun's
-    sample test, and a rule that fails it is not accepted, so the pass goes
-    on to the next.  It declines on a non-finite sum, past FEJER_N_MAX, or
-    once two rules agree exactly where it cannot accept (so d2 of the next
-    rule would be 0): fixed nodes can agree with each other and miss a
-    narrow feature between them.  A declined pass returns the panel's
-    tanh-sinh pass, with its own calls added to that pass's evals.  An
-    integrand that raises an arithmetic error ends the pass with the failed
-    result (nan, inf, calls made).  Every call but one that raises keeps its
-    value, so the values count the calls."""
+    """Nested Fejer second-rule pass over the panel (a, b), table.fejer(level)
+    each rule with the node pairs it adds, reusing every value when n
+    doubles.  The pass keeps f at both nodes of each pair and their sum, so
+    that each rule's value is one fsum of its weights times the pair sums.
+    From the third rule on it accepts once the difference d1 of the last two
+    rules is within tol and smaller than the difference d2 one level before,
+    and the polynomial through the nodes matches f at mid + c*_SAMPLE_T to
+    within tol/c.  Differences alone cannot tell a polynomial from a higher
+    one that aliases onto it at every node so far (T_38 is T_6 on the nodes
+    of n = 8 and 16, also under a part that is still converging); a sample
+    off the grid exposes it, as in Chebfun's sample test, and a rule that
+    fails it is not accepted, so the pass goes on to the next.  Its err_est
+    is max(d1, rounding floor), the floor 8 eps c times the rule's sum of
+    weights times |f|.  That sum is at most _MAG_BOUND hypot(f), so the
+    floor is summed only where d1 lies within 8 eps c _MAG_BOUND hypot(f);
+    above that err_est is d1, as the floor would have made it.  The pass
+    declines on a non-finite sum, past FEJER_N_MAX, or once two rules agree
+    exactly where it cannot accept (so d2 of the next rule would be 0):
+    fixed nodes can agree with each other and miss a narrow feature between
+    them.  A declined pass returns the panel's tanh-sinh pass, with its own
+    calls added to that pass's evals.  An integrand that raises an arithmetic
+    error ends the pass with the failed result (nan, inf, calls made).
+    Every call but one that raises keeps its value, so the values count the
+    calls."""
     c = 0.5 * (b - a)
     mid = 0.5 * (a + b)
+    scale = 8.0 * _EPS * c  # the rounding floor's factor, shared by its bound so that rounding keeps the order
     fm = sample = None  # f at mid, and at mid + c*_SAMPLE_T once tested
     flo: list[float] = []  # f at the low and the high node of each pair, in the order the levels add them
     fhi: list[float] = []
-    put_lo = flo.append
-    put_hi = fhi.append
+    sums: list[float] = []  # flo + fhi, pair by pair
+    fsum, mul = math.fsum, operator.mul
     prev = diff = math.inf
     try:
         fm = fe(mid)
         for level in range(_FEJER_LEVELS):
-            _, weights, w_mid, (l_mid, l_lo, l_hi) = _fejer_level(level)
-            for xl, xh in table.fejer(level):
-                put_lo(fe(xl))
-                put_hi(fe(xh))
-            value = c * (w_mid * fm + _weighted_sum(weights, map(operator.add, flo, fhi)))
+            pairs, weights, w_mid, (l_mid, l_lo, l_hi) = table.fejer(level)
+            for xl, xh in pairs:
+                flo.append(f_lo := fe(xl))  # list.append called as a method is the fastest form
+                fhi.append(f_hi := fe(xh))
+                sums.append(f_lo + f_hi)
+            try:
+                value = c * (w_mid * fm + fsum(map(mul, weights, sums)))
+            except (OverflowError, ValueError):  # inf - inf, or finite terms whose sum overflows
+                break
             prev_diff, diff = diff, abs(value - prev)
             prev = value
             if not math.isfinite(value):
                 break
             if level >= 2 and diff < prev_diff and diff <= tol:
-                mags = map(operator.add, map(abs, flo), map(abs, fhi))
-                err = max(diff, 8.0 * _EPS * c * (w_mid * abs(fm) + _weighted_sum(weights, mags)))
+                err = diff
+                if diff <= scale * (_MAG_BOUND * math.hypot(fm, *flo, *fhi)):
+                    mags = map(operator.add, map(abs, flo), map(abs, fhi))
+                    err = max(diff, scale * (w_mid * abs(fm) + _weighted_sum(weights, mags)))
                 if err > tol:
                     break
                 if sample is None:

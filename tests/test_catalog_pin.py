@@ -22,11 +22,14 @@ closed forms agree within a few ulp.  Five rows repeat one integral at
 several points of their own grid; a test holds those points to one
 integrand and one closed form.
 
-A last pair of digests covers the `results` part of `fibint verify
+A pair of digests covers the `results` part of `fibint verify
 --format json` (cli._json_pieces joined, without its meta) over the whole catalog,
 at the default tolerances and at `--tol 1e-12`: every lhs, rhs, abs_err,
 tol, verdict and note.  A change that moves one of those bits, in the
-catalog or in the quadrature, re-records the digest and says why.
+catalog or in the quadrature, re-records the digest and says why.  The
+payload holds neither err_est nor the rule that ran, so a last set digests
+every QuadResult of whole-catalog runs at the default tolerances and at
+`--tol` 1e-12, 1e-13 and 1e-3.
 """
 
 import collections
@@ -45,6 +48,14 @@ INSTANCE_SHA256 = "8b4caead69ab6fd3342d1d4bf42350451fd04cabfb2ccace89faf3429aa42
 RESULTS_SHA256 = {
     None: "bdf8e15c582268cb396d4eaf79ead426981244486eeaa2f2e0b43cc1fadb5299",
     1e-12: "8aeb32dc52525f4056558b4e20ffb0b07bdd1f47830b6ccc694aacac23ed716d",
+}
+
+# every QuadResult of a whole-catalog run: (integrations, digest)
+QUAD_SHA256 = {
+    None: (1367, "7667713dcca916b756963e2ecbe0a1421d93ddb826c4400911aaf28a0956a53b"),
+    1e-12: (1379, "1a0a6f07be2b331a0cf8b0c94156031aa5dfc87759616da0d90755f92bb0283d"),
+    1e-13: (1379, "b3b976312d2c7690904de31fd50713eca9f1ddced90ee0058d31c770e5c5b845"),
+    1e-3: (1367, "7a7ea6975d706197da0596ac24f93cd7f4b718c51d718da34fca6d939b669c4c"),
 }
 
 LIST_SHA256 = {
@@ -118,6 +129,28 @@ def test_verify_results_pinned(tol):
     assert results_digest(tol) == RESULTS_SHA256[tol]
 
 
+def quad_results_digest(monkeypatch, tol):
+    """The number of integrations of a whole-catalog run and a digest of every
+    QuadResult they return, in order: value, err_est, evals, converged, rule."""
+    results = []
+    for name in ("integrate_finite", "integrate_half_line", "integrate_tan_halfpi"):
+
+        def kept(*args, integrate=getattr(quad, name)):
+            res = integrate(*args)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(quad, name, kept)
+    verifier.run("*", tol_override=tol)
+    lines = [(r.value.hex(), r.err_est.hex(), r.evals, r.converged, r.rule) for r in results]
+    return len(lines), hashlib.sha256(repr(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("tol", list(QUAD_SHA256))
+def test_quad_results_pinned(monkeypatch, tol):
+    assert quad_results_digest(monkeypatch, tol) == QUAD_SHA256[tol]
+
+
 # Integrals the catalog declares shared (IdentityCase.shares): a group is the
 # instance a declaration names and the instances that name it.
 
@@ -176,7 +209,7 @@ def _quadrature_abscissae(strategy, splits):
             xs += [x for row in body for x in row[:2]]
             xs += [x for _, x, _ in low + high]
         if table.fejer is not None:
-            xs += [x for level in range(quad._FEJER_LEVELS) for pair in table.fejer(level) for x in pair]
+            xs += [x for level in range(quad._FEJER_LEVELS) for pair in table.fejer(level)[0] for x in pair]
             xs.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * quad._SAMPLE_T)
     return xs
 

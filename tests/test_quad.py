@@ -201,6 +201,31 @@ def test_aliased_polynomial_under_a_converging_part(m):
     assert abs(res.value - (math.log(3.0) - 2.0 / (m * m - 1))) <= res.err_est
 
 
+def test_fejer_weights_bound_the_rounding_floor():
+    # the pass skips its rounding floor where d1 > 8 eps c _MAG_BOUND hypot(f):
+    # the floor is at most that, since every rule's weights are positive and sum to 2
+    for level in range(quad._FEJER_LEVELS):
+        _, weights, w_mid, _ = quad._fejer_level(level)
+        assert w_mid > 0.0 and min(weights) > 0.0
+        assert abs(w_mid + 2.0 * math.fsum(weights) - 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("tol", (1e-3, 1e-8, 1e-13))
+def test_skipping_the_rounding_floor_keeps_every_bit(monkeypatch, tol):
+    # the battery, scaled from 1e-300 to 1e300, gives the same results when
+    # the pass sums its rounding floor at every accept
+    def results():
+        return [
+            integrate_finite(lambda x, f=f, s=s: s * f(x), a, b, tol)
+            for f, a, b, _ in FINITE_BATTERY
+            for s in (1e-300, 1e-8, 1.0, 3e7, 1e300)
+        ]
+
+    skipping = results()
+    monkeypatch.setattr(quad, "_MAG_BOUND", math.inf)
+    assert results() == skipping
+
+
 _SIN3CUBE_UNDERSTATED = pytest.mark.xfail(
     strict=True,
     reason="the pass accepts r = 6 at n = 32, where d1 = 7.3e-12 follows 3.5e-10 and precedes 4.4e-11, "
@@ -424,6 +449,24 @@ PINNED_PATHS = {
         lambda wrap: integrate_finite(wrap(_raises_on_call(40, lambda x: x)), 0.0, 1.0, 1e-10),
         ("nan", "inf", 40, False),
     ),
+    # the pass accepts at n = 16 with the difference d1 as its err_est, far
+    # above the rounding floor
+    "fejer_difference": (
+        lambda wrap: integrate_finite(wrap(math.exp), 0.0, 1.0, 1e-8),
+        ("0x1.b7e151628aed2p+0", "0x1.5eece00000000p-33", 16, True),
+    ),
+    # the difference is below the rounding floor of a large integrand, and the
+    # floor is the err_est
+    "fejer_rounding_floor": (
+        lambda wrap: integrate_finite(wrap(lambda x: 1e8 + math.cos(x)), 0.0, 1.0, 1e-6),
+        ("0x1.7d784035daa92p+26", "0x1.7d784035daa92p-23", 16, True),
+    ),
+    # the same integrand at a tol below its floor: the Fejer pass declines and
+    # the tanh-sinh pass cannot meet the tol either
+    "fejer_floor_above_tol": (
+        lambda wrap: integrate_finite(wrap(lambda x: 1e8 + math.cos(x)), 0.0, 1.0, 1e-8),
+        ("0x1.7d784035daa92p+26", "0x1.7d784035daa91p-23", 68, False),
+    ),
 }
 
 
@@ -458,7 +501,9 @@ RAISE_LATE = {
 
 
 # the paths whose every part ends in an accepting or a raising Fejer pass
-FEJER_PATHS = {"finite", "raises_in_fejer_pass", "raises_in_fejer_sample"}
+FEJER_PATHS = {
+    "finite", "fejer_difference", "fejer_rounding_floor", "raises_in_fejer_pass", "raises_in_fejer_sample"
+}
 
 
 @pytest.mark.parametrize("path", sorted(PINNED_PATHS) + sorted(RAISE_LATE))

@@ -72,6 +72,45 @@ def test_catalog_integrand_calls_per_strategy(tol, calls):
     assert got == calls
 
 
+def test_run_calls_its_layers_as_module_attributes(monkeypatch):
+    # a default pass looks up registry.instantiate, verifier.verify_instance and
+    # quad.integrate_* on their modules at each call, so that a wrapper set there
+    # (as a tracing harness sets one) sees every instance, verdict, integration
+    # and integrand call; 137 results reuse a shared integral and integrate nothing
+    calls = collections.Counter()
+
+    def counted(module, name, on_result=None):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            res = fn(*args, **kwargs)
+            if on_result is not None:
+                on_result(res)
+            return res
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def count_integrand_calls(inst):
+        f = inst.integrand.eval
+
+        def counted_eval(x):
+            calls["integrand"] += 1
+            return f(x)
+
+        inst.integrand.eval = counted_eval
+
+    counted(registry, "instantiate", count_integrand_calls)
+    counted(verifier, "verify_instance")
+    for name in ("integrate_finite", "integrate_half_line", "integrate_tan_halfpi"):
+        counted(quad, name)
+    rep = verifier.run()
+    assert calls["instantiate"] == calls["verify_instance"] == len(rep.results) == 1504
+    integrations = calls["integrate_finite"] + calls["integrate_half_line"] + calls["integrate_tan_halfpi"]
+    assert integrations == 1504 - sum(r.reused for r in rep.results) == 1367
+    assert calls["integrand"] == sum(r.quad_evals for r in rep.results) == 90597
+
+
 def _shared_instances():
     """Every default-grid instance of a declared group: each sharer and the instance it names."""
     return sorted({key for members in DECLARED.values() for key in members})
