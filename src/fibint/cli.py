@@ -41,14 +41,9 @@ def _json_escape(s: str) -> str:
     return s.translate(_JSON_ESCAPES)
 
 
-# one verify result in JSON, from its texts; _JSON_ROW_FINITE takes lhs, rhs and abs_err as floats
+# one verify result in JSON, from its texts; _JSON_ROW_FINITE takes lhs, rhs, abs_err and tol as floats
 _JSON_ROW = '{"id": "%s", "params": {%s}, "lhs": %s, "rhs": %s, "abs_err": %s, "tol": %s, "passed": %s, "note": "%s"}'
-_JSON_ROW_FINITE = _JSON_ROW % ("%s", "%s", "%.17g", "%.17g", "%.17g", "%s", "%s", "%s")
-
-
-def _json_num(x: float) -> str:
-    """x at 17 significant digits; JSON has no inf or nan, so null for those."""
-    return "%.17g" % x if math.isfinite(x) else "null"
+_JSON_ROW_FINITE = _JSON_ROW % ("%s", "%s", "%.17g", "%.17g", "%.17g", "%.17g", "%s", "%s")
 
 
 def _params_str(assignment) -> str:
@@ -57,8 +52,8 @@ def _params_str(assignment) -> str:
 
 def _json_pieces(report: verifier.Report, tol, pattern: str) -> Iterator[str]:
     """The `verify --format json` document in pieces: meta (tol, filter, timestamp), then one piece per
-    catalog row, holding that row's results.  Each distinct assignment's params text and each distinct
-    tol's text is formatted once, and each result is one % operation."""
+    catalog row, holding that row's results.  Each distinct assignment's params text is formatted once,
+    and each result is one % operation."""
     import itertools
 
     ts = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())  # UTC, to the second
@@ -67,7 +62,6 @@ def _json_pieces(report: verifier.Report, tol, pattern: str) -> Iterator[str]:
     sep = ""
     isfinite = math.isfinite
     texts: dict = {}  # assignment -> its params text
-    tols: dict = {}  # tol -> its text
     for case_id, results in itertools.groupby(report.results, lambda r: r.case_id):
         row = []
         for r in results:
@@ -75,16 +69,13 @@ def _json_pieces(report: verifier.Report, tol, pattern: str) -> Iterator[str]:
             params = texts.get(r.assignment)
             if params is None:
                 params = texts[r.assignment] = ", ".join([f'"{k}": {v}' for k, v in r.assignment])
-            tol_s = tols.get(thr)
-            if tol_s is None or not thr:  # 0.0 and -0.0 are one key, but print differently
-                tol_s = tols[thr] = _json_num(thr)
             passed = "true" if r.passed else "false"
             note = _json_escape(r.note) if r.note else ""
-            if isfinite(lhs + rhs + err):
-                row.append(_JSON_ROW_FINITE % (case_id, params, lhs, rhs, err, tol_s, passed, note))
-            else:
-                nums = _json_num(lhs), _json_num(rhs), _json_num(err)
-                row.append(_JSON_ROW % (case_id, params, *nums, tol_s, passed, note))
+            if isfinite(lhs + rhs + err + thr):
+                row.append(_JSON_ROW_FINITE % (case_id, params, lhs, rhs, err, thr, passed, note))
+            else:  # JSON has no inf or nan: null
+                nums = [_fmt(x) if isfinite(x) else "null" for x in (lhs, rhs, err, thr)]
+                row.append(_JSON_ROW % (case_id, params, *nums, passed, note))
         yield sep + ", ".join(row)
         sep = ", "
     yield "]}"

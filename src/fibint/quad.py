@@ -424,7 +424,6 @@ def _fejer(fe: Callable[[float], float], table: _MapTable, a: float, b: float, t
     flo: list[float] = []  # f at the low and the high node of each pair, in the order the levels add them
     fhi: list[float] = []
     sums: list[float] = []  # flo + fhi, pair by pair
-    fsum, mul = math.fsum, operator.mul
     prev = diff = math.inf
     try:
         fm = fe(mid)
@@ -434,10 +433,7 @@ def _fejer(fe: Callable[[float], float], table: _MapTable, a: float, b: float, t
                 flo.append(f_lo := fe(xl))  # list.append called as a method is the fastest form
                 fhi.append(f_hi := fe(xh))
                 sums.append(f_lo + f_hi)
-            try:
-                value = c * (w_mid * fm + fsum(map(mul, weights, sums)))
-            except (OverflowError, ValueError):  # inf - inf, or finite terms whose sum overflows
-                break
+            value = c * (w_mid * fm + _weighted_sum(weights, sums))
             prev_diff, diff = diff, abs(value - prev)
             prev = value
             if not math.isfinite(value):
