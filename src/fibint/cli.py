@@ -13,16 +13,20 @@ writes null for a non-finite float, e.g. the lhs of a failed instance).
 from __future__ import annotations
 
 import argparse
+import collections
+import itertools
 import math
 import os
 import sys
 import time
+import types
 from typing import TYPE_CHECKING, TextIO
 
 from . import registry
 
-# `list` and `show` read only the catalog: quad and the verifier are imported by
-# `verify`, and csv and collections by the writers that use them
+# `list` and `show` read only the catalog, and a test holds `list --format json` and `show` to
+# loading neither quad, the verifier nor csv: `verify` imports the first two, and the CSV writer
+# csv.  collections, itertools and types are imported here, as registry and typing load them anyway.
 if TYPE_CHECKING:
     from typing import Iterable, Iterator
 
@@ -54,8 +58,6 @@ def _json_pieces(report: verifier.Report, tol, pattern: str) -> Iterator[str]:
     """The `verify --format json` document in pieces: meta (tol, filter, timestamp), then one piece per
     catalog row, holding that row's results.  Each distinct assignment's params text is formatted once,
     and each result is one % operation."""
-    import itertools
-
     ts = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())  # UTC, to the second
     tol_s = "null" if tol is None else _fmt(tol)
     yield f'{{"meta": {{"tol": {tol_s}, "filter": "{_json_escape(pattern)}", "timestamp": "{ts}"}}, "results": ['
@@ -84,7 +86,6 @@ def _json_pieces(report: verifier.Report, tol, pattern: str) -> Iterator[str]:
 def _csv(header: list[str], rows) -> Iterator[str]:
     """A header and rows as CSV, one piece per line."""
     import csv
-    import types
 
     # writerow returns what its file's write returns: here str(line), the line itself
     w = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n")
@@ -138,8 +139,6 @@ def _md_pieces(report: verifier.Report) -> Iterator[str]:
     """One row per result, then a per-family summary, the abs_err/tol histogram and the totals, in pieces.
     A family's evals are the integrand calls its results made, so a result that reused another
     instance's integral adds none; the totals say how many did."""
-    import collections
-
     yield (
         "| id | params | lhs | rhs | abs_err | tol | passed | note |"
         "\n|----|--------|-----|-----|---------|-----|--------|------|\n"

@@ -105,6 +105,21 @@ def pi3_li2(e: float) -> float:
     return PI3 / 3.0 + PI * li2(e)
 
 
+# c = 1 closes sin x on (0, pi/2), and c = pi x sin x on (0, pi), as the kernels are symmetric about pi/2
+
+
+def log_l(c: float, r: int) -> float:
+    """c int_0^{pi/2} sin x/(5F_r^2 + L_r^2 sin^2 x), a logarithm in rl = sqrt(L_2r)."""
+    rl = math.sqrt(L(2 * r))
+    return c * SQRT2 / (2.0 * L(r) * rl) * math.log((SQRT2 * bpow(r) + rl) / (SQRT2 * apow(r) - rl))
+
+
+def log_f(c: float, r: int) -> float:
+    """c int_0^{pi/2} sin x/(L_r^2 + 5F_r^2 sin^2 x), a logarithm in rl = sqrt(L_2r)."""
+    rl = math.sqrt(L(2 * r))
+    return c * math.sqrt(10.0) / (10.0 * F(r) * rl) * math.log((-SQRT2 * bpow(r) + rl) / (SQRT2 * apow(r) - rl))
+
+
 case = IdentityCase  # the short names the catalog tables use
 P = ParamSpec
 

@@ -6,8 +6,8 @@ collapses to a single logarithm through neighbour-product identities.
 from __future__ import annotations
 
 from ._helpers import (
-    ALPHA, BETA, CATALAN, EVEN, HALF, LN_ALPHA, NO_PARAMS, ODD, SQRT2, SQRT5,
-    F, L, P, apow, bpow, case, cl_pair, math, qgrid,
+    ALPHA, BETA, CATALAN, EVEN, HALF, LN_ALPHA, NO_PARAMS, ODD, SQRT5,
+    F, L, P, case, cl_pair, log_f, log_l, math, qgrid,
 )
 
 KC, QC = qgrid((0.2, 0.5, 0.8, 1.0, BETA * BETA, -BETA))
@@ -56,16 +56,6 @@ def _sin_kernel(a, b):
         return s / (a + b * s ** 2)
 
     return f
-
-
-def _sin1_rhs(r):
-    rl = math.sqrt(L(2 * r))
-    return SQRT2 / (2.0 * L(r) * rl) * math.log((SQRT2 * bpow(r) + rl) / (SQRT2 * apow(r) - rl))
-
-
-def _sin2_rhs(r):
-    rl = math.sqrt(L(2 * r))
-    return math.sqrt(10.0) / (10.0 * F(r) * rl) * math.log((-SQRT2 * bpow(r) + rl) / (SQRT2 * apow(r) - rl))
 
 
 def _sin34_rhs(seq, c):
@@ -120,8 +110,10 @@ def cases():
         case("S5.TKZY7WR", "eq. (tkzy7wr)", HALF, KT, lambda k: _sin_kernel(QT(k) ** 2, 1.0), _tk_rhs,
              shares=lambda k: {2: ("S5.SIN3", {"r": 2}), 3: ("S5.SIN6", {"r": 1})}.get(k)),
         # golden instances of the sine kernel
-        case("S5.SIN1", "eq. (Fib_sin_id1)", HALF, r10, lambda r: _sin_kernel(5.0 * F(r) ** 2, L(r) ** 2), _sin1_rhs),
-        case("S5.SIN2", "eq. (Fib_sin_id2)", HALF, r10, lambda r: _sin_kernel(L(r) ** 2, 5.0 * F(r) ** 2), _sin2_rhs),
+        case("S5.SIN1", "eq. (Fib_sin_id1)", HALF, r10, lambda r: _sin_kernel(5.0 * F(r) ** 2, L(r) ** 2),
+             lambda r: log_l(1.0, r)),
+        case("S5.SIN2", "eq. (Fib_sin_id2)", HALF, r10, lambda r: _sin_kernel(L(r) ** 2, 5.0 * F(r) ** 2),
+             lambda r: log_f(1.0, r)),
         # Catalan-identity instances
         case("S5.SIN3", "eq. (Fib_sin_id3)", HALF, r2_10, lambda r: _sin_kernel(F(r - 1) ** 2, F(r) ** 2),
              _sin34_rhs(F, 1.0)),

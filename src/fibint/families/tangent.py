@@ -10,7 +10,7 @@ as (alpha^{2r} + t^2)(beta^{2r} + t^2).
 from __future__ import annotations
 
 from ._helpers import (
-    ALPHA, BETA, LN_ALPHA, NO_PARAMS, PI, SQRT5, TAN_HALFPI,
+    ALPHA, BETA, LN_ALPHA, PI, SQRT5, TAN_HALFPI,
     F, L, P, apow, bpow, case, math, parity, part,
 )
 
@@ -199,10 +199,9 @@ def cases():
         part(special2, "S3.SPECIAL2.PART", "special value (pi/400)(2+7/alpha^2)",
              lambda: PI / 400.0 * (2.0 + 7.0 / ALPHA**2), r=1),
         # combined golden-power instances with Lucas/Fibonacci numerators
-        case("S3.QUARTIC.L", "quartic theorem, Lucas member", TAN_HALFPI, nrq, _quartic(L), _quartic_l_rhs),
+        quartic_l := case("S3.QUARTIC.L", "quartic theorem, Lucas member", TAN_HALFPI, nrq, _quartic(L), _quartic_l_rhs),
         case("S3.QUARTIC.F", "quartic theorem, Fibonacci member", TAN_HALFPI, nrq, _quartic(F), _quartic_f_rhs),
-        case("S3.QUARTIC.PART1", "special value -pi*beta^3/2", TAN_HALFPI, NO_PARAMS,
-             lambda: lambda t: (1.0 - t * t) / (1.0 + (3.0 + t * t) * t * t), lambda: -PI * BETA**3 / 2.0),
+        part(quartic_l, "S3.QUARTIC.PART1", "special value -pi*beta^3/2", lambda: -PI * BETA**3 / 2.0, n=0, r=-1),
         part(recip, "S3.QUARTIC.PART2", "special value pi*beta^2/sqrt5", lambda: PI * BETA**2 / SQRT5, r=1),
         part(tan2, "S3.QUARTIC.PART3", "special value -pi*beta^3/(2 sqrt5)",
              lambda: -PI * BETA**3 / (2.0 * SQRT5), r=1),

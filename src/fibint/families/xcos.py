@@ -13,7 +13,7 @@ two structural rows, the partial-fraction recombination of the
 from __future__ import annotations
 
 from ._helpers import (
-    EVEN, FULL, LA2, LN_ALPHA, MID, NO_PARAMS, ODD, PI, PI2, PI3, SQRT5,
+    EVEN, FULL, LA2, LN_ALPHA, MID, ODD, PI, PI2, PI3, SQRT5,
     F, P, bpow, case, cl_pair, li2, li2_odd, math, part, xcos_kernel,
 )
 
@@ -95,25 +95,20 @@ def _recombined_rows(br, triple):
     return br.params, lambda r: _recombined(br.A2(r), triple), rhs
 
 
-def _qvb_lhs(r):
-    a = F(r) * SQRT5
-    w = 1.0 / (2.0 * a)
+def _halves(weight, s):
+    """w x^2 cos x (1/(a - 2 cos 2x) + s/(a + 2 cos 2x)) at a = sqrt5 F_r, w = weight(a), s = +-1.0."""
 
-    def f(x):
-        c = 2.0 * math.cos(2.0 * x)
-        return w * x * x * math.cos(x) * (1.0 / (a - c) + 1.0 / (a + c))
+    def lhs(r):
+        a = F(r) * SQRT5
+        w = weight(a)
 
-    return f
+        def f(x):
+            c = 2.0 * math.cos(2.0 * x)
+            return w * x * x * math.cos(x) * (1.0 / (a - c) + s / (a + c))
 
+        return f
 
-def _a40q_lhs(r):
-    a = F(r) * SQRT5
-
-    def f(x):
-        c = 2.0 * math.cos(2.0 * x)
-        return 0.5 * x * x * math.cos(x) * (1.0 / (a - c) - 1.0 / (a + c))
-
-    return f
+    return lhs
 
 
 def _root(r):
@@ -153,9 +148,10 @@ def cases():
         case("S10.CLSQ.E", "squared Clausen thm., even branch", FULL, *_plus(EVEN, 2), splits=MID, note=CLSQ_NOTE),
         case("S10.CLSQ.O", "squared Clausen thm., odd branch", FULL, *_plus(ODD, 2), splits=MID, note=CLSQ_NOTE),
         # structural rows: the recombined forms at a = sqrt5 F_r; F_1 = F_2, so r = 2 repeats r = 1
-        case("S10.QVB6JUR", "recombination lemma, first relation", FULL, r16, _qvb_lhs, _qvb_rhs,
-             default_tol=1e-9, splits=MID, shares=_r2_is_r1("S10.QVB6JUR")),
-        case("S10.A40QD9A", "recombination lemma, cos 3x relation", FULL, r16, _a40q_lhs,
+        case("S10.QVB6JUR", "recombination lemma, first relation", FULL, r16,
+             _halves(lambda a: 1.0 / (2.0 * a), 1.0), _qvb_rhs, default_tol=1e-9, splits=MID,
+             shares=_r2_is_r1("S10.QVB6JUR")),
+        case("S10.A40QD9A", "recombination lemma, cos 3x relation", FULL, r16, _halves(lambda a: 0.5, -1.0),
              lambda r: _recombined_rhs(_root(r), -1.0, 1.0), default_tol=1e-9, splits=MID,
              shares=_r2_is_r1("S10.A40QD9A"),
              note="source text adds the two half-kernels; the cos 3x relation requires their "
@@ -163,10 +159,9 @@ def cases():
         # recombined kernels
         case("S10.Y4DQFP7", "eq. (y4dqfp7)", FULL, *_recombined_rows(ODD, False), splits=MID),
         case("S10.GG6A1VX", "eq. (gg6a1vx)", FULL, *_recombined_rows(ODD, True), splits=MID),
-        case("S10.V11U6JR", "eq. (v11u6jr)", FULL, *_recombined_rows(EVEN, False), splits=MID),
+        v11 := case("S10.V11U6JR", "eq. (v11u6jr)", FULL, *_recombined_rows(EVEN, False), splits=MID),
         case("S10.PADU4YO", "eq. (padu4yo)", FULL, *_recombined_rows(EVEN, True), splits=MID),
-        case("S10.PART9", "special value at kernel 9 - 4 cos^2 2x", FULL, NO_PARAMS,
-             lambda: lambda x: x * x * math.cos(x) / (9.0 - 4.0 * math.cos(2.0 * x) ** 2),
+        part(v11, "S10.PART9", "special value at kernel 9 - 4 cos^2 2x",
              lambda: -PI / 6.0 * (PI2 / 6.0 - 1.5 * LA2) + PI / (6.0 * SQRT5) * t * LN_ALPHA
-             - PI / (6.0 * SQRT5) * cl_pair(t), splits=MID),
+             - PI / (6.0 * SQRT5) * cl_pair(t), r=2),
     ]

@@ -10,8 +10,8 @@ its closed form is the rational integral that u = cos x makes of it.
 from __future__ import annotations
 
 from ._helpers import (
-    ALPHA, BETA, EVEN, FULL, HALF, LN_ALPHA, MID, ODD, PI, SQRT2, SQRT5,
-    F, L, P, apow, bpow, case, math, part, qgrid,
+    ALPHA, BETA, EVEN, FULL, HALF, LN_ALPHA, MID, ODD, PI, SQRT5,
+    F, L, P, case, log_f, log_l, math, part, qgrid,
 )
 
 RDJ_NOTE = (
@@ -79,16 +79,6 @@ def _cube_rhs(r):
 def _gj_rhs(q):
     s = math.hypot(1.0, q)
     return PI / (q * s) * math.log(q + s)
-
-
-def _sc3_rhs(r):
-    rl = math.sqrt(L(2 * r))
-    return PI * SQRT2 / (2.0 * L(r) * rl) * math.log((bpow(r) * SQRT2 + rl) / (apow(r) * SQRT2 - rl))
-
-
-def _qo3_rhs(r):
-    rl = math.sqrt(L(2 * r))
-    return PI * math.sqrt(10.0) / (10.0 * F(r) * rl) * math.log((-bpow(r) * SQRT2 + rl) / (apow(r) * SQRT2 - rl))
 
 
 def _pg_rhs(q):
@@ -173,9 +163,10 @@ def cases():
         case("S6.GJNEYFK", "eq. (gjneyfk)", FULL, kg, lambda k: _xsin(1.0, qg(k) ** 2, math.sin), lambda k: _gj_rhs(qg(k)),
              shares=lambda k: ("S6.CPWMQ60", {"r": 1}) if k == 4 else None),
         # golden instances with cos^2 kernels
-        case("S6.SC3T62N", "eq. (sc3t62n)", FULL, r18, lambda r: _xsin(2.0 * L(2 * r), -L(r) ** 2, math.cos), _sc3_rhs),
+        case("S6.SC3T62N", "eq. (sc3t62n)", FULL, r18, lambda r: _xsin(2.0 * L(2 * r), -L(r) ** 2, math.cos),
+             lambda r: log_l(PI, r)),
         case("S6.QO33H5M", "eq. (qo33h5m)", FULL, r18,
-             lambda r: _xsin(2.0 * L(2 * r), -5.0 * F(r) ** 2, math.cos), _qo3_rhs),
+             lambda r: _xsin(2.0 * L(2 * r), -5.0 * F(r) ** 2, math.cos), lambda r: log_f(PI, r)),
         # arctan form, Q^2 < 1
         case("S6.PGLRQHP", "eq. (pglrqhp)", FULL, kp, lambda k: _xsin(1.0, -qp(k) ** 2, math.sin),
              lambda k: _pg_rhs(qp(k)), splits=MID),

@@ -10,7 +10,7 @@ so the quadrature pre-splits there (pi/2 for cos(2x)-type, pi/4 and
 from __future__ import annotations
 
 from ._helpers import (
-    BETA, EVEN, FULL, LA2, LN_ALPHA, MID, NO_PARAMS, ODD, PI, PI3, QUARTS, SQRT5,
+    BETA, EVEN, FULL, LA2, LN_ALPHA, MID, ODD, PI, PI3, QUARTS, SQRT5,
     F, L, P, bpow, case, cl2, cl_pair, cos2x_kernel, li2, li2_odd, math, parity, part, pi3_li2, qgrid,
     trig_sq_kernel,
 )
@@ -56,20 +56,6 @@ def _paired(a):
         return x * x * (a + 4.0 * c2) / (a - 4.0 * c2) ** 2
 
     return f
-
-
-def _golden5_part(k):
-    """x^2 cos 2x/(5 - 4 cos^2 2x)^k, written with the power as printed."""
-
-    def f1(x):
-        c = math.cos(2.0 * x)
-        return x * x * c / (5.0 - 4.0 * c ** 2)
-
-    def f2(x):
-        c = math.cos(2.0 * x)
-        return x * x * c / (5.0 - 4.0 * c ** 2) ** 2
-
-    return f1 if k == 1 else f2
 
 
 def _dup(r, k):
@@ -146,10 +132,6 @@ def _sincos(br, num, plus):
         return base + corr if plus else base - corr
 
     return br.params, lhs, rhs
-
-
-def _sincos_part(num):
-    return lambda: lambda x: x * x * num(x) ** 2 / (1.0 + 4.0 * math.sin(2.0 * x) ** 2)
 
 
 def _clausen(br):
@@ -234,6 +216,8 @@ def _d64_rhs(k):
 
 def cases():
     sq5_value = 3.0 * PI / (8.0 * SQRT5) * LN_ALPHA + PI3 / 48.0 - 3.0 * PI / 16.0 * LA2
+    # bound first: S9.FRLT.PART2, above it in the table, is its instance at r = 1
+    ezy = case("S9.EZYW57R", "eq. (ezyw57r)", FULL, R_ANY, lambda r: _ise(r, 2), _ezy_rhs, splits=MID)
     return [
         # plain cos 2x kernels: one row per sign/parity combination
         g8_pe := case("S9.G8UGNY7.PE", "eq. (g8ugny7), even, upper sign", FULL, *_cos2x_rows(EVEN, -1.0, 1)),
@@ -267,35 +251,35 @@ def cases():
              shares=lambda r: ("S9.EZYW57R", {"r": r})),
         part(vxz, "S9.FRLT.PART1", "special value at kernel (5 - 4cos^2 2x)^2, paired numerator",
              lambda: 0.5 * PI * LN_ALPHA + 7.0 * PI3 / (4.0 * SQRT5) - PI * SQRT5 / 4.0 * LA2, r=1),
-        frlt2 := case("S9.FRLT.PART2", "special value at kernel (5 - 4cos^2 2x)^2, cos 2x numerator", FULL, NO_PARAMS,
-             lambda: _golden5_part(2), lambda: sq5_value, splits=MID),
+        part(ezy, "S9.FRLT.PART2", "special value at kernel (5 - 4cos^2 2x)^2, cos 2x numerator",
+             lambda: sq5_value, r=1),
         # generic duplication pair: Q = 2q/(1+q^2)
         case("S9.ARIA0WT", "eq. (aria0wt)", FULL, KA, lambda k: trig_sq_kernel(1.0, -_aria_c(QA(k)) ** 2, math.cos, 1, True),
              _aria_rhs, splits=MID),
         case("S9.RU2AYAB", "eq. (ru2ayab)", FULL, KA, _ru2, _ru2_rhs, splits=MID),
         # golden instances of the duplication pair (parity-split kernels)
         jiv := case("S9.JIVTZPL", "eq. (jivtzpl)", FULL, R_ANY, lambda r: _dup(r, 1), _dup_rhs(1.0, 1), splits=MID),
-        case("S9.ISEKZ49", "eq. (isekz49)", FULL, R_ANY, lambda r: _ise(r, 1), _ise_rhs, splits=MID),
+        ise := case("S9.ISEKZ49", "eq. (isekz49)", FULL, R_ANY, lambda r: _ise(r, 1), _ise_rhs, splits=MID),
         part(jiv, "S9.JIVTZPL.PART1", "special value at kernel 1 + 4 sin^2 2x",
              lambda: (7.0 * PI3 / 20.0 - 0.25 * PI * LA2) / SQRT5, r=1),
-        case("S9.JIVTZPL.PART2", "special value at kernel 5 - 4 cos^2 2x, cos 2x numerator", FULL, NO_PARAMS,
-             lambda: _golden5_part(1), lambda: PI3 / 24.0 - 3.0 * PI / 8.0 * LA2, splits=MID),
+        part(ise, "S9.JIVTZPL.PART2", "special value at kernel 5 - 4 cos^2 2x, cos 2x numerator",
+             lambda: PI3 / 24.0 - 3.0 * PI / 8.0 * LA2, r=1),
         # sin^2/cos^2 numerators from adding/subtracting the pair
         case("S9.SINCOS.1", "cor. quadruple, even cos^2", FULL, *_sincos(EVEN, math.cos, True), splits=MID),
         case("S9.SINCOS.2", "cor. quadruple, even sin^2", FULL, *_sincos(EVEN, math.sin, False), splits=MID),
-        case("S9.SINCOS.3", "cor. quadruple, odd sin^2", FULL, *_sincos(ODD, math.sin, True), splits=MID),
-        case("S9.SINCOS.4", "cor. quadruple, odd cos^2", FULL, *_sincos(ODD, math.cos, False), splits=MID),
-        case("S9.SINCOS.PART1", "special value x^2 sin^2 x/(1 + 4 sin^2 2x)", FULL, NO_PARAMS, _sincos_part(math.sin),
-             lambda: (-SQRT5 / 40.0 + 3.0 / 16.0) * PI * LA2 + (7.0 * SQRT5 / 200.0 - 1.0 / 48.0) * PI3, splits=MID),
-        case("S9.SINCOS.PART2", "special value x^2 cos^2 x/(1 + 4 sin^2 2x)", FULL, NO_PARAMS, _sincos_part(math.cos),
-             lambda: -(SQRT5 / 40.0 + 3.0 / 16.0) * PI * LA2 + (7.0 * SQRT5 / 200.0 + 1.0 / 48.0) * PI3, splits=MID),
+        sc3 := case("S9.SINCOS.3", "cor. quadruple, odd sin^2", FULL, *_sincos(ODD, math.sin, True), splits=MID),
+        sc4 := case("S9.SINCOS.4", "cor. quadruple, odd cos^2", FULL, *_sincos(ODD, math.cos, False), splits=MID),
+        part(sc3, "S9.SINCOS.PART1", "special value x^2 sin^2 x/(1 + 4 sin^2 2x)",
+             lambda: (-SQRT5 / 40.0 + 3.0 / 16.0) * PI * LA2 + (7.0 * SQRT5 / 200.0 - 1.0 / 48.0) * PI3, r=1),
+        part(sc4, "S9.SINCOS.PART2", "special value x^2 cos^2 x/(1 + 4 sin^2 2x)",
+             lambda: -(SQRT5 / 40.0 + 3.0 / 16.0) * PI * LA2 + (7.0 * SQRT5 / 200.0 + 1.0 / 48.0) * PI3, r=1),
         # squared duplication kernels
         pxi := case("S9.PXI3HD5", "eq. (pxi3hd5)", FULL, R_ANY, lambda r: _dup(r, 2), _dup_rhs(1.0, 2), splits=MID),
-        case("S9.EZYW57R", "eq. (ezyw57r)", FULL, R_ANY, lambda r: _ise(r, 2), _ezy_rhs, splits=MID),
+        ezy,
         part(pxi, "S9.PXI3HD5.PART1", "special value at squared kernel 1 + 4 sin^2 2x",
              lambda: 21.0 / 100.0 * PI3 / SQRT5 - 3.0 * PI / (20.0 * SQRT5) * LA2 + PI / 20.0 * LN_ALPHA, r=1),
-        part(frlt2, "S9.PXI3HD5.PART2", "special value at squared kernel 5 - 4 cos^2 2x, cos 2x numerator",
-             lambda: sq5_value),
+        part(ezy, "S9.PXI3HD5.PART2", "special value at squared kernel 5 - 4 cos^2 2x, cos 2x numerator",
+             lambda: sq5_value, r=1),
         # imaginary-parameter pair: R = 2q/(1-q^2)
         case("S9.XITQGR6", "eq. (xitqgr6)", FULL, KX, lambda k: trig_sq_kernel(1.0, _xit_c(QX(k)) ** 2, math.cos, 1, True),
              _xit_rhs, splits=QUARTS),

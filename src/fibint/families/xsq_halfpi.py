@@ -101,7 +101,7 @@ def cases():
         case("S7.ID7", "eq. (id7_from_eleven)", HALF, R_GE2, _id7,
              lambda r: (PI3 / 24.0 + 0.5 * PI * li2(2.0 / L(r))) / (L(r) ** 2 - 4.0)),
         case("S7.ID7.PART", "special value pi^3/36 - (pi/12) ln^2 2", HALF, NO_PARAMS,
-             lambda: cos2x_kernel(5.0, 4.0), lambda: PI3 / 36.0 - PI / 12.0 * LN2**2),
+             lambda: _id7(1), lambda: PI3 / 36.0 - PI / 12.0 * LN2**2),
         case("S7.ID8", "eq. (id8_from_eleven)", HALF, R_GE2, _id8, _id8_rhs),
         case("S7.ID8.PART", "special value pi^3/54 - (pi/18) ln^2 2 + (pi/24) ln 2", HALF, NO_PARAMS, lambda: _id8_part,
              lambda: PI3 / 54.0 - PI / 18.0 * LN2**2 + PI / 24.0 * LN2),

@@ -56,8 +56,8 @@ def test_report_counts_consistent():
 @pytest.mark.parametrize(
     "tol, calls",
     [
-        (None, {"FINITE": 42733, "HALF_LINE": 28476, "TAN_HALFPI": 19388}),
-        (1e-12, {"FINITE": 54881, "HALF_LINE": 38748, "TAN_HALFPI": 22471}),
+        (None, {"FINITE": 42061, "HALF_LINE": 28476, "TAN_HALFPI": 19296}),
+        (1e-12, {"FINITE": 54689, "HALF_LINE": 38748, "TAN_HALFPI": 22471}),
     ],
 )
 def test_catalog_integrand_calls_per_strategy(tol, calls):
@@ -76,7 +76,7 @@ def test_run_calls_its_layers_as_module_attributes(monkeypatch):
     # a default pass looks up registry.instantiate, verifier.verify_instance and
     # quad.integrate_* on their modules at each call, so that a wrapper set there
     # (as a tracing harness sets one) sees every instance, verdict, integration
-    # and integrand call; 137 results reuse a shared integral and integrate nothing
+    # and integrand call; 143 results reuse a shared integral and integrate nothing
     calls = collections.Counter()
 
     def counted(module, name, on_result=None):
@@ -107,8 +107,8 @@ def test_run_calls_its_layers_as_module_attributes(monkeypatch):
     rep = verifier.run()
     assert calls["instantiate"] == calls["verify_instance"] == len(rep.results) == 1504
     integrations = calls["integrate_finite"] + calls["integrate_half_line"] + calls["integrate_tan_halfpi"]
-    assert integrations == 1504 - sum(r.reused for r in rep.results) == 1367
-    assert calls["integrand"] == sum(r.quad_evals for r in rep.results) == 90597
+    assert integrations == 1504 - sum(r.reused for r in rep.results) == 1361
+    assert calls["integrand"] == sum(r.quad_evals for r in rep.results) == 89833
 
 
 def _shared_instances():
@@ -130,7 +130,7 @@ _VACUOUS = {
 _ZERO_RHS = [("S2.COMPL2", (("k", k), ("n", 2))) for k in range(1, 6)]
 
 
-@pytest.mark.parametrize("tol, reused", [(None, 137), (1e-12, 125)])
+@pytest.mark.parametrize("tol, reused", [(None, 143), (1e-12, 126)])
 def test_shared_integrals_give_the_results_of_a_lone_verification(tol, reused):
     # an instance that reuses another's integral gets the bits it gets alone:
     # each instance of a declared group verified by itself, and each row of
@@ -138,7 +138,7 @@ def test_shared_integrals_give_the_results_of_a_lone_verification(tol, reused):
     full = verifier.run("*", tol_override=tol).results
     by_key = {(r.case_id, r.assignment): r for r in full}
     members = _shared_instances()
-    assert len(members) == 243
+    assert len(members) == 253
     for case_id, assignment in members:
         inst = registry.instantiate(case_id, dict(assignment))
         if tol is not None:
@@ -160,7 +160,7 @@ def test_shared_integrals_give_the_results_of_a_lone_verification(tol, reused):
 _WINDOWS = [("S4.*", {"r": (1, 2)}), ("*", {"r": (1, 2)}), ("*", {"k": (1, 1)}), ("S1.*", {"n": (1, 1)})]
 
 
-@pytest.mark.parametrize("tol, reused", [(None, (50, 97, 88, 4)), (1e-12, (50, 88, 78, 4))])
+@pytest.mark.parametrize("tol, reused", [(None, (50, 102, 94, 4)), (1e-12, (50, 89, 79, 4))])
 def test_shared_integrals_under_grid_windows_give_the_full_run_results(tol, reused):
     # a --grid window leaves some of a group's members out of the run: those left in
     # still share, and each gets the bits of the whole-catalog run
@@ -191,10 +191,10 @@ def test_run_shares_only_quadrature_results(monkeypatch):
     assert all(type(q) is float and type(v) is quad.QuadResult for d in seen for q, v in d.items())
 
 
-@pytest.mark.parametrize("tol, reused", [(None, 137), (1e-12, 125)])
+@pytest.mark.parametrize("tol, reused", [(None, 143), (1e-12, 126)])
 def test_run_memo_holds_one_result_per_shared_integral_and_tol(monkeypatch, tol, reused):
-    # a whole-catalog run hands the 243 members of declared groups one dict per
-    # shared integral, 106 in all, and each holds a result per quadrature tol only
+    # a whole-catalog run hands the 253 members of declared groups one dict per
+    # shared integral, 110 in all, and each holds a result per quadrature tol only
     handed = []
     verify_instance = verifier.verify_instance
 
@@ -206,9 +206,9 @@ def test_run_memo_holds_one_result_per_shared_integral_and_tol(monkeypatch, tol,
     monkeypatch.setattr(verifier, "verify_instance", keep)
     rep = verifier.run("*", tol_override=tol)
     memos = list({id(d): d for d in handed}.values())
-    assert (len(handed), len(memos)) == (243, 106)
+    assert (len(handed), len(memos)) == (253, 110)
     assert sum(r.reused for r in rep.results) == reused
-    assert sum(len(d) for d in memos) == 243 - reused == {None: 106, 1e-12: 118}[tol]
+    assert sum(len(d) for d in memos) == 253 - reused == {None: 110, 1e-12: 127}[tol]
 
 
 def test_run_releases_each_instance_once_verified(monkeypatch):
