@@ -191,6 +191,21 @@ def _group_id(key):
 
 
 DECLARED = declared_groups()
+
+
+def special_values(groups):
+    """{first: [special values...]}: the instances without parameters in a general instance's group,
+    where there are two or more.  They integrate one integral among themselves too, a case of its own."""
+    special = {}
+    for target, members in groups.items():
+        free = [key for key in members if not key[1]]
+        if target[1] and len(free) > 1:
+            special[free[0]] = free
+    return special
+
+
+# declared groups by target, and their special values by the first one; no sharer is a target
+SHARED = {**DECLARED, **special_values(DECLARED)}
 DENSE = 4000
 
 
@@ -259,11 +274,11 @@ def test_every_bit_identical_repeat_is_declared():
     assert sum(map(len, found)) == 253
 
 
-@pytest.mark.parametrize("target", list(DECLARED), ids=_group_id)
+@pytest.mark.parametrize("target", list(SHARED), ids=_group_id)
 def test_declared_integrals_are_bit_identical(target):
     # one binary64 integrand under one strategy and one set of splits, so that
     # every quadrature of it, at any tol, gives the same QuadResult
-    assert len({dense_signature(key) for key in DECLARED[target]}) == 1
+    assert len({dense_signature(key) for key in SHARED[target]}) == 1
 
 
 def test_declarations_name_instances_that_declare_nothing():
@@ -384,8 +399,9 @@ CLOSED_FORM_XFAIL = {
 }
 
 
-# a declared group goes by its target's id, an undeclared near group by ~ and its first instance's
-ONE_INTEGRAL = {_group_id(t): members for t, members in DECLARED.items()}
+# a declared group goes by its target's id, its special values by the first one's, and an
+# undeclared near group by ~ and its first instance's
+ONE_INTEGRAL = {_group_id(t): members for t, members in SHARED.items()}
 ONE_INTEGRAL.update((f"~{_group_id(g[0])}", g) for g in UNDECLARED)
 
 
