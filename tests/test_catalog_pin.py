@@ -34,18 +34,20 @@ checks and tests/make_results.py re-records, so that a change which moves
 one of them names each instance it moved.
 """
 
+import ast
 import collections
 import functools
 import hashlib
 import json
 import math
+import pathlib
 
 import pytest
 
-from fibint import cli, quad, registry
+from fibint import cli, families, quad, registry
 
 CATALOG_SHA256 = "823e9b1cdddb37e83214234452375ebf31c64fe7d3425d83ec897556056b59a7"
-INSTANCE_SHA256 = "919c594983aa2bd28995b5ed9af9b19e3352039e15704c7eec60763687eab5cd"
+INSTANCE_SHA256 = "b7e649ebeedf12fd6f03407e489aabd0a458bfa70892f57686a8189f9065e2a2"
 
 LIST_SHA256 = {
     "json": "7445986c1c8c8c14a92a6e21526363b1fe79a51ba46dffefbbacba6c62332e38",
@@ -103,6 +105,19 @@ def test_instance_bits_pinned():
     assert instance_digest() == INSTANCE_SHA256
 
 
+def test_catalog_calls_no_builtin_sum():
+    # from CPython 3.12 on, sum() of floats is compensated, so a closed form written with it rounds
+    # differently across interpreters and the bits pinned here hold on some of them only; a sum is
+    # a loop in a fixed order instead
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(pathlib.Path(families.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+    assert calls == []
+
+
 @pytest.mark.parametrize("fmt", list(LIST_SHA256))
 def test_list_bytes_pinned(fmt, capsys, tmp_path):
     # stdout and --out FILE carry the same bytes
@@ -147,19 +162,21 @@ def _group_id(key):
 DECLARED = declared_groups()
 
 
-def special_values(groups):
-    """{first: [special values...]}: the instances without parameters in a general instance's group,
-    where there are two or more.  They integrate one integral among themselves too, a case of its own."""
-    special = {}
+def cases_of_their_own(groups):
+    """{first: [members...]}: in a general instance's group, the instances without parameters (special
+    values), and the second members of S4's double equalities (the .B rows), where there are two or more
+    of one kind.  They integrate one integral among themselves too, a case of its own."""
+    own = {}
     for target, members in groups.items():
-        free = [key for key in members if not key[1]]
-        if target[1] and len(free) > 1:
-            special[free[0]] = free
-    return special
+        if target[1]:
+            for kind in ([key for key in members if not key[1]], [key for key in members if key[0].endswith(".B")]):
+                if len(kind) > 1:
+                    own[kind[0]] = kind
+    return own
 
 
-# declared groups by target, and their special values by the first one; no sharer is a target
-SHARED = {**DECLARED, **special_values(DECLARED)}
+# declared groups by target, and their cases of their own by the first member; no sharer is a target
+SHARED = {**DECLARED, **cases_of_their_own(DECLARED)}
 DENSE = 4000
 
 
@@ -224,8 +241,8 @@ def test_every_bit_identical_repeat_is_declared():
             found += [sorted(part) for part in parts.values() if len(part) > 1]
     declared = [sorted(group) for group in DECLARED.values()]
     assert [g for g in found if g not in declared] == []
-    assert len(found) == len(declared) == 110
-    assert sum(map(len, found)) == 253
+    assert len(found) == len(declared) == 260
+    assert sum(map(len, found)) == 613
 
 
 @pytest.mark.parametrize("target", list(SHARED), ids=_group_id)
@@ -321,7 +338,7 @@ def test_near_identical_instances():
     assert all(_match(a, b) for g in groups for a in g for b in g)
     where = {key: i for i, g in enumerate(groups) for key in g}
     assert all({where.get(key) for key in members} == {where[members[0]]} for members in DECLARED.values())
-    assert (len(groups), sum(map(len, groups))) == (145, 333)
+    assert (len(groups), sum(map(len, groups))) == (295, 693)
     assert (len(UNDECLARED), sum(map(len, UNDECLARED))) == (45, 101)
 
 

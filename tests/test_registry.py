@@ -2,11 +2,13 @@ import math
 
 import pytest
 
-from fibint import registry
+from fibint import quad, registry, verifier
 from fibint.exact_seq import ALPHA, BETA, SQRT5, fib, lucas
 from fibint.families import _helpers, tangent
 from fibint.registry import CatalogError, ParamError, ParamSpec
 from fibint.specfun import LN_ALPHA, constants
+
+import make_results
 
 PI = math.pi
 
@@ -329,7 +331,7 @@ KERNEL_REFS = {
     "S3.QUARTIC.L": _quartic_ref(_L),
     "S3.QUARTIC.F": _quartic_ref(_F),
     **{base: _halfline_a_ref(base) for base in _HALFLINE_AB},
-    **{base + ".B": _halfline_b_ref(base) for base in _HALFLINE_AB},
+    **{base + ".B": _halfline_a_ref(base) for base in _HALFLINE_AB},  # the second member's integral, see below
     "S5.TKZY7WR": _tk_ref,
     "S5.SIN1": _sin_ref(lambda p: (5.0 * _F(p["r"]) ** 2, _L(p["r"]) ** 2)),
     "S5.SIN2": _sin_ref(lambda p: (_L(p["r"]) ** 2, 5.0 * _F(p["r"]) ** 2)),
@@ -367,6 +369,50 @@ def test_kernels_match_their_written_out_formulas(cid):
         ref = KERNEL_REFS[cid](assignment)
         for x in ABSCISSAE:
             assert _outcome(kernel, x) == _outcome(ref, x), (assignment, x)
+
+
+# The .B rows integrate their base row's kernel f_A.  The second member as the paper prints it,
+# f_B(x) = x/((1+x^2)(B + A x^2)^(m+1)), is x^-2 f_A(1/x), and the half-line map pairs the node
+# x_lo = d/(1-d), weight w/(1-d)^2, with x_hi = (1-d)/d, weight w/d^2.  So w_lo f_B(x_lo) = w_hi f_A(x_hi)
+# and w_hi f_B(x_hi) = w_lo f_A(x_lo): a pass over f_A sums a pass over f_B's terms in mirrored order.
+# The worst ulp distance between them per row, over every node of every level a .B instance reaches at
+# --tol 1e-13 (the body rows, the tail rows paired by delta, and the centre x = 1):
+MAP_ULPS = {"S4.KJ2W249": 15, "S4.DPBN6CY": 17, "S4.Q2NVIQW": 15, "S4.PDJJQGD": 16,
+            "S4.LF2": 16, "S4.EVEN4": 18, "S4.ODD4": 16, "S4.F4R1": 14}
+MAP_LEVELS = 5  # the deepest level that any .B instance reaches at --tol 1e-13
+
+
+def test_second_members_are_their_first_members_under_the_map(monkeypatch):
+    second = {base: [(a, registry.instantiate(base + ".B", a)) for a in registry.default_grid(base + ".B")]
+              for base in _HALFLINE_AB}
+    rows, levels = quad._HALF_LINE.rows, set()  # the levels whose node rows verifying them at --tol 1e-13 reads
+    reading = quad._HALF_LINE._replace(rows=lambda level: levels.add(level) or rows(level))
+    monkeypatch.setattr(quad, "_HALF_LINE", reading)
+    for insts in second.values():
+        for _, inst in insts:
+            inst.tol = 1e-13
+            verifier.verify_instance(inst)
+    monkeypatch.undo()
+    assert max(levels) == MAP_LEVELS
+    pairs = [(*quad._HALF_LINE.center, *quad._HALF_LINE.center)]
+    for level in range(MAP_LEVELS + 1):
+        body, (lo, hi) = quad._HALF_LINE.rows(level)
+        high = {delta: (x, w) for delta, x, w in hi}
+        assert len(high) == len(lo)
+        pairs += [(xl, wl, xh, wh) for xl, xh, wl, wh in body]
+        pairs += [(xl, wl, *high[delta]) for delta, xl, wl in lo]
+    worst = {}
+    for base, insts in second.items():
+        worst[base] = 0
+        for assignment, inst in insts:
+            f_a, f_b, rhs = inst.integrand.eval, _halfline_b_ref(base)(assignment), abs(inst.rhs)
+            for xl, wl, xh, wh in pairs:
+                for u, v in ((wl * f_b(xl), wh * f_a(xh)), (wh * f_b(xh), wl * f_a(xl))):
+                    if u == 0.0 or v == 0.0:  # a deep tail term that under- or overflows on one side
+                        assert max(abs(u), abs(v)) <= math.ulp(rhs), (base, assignment, xl)
+                    else:
+                        worst[base] = max(worst[base], make_results.ulps(u, v))
+    assert worst == MAP_ULPS
 
 
 def test_fib_lucas_floats_are_memoized_exactly():

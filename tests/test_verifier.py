@@ -18,6 +18,7 @@ SQRT5 = math.sqrt(5.0)
 # a whole-catalog run's counts, from the results table: {tol: results that reuse another instance's integral}
 TABLE = make_results.read()
 REUSED = {tol: make_results.total(TABLE, f"reused@{make_results.TOLS[tol]}") for tol in (None, 1e-12)}
+REUSED_IDS = [make_results.TOLS[tol] for tol in REUSED]  # test ids by tolerance, not by the counts the table holds
 
 
 def test_verify_instance_catalan_anchor():
@@ -116,7 +117,7 @@ _VACUOUS = {
 _ZERO_RHS = [("S2.COMPL2", (("k", k), ("n", 2))) for k in range(1, 6)]
 
 
-@pytest.mark.parametrize("tol, reused", list(REUSED.items()))
+@pytest.mark.parametrize("tol, reused", list(REUSED.items()), ids=REUSED_IDS)
 def test_shared_integrals_give_the_results_of_a_lone_verification(tol, reused):
     # an instance that reuses another's integral gets the bits it gets alone:
     # each instance of a declared group verified by itself, and each row of
@@ -124,7 +125,7 @@ def test_shared_integrals_give_the_results_of_a_lone_verification(tol, reused):
     full = verifier.run("*", tol_override=tol).results
     by_key = {(r.case_id, r.assignment): r for r in full}
     members = _shared_instances()
-    assert len(members) == 253
+    assert len(members) == 613
     for case_id, assignment in members:
         inst = registry.instantiate(case_id, dict(assignment))
         if tol is not None:
@@ -146,7 +147,7 @@ def test_shared_integrals_give_the_results_of_a_lone_verification(tol, reused):
 _WINDOWS = [("S4.*", {"r": (1, 2)}), ("*", {"r": (1, 2)}), ("*", {"k": (1, 1)}), ("S1.*", {"n": (1, 1)})]
 
 
-@pytest.mark.parametrize("tol, reused", [(None, (50, 102, 94, 4)), (1e-12, (50, 89, 79, 4))])
+@pytest.mark.parametrize("tol, reused", [(None, (105, 157, 299, 4)), (1e-12, (105, 144, 284, 4))])
 def test_shared_integrals_under_grid_windows_give_the_full_run_results(tol, reused):
     # a --grid window leaves some of a group's members out of the run: those left in
     # still share, and each gets the bits of the whole-catalog run
@@ -173,11 +174,11 @@ def test_run_shares_only_quadrature_results(monkeypatch):
 
     monkeypatch.setattr(verifier, "verify_instance", keep)
     verifier.run("S4.*")
-    assert len(seen) == 140  # the S4 instances of declared groups
+    assert len(seen) == 500  # the S4 instances of declared groups: every one
     assert all(type(q) is float and type(v) is quad.QuadResult for d in seen for q, v in d.items())
 
 
-@pytest.mark.parametrize("tol, reused", list(REUSED.items()))
+@pytest.mark.parametrize("tol, reused", list(REUSED.items()), ids=REUSED_IDS)
 def test_run_memo_holds_one_result_per_shared_integral_and_tol(monkeypatch, tol, reused):
     # a whole-catalog run hands the members of declared groups one dict per
     # shared integral, and each holds a result per quadrature tol only
