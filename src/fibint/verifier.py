@@ -14,6 +14,15 @@ A QuadResult is a function of the integrand's bits and the tol alone, so
 every result is the one its instance gets verified alone or under any
 filter.  A result's quad_evals are the integrand calls made for it: 0
 when it reused another instance's integral, as its reused flag says.
+
+The quadrature tol is a quarter of the pass threshold, cut toward zero to
+40 significant bits and then clamped to [quad.TOL_MIN, quad.TOL_MAX].
+The closed forms of one integral differ by a few ulp, and where the
+relative term RTOL * |rhs| sets the threshold, so do the tols their
+instances ask for; cut, they ask for one, unless their tols straddle a
+multiple of 2^-40 of their binade, and the memo, keyed by exact tol,
+finds it.  Cutting toward zero never loosens a tol, and clamping after
+it keeps a tol that the cut takes below TOL_MIN at TOL_MIN.
 """
 
 from __future__ import annotations
@@ -78,7 +87,8 @@ def pass_threshold(tol: float, rhs: float) -> float:
 
 
 def _quad_tol(threshold: float) -> float:
-    return min(max(_QUAD_SAFETY * threshold, quad.TOL_MIN), quad.TOL_MAX)
+    m, e = math.frexp(_QUAD_SAFETY * threshold)  # cut to 40 bits toward zero, then clamp
+    return min(max(math.ldexp(math.trunc(math.ldexp(m, 40)), e - 40), quad.TOL_MIN), quad.TOL_MAX)
 
 
 def _integrate(inst: registry.BoundInstance, qtol: float) -> quad.QuadResult:
