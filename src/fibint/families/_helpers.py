@@ -23,11 +23,11 @@ ParamSpec.  A row's builder and closed form take its parameters by name,
 as def _pair_a_rhs(n, r) or lambda r: ..., and a row without parameters
 has lambda: c; a helper shared by several rows takes the same names.
 A row whose integrand is, bit for bit, another instance's at some of its
-points names that instance in shares=, as lambda k, n: (id, assignment).
-A .PART row that is a general row at one point is part(id5, "S7.ID5.PART",
-anchor, closed form, r=2), with id5 that row: it writes only its id,
-anchor, closed form and point.  The instance named is on the fuller row
-and declares no shares of its own.
+points names that instance in shares=, as lambda k, n: (id, assignment),
+and one that writes such an integral in another form binds that row's
+kernel there, with restating(row, at).  A .PART row, a general row id5 at
+one point, is part(id5, "S7.ID5.PART", anchor, closed form, r=2).  The
+instance named declares no shares of its own.
 
 Folding signs this way keeps every result bit, because negation and
 scaling by +-1.0 or 2.0 are exact: a + s * c with s = -2.0 rounds as
@@ -127,10 +127,19 @@ P = ParamSpec
 NO_PARAMS: tuple[ParamSpec, ...] = ()
 
 
+def restating(row: IdentityCase, at: Callable[..., tuple[IdentityCase, dict[str, int]] | None]) -> IdentityCase:
+    """row, where at(**p) names (case, assignment) of the instance whose integral row's is at p: there it binds case's
+    kernel and shares that integral, or the one it shares.  at runs as an instance is bound, so case may come later."""
+    own = row.lhs_builder
+    row.lhs_builder = lambda **p: own(**p) if (hit := at(**p)) is None else hit[0].lhs_builder(**hit[1])
+    row.shares = lambda **p: (hit := at(**p)) and ((hit[0].shares and hit[0].shares(**hit[1])) or (hit[0].id, hit[1]))
+    return row
+
+
 def part(of: IdentityCase, id: str, anchor: str, rhs_eval: Callable[[], float], **assignment: int) -> IdentityCase:
     """The row that is of at assignment: of's integrand, strategy and splits, and a share of its integral."""
-    return IdentityCase(id, anchor, of.strategy, NO_PARAMS, lambda: of.lhs_builder(**assignment), rhs_eval,
-                        splits=of.splits, shares=lambda: (of.id, assignment))
+    return restating(IdentityCase(id, anchor, of.strategy, NO_PARAMS, None, rhs_eval, splits=of.splits),
+                     lambda: (of, assignment))
 
 
 def qgrid(values: tuple[float, ...]) -> tuple[tuple[ParamSpec, ...], Callable[[int], float]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._helpers import (
     ALPHA, BETA, LN_ALPHA, PI, SQRT5, TAN_HALFPI,
-    F, L, P, apow, bpow, case, math, parity, part,
+    F, L, P, apow, bpow, case, math, parity, part, restating,
 )
 
 ROK_Q = (F(4) / F(3), L(3) / L(2), F(5) / L(2), L(4) / F(5), F(6) / F(4), L(5) / L(3))
@@ -126,22 +126,6 @@ def _pair_b_rhs(n, r):
     return PI / (2.0 * (n + 1)) / (s**n * L(r)) * (1.0 / s ** (n + 1) - 1.0 / (2.0 * apow(r)) ** (n + 1))
 
 
-def _special_kernel(a, b):
-    return lambda t: 1.0 / (a + b * t * t) ** 2
-
-
-def _special(swap):
-    """1/(a + b t^2)^2, (a, b) = (L_r^2, 5 F_r^2), or swapped: the n = 1 pair member."""
-
-    def ab(r):
-        return (5.0 * F(r) ** 2, L(r) ** 2) if swap else (L(r) ** 2, 5.0 * F(r) ** 2)
-
-    def rhs(r):
-        return PI / 4.0 / (F(2 * r) * SQRT5) * (1.0 / ab(r)[0] - 1.0 / (4.0 * apow(2 * r)))
-
-    return lambda r: _special_kernel(*ab(r)), rhs
-
-
 def _quartic(seq):
     """Combined golden-power instance with numerator coefficients from seq (L or F)."""
 
@@ -187,20 +171,24 @@ def cases():
                       _recip_rhs),
         # n-fold derivative family at generic positive q
         case("S3.ROKBVU0", "eq. (rokbvu0)", TAN_HALFPI, (P("n", 0, 4), P("k", 1, len(ROK_Q))), _rok, _rok_rhs),
-        # the same family at q = L_r/(F_r sqrt5) and its reciprocal
-        case("S3.LFPAIR.A", "theorem after eq. (rokbvu0), first member", TAN_HALFPI, nr, _pair(False), _pair_a_rhs),
-        # at n = 1 the kernel is SPECIAL2's, rounded the same way at r = 1 and 3 only
+        # the same family at q = L_r/(F_r sqrt5) and its reciprocal; at n = 1 the special cases below
+        case("S3.LFPAIR.A", "theorem after eq. (rokbvu0), first member", TAN_HALFPI, nr, _pair(False), _pair_a_rhs,
+             shares=lambda n, r: ("S3.SPECIAL1", {"r": r}) if n == 1 else None),
         case("S3.LFPAIR.B", "theorem after eq. (rokbvu0), second member", TAN_HALFPI, nr, _pair(True), _pair_b_rhs,
-             shares=lambda n, r: ("S3.SPECIAL2", {"r": r}) if n == 1 and r in (1, 3) else None),
-        # squared special cases of the pair
-        special1 := case("S3.SPECIAL1", "n=1 special case, first member", TAN_HALFPI, r8, *_special(False)),
-        special2 := case("S3.SPECIAL2", "n=1 special case, second member", TAN_HALFPI, r8, *_special(True)),
+             shares=lambda n, r: ("S3.SPECIAL2", {"r": r}) if n == 1 else None),
+        # squared special cases of the pair, 1/(a + b t^2)^2: they bind its kernel at n = 1
+        special1 := case("S3.SPECIAL1", "n=1 special case, first member", TAN_HALFPI, r8, lambda r: _pair(False)(1, r),
+                         lambda r: PI / 4.0 / (F(2 * r) * SQRT5) * (1.0 / L(r) ** 2 - 1.0 / (4.0 * apow(2 * r)))),
+        special2 := case("S3.SPECIAL2", "n=1 special case, second member", TAN_HALFPI, r8, lambda r: _pair(True)(1, r),
+                         lambda r: PI / 4.0 / (F(2 * r) * SQRT5) * (1.0 / (5.0 * F(r) ** 2) - 1.0 / (4.0 * apow(2 * r)))),
         part(special1, "S3.SPECIAL1.PART", "special value pi*alpha/16", lambda: PI * ALPHA / 16.0, r=1),
         part(special2, "S3.SPECIAL2.PART", "special value (pi/400)(2+7/alpha^2)",
              lambda: PI / 400.0 * (2.0 + 7.0 / ALPHA**2), r=1),
         # combined golden-power instances with Lucas/Fibonacci numerators
         quartic_l := case("S3.QUARTIC.L", "quartic theorem, Lucas member", TAN_HALFPI, nrq, _quartic(L), _quartic_l_rhs),
-        case("S3.QUARTIC.F", "quartic theorem, Fibonacci member", TAN_HALFPI, nrq, _quartic(F), _quartic_f_rhs),
+        # at n = 0, r = 0 the Fibonacci member is 1/(1 + 3t^2 + t^4), RECIP's kernel at r = 1
+        restating(case("S3.QUARTIC.F", "quartic theorem, Fibonacci member", TAN_HALFPI, nrq, _quartic(F), _quartic_f_rhs),
+                  lambda n, r: (recip, {"r": 1}) if (n, r) == (0, 0) else None),
         part(quartic_l, "S3.QUARTIC.PART1", "special value -pi*beta^3/2", lambda: -PI * BETA**3 / 2.0, n=0, r=-1),
         part(recip, "S3.QUARTIC.PART2", "special value pi*beta^2/sqrt5", lambda: PI * BETA**2 / SQRT5, r=1),
         part(tan2, "S3.QUARTIC.PART3", "special value -pi*beta^3/(2 sqrt5)",

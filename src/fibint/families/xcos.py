@@ -95,31 +95,21 @@ def _recombined_rows(br, triple):
     return br.params, lambda r: _recombined(br.A2(r), triple), rhs
 
 
-def _halves(weight, s):
-    """w x^2 cos x (1/(a - 2 cos 2x) + s/(a + 2 cos 2x)) at a = sqrt5 F_r, w = weight(a), s = +-1.0."""
+def _halves(r):
+    """x^2 cos x (1/(a - 2 cos 2x) - 1/(a + 2 cos 2x))/2 at a = sqrt5 F_r."""
+    a = F(r) * SQRT5
 
-    def lhs(r):
-        a = F(r) * SQRT5
-        w = weight(a)
+    def f(x):
+        c = 2.0 * math.cos(2.0 * x)
+        return 0.5 * x * x * math.cos(x) * (1.0 / (a - c) - 1.0 / (a + c))
 
-        def f(x):
-            c = 2.0 * math.cos(2.0 * x)
-            return w * x * x * math.cos(x) * (1.0 / (a - c) + s / (a + c))
-
-        return f
-
-    return lhs
+    return f
 
 
 def _root(r):
     """u < 1 with u + 1/u = a, a = sqrt5 F_r the constant of the structural rows' kernels."""
     a = F(r) * SQRT5
     return 2.0 / (a + math.sqrt(a * a - 4.0))
-
-
-def _qvb_rhs(r):
-    v = 1.0 / (F(r) * SQRT5)
-    return _recombined_rhs(_root(r), -v, -v)
 
 
 def _r2_is_r1(case_id):
@@ -147,17 +137,19 @@ def cases():
         # squared plus-kernels
         case("S10.CLSQ.E", "squared Clausen thm., even branch", FULL, *_plus(EVEN, 2), splits=MID, note=CLSQ_NOTE),
         case("S10.CLSQ.O", "squared Clausen thm., odd branch", FULL, *_plus(ODD, 2), splits=MID, note=CLSQ_NOTE),
-        # structural rows: the recombined forms at a = sqrt5 F_r; F_1 = F_2, so r = 2 repeats r = 1
-        case("S10.QVB6JUR", "recombination lemma, first relation", FULL, r16,
-             _halves(lambda a: 1.0 / (2.0 * a), 1.0), _qvb_rhs, default_tol=1e-9, splits=MID,
-             shares=_r2_is_r1("S10.QVB6JUR")),
-        case("S10.A40QD9A", "recombination lemma, cos 3x relation", FULL, r16, _halves(lambda a: 0.5, -1.0),
+        # structural rows: the recombined forms at a = sqrt5 F_r; F_1 = F_2, so r = 2 repeats r = 1.  The sum of the
+        # half-kernels over 2a is x^2 cos x/(5 F_r^2 - 4 cos^2 2x), Y4DQFP7's kernel, which QVB6JUR binds at every r
+        case("S10.QVB6JUR", "recombination lemma, first relation", FULL, r16, lambda r: y4.lhs_builder(r=r),
+             lambda r: _recombined_rhs(_root(r), -1.0 / (F(r) * SQRT5), -1.0 / (F(r) * SQRT5)),
+             default_tol=1e-9, splits=MID, shares=_r2_is_r1("S10.QVB6JUR")),
+        case("S10.A40QD9A", "recombination lemma, cos 3x relation", FULL, r16, _halves,
              lambda r: _recombined_rhs(_root(r), -1.0, 1.0), default_tol=1e-9, splits=MID,
              shares=_r2_is_r1("S10.A40QD9A"),
              note="source text adds the two half-kernels; the cos 3x relation requires their "
              "difference (verified numerically and consistent with the derived theorems)"),
         # recombined kernels
-        case("S10.Y4DQFP7", "eq. (y4dqfp7)", FULL, *_recombined_rows(ODD, False), splits=MID),
+        y4 := case("S10.Y4DQFP7", "eq. (y4dqfp7)", FULL, *_recombined_rows(ODD, False), splits=MID,
+                   shares=lambda r: ("S10.QVB6JUR", {"r": r}) if r <= 5 else None),
         case("S10.GG6A1VX", "eq. (gg6a1vx)", FULL, *_recombined_rows(ODD, True), splits=MID),
         v11 := case("S10.V11U6JR", "eq. (v11u6jr)", FULL, *_recombined_rows(EVEN, False), splits=MID),
         case("S10.PADU4YO", "eq. (padu4yo)", FULL, *_recombined_rows(EVEN, True), splits=MID),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._helpers import (
     ALPHA, BETA, EVEN, FULL, HALF, LN_ALPHA, MID, ODD, PI, SQRT5,
-    F, L, P, case, log_f, log_l, math, part, qgrid,
+    F, L, P, case, log_f, log_l, math, part, qgrid, restating,
 )
 
 RDJ_NOTE = (
@@ -115,6 +115,8 @@ def _fm_q2(k):
 
 def _fm_kernel(k, m):
     q2 = _fm_q2(k)
+    if m == 1:  # sin x/(1 + Q^2 sin^2 x), written as S5.SIN3 writes its kernel, which this is at r = k for k = 2, 3
+        return lambda x: (s := math.sin(x)) / (1.0 + q2 * s ** 2)
     e = 2 * m - 1
 
     def g(x):
@@ -145,11 +147,13 @@ def cases():
     kq, qq = qgrid((0.3, 0.5, 0.7, BETA * BETA, -BETA))
     r16, r18 = (P("r", 1, 6),), (P("r", 1, 8),)
     return [
-        # generic log form at parameter q, q^2 < 1
-        case("S6.U6JQLAY", "eq. (u6jqlay)", FULL, k6,
-             lambda k: _xsin(1.0, (2.0 * q6(k) / (1.0 - q6(k) * q6(k))) ** 2, math.sin), lambda k: _u6_rhs(q6(k))),
+        # generic log form at parameter q, q^2 < 1; (2q/(1 - q^2))^2 is 4 at q = -beta, CPWMQ60's kernel at r = 1
+        restating(case("S6.U6JQLAY", "eq. (u6jqlay)", FULL, k6,
+                       lambda k: _xsin(1.0, (2.0 * q6(k) / (1.0 - q6(k) * q6(k))) ** 2, math.sin),
+                       lambda k: _u6_rhs(q6(k))),
+                  lambda k: (cpw, {"r": 1}) if k == 6 else None),
         # golden instances: r odd, kernel L_r^2 + 4 sin^2 x; r even, kernel L_r^2 - 4 cos^2 x
-        case("S6.CPWMQ60", "eq. (cpwmq60)", FULL, *_log_rows(ODD, 1)),
+        cpw := case("S6.CPWMQ60", "eq. (cpwmq60)", FULL, *_log_rows(ODD, 1)),
         case("S6.RDJRA1D", "eq. (rdjra1d)", FULL, *_log_rows(EVEN, 1), note=RDJ_NOTE),
         # squared kernels
         case("S6.SQ.A", "squared cor. of eq. (cpwmq60)", FULL, *_log_rows(ODD, 2)),
@@ -183,5 +187,5 @@ def cases():
              lambda k: _quartic_rhs(qq(k), True), splits=MID),
         # half-interval equals full-interval/pi, including the power form
         case("S6.FM2DODR", "eq. (fm2dodr) and its power form", HALF, (P("m", 1, 3), P("k", 1, 3)), _fm_kernel, _fm_rhs,
-             default_tol=1e-9),
+             default_tol=1e-9, shares=lambda m, k: ("S5.SIN3", {"r": k}) if m == 1 and k > 1 else None),
     ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._helpers import (
     BETA, EVEN, FULL, LA2, LN_ALPHA, MID, ODD, PI, PI3, QUARTS, SQRT5,
-    F, L, P, bpow, case, cl2, cl_pair, cos2x_kernel, li2, li2_odd, math, parity, part, pi3_li2, qgrid,
+    F, L, P, bpow, case, cl2, cl_pair, cos2x_kernel, li2, li2_odd, math, parity, part, pi3_li2, qgrid, restating,
     trig_sq_kernel,
 )
 
@@ -243,8 +243,8 @@ def cases():
              lambda: 2.0 * PI * LN_ALPHA + 13.0 * PI3 / (6.0 * SQRT5) - PI * SQRT5 * LA2, r=1),
         # squared cos^2(2x) kernels, paired numerators
         case("S9.FRLTBQE", "eq. (frltbqe)", FULL, EVEN.params, lambda r: _paired(EVEN.A2(r)), _frl_rhs, splits=MID),
-        case("S9.S7JKWMS", "eq. (s7jkwms)", FULL, EVEN.params, lambda r: _c2x(EVEN.A2(r), -4.0, 2), _s7j_rhs,
-             splits=MID, shares=lambda r: ("S9.EZYW57R", {"r": r}) if r == 10 else None),
+        restating(case("S9.S7JKWMS", "eq. (s7jkwms)", FULL, EVEN.params, None, _s7j_rhs, splits=MID),
+                  lambda r: (ezy, {"r": r})),  # at even r, L_r^2 - 4 cos^2 2x is 5 F_r^2 + 4 sin^2 2x
         vxz := case("S9.VXZM3GU", "eq. (vxzm3gu)", FULL, ODD.params, lambda r: _paired(ODD.A2(r)), _vxz_rhs,
                     splits=MID),
         case("S9.NT2NOAN", "eq. (nt2noan)", FULL, ODD.params, lambda r: _c2x(ODD.A2(r), -4.0, 2), _nt2_rhs, splits=MID,
@@ -280,15 +280,18 @@ def cases():
              lambda: 21.0 / 100.0 * PI3 / SQRT5 - 3.0 * PI / (20.0 * SQRT5) * LA2 + PI / 20.0 * LN_ALPHA, r=1),
         part(ezy, "S9.PXI3HD5.PART2", "special value at squared kernel 5 - 4 cos^2 2x, cos 2x numerator",
              lambda: sq5_value, r=1),
-        # imaginary-parameter pair: R = 2q/(1-q^2)
-        case("S9.XITQGR6", "eq. (xitqgr6)", FULL, KX, lambda k: trig_sq_kernel(1.0, _xit_c(QX(k)) ** 2, math.cos, 1, True),
-             _xit_rhs, splits=QUARTS),
-        case("S9.D64V4ZE", "eq. (d64v4ze)", FULL, KX, _d64, _d64_rhs, splits=QUARTS),
+        # imaginary-parameter pair: R = 2q/(1-q^2), which is 2 at q = -beta, EUNBS0S's and CLAUSEN.O's kernels at r = 1
+        restating(case("S9.XITQGR6", "eq. (xitqgr6)", FULL, KX,
+                       lambda k: trig_sq_kernel(1.0, _xit_c(QX(k)) ** 2, math.cos, 1, True), _xit_rhs, splits=QUARTS),
+                  lambda k: (eun, {"r": 1}) if k == 5 else None),
+        restating(case("S9.D64V4ZE", "eq. (d64v4ze)", FULL, KX, _d64, _d64_rhs, splits=QUARTS),
+                  lambda k: (cl_odd, {"r": 1}) if k == 5 else None),
         # golden instances with +cos^2(2x) kernels
-        case("S9.EUNBS0S", "eq. (eunbs0s)", FULL, R_ANY, lambda r: _plus_cos_sq(r, 1), _dup_rhs(-1.0, 1), splits=QUARTS),
+        eun := case("S9.EUNBS0S", "eq. (eunbs0s)", FULL, R_ANY, lambda r: _plus_cos_sq(r, 1), _dup_rhs(-1.0, 1),
+                    splits=QUARTS),
         case("S9.EUNBS0S.SQ", "squared thm. of eq. (eunbs0s)", FULL, R_ANY, lambda r: _plus_cos_sq(r, 2), _dup_rhs(-1.0, 2),
              splits=QUARTS),
         # Clausen-valued rows
         case("S9.CLAUSEN.E", "final theorem, even branch", FULL, *_clausen(EVEN), splits=QUARTS),
-        case("S9.CLAUSEN.O", "final theorem, odd branch", FULL, *_clausen(ODD), splits=QUARTS),
+        cl_odd := case("S9.CLAUSEN.O", "final theorem, odd branch", FULL, *_clausen(ODD), splits=QUARTS),
     ]

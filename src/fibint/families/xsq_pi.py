@@ -7,13 +7,16 @@ from __future__ import annotations
 
 from ._helpers import (
     BETA, EVEN, FULL, LN_ALPHA, MID, ODD, PI, PI3, SQRT5,
-    F, L, P, bpow, case, li2, math, parity, part, pi3_li2, qgrid, trig_sq_kernel,
+    F, L, P, bpow, case, cos2x_kernel, li2, math, parity, part, pi3_li2, qgrid,
 )
 
 
-def _lsq(br, k):
-    """x^2/(L_r^2 - 4 cos^2 x)^k for even r, x^2/(L_r^2 + 4 sin^2 x)^k for odd r."""
-    return br.params, lambda r: trig_sq_kernel(L(r) ** 2, *br.lsq, k)
+def _lsq(id_, anchor, k, rhs, target):
+    """The even and odd rows of x^2/(L_r^2 - 4 cos^2 x)^k (r even) and x^2/(L_r^2 + 4 sin^2 x)^k (r odd).  As
+    L_r^2 = L_2r + 2 (-1)^r, both bind target's kernel x^2/(L_2r - 2 cos 2x)^k at 2r, and share its integral."""
+    lhs, shares = lambda r: cos2x_kernel(L(2 * r), -2.0, k), lambda r: (target, {"r": 2 * r}) if r <= 5 else None
+    return [case(f"{id_}.{b[0].upper()}", f"{anchor}, {b} branch", FULL, br.params, lhs, rhs, shares=shares)
+            for b, br in (("even", EVEN), ("odd", ODD))]
 
 
 def _ae_rhs(r):
@@ -32,8 +35,9 @@ def _m86_rhs(r):
 
 
 def _wbn(r, k):
-    """x^2/(L_r^2 - 4 (-1)^r cos^2 x)^k."""
-    return trig_sq_kernel(L(r) ** 2, -4.0 * parity(r).sigma, math.cos, k)
+    """x^2/(L_r^2 - 4 (-1)^r cos^2 x)^k, as x^2/(L_2r - 2 (-1)^r cos 2x)^k: at odd r S9.G8UGNY7.ME's (k = 1) or
+    S9.KNIIJOY.P's (k = 2) kernel at 2r, whose integral the row shares."""
+    return cos2x_kernel(L(2 * r), -2.0 * parity(r).sigma, k)
 
 
 def _wbn_rhs(r):
@@ -90,18 +94,18 @@ def cases():
     r10 = (P("r", 1, 10),)
     return [
         # kernel L_r^2 - 4 cos^2 x (r even) / L_r^2 + 4 sin^2 x (r odd)
-        case("S8.AEKFMPM.E", "eq. (aekfmpm), even branch", FULL, *_lsq(EVEN, 1), _ae_rhs),
-        ae_odd := case("S8.AEKFMPM.O", "eq. (aekfmpm), odd branch", FULL, *_lsq(ODD, 1), _ae_rhs),
-        part(ae_odd, "S8.AEKFMPM.PART", "special value at kernel 1 + 4 sin^2 x",
+        *(ae := _lsq("S8.AEKFMPM", "eq. (aekfmpm)", 1, _ae_rhs, "S9.G8UGNY7.PE")),
+        part(ae[1], "S8.AEKFMPM.PART", "special value at kernel 1 + 4 sin^2 x",
              lambda: 2.0 * PI3 / (5.0 * SQRT5) - PI * LN_ALPHA**2 / SQRT5, r=1),
         # squared kernels
-        case("S8.M86SKX9.E", "cor. (m86skx9), even branch", FULL, *_lsq(EVEN, 2), _m86_rhs),
-        m86_odd := case("S8.M86SKX9.O", "cor. (m86skx9), odd branch", FULL, *_lsq(ODD, 2), _m86_rhs),
-        part(m86_odd, "S8.M86SKX9.PART", "special value at squared kernel 1 + 4 sin^2 x",
+        *(m86 := _lsq("S8.M86SKX9", "cor. (m86skx9)", 2, _m86_rhs, "S9.KNIIJOY.M")),
+        part(m86[1], "S8.M86SKX9.PART", "special value at squared kernel 1 + 4 sin^2 x",
              lambda: 6.0 * PI3 * SQRT5 / 125.0 - 3.0 * PI * SQRT5 / 25.0 * LN_ALPHA**2 + PI / 5.0 * LN_ALPHA, r=1),
         # sign-resolved kernel L_r^2 - 4(-1)^r cos^2 x
-        case("S8.WBNQDEF", "eq. (wbnqdef)", FULL, r10, lambda r: _wbn(r, 1), _wbn_rhs, splits=MID),
-        case("S8.WBNQ.SQ", "squared cor. of eq. (wbnqdef)", FULL, r10, lambda r: _wbn(r, 2), _wbnsq_rhs, splits=MID),
+        case("S8.WBNQDEF", "eq. (wbnqdef)", FULL, r10, lambda r: _wbn(r, 1), _wbn_rhs, splits=MID,
+             shares=lambda r: ("S9.G8UGNY7.ME", {"r": 2 * r}) if r in (1, 3, 5) else None),
+        case("S8.WBNQ.SQ", "squared cor. of eq. (wbnqdef)", FULL, r10, lambda r: _wbn(r, 2), _wbnsq_rhs, splits=MID,
+             shares=lambda r: ("S9.KNIIJOY.P", {"r": 2 * r}) if r in (1, 3, 5) else None),
         # x^2 cos^2 x numerator over the squared sign-resolved kernel
         case("S8.EF4NKHY", "eq. (ef4nkhy)", FULL, (P("r", 1, 8),), _ef4, _ef4_rhs, splits=MID),
         # generic q-derivative remark form

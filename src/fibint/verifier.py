@@ -15,14 +15,10 @@ every result is the one its instance gets verified alone or under any
 filter.  A result's quad_evals are the integrand calls made for it: 0
 when it reused another instance's integral, as its reused flag says.
 
-The quadrature tol is a quarter of the pass threshold, cut toward zero to
-40 significant bits and then clamped to [quad.TOL_MIN, quad.TOL_MAX].
-The closed forms of one integral differ by a few ulp, and where the
-relative term RTOL * |rhs| sets the threshold, so do the tols their
-instances ask for; cut, they ask for one, unless their tols straddle a
-multiple of 2^-40 of their binade, and the memo, keyed by exact tol,
-finds it.  Cutting toward zero never loosens a tol, and clamping after
-it keeps a tol that the cut takes below TOL_MIN at TOL_MIN.
+The quadrature tol, a quarter of the pass threshold, is cut toward zero to
+40 bits before it is clamped: closed forms of one integral differ by a few
+ulp, and where RTOL * |rhs| sets the threshold, so would the tols, which
+the memo keys exactly.  Cut, they agree unless they straddle a 40-bit step.
 """
 
 from __future__ import annotations
@@ -176,13 +172,10 @@ def run(
     A grid window that no matching entry has a parameter for is a
     ValueError, raised before anything is bound.
 
-    An integral that several instances of the run compute, as the catalog
-    declares with IdentityCase.shares, is integrated once per quadrature
-    tol: the first of them to be verified integrates and the others reuse
-    its QuadResult.  The result is a function of the integrand's bits and
-    the tol alone, so every result is the one the instance gets verified
-    alone.  The memo lives for this one call and holds at most one result
-    per shared integral and quadrature tol.
+    A shared integral is integrated by the first of its instances to be
+    verified, and the others reuse its QuadResult (see the module docstring).
+    The memo lives for this one call and holds at most one result per shared
+    integral and quadrature tol.
     """
     t0 = time.perf_counter()
     ids = match_ids(pattern)

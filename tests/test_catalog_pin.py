@@ -34,6 +34,7 @@ checks and tests/make_results.py re-records, so that a change which moves
 one of them names each instance it moved.
 """
 
+import array
 import ast
 import collections
 import functools
@@ -44,10 +45,12 @@ import pathlib
 
 import pytest
 
-from fibint import cli, families, quad, registry
+import make_results
+from fibint import cli, families, quad, registry, verifier
+from test_registry import OWN_FORMS
 
 CATALOG_SHA256 = "823e9b1cdddb37e83214234452375ebf31c64fe7d3425d83ec897556056b59a7"
-INSTANCE_SHA256 = "b7e649ebeedf12fd6f03407e489aabd0a458bfa70892f57686a8189f9065e2a2"
+INSTANCE_SHA256 = "b14684fbc631cfc82e275484dec32eb087b1fce8f87144f66c5dc71362eff345"
 
 LIST_SHA256 = {
     "json": "7445986c1c8c8c14a92a6e21526363b1fe79a51ba46dffefbbacba6c62332e38",
@@ -164,12 +167,15 @@ DECLARED = declared_groups()
 
 def cases_of_their_own(groups):
     """{first: [members...]}: in a general instance's group, the instances without parameters (special
-    values), and the second members of S4's double equalities (the .B rows), where there are two or more
-    of one kind.  They integrate one integral among themselves too, a case of its own."""
+    values), the second members of S4's double equalities (the .B rows), and the instances of another
+    section of the paper than the target's (which derives the integral on its own), where there are two or
+    more of one kind.  They integrate one integral among themselves too, a case of its own."""
     own = {}
     for target, members in groups.items():
         if target[1]:
-            for kind in ([key for key in members if not key[1]], [key for key in members if key[0].endswith(".B")]):
+            section = target[0].split(".")[0]
+            for kind in ([key for key in members if not key[1]], [key for key in members if key[0].endswith(".B")],
+                         [key for key in members if key[0].split(".")[0] != section]):
                 if len(kind) > 1:
                     own[kind[0]] = kind
     return own
@@ -213,13 +219,21 @@ def _dense_xs(strategy, splits):
     return _quadrature_abscissae(strategy, splits) + _even_abscissae(strategy, DENSE)
 
 
+def _signature(f, xs):
+    """A digest of f's bits at xs: the doubles' bytes, or where f raises, each value's hex or error name."""
+    try:
+        data = array.array("d", [f(x) for x in xs]).tobytes()
+    except (ArithmeticError, ValueError):
+        data = repr([_sample(f, x) for x in xs]).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
 @functools.cache
 def dense_signature(key):
     """A digest of the instance's integrand at every quadrature node and DENSE more abscissae."""
     case = registry.get_case(key[0])
     f = registry.instantiate(*_key_args(key)).integrand.eval
-    samples = [_sample(f, x) for x in _dense_xs(case.strategy, case.splits)]
-    return case.strategy, case.splits, hashlib.sha256(repr(samples).encode()).hexdigest()
+    return case.strategy, case.splits, _signature(f, _dense_xs(case.strategy, case.splits))
 
 
 def test_every_bit_identical_repeat_is_declared():
@@ -241,8 +255,8 @@ def test_every_bit_identical_repeat_is_declared():
             found += [sorted(part) for part in parts.values() if len(part) > 1]
     declared = [sorted(group) for group in DECLARED.values()]
     assert [g for g in found if g not in declared] == []
-    assert len(found) == len(declared) == 260
-    assert sum(map(len, found)) == 613
+    assert len(found) == len(declared) == 295
+    assert sum(map(len, found)) == 693
 
 
 @pytest.mark.parametrize("target", list(SHARED), ids=_group_id)
@@ -333,19 +347,35 @@ _DECLARED_SETS = {frozenset(members) for members in DECLARED.values()}
 UNDECLARED = [g for g in near_groups() if frozenset(g) not in _DECLARED_SETS]
 
 
+def _restated(key):
+    """The instance's row binds another row's kernel where its own form (test_registry.OWN_FORMS) rounds otherwise."""
+    if key[0] not in OWN_FORMS:
+        return False
+    case = registry.get_case(key[0])
+    own = OWN_FORMS[key[0]](dict(key[1]))
+    return _signature(own, _dense_xs(case.strategy, case.splits)) != dense_signature(key)[2]
+
+
+# near groups that one row joins by binding another row's kernel: one integral that two rows write in two forms
+RESTATED = [g for g in near_groups() if any(map(_restated, g))]
+
+
 def test_near_identical_instances():
     groups = near_groups()
     assert all(_match(a, b) for g in groups for a in g for b in g)
     where = {key: i for i, g in enumerate(groups) for key in g}
     assert all({where.get(key) for key in members} == {where[members[0]]} for members in DECLARED.values())
     assert (len(groups), sum(map(len, groups))) == (295, 693)
-    assert (len(UNDECLARED), sum(map(len, UNDECLARED))) == (45, 101)
+    assert UNDECLARED == []
+    assert (len(RESTATED), sum(map(len, RESTATED))) == (45, 101)
 
 
 # parameter-free rows that integrate their own kernel, and why no general row's instance can stand in
 OWN_KERNEL = {
-    "S7.ID7.PART": "its kernel is S7.ID7's at r = 1, where ID7's closed form needs Li2(2)",
-    "S7.ID8.PART": "its kernel x^2 (2 + cos 2x)/(5 + 4 cos 2x)^2 is not S7.ID8's at any r",
+    "S7.ID7.PART": "its kernel is S7.ID7's at r = 1, where ID7's closed form needs Li2(2), and 4 times ID7's at r = 3, "
+    "whose integral is a quarter of it, to a quadrature tol that does not scale with it",
+    "S7.ID8.PART": "its kernel x^2 (2 + cos 2x)/(5 + 4 cos 2x)^2 is 8 times S7.ID8's at r = 3, whose integral is an "
+    "eighth of it, to a quadrature tol that does not scale with it",
 }
 
 
@@ -362,6 +392,28 @@ def test_special_values_share_the_instances_they_match():
     assert alone == list(OWN_KERNEL)
 
 
+@pytest.mark.parametrize("part, scale, ulps", [("S7.ID7.PART", 4.0, 0), ("S7.ID8.PART", 8.0, 2)])
+def test_scaled_special_values_are_their_general_rows_at_r_3(part, scale, ulps):
+    # L_3 = 4 makes ID7's kernel x^2/(20 + 16 cos 2x) and ID8's x^2 (4 + 2 cos 2x)/(20 + 16 cos 2x)^2, the
+    # special values' kernels over a power of two, and the closed forms scale exactly too.  So do the kernels'
+    # bits at every node that a pass at a pinned tolerance reads; ID8's ** 2 (a pow, not a product) rounds
+    # 20 + 16 cos 2x and 5 + 4 cos 2x 1-2 ulp apart at 9 deep tanh-sinh nodes that none reads
+    general = registry.instantiate(part.removesuffix(".PART"), {"r": 3})
+    special = registry.instantiate(part, {})
+    g, s = general.integrand.eval, special.integrand.eval
+    xs = _quadrature_abscissae(general.strategy, general.integrand.singular_points)
+    assert max(make_results.ulps(s(x), scale * g(x)) for x in xs) == ulps
+    read = []
+    for tol in make_results.TOLS:
+        for inst in (registry.instantiate(part, {}), registry.instantiate(general.case_id, {"r": 3})):
+            f = inst.integrand.eval
+            inst.integrand.eval = lambda x, f=f: read.append(x) or f(x)
+            inst.tol = inst.tol if tol is None else tol
+            verifier.verify_instance(inst)
+    assert [s(x) for x in read] == [scale * g(x) for x in read]
+    assert special.rhs == scale * general.rhs
+
+
 CLOSED_FORM_ULPS = 8
 # group -> why its closed forms disagree by more than CLOSED_FORM_ULPS, as measured
 CLOSED_FORM_XFAIL = {
@@ -370,10 +422,10 @@ CLOSED_FORM_XFAIL = {
 }
 
 
-# a declared group goes by its target's id, its special values by the first one's, and an
-# undeclared near group by ~ and its first instance's
+# a declared group goes by its target's id and its cases of their own by the first one's; a group of two
+# rows' forms goes by ~ and its first instance's too, the closed forms of two derivations
 ONE_INTEGRAL = {_group_id(t): members for t, members in SHARED.items()}
-ONE_INTEGRAL.update((f"~{_group_id(g[0])}", g) for g in UNDECLARED)
+ONE_INTEGRAL.update((f"~{_group_id(g[0])}", g) for g in RESTATED)
 
 
 @pytest.mark.parametrize(

@@ -310,7 +310,15 @@ def _xsine_quartic_ref(cube):
 
 def _fm_ref(p):
     q2, m = (0.5, 1.0, 2.0)[p["k"] - 1] ** 2, p["m"]
+    if m == 1:  # sin x/(1 + Q^2 sin^2 x), written as S5.SIN3 writes it
+        return lambda x: math.sin(x) / (1.0 + q2 * math.sin(x) ** 2)
     return lambda x: math.sin(x) ** (2 * m - 1) / (1.0 + q2 * math.sin(x) * math.sin(x)) ** m
+
+
+def _quartic_f_ref(p):
+    if (p["n"], p["r"]) == (0, 0):  # 1/(1 + 3t^2 + t^4), written as S3.RECIP writes it at r = 1
+        return lambda t: 1.0 / (1.0 + (3.0 + t * t) * t * t)
+    return _quartic_ref(_F)(p)
 
 
 def _golden5_ref(k):
@@ -329,7 +337,7 @@ KERNEL_REFS = {
     "S3.LFPAIR.A": _lfpair_ref(False),
     "S3.LFPAIR.B": _lfpair_ref(True),
     "S3.QUARTIC.L": _quartic_ref(_L),
-    "S3.QUARTIC.F": _quartic_ref(_F),
+    "S3.QUARTIC.F": _quartic_f_ref,
     **{base: _halfline_a_ref(base) for base in _HALFLINE_AB},
     **{base + ".B": _halfline_a_ref(base) for base in _HALFLINE_AB},  # the second member's integral, see below
     "S5.TKZY7WR": _tk_ref,
@@ -413,6 +421,124 @@ def test_second_members_are_their_first_members_under_the_map(monkeypatch):
                     else:
                         worst[base] = max(worst[base], make_results.ulps(u, v))
     assert worst == MAP_ULPS
+
+
+# Rows that bind another row's kernel where the two write one integral in two forms, and the form each wrote
+# before, as a function of its parameters: where the kernel it binds rounds closer to the exact one, the row
+# integrates it and shares that instance's integral.  Where its own form is the other row's, as at most points
+# of S3.QUARTIC.F, S5.CL66RLS and the other generic rows, it binds its own bits.
+
+
+def _special_form(swap):
+    def form(p):
+        a, b = _L(p["r"]) ** 2, 5.0 * _F(p["r"]) ** 2
+        if swap:
+            a, b = b, a
+        return lambda t: 1.0 / (a + b * t * t) ** 2
+
+    return form
+
+
+def _log_ratio_form(p):
+    q = (0.2, 0.5, 0.8, 1.0, BETA * BETA, -BETA)[p["k"] - 1]
+    amp = (1.0 + q * q) / (2.0 * q)
+    if abs(amp - 1.0) < 1e-12:
+        return lambda x: 2.0 * math.log((1.0 + math.sin(x)) / math.cos(x))
+    return lambda x: math.log((amp + math.sin(x)) / (amp - math.sin(x)))
+
+
+def _u6_form(p):
+    q = (0.3, -0.4, 0.6, -0.7, BETA * BETA, -BETA)[p["k"] - 1]
+    c = (2.0 * q / (1.0 - q * q)) ** 2
+    return lambda x: x * math.sin(x) / (1.0 + c * math.sin(x) ** 2)
+
+
+def _fm_form(p):
+    q2, m = (0.5, 1.0, 2.0)[p["k"] - 1] ** 2, p["m"]
+    return lambda x: math.sin(x) ** (2 * m - 1) / (1.0 + q2 * math.sin(x) * math.sin(x)) ** m
+
+
+def _lsq_form(k, sign=None):
+    """x^2/(L_r^2 - 4 cos^2 x)^k at even r, x^2/(L_r^2 + 4 sin^2 x)^k at odd r; or with sign, x^2/(L_r^2 - 4 sign^r cos^2 x)^k."""
+
+    def form(p):
+        r = p["r"]
+        a = _L(r) ** 2
+        if sign is not None:
+            s, trig = -4.0 * sign**r, math.cos
+        else:
+            s, trig = (-4.0, math.cos) if r % 2 == 0 else (4.0, math.sin)
+        if k == 1:
+            return lambda x: x * x / (a + s * trig(x) ** 2)
+        return lambda x: x * x / (a + s * trig(x) ** 2) ** 2
+
+    return form
+
+
+def _s7j_form(p):
+    a = _L(p["r"]) ** 2
+    return lambda x: x * x * math.cos(2.0 * x) / (a - 4.0 * math.cos(2.0 * x) * math.cos(2.0 * x)) ** 2
+
+
+def _xit_form(numerator):
+    def form(p):
+        q = (0.2, 0.4, 0.6, BETA * BETA, -BETA)[p["k"] - 1]
+        c = 2.0 * q / (1.0 - q * q)
+        if numerator:
+            return lambda x: x * x * math.cos(2.0 * x) / (1.0 + c * c * math.cos(2.0 * x) * math.cos(2.0 * x))
+        return lambda x: x * x / (1.0 + c**2 * math.cos(2.0 * x) ** 2)
+
+    return form
+
+
+def _qvb_form(p):
+    a = _F(p["r"]) * SQRT5
+    w = 1.0 / (2.0 * a)
+    return lambda x: w * x * x * math.cos(x) * (1.0 / (a - 2.0 * math.cos(2.0 * x)) + 1.0 / (a + 2.0 * math.cos(2.0 * x)))
+
+
+OWN_FORMS = {
+    "S3.QUARTIC.F": _quartic_ref(_F),
+    "S3.SPECIAL1": _special_form(False),
+    "S3.SPECIAL2": _special_form(True),
+    "S5.CL66RLS": _log_ratio_form,
+    "S6.U6JQLAY": _u6_form,
+    "S6.FM2DODR": _fm_form,
+    "S8.AEKFMPM.E": _lsq_form(1),
+    "S8.AEKFMPM.O": _lsq_form(1),
+    "S8.M86SKX9.E": _lsq_form(2),
+    "S8.M86SKX9.O": _lsq_form(2),
+    "S8.WBNQDEF": _lsq_form(1, -1.0),
+    "S8.WBNQ.SQ": _lsq_form(2, -1.0),
+    "S9.S7JKWMS": _s7j_form,
+    "S9.XITQGR6": _xit_form(False),
+    "S9.D64V4ZE": _xit_form(True),
+    "S10.QVB6JUR": _qvb_form,
+}
+# The worst ulp distance per row between its own form and the kernel it binds, over every node that verifying
+# each of its instances at --tol 1e-13 reads (FM2DODR's forms differ at abscissae that no pass reads)
+OWN_FORM_ULPS = {"S3.QUARTIC.F": 2, "S3.SPECIAL1": 4, "S3.SPECIAL2": 5, "S5.CL66RLS": 13, "S6.U6JQLAY": 4,
+                 "S6.FM2DODR": 0, "S8.AEKFMPM.E": 2, "S8.AEKFMPM.O": 2, "S8.M86SKX9.E": 3, "S8.M86SKX9.O": 3,
+                 "S8.WBNQDEF": 2, "S8.WBNQ.SQ": 4, "S9.S7JKWMS": 4, "S9.XITQGR6": 4, "S9.D64V4ZE": 4, "S10.QVB6JUR": 5}
+
+
+def test_rows_that_bind_another_rows_kernel_keep_their_own_form_within_a_few_ulp():
+    worst = {}
+    for cid, form in OWN_FORMS.items():
+        worst[cid] = 0
+        for assignment in registry.default_grid(cid):
+            inst = registry.instantiate(cid, assignment)
+            bound, own, xs = inst.integrand.eval, form(assignment), []
+            inst.integrand.eval = lambda x: xs.append(x) or bound(x)
+            inst.tol = 1e-13
+            assert verifier.verify_instance(inst).passed, (cid, assignment)
+            for x in xs:
+                u, v = bound(x), own(x)
+                if u == 0.0 or v == 0.0:  # a tail term that one form flushes to 0
+                    assert max(abs(u), abs(v)) <= math.ulp(inst.rhs), (cid, assignment, x)
+                else:
+                    worst[cid] = max(worst[cid], make_results.ulps(u, v))
+    assert worst == OWN_FORM_ULPS
 
 
 def test_fib_lucas_floats_are_memoized_exactly():
