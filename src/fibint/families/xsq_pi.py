@@ -15,8 +15,8 @@ def _lsq(id_, anchor, k, rhs, target):
     """The even and odd rows of x^2/(L_r^2 - 4 cos^2 x)^k (r even) and x^2/(L_r^2 + 4 sin^2 x)^k (r odd).  As
     L_r^2 = L_2r + 2 (-1)^r, both bind target's kernel x^2/(L_2r - 2 cos 2x)^k at 2r, and share its integral."""
     lhs, shares = lambda r: cos2x_kernel(L(2 * r), -2.0, k), lambda r: (target, {"r": 2 * r}) if r <= 5 else None
-    return [case(f"{id_}.{b[0].upper()}", f"{anchor}, {b} branch", FULL, br.params, lhs, rhs, shares=shares)
-            for b, br in (("even", EVEN), ("odd", ODD))]
+    return [case(f"{id_}.{tag}", f"{anchor}, {name} branch", FULL, br.params, lhs, rhs, shares=shares)
+            for tag, name, br in (("E", "even", EVEN), ("O", "odd", ODD))]
 
 
 def _ae_rhs(r):

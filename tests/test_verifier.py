@@ -10,7 +10,7 @@ from fibint.quad import Integrand, integrate_finite
 from fibint.specfun import LN_ALPHA, cl2, constants
 
 import make_results
-from test_catalog_pin import DECLARED
+from test_catalog_pin import DECLARED, _group_id
 
 PI = math.pi
 SQRT5 = math.sqrt(5.0)
@@ -248,6 +248,54 @@ def test_tolerance_discipline():
     res = verifier.verify_instance(inst)
     assert res.tol == pytest.approx(max(inst.tol, verifier.RTOL * abs(inst.rhs)))
     assert res.passed
+
+
+def _uncut(threshold):
+    """The quadrature tol as a quarter of the threshold, clamped, without the 40-bit cut."""
+    return min(max(0.25 * threshold, quad.TOL_MIN), quad.TOL_MAX)
+
+
+def test_quad_tol_is_cut_toward_zero_to_40_bits():
+    # a sweep across the tol range and every instance's threshold at the pinned tolerances: the cut never
+    # loosens a tol and takes off less than 2^-39 of it, and a tol inside the range has 40 significant bits
+    cases = [registry.instantiate(c.id, a) for c in registry.catalog() for a in registry.default_grid(c.id)]
+    thresholds = [t * 1.0001**j for t in (1e-14, 1e-9, 1e-4) for j in range(2000)]
+    thresholds += [verifier.pass_threshold(inst.tol if tol is None else tol, inst.rhs)
+                   for inst in cases for tol in make_results.TOLS]
+    for t in thresholds:
+        got, uncut = verifier._quad_tol(t), _uncut(t)
+        assert uncut * (1.0 - 2.0**-39) < got <= uncut, t
+        if quad.TOL_MIN < got < quad.TOL_MAX:
+            assert math.ldexp(math.frexp(got)[0], 40).is_integer(), t
+
+
+def test_quad_tol_is_cut_before_it_is_clamped():
+    # 1e-13 itself has more than 40 bits: cut after the clamp, a threshold of 4e-13 or less (every instance
+    # with |rhs| <= 4e-5 at --tol 1e-13) would ask for less than TOL_MIN, which quad refuses
+    assert verifier._quad_tol(4.0 * quad.TOL_MIN) == verifier._quad_tol(verifier.pass_threshold(1e-13, 1e-6)) == quad.TOL_MIN
+    assert verifier._quad_tol(1.0) == quad.TOL_MAX
+    rep = verifier.run("S5.*", tol_override=1e-13)
+    assert rep.n_fail == 0 and not any(r.note for r in rep.results)
+
+
+# declared groups whose members ask for more than one quadrature tol: at the default tolerances, the groups
+# that S6.FM2DODR and S10.QVB6JUR join, rows that declare 1e-9; none straddles a 40-bit step
+SPLIT_TOLS = {None: ["S10.QVB6JUR/r=1", "S10.QVB6JUR/r=3", "S10.QVB6JUR/r=5", "S5.SIN3/r=2", "S5.SIN3/r=3"],
+              1e-12: [], 1e-13: []}
+
+
+@pytest.mark.parametrize("tol", list(SPLIT_TOLS), ids=[make_results.TOLS[tol] for tol in SPLIT_TOLS])
+def test_members_of_a_declared_group_ask_for_one_quadrature_tol(tol):
+    split = []
+    for target, members in DECLARED.items():
+        insts = [registry.instantiate(case_id, dict(assignment)) for case_id, assignment in members]
+        qtols = {(inst.tol, verifier._quad_tol(verifier.pass_threshold(inst.tol if tol is None else tol, inst.rhs)))
+                 for inst in insts}
+        if len({q for _, q in qtols}) > 1:
+            split.append(_group_id(target))
+        # members with one row tolerance ask for one tol
+        assert len(qtols) == len({inst.tol for inst in insts}) if tol is None else len(qtols) >= 1
+    assert sorted(split) == SPLIT_TOLS[tol]
 
 
 def test_negative_control_flips():
