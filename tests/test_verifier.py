@@ -293,8 +293,7 @@ def test_members_of_a_declared_group_ask_for_one_quadrature_tol(tol):
                  for inst in insts}
         if len({q for _, q in qtols}) > 1:
             split.append(_group_id(target))
-        # members with one row tolerance ask for one tol
-        assert len(qtols) == len({inst.tol for inst in insts}) if tol is None else len(qtols) >= 1
+            assert len(qtols) == len({inst.tol for inst in insts})  # one tol per row tolerance
     assert sorted(split) == SPLIT_TOLS[tol]
 
 
