@@ -22,11 +22,12 @@ registry.IdentityCase, with its default tolerance by strategy, and P is
 ParamSpec.  A row's builder and closed form take its parameters by name,
 as def _pair_a_rhs(n, r) or lambda r: ..., and a row without parameters
 has lambda: c; a helper shared by several rows takes the same names.
-A row whose integrand is, bit for bit, another instance's at some of its
-points names that instance in shares=, as lambda k, n: (id, assignment),
-and one that writes such an integral in another form binds that row's
-kernel there, with restating(row, at).  A .PART row, a general row id5 at
-one point, is part(id5, "S7.ID5.PART", anchor, closed form, r=2).  The
+A row whose integral is another instance's at some of its points names
+that instance in shares=, as lambda k, n: (id, assignment), whether its
+own form is that instance's bit for bit or another way to write it: there
+the registry binds the named instance's kernel, and a row that shares at
+every point has no builder (None).  A .PART row, a general row id5 at one
+point, is part(id5, "S7.ID5.PART", anchor, closed form, r=2).  The
 instance named declares no shares of its own.
 
 Folding signs this way keeps every result bit, because negation and
@@ -127,19 +128,11 @@ P = ParamSpec
 NO_PARAMS: tuple[ParamSpec, ...] = ()
 
 
-def restating(row: IdentityCase, at: Callable[..., tuple[IdentityCase, dict[str, int]] | None]) -> IdentityCase:
-    """row, where at(**p) names (case, assignment) of the instance whose integral row's is at p: there it binds case's
-    kernel and shares that integral, or the one it shares.  at runs as an instance is bound, so case may come later."""
-    own = row.lhs_builder
-    row.lhs_builder = lambda **p: own(**p) if (hit := at(**p)) is None else hit[0].lhs_builder(**hit[1])
-    row.shares = lambda **p: (hit := at(**p)) and ((hit[0].shares and hit[0].shares(**hit[1])) or (hit[0].id, hit[1]))
-    return row
-
-
 def part(of: IdentityCase, id: str, anchor: str, rhs_eval: Callable[[], float], **assignment: int) -> IdentityCase:
-    """The row that is of at assignment: of's integrand, strategy and splits, and a share of its integral."""
-    return restating(IdentityCase(id, anchor, of.strategy, NO_PARAMS, None, rhs_eval, splits=of.splits),
-                     lambda: (of, assignment))
+    """The row that is of at assignment: of's strategy and splits, and a share of that instance's integral, or of
+    the one it shares."""
+    named = (of.shares and of.shares(**assignment)) or (of.id, assignment)
+    return IdentityCase(id, anchor, of.strategy, NO_PARAMS, None, rhs_eval, splits=of.splits, shares=lambda: named)
 
 
 def qgrid(values: tuple[float, ...]) -> tuple[tuple[ParamSpec, ...], Callable[[int], float]]:
@@ -201,14 +194,8 @@ def xcos_kernel(a: float, s: float, k: int = 1) -> Callable[[float], float]:
     return lambda x: x * x * math.cos(x) / (a + s * math.cos(2.0 * x)) ** 2
 
 
-def trig_sq_kernel(
-    a: float, s: float, trig: Callable[[float], float], k: int = 1, double: bool = False
-) -> Callable[[float], float]:
-    """x^2 / (a + s trig(x)^2)^k, or with trig(2x) when double; trig is math.cos or math.sin, k = 1 or 2."""
-    if double:
-        if k == 1:
-            return lambda x: x * x / (a + s * trig(2.0 * x) ** 2)
-        return lambda x: x * x / (a + s * trig(2.0 * x) ** 2) ** 2
+def trig_sq_kernel(a: float, s: float, trig: Callable[[float], float], k: int = 1) -> Callable[[float], float]:
+    """x^2 / (a + s trig(2x)^2)^k; trig is math.cos or math.sin, k = 1 or 2."""
     if k == 1:
-        return lambda x: x * x / (a + s * trig(x) ** 2)
-    return lambda x: x * x / (a + s * trig(x) ** 2) ** 2
+        return lambda x: x * x / (a + s * trig(2.0 * x) ** 2)
+    return lambda x: x * x / (a + s * trig(2.0 * x) ** 2) ** 2

@@ -47,7 +47,7 @@ def _pair(base_id, anchor, params, ab_of, rhs, note="", shares=None):
 
     return [
         case(base_id, anchor, HALF_LINE, params, lhs_a, rhs, note=note, shares=shares),
-        case(base_id + ".B", anchor + ", second member", HALF_LINE, params, lhs_a, rhs, note=note,
+        case(base_id + ".B", anchor + ", second member", HALF_LINE, params, None, rhs, note=note,
              shares=lambda **p: (shares and shares(**p)) or (base_id, p)),
     ]
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ._helpers import (
     ALPHA, BETA, FULL, HALF, HALF_LINE, MID, PI, PI2, PI3, TAN_HALFPI,
-    case, cos2x_kernel, li2, li2_odd, math, pi3_li2, qgrid, trig_sq_kernel, xcos_kernel,
+    case, cos2x_kernel, li2, li2_odd, math, pi3_li2, qgrid, xcos_kernel,
 )
 
 B2 = BETA * BETA  # beta^2 = 0.3819...
@@ -69,6 +69,11 @@ def _e11_rhs(k):
     return (1.0 + q * q) / (1.0 - q * q) * (PI3 / 24.0 + 0.5 * PI * li2(-q))
 
 
+def _e12(k):
+    s = -(4.0 * Q12(k) / (1.0 + Q12(k)) ** 2)
+    return lambda x: x * x / (1.0 + s * math.cos(x) ** 2)
+
+
 def _e12_rhs(k):
     q = Q12(k)
     return (1.0 + q) / (1.0 - q) * pi3_li2(q)
@@ -98,8 +103,7 @@ def cases():
         # E11: x^2/(1 - Q cos 2x) on (0, pi/2), Q = 2q/(1+q^2)
         case("LEWIN.E11", "eq. (11)", HALF, K11, lambda k: cos2x_kernel(1.0, -_dup_q(Q11(k))), _e11_rhs),
         # E12: x^2/(1 - Q cos^2 x) on (0, pi), Q = 4q/(1+q)^2
-        case("LEWIN.E12", "eq. (n71rwsq)", FULL, K12,
-             lambda k: trig_sq_kernel(1.0, -(4.0 * Q12(k) / (1.0 + Q12(k)) ** 2), math.cos), _e12_rhs, splits=MID),
+        case("LEWIN.E12", "eq. (n71rwsq)", FULL, K12, _e12, _e12_rhs, splits=MID),
         # E13: x^2/(1 - Q cos 2x) on (0, pi), Q = 2q/(1+q^2)
         case("LEWIN.E13", "eq. (lh0gp48)", FULL, K13, lambda k: cos2x_kernel(1.0, -_dup_q(Q13(k))), _e13_rhs, splits=MID),
         # E14: x^2 cos x/(1 - Q cos 2x) on (0, pi), Q = 2q/(1+q^2), 0 < q < 1

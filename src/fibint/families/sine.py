@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from ._helpers import (
     ALPHA, BETA, CATALAN, EVEN, HALF, LN_ALPHA, NO_PARAMS, ODD, SQRT5,
-    F, L, P, case, cl_pair, log_f, log_l, math, qgrid, restating,
+    F, L, P, case, cl_pair, log_f, log_l, math, qgrid,
 )
 
 KC, QC = qgrid((0.2, 0.5, 0.8, 1.0, BETA * BETA, -BETA))
@@ -93,14 +93,14 @@ def cases():
     return [
         # generic Clausen-valued log kernel, 0 < q <= 1; (1 + q^2)/(2q) is 1 at q = 1 (the Catalan kernel),
         # L_2/2 at q = beta^2 and sqrt5 F_1/2 at q = -beta, which the golden rows round once
-        restating(case("S5.CL66RLS", "eq. (cl66rls)", HALF, KC,
-                       lambda k: _log_ratio_kernel((1.0 + QC(k) * QC(k)) / (2.0 * QC(k))), _cl_rhs),
-                  lambda k: {4: (fourg, {}), 5: (j7h_e, {"r": 2}), 6: (j7h_o, {"r": 1})}.get(k)),
+        case("S5.CL66RLS", "eq. (cl66rls)", HALF, KC, lambda k: _log_ratio_kernel((1.0 + QC(k) * QC(k)) / (2.0 * QC(k))),
+             _cl_rhs,
+             shares=lambda k: {4: ("S5.FOURG", {}), 5: ("S5.J7HZXMA.E", {"r": 2}), 6: ("S5.J7HZXMA.O", {"r": 1})}.get(k)),
         # golden instances of the log kernel
-        j7h_e := case("S5.J7HZXMA.E", "thm. (j7hzxma), even branch", HALF, *_j7h(EVEN)),
-        j7h_o := case("S5.J7HZXMA.O", "thm. (j7hzxma), odd branch", HALF, *_j7h(ODD)),
+        case("S5.J7HZXMA.E", "thm. (j7hzxma), even branch", HALF, *_j7h(EVEN)),
+        case("S5.J7HZXMA.O", "thm. (j7hzxma), odd branch", HALF, *_j7h(ODD)),
         # the Catalan special value
-        fourg := case("S5.FOURG", "special value 4G", HALF, NO_PARAMS, lambda: _log_ratio_kernel(1.0), lambda: 4.0 * CATALAN),
+        case("S5.FOURG", "special value 4G", HALF, NO_PARAMS, lambda: _log_ratio_kernel(1.0), lambda: 4.0 * CATALAN),
         # sin x/(sin^2 x + Q^2), as Q^2 + 1.0 * sin^2 x: the same bits
         # Q = 1 and 2 are SIN3's kernel at r = 2 and SIN6's at r = 1
         case("S5.TKZY7WR", "eq. (tkzy7wr)", HALF, KT, lambda k: _sin_kernel(QT(k) ** 2, 1.0), _tk_rhs,
@@ -111,15 +111,16 @@ def cases():
         case("S5.SIN2", "eq. (Fib_sin_id2)", HALF, r10, lambda r: _sin_kernel(L(r) ** 2, 5.0 * F(r) ** 2),
              lambda r: log_f(1.0, r)),
         # Catalan-identity instances
-        sin3 := case("S5.SIN3", "eq. (Fib_sin_id3)", HALF, r2_10, lambda r: _sin_kernel(F(r - 1) ** 2, F(r) ** 2),
-                      _sin34_rhs(F, 1.0)),
-        sin4 := case("S5.SIN4", "eq. (Fib_sin_id4)", HALF, r2_10, lambda r: _sin_kernel(L(r - 1) ** 2, L(r) ** 2),
-                      _sin34_rhs(L, 5.0)),
+        case("S5.SIN3", "eq. (Fib_sin_id3)", HALF, r2_10, lambda r: _sin_kernel(F(r - 1) ** 2, F(r) ** 2),
+             _sin34_rhs(F, 1.0)),
+        case("S5.SIN4", "eq. (Fib_sin_id4)", HALF, r2_10, lambda r: _sin_kernel(L(r - 1) ** 2, L(r) ** 2),
+             _sin34_rhs(L, 5.0)),
         # shifted-index generalization, r odd
         # r = 1 is SIN3 at r = k + 1, and F_1, F_4 = L_1, L_2 make k = 1, r = 3 SIN4 at r = 2
-        restating(case("S5.SIN5GEN", "eq. (Fib_sin_id5_gen)", HALF, (P("k", 1, 4), P("r", 1, 5, "odd")),
-                       lambda k, r: _sin_kernel(F(k) ** 2, F(k + r) ** 2), _sin5_rhs),
-                  lambda k, r: (sin3, {"r": k + 1}) if r == 1 else (sin4, {"r": 2}) if (k, r) == (1, 3) else None),
+        case("S5.SIN5GEN", "eq. (Fib_sin_id5_gen)", HALF, (P("k", 1, 4), P("r", 1, 5, "odd")),
+             lambda k, r: _sin_kernel(F(k) ** 2, F(k + r) ** 2), _sin5_rhs,
+             shares=lambda k, r: ("S5.SIN3", {"r": k + 1}) if r == 1 else ("S5.SIN4", {"r": 2}) if (k, r) == (1, 3)
+             else None),
         # kernel 4 + L_r^2 sin^2 x, r odd
         case("S5.SIN6", "eq. (Fib_sin_id6)", HALF, ODD.params, lambda r: _sin_kernel(4.0, L(r) ** 2),
              lambda r: r / (SQRT5 * F(2 * r)) * LN_ALPHA),

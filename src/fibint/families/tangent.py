@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._helpers import (
     ALPHA, BETA, LN_ALPHA, PI, SQRT5, TAN_HALFPI,
-    F, L, P, apow, bpow, case, math, parity, part, restating,
+    F, L, P, apow, bpow, case, math, parity, part,
 )
 
 ROK_Q = (F(4) / F(3), L(3) / L(2), F(5) / L(2), L(4) / F(5), F(6) / F(4), L(5) / L(3))
@@ -187,8 +187,8 @@ def cases():
         # combined golden-power instances with Lucas/Fibonacci numerators
         quartic_l := case("S3.QUARTIC.L", "quartic theorem, Lucas member", TAN_HALFPI, nrq, _quartic(L), _quartic_l_rhs),
         # at n = 0, r = 0 the Fibonacci member is 1/(1 + 3t^2 + t^4), RECIP's kernel at r = 1
-        restating(case("S3.QUARTIC.F", "quartic theorem, Fibonacci member", TAN_HALFPI, nrq, _quartic(F), _quartic_f_rhs),
-                  lambda n, r: (recip, {"r": 1}) if (n, r) == (0, 0) else None),
+        case("S3.QUARTIC.F", "quartic theorem, Fibonacci member", TAN_HALFPI, nrq, _quartic(F), _quartic_f_rhs,
+             shares=lambda n, r: ("S3.RECIP", {"r": 1}) if (n, r) == (0, 0) else None),
         part(quartic_l, "S3.QUARTIC.PART1", "special value -pi*beta^3/2", lambda: -PI * BETA**3 / 2.0, n=0, r=-1),
         part(recip, "S3.QUARTIC.PART2", "special value pi*beta^2/sqrt5", lambda: PI * BETA**2 / SQRT5, r=1),
         part(tan2, "S3.QUARTIC.PART3", "special value -pi*beta^3/(2 sqrt5)",

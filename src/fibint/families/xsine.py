@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ._helpers import (
     ALPHA, BETA, EVEN, FULL, HALF, LN_ALPHA, MID, ODD, PI, SQRT5,
-    F, L, P, case, log_f, log_l, math, part, qgrid, restating,
+    F, L, P, case, log_f, log_l, math, part, qgrid,
 )
 
 RDJ_NOTE = (
@@ -148,12 +148,11 @@ def cases():
     r16, r18 = (P("r", 1, 6),), (P("r", 1, 8),)
     return [
         # generic log form at parameter q, q^2 < 1; (2q/(1 - q^2))^2 is 4 at q = -beta, CPWMQ60's kernel at r = 1
-        restating(case("S6.U6JQLAY", "eq. (u6jqlay)", FULL, k6,
-                       lambda k: _xsin(1.0, (2.0 * q6(k) / (1.0 - q6(k) * q6(k))) ** 2, math.sin),
-                       lambda k: _u6_rhs(q6(k))),
-                  lambda k: (cpw, {"r": 1}) if k == 6 else None),
+        case("S6.U6JQLAY", "eq. (u6jqlay)", FULL, k6,
+             lambda k: _xsin(1.0, (2.0 * q6(k) / (1.0 - q6(k) * q6(k))) ** 2, math.sin), lambda k: _u6_rhs(q6(k)),
+             shares=lambda k: ("S6.CPWMQ60", {"r": 1}) if k == 6 else None),
         # golden instances: r odd, kernel L_r^2 + 4 sin^2 x; r even, kernel L_r^2 - 4 cos^2 x
-        cpw := case("S6.CPWMQ60", "eq. (cpwmq60)", FULL, *_log_rows(ODD, 1)),
+        case("S6.CPWMQ60", "eq. (cpwmq60)", FULL, *_log_rows(ODD, 1)),
         case("S6.RDJRA1D", "eq. (rdjra1d)", FULL, *_log_rows(EVEN, 1), note=RDJ_NOTE),
         # squared kernels
         case("S6.SQ.A", "squared cor. of eq. (cpwmq60)", FULL, *_log_rows(ODD, 2)),

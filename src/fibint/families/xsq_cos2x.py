@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from ._helpers import (
     BETA, EVEN, FULL, LA2, LN_ALPHA, MID, ODD, PI, PI3, QUARTS, SQRT5,
-    F, L, P, bpow, case, cl2, cl_pair, cos2x_kernel, li2, li2_odd, math, parity, part, pi3_li2, qgrid, restating,
-    trig_sq_kernel,
+    F, L, P, bpow, case, cl2, cl_pair, cos2x_kernel, li2, li2_odd, math, parity, part, pi3_li2, qgrid, trig_sq_kernel,
 )
 
 R_ANY = (P("r", 1, 10),)
@@ -60,12 +59,12 @@ def _paired(a):
 
 def _dup(r, k):
     """x^2/(L_r^2 - 4 cos^2 2x)^k for even r, x^2/(L_r^2 + 4 sin^2 2x)^k for odd r."""
-    return trig_sq_kernel(L(r) ** 2, *parity(r).lsq, k, True)
+    return trig_sq_kernel(L(r) ** 2, *parity(r).lsq, k)
 
 
 def _plus_cos_sq(r, k):
     """x^2/(B_r^2 + 4 cos^2 2x)^k."""
-    return trig_sq_kernel(parity(r).B2(r), 4.0, math.cos, k, True)
+    return trig_sq_kernel(parity(r).B2(r), 4.0, math.cos, k)
 
 
 def _dup_rhs(sign, k):
@@ -243,18 +242,19 @@ def cases():
              lambda: 2.0 * PI * LN_ALPHA + 13.0 * PI3 / (6.0 * SQRT5) - PI * SQRT5 * LA2, r=1),
         # squared cos^2(2x) kernels, paired numerators
         case("S9.FRLTBQE", "eq. (frltbqe)", FULL, EVEN.params, lambda r: _paired(EVEN.A2(r)), _frl_rhs, splits=MID),
-        restating(case("S9.S7JKWMS", "eq. (s7jkwms)", FULL, EVEN.params, None, _s7j_rhs, splits=MID),
-                  lambda r: (ezy, {"r": r})),  # at even r, L_r^2 - 4 cos^2 2x is 5 F_r^2 + 4 sin^2 2x
+        # at even r, L_r^2 - 4 cos^2 2x is 5 F_r^2 + 4 sin^2 2x
+        case("S9.S7JKWMS", "eq. (s7jkwms)", FULL, EVEN.params, None, _s7j_rhs, splits=MID,
+             shares=lambda r: ("S9.EZYW57R", {"r": r})),
         vxz := case("S9.VXZM3GU", "eq. (vxzm3gu)", FULL, ODD.params, lambda r: _paired(ODD.A2(r)), _vxz_rhs,
                     splits=MID),
-        case("S9.NT2NOAN", "eq. (nt2noan)", FULL, ODD.params, lambda r: _c2x(ODD.A2(r), -4.0, 2), _nt2_rhs, splits=MID,
+        case("S9.NT2NOAN", "eq. (nt2noan)", FULL, ODD.params, None, _nt2_rhs, splits=MID,
              shares=lambda r: ("S9.EZYW57R", {"r": r})),
         part(vxz, "S9.FRLT.PART1", "special value at kernel (5 - 4cos^2 2x)^2, paired numerator",
              lambda: 0.5 * PI * LN_ALPHA + 7.0 * PI3 / (4.0 * SQRT5) - PI * SQRT5 / 4.0 * LA2, r=1),
         part(ezy, "S9.FRLT.PART2", "special value at kernel (5 - 4cos^2 2x)^2, cos 2x numerator",
              lambda: sq5_value, r=1),
         # generic duplication pair: Q = 2q/(1+q^2)
-        case("S9.ARIA0WT", "eq. (aria0wt)", FULL, KA, lambda k: trig_sq_kernel(1.0, -_aria_c(QA(k)) ** 2, math.cos, 1, True),
+        case("S9.ARIA0WT", "eq. (aria0wt)", FULL, KA, lambda k: trig_sq_kernel(1.0, -_aria_c(QA(k)) ** 2, math.cos),
              _aria_rhs, splits=MID),
         case("S9.RU2AYAB", "eq. (ru2ayab)", FULL, KA, _ru2, _ru2_rhs, splits=MID),
         # golden instances of the duplication pair (parity-split kernels)
@@ -281,17 +281,15 @@ def cases():
         part(ezy, "S9.PXI3HD5.PART2", "special value at squared kernel 5 - 4 cos^2 2x, cos 2x numerator",
              lambda: sq5_value, r=1),
         # imaginary-parameter pair: R = 2q/(1-q^2), which is 2 at q = -beta, EUNBS0S's and CLAUSEN.O's kernels at r = 1
-        restating(case("S9.XITQGR6", "eq. (xitqgr6)", FULL, KX,
-                       lambda k: trig_sq_kernel(1.0, _xit_c(QX(k)) ** 2, math.cos, 1, True), _xit_rhs, splits=QUARTS),
-                  lambda k: (eun, {"r": 1}) if k == 5 else None),
-        restating(case("S9.D64V4ZE", "eq. (d64v4ze)", FULL, KX, _d64, _d64_rhs, splits=QUARTS),
-                  lambda k: (cl_odd, {"r": 1}) if k == 5 else None),
+        case("S9.XITQGR6", "eq. (xitqgr6)", FULL, KX, lambda k: trig_sq_kernel(1.0, _xit_c(QX(k)) ** 2, math.cos),
+             _xit_rhs, splits=QUARTS, shares=lambda k: ("S9.EUNBS0S", {"r": 1}) if k == 5 else None),
+        case("S9.D64V4ZE", "eq. (d64v4ze)", FULL, KX, _d64, _d64_rhs, splits=QUARTS,
+             shares=lambda k: ("S9.CLAUSEN.O", {"r": 1}) if k == 5 else None),
         # golden instances with +cos^2(2x) kernels
-        eun := case("S9.EUNBS0S", "eq. (eunbs0s)", FULL, R_ANY, lambda r: _plus_cos_sq(r, 1), _dup_rhs(-1.0, 1),
-                    splits=QUARTS),
+        case("S9.EUNBS0S", "eq. (eunbs0s)", FULL, R_ANY, lambda r: _plus_cos_sq(r, 1), _dup_rhs(-1.0, 1), splits=QUARTS),
         case("S9.EUNBS0S.SQ", "squared thm. of eq. (eunbs0s)", FULL, R_ANY, lambda r: _plus_cos_sq(r, 2), _dup_rhs(-1.0, 2),
              splits=QUARTS),
         # Clausen-valued rows
         case("S9.CLAUSEN.E", "final theorem, even branch", FULL, *_clausen(EVEN), splits=QUARTS),
-        cl_odd := case("S9.CLAUSEN.O", "final theorem, odd branch", FULL, *_clausen(ODD), splits=QUARTS),
+        case("S9.CLAUSEN.O", "final theorem, odd branch", FULL, *_clausen(ODD), splits=QUARTS),
     ]

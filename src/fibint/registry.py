@@ -9,7 +9,9 @@ default absolute tolerance.  default_grid() enumerates the verification
 assignments; instantiate() binds one assignment, evaluating all exact
 sequence values and converting to binary64 as late as possible.  A row
 whose integral is another instance's at some of its points says so with
-shares, which the verifier reads and `list` does not.
+shares: there instantiate binds that instance's kernel, and each bound
+instance of a shared integral carries its key, on which the verifier
+memoizes.  `list` reads neither.
 """
 
 from __future__ import annotations
@@ -122,9 +124,11 @@ class IdentityCase:
     defaults to TOL_FINITE on FINITE rows, else TOL_TRANSFORMED.
 
     shares, if given, takes the same parameters and returns (row id,
-    assignment) of the instance with the same binary64 integrand, strategy
-    and splits, or None; a .PART row made by _helpers.part names its general
-    row's.  The instance named declares none; catalog_entry omits shares.
+    assignment) of the instance whose integral, under the same strategy and
+    splits, the row's is, or None.  Where it names one, instantiate binds
+    that instance's kernel and never calls the row's own lhs_builder, which
+    is None on a row that shares at every point.  The instance named
+    declares none; catalog_entry omits shares.
     """
 
     __slots__ = (
@@ -137,7 +141,7 @@ class IdentityCase:
         anchor: str,
         strategy: Strategy,
         params: tuple[ParamSpec, ...],
-        lhs_builder: Callable[..., Callable[[float], float]],
+        lhs_builder: Callable[..., Callable[[float], float]] | None,
         rhs_eval: Callable[..., float],
         default_tol: float | None = None,
         splits: tuple[float, ...] = (),
@@ -176,12 +180,21 @@ class Integrand:
 class BoundInstance:
     """A catalog row bound to one concrete assignment: the integrand, the
     closed form's value, the row's absolute tolerance (which a run's --tol
-    replaces) and the quadrature strategy."""
+    replaces), the quadrature strategy and, if the catalog declares its
+    integral shared, that integral's key: (row id, parameter values) of the
+    instance the declarations name, or else None."""
 
-    __slots__ = ("case_id", "assignment", "integrand", "rhs", "tol", "strategy")
+    __slots__ = ("case_id", "assignment", "integrand", "rhs", "tol", "strategy", "integral")
 
     def __init__(
-        self, case_id: str, assignment: dict[str, int], integrand: Integrand, rhs: float, tol: float, strategy: Strategy
+        self,
+        case_id: str,
+        assignment: dict[str, int],
+        integrand: Integrand,
+        rhs: float,
+        tol: float,
+        strategy: Strategy,
+        integral: tuple | None = None,
     ) -> None:
         self.case_id = case_id
         self.assignment = assignment
@@ -189,6 +202,7 @@ class BoundInstance:
         self.rhs = rhs
         self.tol = tol
         self.strategy = strategy
+        self.integral = integral
 
 
 _INDEX: dict[str, IdentityCase] = {}
@@ -245,14 +259,27 @@ def _validate(case: IdentityCase, assignment: Mapping[str, int]) -> dict[str, in
     raise ParamError(f"{case.id}: {spec.describe(value)}")
 
 
+@functools.cache
+def _named() -> frozenset[tuple]:
+    """The keys of the shared integrals, (row id, parameter values), of the instances that the rows' shares name on
+    their default grids.  A declaration gives the named row's parameters in that row's order."""
+    return frozenset((t[0], tuple(t[1].values())) for c in catalog() if c.shares for a in default_grid(c.id)
+                     if (t := c.shares(**a)))
+
+
 def instantiate(case_id: str, assignment: Mapping[str, int]) -> BoundInstance:
     """Bind a catalog row to one assignment, validated for names, parity and
-    range, by calling its builder and closed form with the parameters as
-    keywords."""
+    range, by calling a builder and the row's closed form with the
+    parameters as keywords.  The builder is that of the instance the row's
+    shares names there, at its assignment, or else the row's own."""
     case = get_case(case_id)
     clean = _validate(case, assignment)
-    integrand = Integrand(case.lhs_builder(**clean), case.splits)
-    return BoundInstance(case.id, clean, integrand, float(case.rhs_eval(**clean)), case.default_tol, case.strategy)
+    named = case.shares and case.shares(**clean)
+    row, at = (get_case(named[0]), named[1]) if named else (case, clean)
+    key = row.id, tuple(at.values())
+    integrand = Integrand(row.lhs_builder(**at), case.splits)
+    return BoundInstance(case.id, clean, integrand, float(case.rhs_eval(**clean)), case.default_tol, case.strategy,
+                         key if key in _named() else None)
 
 
 def default_grid(

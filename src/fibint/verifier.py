@@ -7,9 +7,10 @@ abort a run; the report is total and deterministically ordered, so two
 runs of the same filter are bitwise identical (timestamps live only in
 serialization metadata, never in results).
 
-An integral that the catalog declares shared (IdentityCase.shares) is
-integrated once per run and quadrature tol, and the instances that share
-it reuse that QuadResult, each with its own rhs, threshold and verdict.
+An integral that the catalog declares shared, which a bound instance
+names by its key (BoundInstance.integral), is integrated once per run and
+quadrature tol, and the instances that share it reuse that QuadResult,
+each with its own rhs, threshold and verdict.
 A QuadResult is a function of the integrand's bits and the tol alone, so
 every result is the one its instance gets verified alone or under any
 filter.  A result's quad_evals are the integrand calls made for it: 0
@@ -23,7 +24,6 @@ the memo keys exactly.  Cut, they agree unless they straddle a 40-bit step.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from typing import Mapping, NamedTuple
@@ -140,24 +140,6 @@ def verify_instance(inst: registry.BoundInstance, shared: dict | None = None) ->
     )
 
 
-@functools.cache
-def _integral_index() -> dict[str, dict[tuple, tuple]]:
-    """The integrals the catalog declares shared, over the default grids: by
-    row id, the key of each instance that computes one, by the instance's
-    parameter values in the row's order.  The key is (row id, values) of
-    the instance a declaration names, which is itself a member."""
-    index: dict[str, dict[tuple, tuple]] = {}
-    for case in registry.catalog():
-        for assignment in registry.default_grid(case.id) if case.shares is not None else ():
-            target = case.shares(**assignment)
-            if target is not None:
-                row, values = target
-                key = row, tuple(values[p.name] for p in registry.get_case(row).params)
-                index.setdefault(case.id, {})[tuple(assignment.values())] = key
-                index.setdefault(row, {})[key[1]] = key
-    return index
-
-
 def run(
     pattern: str = "*",
     grid_override: Mapping[str, tuple[int, int]] | None = None,
@@ -182,19 +164,16 @@ def run(
     for name, (lo, hi) in (grid_override or {}).items():
         if not any(spec.name == name for cid in ids for spec in registry.get_case(cid).params):
             raise ValueError(f"bad grid override '{name}={lo}..{hi}'; no entry matching {pattern!r} has {name}")
-    index = _integral_index()
     memo: dict = {}  # integral key -> {qtol: QuadResult}
     results = []
     assignments: dict = {}  # one tuple per distinct assignment, which the results share
     for cid in ids:
-        keys = index.get(cid, {})
         row = [registry.instantiate(cid, assignment) for assignment in registry.default_grid(cid, grid_override)]
         while row:  # popped, so that each instance is released once verified; the results are sorted below
             inst = row.pop()
             if tol_override is not None:
                 inst.tol = tol_override
-            key = keys.get(tuple(inst.assignment.values()))
-            res = verify_instance(inst, memo.setdefault(key, {}) if key else None)
+            res = verify_instance(inst, memo.setdefault(inst.integral, {}) if inst.integral else None)
             res.assignment = assignments.setdefault(res.assignment, res.assignment)
             results.append(res)
     if not results:

@@ -16,15 +16,15 @@ A third set pins the bytes of `fibint list --format json|csv|md`, which
 the catalog digest cannot see: it hashes parsed rows.
 
 Rows whose integral is another instance's declare it (IdentityCase.shares),
-and the verifier integrates it once.  Tests hold the declarations to the
-catalog: every repeated binary64 integrand is declared, every declared
-group is one integrand at every abscissa a quadrature can visit, and its
-closed forms agree within a few ulp.  So do the closed forms of instances
-whose integrands agree within 64 ulp, one integral written in two forms,
-and a row without parameters that is such a form of a general row's
-instance shares that instance's integral.  Five rows repeat one integral at
-several points of their own grid; a test holds those points to one
-integrand and one closed form.
+instantiate binds that instance's kernel, and the verifier integrates it
+once.  Tests hold the declarations to the catalog: every repeated binary64
+integrand is declared, every declared group is one integrand at every
+abscissa a quadrature can visit, and its closed forms agree within a few
+ulp.  So do the closed forms of instances whose integrands agree within
+64 ulp, one integral written in two forms, and a row without parameters
+that is such a form of a general row's instance shares that instance's
+integral.  Five rows repeat one integral at several points of their own
+grid; a test holds those points to one integrand and one closed form.
 
 These digests pin bytes.  The numbers a run gives each instance (lhs,
 err_est, evals, converged, rule, reused and verdict, at the default
@@ -46,8 +46,8 @@ import pathlib
 import pytest
 
 import make_results
-from fibint import cli, families, quad, registry, verifier
-from test_registry import OWN_FORMS
+from fibint import cli, families, registry, verifier
+from test_registry import _quadrature_abscissae, own_form
 
 CATALOG_SHA256 = "823e9b1cdddb37e83214234452375ebf31c64fe7d3425d83ec897556056b59a7"
 INSTANCE_SHA256 = "b14684fbc631cfc82e275484dec32eb087b1fce8f87144f66c5dc71362eff345"
@@ -193,27 +193,6 @@ def _even_abscissae(strategy, n):
     return [math.tan(0.5 * math.pi * j / (n + 1)) for j in range(1, n + 1)]
 
 
-def _quadrature_abscissae(strategy, splits):
-    """Every abscissa that a quadrature of a row with this strategy and splits
-    can visit, at any tol: each panel's tanh-sinh nodes down to MAX_LEVEL,
-    and on a finite panel its Fejer nodes and off-grid sample."""
-    if strategy.kind == "FINITE":
-        panels = quad._finite_layout(strategy.a, strategy.b, tuple(splits))
-    else:
-        panels = [(0.0, math.inf, quad._HALF_LINE if strategy.kind == "HALF_LINE" else quad._TAN)]
-    xs = []
-    for lo, hi, table in panels:
-        xs.append(table.center[0])
-        for level in range(quad.MAX_LEVEL + 1):
-            body, (low, high) = table.rows(level)
-            xs += [x for row in body for x in row[:2]]
-            xs += [x for _, x, _ in low + high]
-        if table.fejer is not None:
-            xs += [x for level in range(quad._FEJER_LEVELS) for pair in table.fejer(level)[0] for x in pair]
-            xs.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * quad._SAMPLE_T)
-    return xs
-
-
 @functools.cache
 def _dense_xs(strategy, splits):
     return _quadrature_abscissae(strategy, splits) + _even_abscissae(strategy, DENSE)
@@ -274,6 +253,19 @@ def test_declarations_name_instances_that_declare_nothing():
         shares = registry.get_case(case_id).shares
         assert shares is None or shares(**assignment) is None, target
         assert len(set(members)) == len(members), target
+    # each names the row's parameters in their order, which the integral's key (BoundInstance.integral) keeps
+    for case in registry.catalog():
+        for assignment in registry.default_grid(case.id) if case.shares else ():
+            target = case.shares(**assignment)
+            assert target is None or list(target[1]) == [p.name for p in registry.get_case(target[0]).params], case.id
+
+
+def test_a_row_has_a_builder_where_it_shares_nothing():
+    # instantiate calls a row's own builder only where its shares names no instance: a row that
+    # shares at every point has none, and every other row has one
+    for case in registry.catalog():
+        own = [a for a in registry.default_grid(case.id) if not (case.shares and case.shares(**a))]
+        assert (case.lhs_builder is not None) == bool(own), case.id
 
 
 # in-grid repeats: rows that name an instance of their own grid
@@ -348,12 +340,9 @@ UNDECLARED = [g for g in near_groups() if frozenset(g) not in _DECLARED_SETS]
 
 
 def _restated(key):
-    """The instance's row binds another row's kernel where its own form (test_registry.OWN_FORMS) rounds otherwise."""
-    if key[0] not in OWN_FORMS:
-        return False
-    case = registry.get_case(key[0])
-    own = OWN_FORMS[key[0]](dict(key[1]))
-    return _signature(own, _dense_xs(case.strategy, case.splits)) != dense_signature(key)[2]
+    """The instance binds another kernel than its row's own form there (test_registry.own_form), which rounds otherwise."""
+    case, own = registry.get_case(key[0]), own_form(*_key_args(key))
+    return own is not None and _signature(own, _dense_xs(case.strategy, case.splits)) != dense_signature(key)[2]
 
 
 # near groups that one row joins by binding another row's kernel: one integral that two rows write in two forms
@@ -381,7 +370,7 @@ OWN_KERNEL = {
 
 def test_special_values_share_the_instances_they_match():
     # a parameter-free row whose integrand matches an instance of a row with parameters is in one
-    # declared group with such an instance, so it restates no kernel and costs no quadrature
+    # declared group with such an instance, so it binds no kernel of its own and costs no quadrature
     group_of = {key: target for target, members in DECLARED.items() for key in members}
     loose = []
     for g in near_groups():
